@@ -11,7 +11,7 @@ import numpy as np
 
 from defectseq.dataset import MetricVector
 from defectseq.history import Hvsm, HvsmSet, apply_normalizer, fit_normalizer
-from defectseq.rnn import Hyperparams, gradient_check, predict, predict_set, train
+from defectseq.rnn import Hyperparams, gradient_check, predict_set, train
 
 SCHEMA = ("trend", "noise_a", "noise_b")
 
@@ -40,7 +40,7 @@ def make_samples(n: int, seed: int) -> HvsmSet:
 
 
 def main() -> None:
-    print("=== gradient check (backpropagation through time vs central differences) ===")
+    print("=== gradient check (batched backpropagation through time vs central differences) ===")
     for T in (1, 3, 5):
         err = gradient_check(Hyperparams(hidden_size=4, seed=1), input_dim=3, T=T)
         print(f"  T={T}: max relative error {err:.2e}")
@@ -67,8 +67,9 @@ def main() -> None:
         sequence=long_item.sequence[1:],
         label=None,
     )
-    print(f"  T={long_item.length}: p(defective) = {predict(result.params, long_item, normalizer):.3f}")
-    print(f"  T={short_item.length}: p(defective) = {predict(result.params, short_item, normalizer):.3f}")
+    pair = HvsmSet(anchor_version="r3", items=(long_item, short_item), window=3)
+    for item, prob in zip(pair.items, predict_set(result.params, pair, normalizer)):
+        print(f"  T={item.length}: p(defective) = {prob:.3f}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ from .rnn import (
     MODEL_FORMAT_VERSION,
     Hyperparams,
     RnnParams,
-    forward,
+    _group_forward,
+    descend,
     train,
 )
 
@@ -98,31 +99,19 @@ def train_baseline(
 def _train_logistic(Z: np.ndarray, y: np.ndarray, h: Hyperparams) -> dict:
     """Full-batch gradient descent on log loss; L2 on weights, not bias."""
     m, d = Z.shape
-    w = np.zeros(d)
-    b = 0.0
 
-    def loss_at(w, b):
+    def objective(params):
+        w, b = params
         p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
+        grad = (Z.T @ (p - y) / m + h.lam * w, float(np.mean(p - y)))
         p = np.clip(p, 1e-12, 1 - 1e-12)
-        return float(
-            np.mean(-y * np.log(p) - (1 - y) * np.log(1 - p)) + 0.5 * h.lam * np.sum(w**2)
-        )
+        loss = np.mean(-y * np.log(p) - (1 - y) * np.log(1 - p)) + 0.5 * h.lam * np.sum(w**2)
+        return grad, float(loss)
 
-    eta = h.eta
-    current = loss_at(w, b)
-    for _ in range(h.iterations):
-        p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
-        gw = Z.T @ (p - y) / m + h.lam * w
-        gb = float(np.mean(p - y))
-        new_w, new_b = w - eta * gw, b - eta * gb
-        new_loss = loss_at(new_w, new_b)
-        halvings = 0
-        while new_loss > current and halvings < h.halving_limit:
-            eta *= 0.5
-            new_w, new_b = w - eta * gw, b - eta * gb
-            new_loss = loss_at(new_w, new_b)
-            halvings += 1
-        w, b, current = new_w, new_b, new_loss
+    def step(params, grad, eta):
+        return params[0] - eta * grad[0], params[1] - eta * grad[1]
+
+    (w, b), _ = descend(objective, step, (np.zeros(d), 0.0), h)
     return {"weights": w, "bias": b}
 
 
@@ -154,17 +143,7 @@ def _train_feedforward(Z: np.ndarray, y: np.ndarray, schema, h: Hyperparams) -> 
 
 def predict_baseline(model: BaselineModel, x: MetricVector) -> float:
     """Probability of the positive class for one metric vector."""
-    if x.schema != model.normalizer.schema:
-        raise ValueError("schema does not match the model's training schema")
-    z = model.normalizer.transform(x.values)
-    if model.kind == LOGISTIC_REGRESSION:
-        p = model.params
-        return float(1.0 / (1.0 + np.exp(-(p["weights"] @ z + p["bias"]))))
-    if model.kind == GAUSSIAN_NB:
-        return _predict_gaussian_nb(model.params, z)
-    if model.kind == KNN:
-        return _predict_knn(model.params, z)
-    return forward(model.params["rnn"], z[None, :]).prob
+    return float(predict_baseline_many(model, [x])[0])
 
 
 def _predict_gaussian_nb(params: dict, z: np.ndarray) -> float:
@@ -187,7 +166,20 @@ def _predict_knn(params: dict, z: np.ndarray) -> float:
 
 
 def predict_baseline_many(model: BaselineModel, xs: Sequence[MetricVector]) -> np.ndarray:
-    return np.asarray([predict_baseline(model, x) for x in xs])
+    """Probabilities of the positive class, aligned with ``xs``."""
+    if any(x.schema != model.normalizer.schema for x in xs):
+        raise ValueError("schema does not match the model's training schema")
+    if not xs:
+        return np.empty(0)
+    Z = model.normalizer.transform(np.vstack([x.values for x in xs]))
+    p = model.params
+    if model.kind == FEEDFORWARD_NN:
+        return _group_forward(p["rnn"], Z[None])[1]
+    if model.kind == LOGISTIC_REGRESSION:
+        # row by row: ``Z @ w`` may round differently and move reported scores
+        return np.asarray([1.0 / (1.0 + np.exp(-(p["weights"] @ z + p["bias"]))) for z in Z])
+    predict_one = _predict_gaussian_nb if model.kind == GAUSSIAN_NB else _predict_knn
+    return np.asarray([predict_one(p, z) for z in Z])
 
 
 # ---------------------------------------------------------------------------

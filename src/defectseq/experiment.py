@@ -49,7 +49,7 @@ from .history import (
     extract_hvsm_set,
     fit_normalizer,
 )
-from .rnn import Hyperparams, predict_set, train
+from .rnn import Hyperparams, TrainingError, predict_set, train
 from .stats import scott_knott, win_tie_loss
 
 RNN_TECHNIQUE = "rnn"
@@ -239,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for spec in cfg.projects:
         try:
             report["projects"][spec.name] = _run_project(spec, cfg)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, TrainingError) as exc:
             report["errors"][spec.name] = str(exc)
     _aggregate(report, cfg)
     return report
@@ -322,7 +322,7 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
     for kind in cfg.baseline_kinds:
         try:
             entry = _run_baseline(kind, feats, test_vectors, keys, locs, bug_counts, cfg)
-        except ValueError as exc:
+        except (ValueError, TrainingError) as exc:
             project["techniques"][kind] = {"error": str(exc)}
             continue
         project["techniques"][kind] = entry

@@ -2,8 +2,15 @@
 
 One tanh hidden layer with shared weights across time steps, a sigmoid
 output read off the final state, and log loss with an L2 penalty on the
-three weight matrices (biases are unpenalized).  Gradients come from exact
-backpropagation through time; a finite-difference checker validates them.
+three weight matrices (biases are unpenalized).
+
+There is one forward/backward implementation, and it is batched.
+``group_by_length`` stacks a training set into one ``(T, n, input_dim)``
+array per sequence length, once per training run; ``batch_gradient`` runs
+exact backpropagation through time over those groups, and prediction uses
+the same forward pass.  The finite-difference checker differentiates
+``batch_gradient`` itself, on a batch of mixed lengths and labels with the
+L2 term on, so it verifies the code the trainer runs.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ class Hyperparams:
             raise ValueError("iterations must be positive")
         if self.init_scale < 0:
             raise ValueError("init_scale must be non-negative")
+        if self.halving_limit < 0:
+            raise ValueError("halving_limit must be non-negative")
 
 
 @dataclass(eq=False)
@@ -84,7 +93,7 @@ class RnnParams:
 
     def squared_weight_norm(self) -> float:
         """Sum of squared entries of U, V and W; biases excluded."""
-        return float(np.sum(self.U**2) + np.sum(self.V**2) + np.sum(self.W**2))
+        return float((self.U**2).sum() + (self.V**2).sum() + (self.W**2).sum())
 
 
 @dataclass(eq=False)
@@ -94,15 +103,6 @@ class Gradients:
     dV: np.ndarray
     db: np.ndarray
     dc: float
-
-
-@dataclass(eq=False)
-class ForwardTrace:
-    """Inputs, hidden states per step, and the output probability."""
-
-    inputs: np.ndarray  # T x input
-    states: np.ndarray  # T x hidden
-    prob: float
 
 
 def init_params(h: Hyperparams, input_dim: int) -> RnnParams:
@@ -122,75 +122,37 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def forward(p: RnnParams, seq: np.ndarray) -> ForwardTrace:
-    """Run the unfolded network over one sequence of input vectors."""
-    x = np.atleast_2d(np.asarray(seq, dtype=float))
-    if x.shape[0] < 1:
-        raise ValueError("sequence must have at least one step")
-    if x.shape[1] != p.input_dim:
-        raise ValueError(f"input dim {x.shape[1]} does not match U ({p.input_dim})")
-    T = x.shape[0]
-    states = np.empty((T, p.hidden_size))
-    s = np.tanh(p.U @ x[0] + p.b)
-    states[0] = s
-    for t in range(1, T):
-        s = np.tanh(p.U @ x[t] + p.W @ s + p.b)
-        states[t] = s
-    prob = float(_sigmoid(float(p.V[0] @ s) + p.c))
-    return ForwardTrace(inputs=x, states=states, prob=prob)
+Batch = list[tuple[np.ndarray, np.ndarray]]
+"""Samples stacked by length: ``(X, y)`` pairs, X of shape (T, n, input_dim)."""
 
 
-def loss(P: float, y: int, p: RnnParams, lam: float) -> float:
-    """Log loss of one prediction plus the L2 penalty on U, V, W."""
-    if not 0.0 <= P <= 1.0:
-        raise ValueError(f"probability out of range: {P}")
-    P = min(max(P, PROB_EPS), 1.0 - PROB_EPS)
-    data_term = -y * np.log(P) - (1 - y) * np.log(1.0 - P)
-    return float(data_term + 0.5 * lam * p.squared_weight_norm())
+def _stack_by_length(items: tuple[Hvsm, ...]) -> list[tuple[list[int], np.ndarray]]:
+    """Indices and stacked (T, n, input_dim) raw values of each equal-length
+    group of samples, in ascending T for a fixed summation order."""
+    by_length: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        by_length.setdefault(item.length, []).append(i)
+    return [
+        (idx, np.stack([np.vstack([vec.values for vec in items[i].sequence]) for i in idx], axis=1))
+        for idx in (by_length[T] for T in sorted(by_length))
+    ]
 
 
-def backward(p: RnnParams, trace: ForwardTrace, y: int) -> Gradients:
-    """Exact gradients of the unregularized log loss for one sample."""
-    x, states = trace.inputs, trace.states
-    T = x.shape[0]
-    dz = trace.prob - y  # derivative of log loss w.r.t. the output logit
-    dV = dz * states[T - 1][None, :]
-    dc = dz
-    dU = np.zeros_like(p.U)
-    dW = np.zeros_like(p.W)
-    db = np.zeros_like(p.b)
-    delta = (p.V[0] * dz) * (1.0 - states[T - 1] ** 2)
-    for t in range(T - 1, -1, -1):
-        dU += np.outer(delta, x[t])
-        db += delta
-        if t > 0:
-            dW += np.outer(delta, states[t - 1])
-            delta = (p.W.T @ delta) * (1.0 - states[t - 1] ** 2)
-    return Gradients(dU=dU, dW=dW, dV=dV, db=db, dc=float(dc))
+def group_by_length(train_set: HvsmSet) -> Batch:
+    """The training batch: every sample stacked with the others of its length.
 
-
-# ---------------------------------------------------------------------------
-# batched training path
-# ---------------------------------------------------------------------------
-
-def _group_by_length(batch: HvsmSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stack samples of equal length; ascending T for a fixed summation order.
-
-    Returns (X, y) pairs with X of shape (T, n, input_dim).
+    Built once per training run; rejects an empty set and any sample whose
+    label is not 0 or 1.
     """
-    groups: dict[int, tuple[list, list]] = {}
-    for item in batch.items:
-        if item.label is None:
-            raise ValueError(f"sample {item.key!r} has no label")
-        seqs, labels = groups.setdefault(item.length, ([], []))
-        seqs.append(np.vstack([vec.values for vec in item.sequence]))
-        labels.append(item.label)
-    out = []
-    for T in sorted(groups):
-        seqs, labels = groups[T]
-        X = np.stack(seqs, axis=1)  # T x n x input
-        out.append((X, np.asarray(labels, dtype=float)))
-    return out
+    if not train_set.items:
+        raise ValueError("empty training set")
+    for item in train_set.items:
+        if item.label not in (0, 1):
+            raise ValueError(f"sample {item.key!r} has no 0/1 label: {item.label!r}")
+    return [
+        (X, np.asarray([train_set.items[i].label for i in idx], dtype=float))
+        for idx, X in _stack_by_length(train_set.items)
+    ]
 
 
 def _group_forward(p: RnnParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,31 +166,27 @@ def _group_forward(p: RnnParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return S, probs
 
 
-def batch_gradient(
-    p: RnnParams, batch: HvsmSet, lam: float
-) -> tuple[Gradients, float]:
-    """Average per-sample gradient plus the L2 term on U, V, W.
+def batch_gradient(p: RnnParams, batch: Batch, lam: float) -> tuple[Gradients, float]:
+    """Average per-sample gradient plus the L2 term on U, V, W, by
+    backpropagation through time over every length group.
 
     Returns the gradient and the mean loss ``mean(L_a) + lam/2 * ||w||^2``.
     """
-    if not batch.items:
-        raise ValueError("empty batch")
-    groups = _group_by_length(batch)
-    m = sum(X.shape[1] for X, _ in groups)
+    m = sum(X.shape[1] for X, _ in batch)
     dU = np.zeros_like(p.U)
     dW = np.zeros_like(p.W)
     dV = np.zeros_like(p.V)
     db = np.zeros_like(p.b)
     dc = 0.0
     data_loss = 0.0
-    for X, y in groups:
+    for X, y in batch:
         T = X.shape[0]
         S, probs = _group_forward(p, X)
-        clipped = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-        data_loss += float(np.sum(-y * np.log(clipped) - (1 - y) * np.log(1 - clipped)))
+        clipped = probs.clip(PROB_EPS, 1.0 - PROB_EPS)
+        data_loss += float((-y * np.log(clipped) - (1 - y) * np.log(1 - clipped)).sum())
         dz = probs - y  # (n,)
         dV += dz[None, :] @ S[T - 1]
-        dc += float(np.sum(dz))
+        dc += float(dz.sum())
         delta = (dz[:, None] * p.V[0]) * (1.0 - S[T - 1] ** 2)  # n x hidden
         for t in range(T - 1, -1, -1):
             dU += delta.T @ X[t]
@@ -263,23 +221,22 @@ class TrainResult:
     loss_history: list[float]
 
 
-def train(train_set: HvsmSet, h: Hyperparams) -> TrainResult:
-    """Full-batch gradient descent for ``h.iterations`` steps.
+def descend(objective, step, params, h: Hyperparams):
+    """Full-batch gradient descent for ``h.iterations`` steps from ``params``.
 
-    On a loss increase the step is retried with a halved learning rate (the
-    reduction persists), up to ``h.halving_limit`` times per step.  Raises
-    TrainingError with the iteration index if the loss turns non-finite.
+    ``objective(params)`` returns ``(gradient, loss)``; ``step(params,
+    gradient, eta)`` returns the moved params.  On a loss increase the step
+    is retried with a halved learning rate (the reduction persists), up to
+    ``h.halving_limit`` times per step.  Raises TrainingError with the
+    iteration index if the loss turns non-finite.  Returns the final params
+    and the loss history, initial loss first.
     """
-    if not train_set.items:
-        raise ValueError("empty training set")
-    input_dim = len(train_set.schema)
-    params = init_params(h, input_dim)
-    grad, current = batch_gradient(params, train_set, h.lam)
+    grad, current = objective(params)
     history = [current]
     eta = h.eta
     for it in range(h.iterations):
-        candidate = _apply_step(params, grad, eta)
-        cand_grad, cand_loss = batch_gradient(candidate, train_set, h.lam)
+        candidate = step(params, grad, eta)
+        cand_grad, cand_loss = objective(candidate)
         halvings = 0
         while (
             np.isfinite(cand_loss)
@@ -287,55 +244,46 @@ def train(train_set: HvsmSet, h: Hyperparams) -> TrainResult:
             and halvings < h.halving_limit
         ):
             eta *= 0.5
-            candidate = _apply_step(params, grad, eta)
-            cand_grad, cand_loss = batch_gradient(candidate, train_set, h.lam)
+            candidate = step(params, grad, eta)
+            cand_grad, cand_loss = objective(candidate)
             halvings += 1
         if not np.isfinite(cand_loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
         params, grad, current = candidate, cand_grad, cand_loss
         history.append(current)
+    return params, history
+
+
+def train(train_set: HvsmSet, h: Hyperparams) -> TrainResult:
+    """Fit the classifier by ``descend`` on the set's batch, grouped once."""
+    batch = group_by_length(train_set)
+    params, history = descend(
+        lambda q: batch_gradient(q, batch, h.lam),
+        _apply_step,
+        init_params(h, len(train_set.schema)),
+        h,
+    )
     return TrainResult(params=params, loss_history=history)
 
 
-def predict(p: RnnParams, s: Hvsm, n: Normalizer) -> float:
-    """Probability that the sample's file is defective at its anchor."""
-    if s.schema != n.schema:
-        raise ValueError("sample schema does not match the normalizer")
-    seq = np.vstack([n.transform(vec.values) for vec in s.sequence])
-    return forward(p, seq).prob
-
-
 def predict_set(p: RnnParams, s: HvsmSet, n: Normalizer) -> np.ndarray:
-    """Probabilities for every sample, aligned with ``s.items``."""
+    """Probability that each sample's file is defective at its anchor,
+    aligned with ``s.items``."""
     if not s.items:
         return np.empty(0)
     if s.schema != n.schema:
         raise ValueError("set schema does not match the normalizer")
-    by_length: dict[int, list[int]] = {}
-    for i, item in enumerate(s.items):
-        by_length.setdefault(item.length, []).append(i)
+    if len(s.schema) != p.input_dim:
+        raise ValueError(f"input dim {len(s.schema)} does not match U ({p.input_dim})")
     probs = np.empty(len(s.items))
-    for T in sorted(by_length):
-        idx = by_length[T]
-        X = np.stack(
-            [
-                np.vstack([n.transform(vec.values) for vec in s.items[i].sequence])
-                for i in idx
-            ],
-            axis=1,
-        )
-        _, group_probs = _group_forward(p, X)
-        probs[idx] = group_probs
+    for idx, X in _stack_by_length(s.items):
+        _, probs[idx] = _group_forward(p, n.transform(X))
     return probs
 
 
 # ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
-
-def _flat_params(p: RnnParams) -> list[tuple[str, np.ndarray]]:
-    return [("U", p.U), ("W", p.W), ("V", p.V), ("b", p.b)]
-
 
 def gradient_check(
     h: Hyperparams,
@@ -344,12 +292,15 @@ def gradient_check(
     y: int = 1,
     eps: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between ``batch_gradient`` and central differences
+    of the loss it returns.
 
-    Every parameter (including biases) is perturbed at a random point drawn
-    from the hyperparams' seed.  The relative error uses the denominator
-    max(|analytic| + |numeric|, 1e-5) so structurally-zero gradients do not
-    divide by zero.
+    The batch holds two samples of every length 1..T, labelled ``y`` and
+    ``1 - y``, and the L2 term uses ``h.lam``: the path training runs.
+    Every parameter, biases and ``c`` included, is perturbed at a random
+    point drawn from the hyperparams' seed.  The relative error uses the
+    denominator max(|analytic| + |numeric|, 1e-5) so structurally-zero
+    gradients do not divide by zero.
     """
     rng = np.random.default_rng(h.seed)
     s = max(h.init_scale, 0.1)
@@ -358,37 +309,24 @@ def gradient_check(
         W=rng.uniform(-s, s, size=(h.hidden_size, h.hidden_size)),
         V=rng.uniform(-s, s, size=(1, h.hidden_size)),
         b=rng.uniform(-s, s, size=h.hidden_size),
-        c=float(rng.uniform(-s, s)),
+        c=np.array(rng.uniform(-s, s)),  # 0-d, so it is perturbed in place like the rest
     )
-    seq = rng.normal(size=(T, input_dim))
-
-    def loss_at(q: RnnParams) -> float:
-        return loss(forward(q, seq).prob, y, q, 0.0)
-
-    analytic = backward(p, forward(p, seq), y)
-    grads = {"U": analytic.dU, "W": analytic.dW, "V": analytic.dV, "b": analytic.db}
+    labels = np.array([y, 1 - y], dtype=float)
+    batch = [(rng.normal(size=(t, 2, input_dim)), labels) for t in range(1, T + 1)]
+    g, _ = batch_gradient(p, batch, h.lam)
     max_err = 0.0
-    for name, arr in _flat_params(p):
-        g = grads[name]
+    for arr, analytic in ((p.U, g.dU), (p.W, g.dW), (p.V, g.dV), (p.b, g.db), (p.c, g.dc)):
         for i in np.ndindex(arr.shape):
             orig = arr[i]
             arr[i] = orig + eps
-            hi = loss_at(p)
+            hi = batch_gradient(p, batch, h.lam)[1]
             arr[i] = orig - eps
-            lo = loss_at(p)
+            lo = batch_gradient(p, batch, h.lam)[1]
             arr[i] = orig
             numeric = (hi - lo) / (2 * eps)
-            err = abs(g[i] - numeric) / max(abs(g[i]) + abs(numeric), 1e-5)
-            max_err = max(max_err, err)
-    orig_c = p.c
-    p.c = orig_c + eps
-    hi = loss_at(p)
-    p.c = orig_c - eps
-    lo = loss_at(p)
-    p.c = orig_c
-    numeric = (hi - lo) / (2 * eps)
-    err = abs(analytic.dc - numeric) / max(abs(analytic.dc) + abs(numeric), 1e-5)
-    return max(max_err, err)
+            a = np.asarray(analytic)[i]
+            max_err = max(max_err, abs(a - numeric) / max(abs(a) + abs(numeric), 1e-5))
+    return float(max_err)
 
 
 # ---------------------------------------------------------------------------

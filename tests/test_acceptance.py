@@ -53,13 +53,14 @@ def criterion(number: int, label: str, budget_s: float):
 
 
 def test_criterion_1_gradient_correctness():
-    with criterion(1, "analytic gradients match central finite differences", 10.0):
+    with criterion(1, "training gradients match central finite differences", 10.0):
         worst = 0.0
         for hidden in (1, 3, 8):
             for input_dim in (1, 4, 24):
                 for T in (1, 2, 5):
                     for y in (0, 1):
                         h = Hyperparams(hidden_size=hidden, seed=hidden * 100 + input_dim)
+                        assert h.lam > 0  # the L2 term is part of the check
                         err = gradient_check(h, input_dim=input_dim, T=T, y=y, eps=1e-5)
                         assert err < 1e-5, (hidden, input_dim, T, y, err)
                         worst = max(worst, err)

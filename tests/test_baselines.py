@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from defectseq.baselines import (
     train_baseline,
 )
 from defectseq.dataset import make_metric_vector
-from defectseq.rnn import Hyperparams
+from defectseq.rnn import Hyperparams, TrainingError
 
 SCHEMA = ("m0", "m1")
 
@@ -67,6 +69,12 @@ class TestLogisticRegression:
             predict_baseline(model_scaled, vec(q[0] * 50, q[1] * 0.02)) for q in queries
         ]
         assert np.argsort(base).tolist() == np.argsort(rescored).tolist()
+
+    def test_divergence_reports_iteration(self, h, separable):
+        # the same rule as the sequence model: a non-finite loss stops
+        # training with the iteration named, instead of returning NaN weights
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="iteration 0"):
+            train_baseline(LOGISTIC_REGRESSION, separable, replace(h, eta=1e300))
 
 
 class TestGaussianNb:
@@ -140,6 +148,14 @@ class TestFeedforward:
         m2 = train_baseline(FEEDFORWARD_NN, separable, h2)
         assert not np.array_equal(m1.params["rnn"].U, m2.params["rnn"].U)
 
+    def test_matches_hidden_layer_formula(self, h, separable):
+        model = train_baseline(FEEDFORWARD_NN, separable, h)
+        p, n = model.params["rnn"], model.normalizer
+        for q in np.random.default_rng(6).normal(size=(5, 2)):
+            z = n.transform(q)
+            expected = 1.0 / (1.0 + np.exp(-(float(p.V[0] @ np.tanh(p.U @ z + p.b)) + p.c)))
+            assert predict_baseline(model, vec(*q)) == pytest.approx(expected, rel=1e-12)
+
 
 class TestCommon:
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
@@ -163,6 +179,15 @@ class TestCommon:
         model = train_baseline(kind, separable, h)
         with pytest.raises(ValueError):
             predict_baseline(model, vec(1.0, schema=("other",)))
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_many_matches_one_at_a_time(self, kind, h, separable):
+        model = train_baseline(kind, separable, h)
+        queries = [vec(*q) for q in np.random.default_rng(5).normal(size=(7, 2)) * 2]
+        probs = predict_baseline_many(model, queries)
+        singles = [predict_baseline(model, q) for q in queries]
+        np.testing.assert_allclose(probs, singles, rtol=1e-12, atol=0)
+        assert predict_baseline_many(model, []).shape == (0,)
 
     def test_unknown_kind_rejected(self, h, separable):
         with pytest.raises(ValueError):

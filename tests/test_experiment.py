@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from defectseq import experiment
 from defectseq.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -127,6 +129,25 @@ class TestConfig:
         )
         cfg = load_config(path)
         assert cfg.hyperparams_for("nn").iterations == 7
+
+    @pytest.mark.parametrize(
+        "block",
+        ["hyperparams:\n  halving_limit: -3\n", "technique_hyperparams:\n  lr: {halving_limit: -1}\n"],
+        ids=["shared", "override"],
+    )
+    def test_negative_halving_limit_rejected_from_yaml(self, tmp_path, block):
+        version_ids, paths, schema = write_trend_project(tmp_path)
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            block
+            + "projects:\n"
+            "  - name: trend\n"
+            "    versions:\n"
+            + "".join(f"      - id: {vid}\n        metrics: {paths[vid].name}\n" for vid in version_ids),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="halving_limit must be non-negative"):
+            load_config(path)
 
     def test_last_two_versions_default(self, tmp_path):
         version_ids, paths, schema = write_trend_project(tmp_path)
@@ -254,6 +275,50 @@ class TestRunExperiment:
         cfg = ExperimentConfig(projects=(spec,), hyperparams=FAST_HP, repeats=1)
         report = run_experiment(cfg)
         assert "ghost" in report["errors"]
+
+
+class TestDivergence:
+    def test_diverging_logistic_regression_recorded_per_technique(self, tmp_path):
+        cfg = trend_config(tmp_path, repeats=1, technique_hyperparams={"lr": {"eta": 1e300}})
+        with np.errstate(over="ignore"):
+            report = run_experiment(cfg)
+        techniques = report["projects"]["trend"]["techniques"]
+        assert techniques["lr"] == {"error": "non-finite loss at iteration 0"}
+        for kind in ("rnn", "nb", "knn", "nn"):
+            assert len(techniques[kind]["runs"]) == 1
+        assert report["errors"] == {}
+        assert "lr" not in report["aggregates"]["techniques"]
+
+    def test_diverging_sequence_model_recorded_per_project(self, tmp_path, monkeypatch):
+        specs = []
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            version_ids, paths, schema = write_trend_project(tmp_path / name)
+            specs.append(
+                ProjectSpec(
+                    name=name,
+                    versions=tuple(VersionEntry(vid, str(paths[vid])) for vid in version_ids),
+                    train_version="u3",
+                    test_version="u4",
+                )
+            )
+        cfg = trend_config(tmp_path, repeats=1, projects=tuple(specs), baseline_kinds=("knn",))
+        original = experiment.train
+        calls = []
+
+        def diverge_first_project(train_set, h):
+            calls.append(h)
+            if len(calls) == 1:
+                # retries off and an absurd step: the weight penalty overflows
+                h = replace(h, eta=1e200, halving_limit=0)
+            return original(train_set, h)
+
+        monkeypatch.setattr(experiment, "train", diverge_first_project)
+        with np.errstate(over="ignore"):
+            report = run_experiment(cfg)
+        assert report["errors"] == {"first": "non-finite loss at iteration 0"}
+        assert list(report["projects"]) == ["second"]
+        assert report["aggregates"]["projects_evaluated"] == ["second"]
 
 
 class TestEmitReport:
