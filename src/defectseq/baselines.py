@@ -146,23 +146,34 @@ def predict_baseline(model: BaselineModel, x: MetricVector) -> float:
     return float(predict_baseline_many(model, [x])[0])
 
 
-def _predict_gaussian_nb(params: dict, z: np.ndarray) -> float:
-    log_joint = {}
+def _predict_gaussian_nb(params: dict, Z: np.ndarray) -> np.ndarray:
+    log_joint = []
     for cls in (0, 1):
         mu, var = params["means"][cls], params["vars"][cls]
-        log_lik = -0.5 * np.sum(np.log(2 * np.pi * var) + (z - mu) ** 2 / var)
-        log_joint[cls] = np.log(params["priors"][cls]) + log_lik
-    peak = max(log_joint.values())
+        log_lik = -0.5 * np.sum(np.log(2 * np.pi * var) + (Z - mu) ** 2 / var, axis=1)
+        log_joint.append(np.log(params["priors"][cls]) + log_lik)
+    peak = np.maximum(*log_joint)
     w0 = np.exp(log_joint[0] - peak)
     w1 = np.exp(log_joint[1] - peak)
-    return float(w1 / (w0 + w1))
+    return w1 / (w0 + w1)
 
 
-def _predict_knn(params: dict, z: np.ndarray) -> float:
-    dist = np.sqrt(np.sum((params["points"] - z) ** 2, axis=1))
-    # stable argsort breaks distance ties by training order
-    neighbors = np.argsort(dist, kind="stable")[: params["k"]]
-    return float(params["labels"][neighbors].mean())
+# elements of the (rows, training points, features) difference array that
+# one kNN block may hold
+KNN_BLOCK_ELEMENTS = 1 << 16
+
+
+def _predict_knn(params: dict, Z: np.ndarray) -> np.ndarray:
+    points, k = params["points"], params["k"]
+    rows = max(1, KNN_BLOCK_ELEMENTS // points.size)
+    out = np.empty(len(Z))
+    for start in range(0, len(Z), rows):
+        block = Z[start : start + rows]
+        dist = np.sqrt(np.sum((points - block[:, None, :]) ** 2, axis=-1))
+        # stable argsort breaks distance ties by training order
+        neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        out[start : start + rows] = params["labels"][neighbors].mean(axis=1)
+    return out
 
 
 def predict_baseline_many(model: BaselineModel, xs: Sequence[MetricVector]) -> np.ndarray:
@@ -178,8 +189,8 @@ def predict_baseline_many(model: BaselineModel, xs: Sequence[MetricVector]) -> n
     if model.kind == LOGISTIC_REGRESSION:
         # row by row: ``Z @ w`` may round differently and move reported scores
         return np.asarray([1.0 / (1.0 + np.exp(-(p["weights"] @ z + p["bias"]))) for z in Z])
-    predict_one = _predict_gaussian_nb if model.kind == GAUSSIAN_NB else _predict_knn
-    return np.asarray([predict_one(p, z) for z in Z])
+    predict = _predict_gaussian_nb if model.kind == GAUSSIAN_NB else _predict_knn
+    return predict(p, Z)
 
 
 # ---------------------------------------------------------------------------

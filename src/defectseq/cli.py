@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import ParseError, _parse_count, _parse_number
 from .effort import acc_at_effort, auc, ce_report_values, scored_files
 from .experiment import emit_report, load_config, run_experiment
 from .rnn import Hyperparams, gradient_check
@@ -67,14 +68,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if column not in rows[0]:
             print(f"error: missing column {column!r}", file=sys.stderr)
             return 1
-    files, n_adjusted = scored_files(
-        keys=[r["name"] for r in rows],
-        scores=[float(r["score"]) for r in rows],
-        locs=[int(float(r["loc"])) for r in rows],
-        bugs=[int(float(r["bugs"])) for r in rows],
+    # the header is row 1, as in the metrics tables
+    scores = [_parse_number(r["score"], i, "score") for i, r in enumerate(rows, start=2)]
+    locs, bugs, labels = (
+        [_parse_count(r[column], i, column) for i, r in enumerate(rows, start=2)]
+        for column in ("loc", "bugs", "label")
     )
-    labels = [int(float(r["label"])) for r in rows]
-    scores = [float(r["score"]) for r in rows]
+    for i, label in enumerate(labels, start=2):
+        if label > 1:
+            raise ParseError(f"row {i}, column 'label': expected 0 or 1, got {label}")
+    files, n_adjusted = scored_files([r["name"] for r in rows], scores, locs, bugs)
     result = {f"ce_{k}": v for k, v in ce_report_values(files).items()}
     result["acc"] = acc_at_effort(files)
     result["auc"] = auc(list(zip(scores, labels)))

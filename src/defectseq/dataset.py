@@ -143,6 +143,16 @@ def _parse_number(cell: str, row: int, column: str) -> float:
     return value
 
 
+def _parse_count(cell: str, row: int, column: str) -> int:
+    value = _parse_number(cell, row, column)
+    count = int(round(value))
+    if abs(value - count) > 1e-9 or count < 0:
+        raise ParseError(
+            f"row {row}, column {column!r}: expected non-negative integer, got {value!r}"
+        )
+    return count
+
+
 def parse_metrics_csv(
     data: bytes | str,
     schema: Sequence[str],
@@ -187,13 +197,7 @@ def parse_metrics_csv(
         values = [
             _parse_number(row[positions[m]], row_no, m) for m in schema
         ]
-        bug_raw = _parse_number(row[positions[BUG_COLUMN]], row_no, BUG_COLUMN)
-        bug = int(round(bug_raw))
-        if abs(bug_raw - bug) > 1e-9 or bug < 0:
-            raise ParseError(
-                f"row {row_no}, column {BUG_COLUMN!r}: "
-                f"expected non-negative integer, got {bug_raw!r}"
-            )
+        bug = _parse_count(row[positions[BUG_COLUMN]], row_no, BUG_COLUMN)
         files[key] = make_metric_vector(values, schema)
         labels[key] = bug
     return VersionSnapshot(version_id=version_id, files=files, labels=labels)
@@ -240,10 +244,8 @@ def parse_process_csv(data: bytes | str) -> dict[tuple[str, str], tuple[int, int
             continue
         version = row[i_version].strip()
         key = normalize_key(row[i_name])
-        added = int(_parse_number(row[i_add], row_no, "add"))
-        deleted = int(_parse_number(row[i_del], row_no, "del"))
-        if added < 0 or deleted < 0:
-            raise ParseError(f"row {row_no}: add/del must be non-negative")
+        added = _parse_count(row[i_add], row_no, "add")
+        deleted = _parse_count(row[i_del], row_no, "del")
         if (version, key) in entries:
             raise ParseError(f"row {row_no}: duplicate entry for {version!r}/{key!r}")
         entries[(version, key)] = (added, deleted)

@@ -6,6 +6,13 @@ against the random diagonal and the best achievable ordering, restricted to
 the first pi fraction of total LOC.  ACC is the defective-file recall at a
 20% inspection budget and AUC the usual rank-sum ROC area with ties
 counting one half.
+
+Everything runs on columns (:class:`ScoredColumns`: key, score, LOC and bug
+arrays).  A column set is ranked once, by one ``np.lexsort``, and each
+ordering becomes one cumulative-sum curve; every CE cutoff is then read
+from the running sum of that curve's trapezoids with ``np.searchsorted``,
+and ACC from the cumulative LOC of the same ranking.  Functions that take a list of
+:class:`ScoredFile` rows turn it into columns first and run the same core.
 """
 
 from __future__ import annotations
@@ -13,9 +20,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.stats import rankdata
 
 CE_CUTOFFS = (0.1, 0.2, 0.5, 1.0)
 
@@ -38,37 +47,105 @@ class ScoredFile:
             raise ValueError(f"negative bug count for {self.key!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class ScoredColumns:
+    """Parallel per-file columns: keys, scores, LOC (>= 1) and bug counts."""
+
+    keys: tuple[str, ...]
+    score: np.ndarray
+    loc: np.ndarray
+    bugs: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.keys) == len(self.score) == len(self.loc) == len(self.bugs):
+            raise ValueError("columns differ in length")
+        checks = (("loc must be >= 1", self.loc < 1), ("negative bug count", self.bugs < 0))
+        for message, bad in checks:
+            if bad.any():
+                raise ValueError(f"{message} for {self.keys[np.argmax(bad)]!r}")
+
+    @classmethod
+    def from_files(cls, files: Sequence[ScoredFile]) -> ScoredColumns:
+        return cls(
+            keys=tuple(f.key for f in files),
+            score=np.array([f.score for f in files], dtype=float),
+            loc=np.array([f.loc for f in files], dtype=np.int64),
+            bugs=np.array([f.bugs for f in files], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def take(self, order: np.ndarray) -> ScoredColumns:
+        return ScoredColumns(
+            keys=tuple(self.keys[i] for i in order),
+            score=self.score[order],
+            loc=self.loc[order],
+            bugs=self.bugs[order],
+        )
+
+    @cached_property
+    def _key_rank(self) -> np.ndarray:
+        # position of each key in sorted order, the last tie-break of both
+        # orderings; equal keys keep their input order
+        rank = np.empty(len(self), dtype=np.int64)
+        rank[sorted(range(len(self)), key=self.keys.__getitem__)] = np.arange(len(self))
+        return rank
+
+    def _by_density(self, numerator: np.ndarray) -> np.ndarray:
+        # numerator/loc descending, then the smaller file, then the key
+        return np.lexsort((self._key_rank, self.loc, -(numerator / self.loc)))
+
+    @cached_property
+    def ranking(self) -> np.ndarray:
+        """Inspection order: predicted density (score per line) descending."""
+        return self._by_density(self.score)
+
+    @cached_property
+    def optimal(self) -> np.ndarray:
+        """Best achievable inspection order: actual bug density descending."""
+        return self._by_density(self.bugs)
+
+
 def scored_files(
     keys: Sequence[str],
     scores: Sequence[float],
     locs: Sequence[int],
     bugs: Sequence[int],
-) -> tuple[list[ScoredFile], int]:
+) -> tuple[ScoredColumns, int]:
     """Bundle parallel columns; zero-LOC files are counted as one line.
 
-    Returns the files and how many needed the zero-LOC adjustment (callers
-    surface that count in their reports).
+    Returns the columns and how many files needed the zero-LOC adjustment
+    (callers surface that count in their reports).
     """
-    adjusted = 0
-    files = []
-    for key, score, loc, bug in zip(keys, scores, locs, bugs, strict=True):
-        if loc < 1:
-            loc = 1
-            adjusted += 1
-        files.append(ScoredFile(key=key, score=float(score), loc=int(loc), bugs=int(bug)))
-    return files, adjusted
+    loc = np.asarray(locs)
+    columns = ScoredColumns(
+        keys=tuple(keys),
+        score=np.asarray(scores, dtype=float),
+        loc=np.maximum(loc, 1).astype(np.int64),
+        bugs=np.asarray(bugs).astype(np.int64),
+    )
+    return columns, int(np.count_nonzero(loc < 1))
 
 
-def rank_by_density(files: Sequence[ScoredFile]) -> list[ScoredFile]:
-    """Sort by score/LOC descending; ties go to the smaller file, then key."""
-    if not files:
+def _columns(files: Sequence[ScoredFile] | ScoredColumns) -> ScoredColumns:
+    return files if isinstance(files, ScoredColumns) else ScoredColumns.from_files(files)
+
+
+def rank_by_density(
+    files: Sequence[ScoredFile] | ScoredColumns,
+) -> list[ScoredFile] | ScoredColumns:
+    """Sort by score/LOC descending; ties go to the smaller file, then key.
+
+    Returns the same kind of sequence it is given: a list of
+    :class:`ScoredFile` or reordered :class:`ScoredColumns`.
+    """
+    columns = _columns(files)
+    if not len(columns):
         raise ValueError("no files to rank")
-    return sorted(files, key=lambda f: (-(f.score / f.loc), f.loc, f.key))
-
-
-def _optimal_ordering(files: Sequence[ScoredFile]) -> list[ScoredFile]:
-    # best achievable inspection order: actual bug density descending
-    return sorted(files, key=lambda f: (-(f.bugs / f.loc), f.loc, f.key))
+    if files is columns:
+        return columns.take(columns.ranking)
+    return [files[i] for i in columns.ranking]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,82 +156,91 @@ class CeCurve:
     ordering: tuple[str, ...]
 
 
-def ce_curve(ordering: Sequence[ScoredFile]) -> CeCurve:
+def _points(loc: np.ndarray, bugs: np.ndarray) -> np.ndarray:
+    """Curve vertices after each file of an ordering, from (0, 0)."""
+    cum_loc = np.cumsum(loc)
+    cum_bugs = np.cumsum(bugs)
+    points = np.zeros((len(loc) + 1, 2))
+    points[1:, 0] = cum_loc / cum_loc[-1]
+    if cum_bugs[-1]:
+        points[1:, 1] = cum_bugs / cum_bugs[-1]
+    return points
+
+
+def ce_curve(ordering: Sequence[ScoredFile] | ScoredColumns) -> CeCurve:
     """Piecewise-linear curve through the cumulative totals after each file."""
-    if not ordering:
+    columns = _columns(ordering)
+    if not len(columns):
         raise ValueError("empty ordering")
-    total_loc = sum(f.loc for f in ordering)
-    total_bugs = sum(f.bugs for f in ordering)
-    points = np.zeros((len(ordering) + 1, 2))
-    cum_loc = 0
-    cum_bugs = 0
-    for i, f in enumerate(ordering, start=1):
-        cum_loc += f.loc
-        cum_bugs += f.bugs
-        points[i, 0] = cum_loc / total_loc
-        points[i, 1] = cum_bugs / total_bugs if total_bugs else 0.0
-    return CeCurve(points=points, ordering=tuple(f.key for f in ordering))
+    return CeCurve(points=_points(columns.loc, columns.bugs), ordering=columns.keys)
 
 
-def _area_under(points: np.ndarray, pi: float) -> float:
-    """Trapezoidal area of the curve restricted to LOC fraction [0, pi]."""
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
-        if x0 >= pi:
-            break
-        if x1 <= pi:
-            area += (x1 - x0) * (y0 + y1) / 2.0
-        else:
-            # linear interpolation at the cutoff
-            y_pi = y0 + (y1 - y0) * (pi - x0) / (x1 - x0)
-            area += (pi - x0) * (y0 + y_pi) / 2.0
-            break
-    return area
+def _areas(points: np.ndarray, cutoffs: Sequence[float]) -> list[float]:
+    """Trapezoidal area of the curve over LOC fraction [0, pi], per cutoff.
 
-
-def ce_pi(files: Sequence[ScoredFile], pi: float) -> float:
-    """Normalized area gain over random inspection within the first pi LOC.
-
-    1 means the ranking matches the best achievable ordering; negative
-    values mean it is worse than random.
+    Whole segments come from one running sum; the segment that straddles
+    the cutoff adds its part up to the linearly interpolated vertex.
     """
-    if not files:
+    x, y = points[:, 0], points[:, 1]
+    running = np.cumsum((x[1:] - x[:-1]) * (y[:-1] + y[1:]) / 2.0)
+    areas = []
+    for pi, whole in zip(cutoffs, np.searchsorted(x[1:], cutoffs, side="right")):
+        area = running[whole - 1] if whole else 0.0
+        if whole < len(running) and x[whole] < pi:
+            x0, y0, x1, y1 = x[whole], y[whole], x[whole + 1], y[whole + 1]
+            y_pi = y0 + (y1 - y0) * (pi - x0) / (x1 - x0)
+            area = area + (pi - x0) * (y0 + y_pi) / 2.0
+        areas.append(area)
+    return areas
+
+
+def ce_report_values(
+    files: Sequence[ScoredFile] | ScoredColumns, cutoffs: Sequence[float] = CE_CUTOFFS
+) -> dict[str, float]:
+    """CE at every cutoff, keyed by the cutoff's string form.
+
+    CE at pi is the normalized area gain over random inspection within the
+    first pi of total LOC: 1 means the ranking matches the best achievable
+    ordering; negative values mean it is worse than random.
+    """
+    columns = _columns(files)
+    if not len(columns):
         raise ValueError("no files")
-    if not 0.0 < pi <= 1.0:
-        raise ValueError(f"pi must be in (0, 1], got {pi}")
-    if sum(f.bugs for f in files) == 0:
+    for pi in cutoffs:
+        if not 0.0 < pi <= 1.0:
+            raise ValueError(f"pi must be in (0, 1], got {pi}")
+    if not columns.bugs.any():
         raise UndefinedCeError("no defective files: CE is undefined")
-    area_model = _area_under(ce_curve(rank_by_density(files)).points, pi)
-    area_optimal = _area_under(ce_curve(_optimal_ordering(files)).points, pi)
-    area_random = pi * pi / 2.0
-    denom = area_optimal - area_random
-    if abs(denom) < 1e-12:
-        raise UndefinedCeError("optimal ordering equals random: CE is undefined")
-    return (area_model - area_random) / denom
+    model, optimal = (
+        _areas(_points(columns.loc[order], columns.bugs[order]), cutoffs)
+        for order in (columns.ranking, columns.optimal)
+    )
+    values = {}
+    for pi, area_model, area_optimal in zip(cutoffs, model, optimal):
+        area_random = pi * pi / 2.0
+        denom = area_optimal - area_random
+        if abs(denom) < 1e-12:
+            raise UndefinedCeError("optimal ordering equals random: CE is undefined")
+        values[format(pi, "g")] = float((area_model - area_random) / denom)
+    return values
 
 
-def ce_report_values(files: Sequence[ScoredFile], cutoffs: Sequence[float] = CE_CUTOFFS) -> dict[str, float]:
-    """CE at every cutoff, keyed by the cutoff's string form."""
-    return {format(pi, "g"): ce_pi(files, pi) for pi in cutoffs}
+def ce_pi(files: Sequence[ScoredFile] | ScoredColumns, pi: float) -> float:
+    """CE at one cutoff (see :func:`ce_report_values`)."""
+    return ce_report_values(files, (pi,))[format(pi, "g")]
 
 
-def acc_at_effort(files: Sequence[ScoredFile], effort: float = 0.2) -> float:
+def acc_at_effort(files: Sequence[ScoredFile] | ScoredColumns, effort: float = 0.2) -> float:
     """Recall of defective files once the top of the ranking uses
     ``effort`` of the total LOC; partially inspected files do not count."""
-    defective = sum(1 for f in files if f.bugs > 0)
+    columns = _columns(files)
+    defective = int(np.count_nonzero(columns.bugs))
     if defective == 0:
         raise ValueError("no defective files: recall undefined")
-    total_loc = sum(f.loc for f in files)
-    budget = effort * total_loc * (1 + 1e-12)
-    cum_loc = 0
-    found = 0
-    for f in rank_by_density(files):
-        cum_loc += f.loc
-        if cum_loc > budget:
-            break
-        if f.bugs > 0:
-            found += 1
-    return found / defective
+    cum_loc = np.cumsum(columns.loc[columns.ranking])
+    budget = effort * int(cum_loc[-1]) * (1 + 1e-12)
+    inspected = columns.ranking[: np.searchsorted(cum_loc, budget, side="right")]
+    return int(np.count_nonzero(columns.bugs[inspected])) / defective
 
 
 def auc(scores: Iterable[tuple[float, int]]) -> float:
@@ -166,17 +252,7 @@ def auc(scores: Iterable[tuple[float, int]]) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
-    rank_sum_pos = float(np.sum(ranks[labels == 1]))
+    rank_sum_pos = float(np.sum(rankdata(values, method="average")[labels == 1]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

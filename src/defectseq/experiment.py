@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
+from scipy.stats import rankdata
 
 from . import baselines as bl
 from .dataset import (
@@ -106,6 +107,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
+        if self.window is not None and self.window < 1:
+            raise ConfigError(f"len must be at least 1, got {self.window}")
         if self.metric_set not in ("code", "code+process"):
             raise ConfigError(f"unknown metric set {self.metric_set!r}")
         for kind in self.baseline_kinds:
@@ -138,10 +141,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
         q = Path(p)
         return str(q if q.is_absolute() else base / q)
 
+    def require(entry, where: str, *keys: str) -> None:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where} must be a mapping")
+        for key in keys:
+            if key not in entry:
+                raise ConfigError(f"{where}: missing key {key!r}")
+
     projects = []
-    for entry in raw.get("projects", []):
+    for i, entry in enumerate(raw.get("projects", [])):
+        require(entry, f"project {i}", "name")
         versions = []
-        for v in entry.get("versions", []):
+        for j, v in enumerate(entry.get("versions", [])):
+            require(v, f"project {i}, version {j}", "id", "metrics")
             versions.append(
                 VersionEntry(
                     version_id=str(v["id"]),
@@ -366,16 +378,7 @@ def average_rank(table: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
         row = table[project]
         if set(row) != set(techniques):
             raise ValueError(f"project {project!r} is missing techniques")
-        values = np.asarray([row[t] for t in techniques])
-        order = np.argsort(-values, kind="stable")
-        ranks = np.empty(len(techniques))
-        i = 0
-        while i < len(techniques):
-            j = i
-            while j + 1 < len(techniques) and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-            i = j + 1
+        ranks = rankdata(-np.asarray([row[t] for t in techniques]), method="average")
         for t, r in zip(techniques, ranks):
             sums[t] += float(r)
     n = len(table)

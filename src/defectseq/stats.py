@@ -31,21 +31,6 @@ class WilcoxonResult:
     degenerate: bool  # all differences were zero
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    sorted_vals = values[order]
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def _exact_w_plus_counts(double_ranks: np.ndarray) -> np.ndarray:
     """Counts of sign assignments per doubled W+ value.
 
@@ -77,7 +62,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
     n = diff.size
     if n == 0:
         return WilcoxonResult(statistic=0.0, p_value=1.0, n=0, exact=True, degenerate=True)
-    ranks = _average_ranks(np.abs(diff))
+    ranks = sps.rankdata(np.abs(diff), method="average")
     w_plus = float(ranks[diff > 0].sum())
     if n <= 20:
         double_ranks = np.rint(2 * ranks).astype(int)

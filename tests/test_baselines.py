@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from defectseq import baselines
 from defectseq.baselines import (
     BASELINE_KINDS,
     FEEDFORWARD_NN,
@@ -127,6 +128,72 @@ class TestKnn:
     def test_k_exceeding_training_size_rejected(self, h):
         with pytest.raises(ValueError):
             train_baseline(KNN, labeled([[0.0]], [1], schema=("m",)), h, k=2)
+
+
+def nb_row(params, z):
+    """Row-at-a-time naive Bayes posterior, the formula the batch must match."""
+    log_joint = {}
+    for cls in (0, 1):
+        mu, var = params["means"][cls], params["vars"][cls]
+        log_lik = -0.5 * np.sum(np.log(2 * np.pi * var) + (z - mu) ** 2 / var)
+        log_joint[cls] = np.log(params["priors"][cls]) + log_lik
+    peak = max(log_joint.values())
+    w0 = np.exp(log_joint[0] - peak)
+    w1 = np.exp(log_joint[1] - peak)
+    return float(w1 / (w0 + w1))
+
+
+def knn_row(params, z):
+    """Row-at-a-time kNN vote, the formula the batch must match."""
+    dist = np.sqrt(np.sum((params["points"] - z) ** 2, axis=1))
+    neighbors = np.argsort(dist, kind="stable")[: params["k"]]
+    return float(params["labels"][neighbors].mean())
+
+
+class TestBatchedPrediction:
+    """The whole-matrix nb/knn paths equal the per-row formulas bit for bit."""
+
+    @staticmethod
+    def per_row(model, queries, row_formula):
+        Z = model.normalizer.transform(np.vstack([q.values for q in queries]))
+        return np.asarray([row_formula(model.params, z) for z in Z])
+
+    def test_nb_matches_row_formula(self, h):
+        rng = np.random.default_rng(5)
+        schema = tuple(f"m{i}" for i in range(20))
+        data = labeled(rng.normal(size=(60, 20)), rng.integers(0, 2, size=60), schema=schema)
+        model = train_baseline(GAUSSIAN_NB, data, h)
+        queries = [vec(*q, schema=schema) for q in rng.normal(size=(40, 20)) * 3]
+        np.testing.assert_array_equal(
+            predict_baseline_many(model, queries), self.per_row(model, queries, nb_row)
+        )
+
+    @pytest.mark.parametrize("block_elements", [1, 3 * 24 * 2, 1 << 16])
+    def test_knn_matches_row_formula_with_ties(self, h, monkeypatch, block_elements):
+        # every training point appears twice with opposite labels, and the
+        # queries sit on the same grid, so many distances tie exactly and
+        # the vote depends on breaking them by training order
+        grid = [[x, y] for x in (-1.0, 0.0, 2.0) for y in (0.0, 1.0, 3.0, 4.0)]
+        points = grid + grid
+        labels = [1] * len(grid) + [0] * len(grid)
+        model = train_baseline(KNN, labeled(points, labels), h, k=3)
+        queries = [vec(*q) for q in grid[:11]]  # 11 rows: the last block is short
+        monkeypatch.setattr(baselines, "KNN_BLOCK_ELEMENTS", block_elements)
+        got = predict_baseline_many(model, queries)
+        np.testing.assert_array_equal(got, self.per_row(model, queries, knn_row))
+        # (-1, 0): its own two copies, then the earlier (label 1) copy of
+        # the tied next-nearest pair
+        assert got[0] == 2 / 3
+
+    def test_knn_random_matrix(self, h):
+        rng = np.random.default_rng(6)
+        points = np.round(rng.normal(size=(300, 2)), 1)  # coarse grid: ties
+        model = train_baseline(KNN, labeled(points, rng.integers(0, 2, size=300)), h, k=5)
+        queries = [vec(*q) for q in np.round(rng.normal(size=(250, 2)), 1)]
+        assert model.params["points"].size * 250 > baselines.KNN_BLOCK_ELEMENTS
+        np.testing.assert_array_equal(
+            predict_baseline_many(model, queries), self.per_row(model, queries, knn_row)
+        )
 
 
 class TestFeedforward:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from defectseq.cli import main
 
 from helpers import write_trend_project
@@ -45,6 +47,19 @@ class TestRun:
         assert main(["run", str(config), "--output", str(override)]) == 0
         assert (override / "report.json").exists()
 
+    def test_config_without_project_name_is_one_line(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("projects:\n  - versions: []\n", encoding="utf-8")
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: project 0: missing key 'name'\n"
+
+    def test_zero_len_is_one_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("len: 3", "len: 0"), encoding="utf-8")
+        assert main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == "error: len must be at least 1, got 0\n"
+
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
         assert "error" in capsys.readouterr().err
@@ -80,6 +95,25 @@ class TestEval:
         scores.write_text("name,score\nf1,0.9\n", encoding="utf-8")
         assert main(["eval", str(scores)]) == 1
         assert "missing column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("f2,0.5,10.7,0,0", "row 3, column 'loc': expected non-negative integer, got 10.7"),
+            ("f2,0.5,x,0,0", "row 3, column 'loc': non-numeric cell 'x'"),
+            ("f2,0.5,10,1.5,1", "row 3, column 'bugs': expected non-negative integer, got 1.5"),
+            ("f2,0.5,10,0,0.2", "row 3, column 'label': expected non-negative integer, got 0.2"),
+            ("f2,0.5,10,0,2", "row 3, column 'label': expected 0 or 1, got 2"),
+            ("f2,nan,10,0,0", "row 3, column 'score': non-finite cell 'nan'"),
+        ],
+        ids=["fractional-loc", "non-numeric-loc", "fractional-bugs", "fractional-label",
+             "label-2", "nan-score"],
+    )
+    def test_bad_cell_names_row_and_column(self, tmp_path, capsys, row, message):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"name,score,loc,bugs,label\nf1,0.9,10,1,1\n{row}\n", encoding="utf-8")
+        assert main(["eval", str(scores)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_all_clean_fails_with_diagnostic(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"

@@ -181,3 +181,12 @@ class TestParseProcessCsv:
     def test_negative_rejected(self):
         with pytest.raises(ParseError):
             parse_process_csv("version,name,add,del\n1.0,a,-3,1\n")
+
+    @pytest.mark.parametrize("row, column", [("1.0,a,3.7,1", "add"), ("1.0,a,3,0.5", "del")])
+    def test_fractional_count_rejected(self, row, column):
+        expected = f"row 2, column '{column}': expected non-negative integer"
+        with pytest.raises(ParseError, match=expected):
+            parse_process_csv("version,name,add,del\n" + row + "\n")
+
+    def test_integral_float_accepted(self):
+        assert parse_process_csv("version,name,add,del\n1.0,a,3.0,1\n") == {("1.0", "a"): (3, 1)}

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from defectseq.effort import (
     CE_CUTOFFS,
+    ScoredColumns,
     ScoredFile,
     UndefinedCeError,
     acc_at_effort,
     auc,
     ce_curve,
     ce_pi,
+    ce_report_values,
     curve_to_csv,
     rank_by_density,
     scored_files,
@@ -286,12 +288,209 @@ class TestScoredFiles:
     def test_zero_loc_adjusted_and_counted(self):
         files, adjusted = scored_files(["a", "b"], [0.5, 0.2], [0, 10], [1, 0])
         assert adjusted == 1
-        assert files[0].loc == 1
+        assert files.loc.tolist() == [1, 10]
+
+    def test_columns(self):
+        files, adjusted = scored_files(["a", "b", "c"], [0.5, 0.2, 0.7], [3, 10, -2], [1, 0, 2])
+        assert len(files) == 3 and adjusted == 1
+        assert files.keys == ("a", "b", "c")
+        assert files.score.tolist() == [0.5, 0.2, 0.7]
+        assert files.loc.tolist() == [3, 10, 1]
+        assert files.bugs.tolist() == [1, 0, 2]
 
     def test_negative_bugs_rejected(self):
         with pytest.raises(ValueError):
             ScoredFile("a", 0.5, 10, -1)
 
+    def test_negative_bugs_in_columns_named(self):
+        with pytest.raises(ValueError, match="negative bug count for 'b'"):
+            scored_files(["a", "b"], [0.5, 0.2], [10, 10], [1, -1])
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            scored_files(["a", "b"], [0.5], [10, 10], [1, 0])
+
     def test_zero_loc_direct_construction_rejected(self):
         with pytest.raises(ValueError):
             ScoredFile("a", 0.5, 0, 1)
+
+    def test_zero_loc_direct_column_construction_rejected(self):
+        with pytest.raises(ValueError, match="loc must be >= 1 for 'b'"):
+            ScoredColumns(
+                keys=("a", "b"),
+                score=np.array([0.5, 0.2]),
+                loc=np.array([10, 0]),
+                bugs=np.array([1, 0]),
+            )
+
+    def test_list_and_columns_give_the_same_values(self):
+        files, _ = scored_files([f.key for f in THREE_FILES], [f.score for f in THREE_FILES],
+                                [f.loc for f in THREE_FILES], [f.bugs for f in THREE_FILES])
+        assert ce_report_values(files) == ce_report_values(THREE_FILES)
+        assert acc_at_effort(files) == acc_at_effort(THREE_FILES)
+        ranked = rank_by_density(files)
+        assert isinstance(ranked, ScoredColumns)
+        assert ranked.keys == tuple(f.key for f in rank_by_density(THREE_FILES))
+        np.testing.assert_array_equal(
+            ce_curve(ranked).points, ce_curve(rank_by_density(THREE_FILES)).points
+        )
+
+
+# ---------------------------------------------------------------------------
+# loop-based reference: the row-at-a-time evaluation that the column core
+# replaced, kept verbatim so the core can be checked against it bit for bit
+# ---------------------------------------------------------------------------
+
+def loop_rank_by_density(files):
+    return sorted(files, key=lambda f: (-(f.score / f.loc), f.loc, f.key))
+
+
+def loop_optimal_ordering(files):
+    return sorted(files, key=lambda f: (-(f.bugs / f.loc), f.loc, f.key))
+
+
+def loop_ce_curve(ordering):
+    total_loc = sum(f.loc for f in ordering)
+    total_bugs = sum(f.bugs for f in ordering)
+    points = np.zeros((len(ordering) + 1, 2))
+    cum_loc = 0
+    cum_bugs = 0
+    for i, f in enumerate(ordering, start=1):
+        cum_loc += f.loc
+        cum_bugs += f.bugs
+        points[i, 0] = cum_loc / total_loc
+        points[i, 1] = cum_bugs / total_bugs if total_bugs else 0.0
+    return points
+
+
+def loop_area_under(points, pi):
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
+        if x0 >= pi:
+            break
+        if x1 <= pi:
+            area += (x1 - x0) * (y0 + y1) / 2.0
+        else:
+            y_pi = y0 + (y1 - y0) * (pi - x0) / (x1 - x0)
+            area += (pi - x0) * (y0 + y_pi) / 2.0
+            break
+    return area
+
+
+def loop_ce_pi(files, pi):
+    if sum(f.bugs for f in files) == 0:
+        raise UndefinedCeError("no defective files")
+    area_model = loop_area_under(loop_ce_curve(loop_rank_by_density(files)), pi)
+    area_optimal = loop_area_under(loop_ce_curve(loop_optimal_ordering(files)), pi)
+    area_random = pi * pi / 2.0
+    denom = area_optimal - area_random
+    if abs(denom) < 1e-12:
+        raise UndefinedCeError("optimal ordering equals random")
+    return (area_model - area_random) / denom
+
+
+def loop_acc_at_effort(files, effort=0.2):
+    defective = sum(1 for f in files if f.bugs > 0)
+    if defective == 0:
+        raise ValueError("no defective files")
+    budget = effort * sum(f.loc for f in files) * (1 + 1e-12)
+    cum_loc = 0
+    found = 0
+    for f in loop_rank_by_density(files):
+        cum_loc += f.loc
+        if cum_loc > budget:
+            break
+        if f.bugs > 0:
+            found += 1
+    return found / defective
+
+
+def loop_auc(pairs):
+    values = np.asarray([s for s, _ in pairs], dtype=float)
+    labels = np.asarray([y for _, y in pairs], dtype=int)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs both classes present")
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    sorted_vals = values[order]
+    i = 0
+    while i < len(sorted_vals):
+        j = i
+        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum_pos = float(np.sum(ranks[labels == 1]))
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def outcome(fn, *args):
+    """The value, or the exception type, so raising cases compare too."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+# scores and LOCs on small exact grids: equal densities across different
+# files (0.25/1 == 0.5/2), equal LOCs, equal scores, zero LOC and zero bugs
+tied_files = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h"]),
+        st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]),
+        st.sampled_from([0, 1, 2, 4, 8, 16]),
+        st.integers(min_value=0, max_value=3),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestColumnCoreMatchesLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_files, st.sampled_from([0.05, 0.25, 0.3, 0.75]))
+    def test_bitwise_equal(self, rows, extra_pi):
+        keys, scores, locs, bugs = (list(c) for c in zip(*rows))
+        columns, adjusted = scored_files(keys, scores, locs, bugs)
+        assert adjusted == sum(1 for loc in locs if loc < 1)
+        files = [ScoredFile(k, float(s), max(loc, 1), b) for k, s, loc, b in rows]
+
+        reference = loop_rank_by_density(files)
+        assert rank_by_density(files) == reference
+        ranked = rank_by_density(columns)
+        assert ranked.keys == tuple(f.key for f in reference)
+        curve = ce_curve(ranked)
+        assert curve.ordering == tuple(f.key for f in reference)
+        assert np.array_equal(curve.points, loop_ce_curve(reference))
+        assert np.array_equal(ce_curve(reference).points, loop_ce_curve(reference))
+
+        # cutoffs at curve vertices hit the whole-segment boundary exactly
+        vertex_pis = [float(x) for x in curve.points[1:, 0][:3]]
+        cutoffs = (*CE_CUTOFFS, extra_pi, *vertex_pis)
+        expected = {format(pi, "g"): outcome(loop_ce_pi, files, pi) for pi in cutoffs}
+        if all(isinstance(v, float) for v in expected.values()):
+            assert ce_report_values(columns, cutoffs) == expected
+            assert ce_report_values(files, cutoffs) == expected
+        else:
+            with pytest.raises(UndefinedCeError):
+                ce_report_values(columns, cutoffs)
+        for pi in cutoffs:
+            assert outcome(ce_pi, columns, pi) == expected[format(pi, "g")]
+
+        assert outcome(acc_at_effort, columns) == outcome(loop_acc_at_effort, files)
+        assert outcome(acc_at_effort, files) == outcome(loop_acc_at_effort, files)
+        pairs = [(s, 1 if b > 0 else 0) for s, b in zip(scores, bugs)]
+        assert outcome(auc, pairs) == outcome(loop_auc, pairs)
+
+    def test_ranking_is_computed_once_per_column_set(self, monkeypatch):
+        files, _ = scored_files([f.key for f in THREE_FILES], [f.score for f in THREE_FILES],
+                                [f.loc for f in THREE_FILES], [f.bugs for f in THREE_FILES])
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+        ce_report_values(files)
+        acc_at_effort(files)
+        # one model ranking and one optimal ordering, shared by CE and ACC
+        assert len(calls) == 2

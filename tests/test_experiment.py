@@ -149,6 +149,40 @@ class TestConfig:
         with pytest.raises(ValueError, match="halving_limit must be non-negative"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "projects, message",
+        [
+            ("  - versions: []\n", "project 0: missing key 'name'"),
+            ("  - name: a\n    versions:\n      - {metrics: x.csv}\n",
+             "project 0, version 0: missing key 'id'"),
+            ("  - name: a\n    versions:\n      - {id: v1, metrics: x.csv}\n      - {id: v2}\n",
+             "project 0, version 1: missing key 'metrics'"),
+            ("  - just-a-name\n", "project 0 must be a mapping"),
+        ],
+        ids=["name", "id", "metrics", "not-a-mapping"],
+    )
+    def test_missing_key_names_project_and_key(self, tmp_path, projects, message):
+        path = tmp_path / "config.yaml"
+        path.write_text("projects:\n" + projects, encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_non_positive_len_rejected_up_front(self, tmp_path, window):
+        version_ids, paths, schema = write_trend_project(tmp_path)
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            f"len: {window}\n"
+            "projects:\n"
+            "  - name: trend\n"
+            "    versions:\n"
+            + "".join(f"      - id: {vid}\n        metrics: {paths[vid].name}\n" for vid in version_ids),
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match=f"len must be at least 1, got {window}"):
+            load_config(path)
+
     def test_last_two_versions_default(self, tmp_path):
         version_ids, paths, schema = write_trend_project(tmp_path)
         path = tmp_path / "config.yaml"
