@@ -24,6 +24,8 @@ from .rnn import (
     RnnParams,
     _group_forward,
     descend,
+    params_from_json,
+    params_to_json,
     train,
 )
 
@@ -217,14 +219,7 @@ def save_baseline(path: str | Path, model: BaselineModel) -> None:
             "k": model.params["k"],
         }
     else:
-        rnn_params = model.params["rnn"]
-        params = {
-            "U": rnn_params.U.tolist(),
-            "W": rnn_params.W.tolist(),
-            "V": rnn_params.V.tolist(),
-            "b": rnn_params.b.tolist(),
-            "c": rnn_params.c,
-        }
+        params = params_to_json(model.params["rnn"])
     payload = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
@@ -266,13 +261,5 @@ def load_baseline(path: str | Path) -> BaselineModel:
             "k": int(raw["k"]),
         }
     else:
-        params = {
-            "rnn": RnnParams(
-                U=np.asarray(raw["U"], dtype=float),
-                W=np.asarray(raw["W"], dtype=float),
-                V=np.asarray(raw["V"], dtype=float),
-                b=np.asarray(raw["b"], dtype=float),
-                c=float(raw["c"]),
-            )
-        }
+        params = {"rnn": params_from_json(raw)}
     return BaselineModel(kind=kind, normalizer=normalizer, params=params)

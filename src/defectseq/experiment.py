@@ -8,6 +8,13 @@ with randomness, and aggregates cost-effectiveness, recall-at-effort and
 ROC area into ranking tables (means, average ranks, Scott-Knott groups,
 Win/Tie/Loss counts).
 
+Projects share nothing, so each runs in its own forked worker process,
+at most one per usable CPU; a single project or a single CPU runs inline.
+The outcomes are merged in config order, so the report does not depend on
+the worker count.  A project that fails on its own data is recorded under
+``errors``; any other exception reaches the caller, and no worker outlives
+``run_experiment``.
+
 The report is a plain JSON-ready dict so that a written ``report.json``
 re-reads to exactly the in-memory structure.
 """
@@ -16,6 +23,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import multiprocessing as mp
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -170,33 +180,65 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 test_version=str(entry.get("test_version", ids[-1] if ids else "")),
             )
         )
-    hp_raw = raw.get("hyperparams", {})
+    seed = _config_value(raw, "seed", int, 1)
+    hp_raw = raw.get("hyperparams") or {}
+    require(hp_raw, "hyperparams")
+
+    def hp(key: str, kind: type, default):
+        return _config_value(hp_raw, key, kind, default, f"hyperparams.{key}")
+
     hyperparams = Hyperparams(
-        hidden_size=int(hp_raw.get("hidden_size", 16)),
-        eta=float(hp_raw.get("eta", 0.1)),
-        lam=float(hp_raw.get("lam", 1e-4)),
-        iterations=int(hp_raw.get("iterations", 500)),
-        seed=int(hp_raw.get("seed", raw.get("seed", 1))),
-        init_scale=float(hp_raw.get("init_scale", 0.2)),
-        halving_limit=int(hp_raw.get("halving_limit", 20)),
+        hidden_size=hp("hidden_size", int, 16),
+        eta=hp("eta", float, 0.1),
+        lam=hp("lam", float, 1e-4),
+        iterations=hp("iterations", int, 500),
+        seed=hp("seed", int, seed),
+        init_scale=hp("init_scale", float, 0.2),
+        halving_limit=hp("halving_limit", int, 20),
     )
-    window = raw.get("len")
+    for key in ("code_metrics", "baselines"):
+        if key in raw and not isinstance(raw[key], list):
+            raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
+    overrides = raw.get("technique_hyperparams") or {}
+    require(overrides, "technique_hyperparams")
+    for technique, block in overrides.items():
+        require(block, f"technique_hyperparams.{technique}")
     return ExperimentConfig(
         projects=tuple(projects),
         hyperparams=hyperparams,
-        technique_hyperparams={
-            str(t): dict(o) for t, o in (raw.get("technique_hyperparams") or {}).items()
-        },
-        repeats=int(raw.get("repeats", 10)),
-        seed=int(raw.get("seed", 1)),
-        window=int(window) if window is not None else None,
+        technique_hyperparams={str(t): dict(o) for t, o in overrides.items()},
+        repeats=_config_value(raw, "repeats", int, 10),
+        seed=seed,
+        window=None if raw.get("len") is None else _config_value(raw, "len", int, None),
         metric_set=str(raw.get("metrics", "code")),
         code_metrics=tuple(raw.get("code_metrics", PROMISE_CODE_METRICS)),
         baseline_kinds=tuple(raw.get("baselines", bl.BASELINE_KINDS)),
-        knn_k=int(raw.get("knn_k", bl.DEFAULT_KNN_K)),
-        sk_pool_runs=bool(raw.get("sk_pool_runs", False)),
+        knn_k=_config_value(raw, "knn_k", int, bl.DEFAULT_KNN_K),
+        sk_pool_runs=_config_value(raw, "sk_pool_runs", bool, False),
         output_dir=str(raw.get("output", "out")),
     )
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _config_value(raw: Mapping, key: str, kind: type, default, name: str | None = None):
+    """``raw[key]`` (``default`` when absent) read as ``kind``: int, float
+    or bool.  Only a bool reads as bool, an int refuses a fractional value
+    and a float refuses nan and inf; anything else raises a one-line
+    ``ConfigError`` naming the key (``name``, if given) and the value."""
+    value = raw.get(key, default)
+    try:
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError
+        if kind is float and not math.isfinite(out):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name or key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+    return out
 
 
 def load_project_history(spec: ProjectSpec, cfg: ExperimentConfig) -> ProjectHistory:
@@ -241,20 +283,66 @@ def _mean_runs(runs: list[dict]) -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the configured comparison; per-project failures are recorded
-    under ``errors`` and do not abort the remaining projects."""
+    under ``errors`` and do not abort the remaining projects.
+
+    Projects run in parallel, one per worker process (see ``_map_projects``);
+    their outcomes are merged in config order, so the report does not
+    depend on the worker count."""
     report: dict = {
         "config": _config_dict(cfg),
         "projects": {},
         "errors": {},
         "aggregates": {},
     }
-    for spec in cfg.projects:
-        try:
-            report["projects"][spec.name] = _run_project(spec, cfg)
-        except (ValueError, OSError, TrainingError) as exc:
-            report["errors"][spec.name] = str(exc)
+    outcomes = _map_projects([(spec, cfg) for spec in cfg.projects])
+    for spec, (ok, value) in zip(cfg.projects, outcomes):
+        report["projects" if ok else "errors"][spec.name] = value
     _aggregate(report, cfg)
     return report
+
+
+def _project_outcome(job: tuple[ProjectSpec, ExperimentConfig]) -> tuple[bool, dict | str]:
+    """``(True, project)`` for a finished project, ``(False, message)`` for
+    one that failed on its own data; any other exception propagates."""
+    spec, cfg = job
+    try:
+        return True, _run_project(spec, cfg)
+    except (ValueError, OSError, TrainingError) as exc:
+        return False, str(exc)
+
+
+def _worker_count(n_projects: int) -> int:
+    """One worker per project, at most one per CPU this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(n_projects, cpus)
+
+
+def _map_projects(jobs: list) -> list:
+    """``_project_outcome`` of every job, in order.
+
+    With two or more workers the jobs go to a pool of forked processes,
+    which is closed and reaped before this returns or raises; otherwise
+    (one project, one usable CPU, or no ``fork``) they run in this process.
+    """
+    # fork, not spawn: a spawned worker would pay the numpy/scipy import
+    # (about 1 s on a 2-core VM) before its first project, and would not
+    # see the functions a caller has swapped into this module
+    workers = _worker_count(len(jobs))
+    if workers < 2 or "fork" not in mp.get_all_start_methods():
+        return list(map(_project_outcome, jobs))
+    pool = mp.get_context("fork").Pool(workers)
+    try:
+        outcomes = pool.map(_project_outcome, jobs, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return outcomes
 
 
 def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:

@@ -333,6 +333,16 @@ def gradient_check(
 # serialization
 # ---------------------------------------------------------------------------
 
+def params_to_json(p: RnnParams) -> dict:
+    """The U/W/V/b/c block of a model file (shared by the baseline files)."""
+    return {"U": p.U.tolist(), "W": p.W.tolist(), "V": p.V.tolist(), "b": p.b.tolist(), "c": p.c}
+
+
+def params_from_json(raw: dict) -> RnnParams:
+    """Inverse of ``params_to_json``; floats round-trip exactly."""
+    return RnnParams(**{k: np.asarray(raw[k], dtype=float) for k in "UWVb"}, c=float(raw["c"]))
+
+
 def save_model(path: str | Path, p: RnnParams, h: Hyperparams) -> None:
     """Versioned flat JSON file; floats round-trip exactly."""
     payload = {
@@ -350,13 +360,7 @@ def save_model(path: str | Path, p: RnnParams, h: Hyperparams) -> None:
             "init_scale": h.init_scale,
             "halving_limit": h.halving_limit,
         },
-        "params": {
-            "U": p.U.tolist(),
-            "W": p.W.tolist(),
-            "V": p.V.tolist(),
-            "b": p.b.tolist(),
-            "c": p.c,
-        },
+        "params": params_to_json(p),
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
@@ -365,13 +369,5 @@ def load_model(path: str | Path) -> tuple[RnnParams, Hyperparams]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != MODEL_FORMAT or payload.get("kind") != "rnn":
         raise ValueError(f"not a recurrent-model file: {path}")
-    raw = payload["params"]
-    params = RnnParams(
-        U=np.asarray(raw["U"], dtype=float),
-        W=np.asarray(raw["W"], dtype=float),
-        V=np.asarray(raw["V"], dtype=float),
-        b=np.asarray(raw["b"], dtype=float),
-        c=float(raw["c"]),
-    )
     h = Hyperparams(**payload["hyperparams"])
-    return params, h
+    return params_from_json(payload["params"]), h

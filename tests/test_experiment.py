@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +43,28 @@ def trend_config(tmp_path, repeats=2, clean_test=False, **overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+# one malformed value per config key read as a scalar, a list or a mapping
+BAD_VALUES = [
+    ("repeats: abc", "repeats must be an integer, got 'abc'"),
+    ("seed: 1.5", "seed must be an integer, got 1.5"),
+    ("knn_k: true", "knn_k must be an integer, got True"),
+    ("len: three", "len must be an integer, got 'three'"),
+    ("sk_pool_runs: 'yes'", "sk_pool_runs must be true or false, got 'yes'"),
+    ("hyperparams: {hidden_size: big}", "hyperparams.hidden_size must be an integer, got 'big'"),
+    ("hyperparams: {eta: fast}", "hyperparams.eta must be a finite number, got 'fast'"),
+    ("hyperparams: {lam: .nan}", "hyperparams.lam must be a finite number, got nan"),
+    ("hyperparams: {iterations: 2.5}", "hyperparams.iterations must be an integer, got 2.5"),
+    ("hyperparams: {seed: []}", "hyperparams.seed must be an integer, got []"),
+    ("hyperparams: {init_scale: .inf}", "hyperparams.init_scale must be a finite number, got inf"),
+    ("hyperparams: {halving_limit: null}", "hyperparams.halving_limit must be an integer, got None"),
+    ("code_metrics: wmc", "code_metrics must be a list, got 'wmc'"),
+    ("baselines: lr", "baselines must be a list, got 'lr'"),
+    ("hyperparams: [1]", "hyperparams must be a mapping"),
+    ("technique_hyperparams: [nn]", "technique_hyperparams must be a mapping"),
+    ("technique_hyperparams: {nn: fast}", "technique_hyperparams.nn must be a mapping"),
+]
 
 
 class TestConfig:
@@ -183,6 +207,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"len must be at least 1, got {window}"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "line, message", BAD_VALUES, ids=[m.split(" must")[0] for _, m in BAD_VALUES]
+    )
+    def test_malformed_value_names_key(self, tmp_path, line, message):
+        path = tmp_path / "config.yaml"
+        path.write_text(line + "\nprojects: []\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+
+    def test_integral_values_still_read(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            "repeats: '3'\nlen: 2.0\nhyperparams: {eta: 1, iterations: 40}\nprojects: []\n",
+            encoding="utf-8",
+        )
+        cfg = load_config(path)
+        assert (cfg.repeats, cfg.window) == (3, 2)
+        assert (cfg.hyperparams.eta, cfg.hyperparams.iterations) == (1.0, 40)
+        assert type(cfg.hyperparams.eta) is float
+
     def test_last_two_versions_default(self, tmp_path):
         version_ids, paths, schema = write_trend_project(tmp_path)
         path = tmp_path / "config.yaml"
@@ -324,10 +369,13 @@ class TestDivergence:
         assert "lr" not in report["aggregates"]["techniques"]
 
     def test_diverging_sequence_model_recorded_per_project(self, tmp_path, monkeypatch):
+        # the diverging project is told apart by its own data (its file
+        # count), so the choice holds whichever process trains it
+        n_files = {"first": 60, "second": 80}
         specs = []
         for name in ("first", "second"):
             (tmp_path / name).mkdir()
-            version_ids, paths, schema = write_trend_project(tmp_path / name)
+            version_ids, paths, schema = write_trend_project(tmp_path / name, n_files[name])
             specs.append(
                 ProjectSpec(
                     name=name,
@@ -338,11 +386,9 @@ class TestDivergence:
             )
         cfg = trend_config(tmp_path, repeats=1, projects=tuple(specs), baseline_kinds=("knn",))
         original = experiment.train
-        calls = []
 
         def diverge_first_project(train_set, h):
-            calls.append(h)
-            if len(calls) == 1:
+            if train_set.m == n_files["first"]:
                 # retries off and an absurd step: the weight penalty overflows
                 h = replace(h, eta=1e200, halving_limit=0)
             return original(train_set, h)
@@ -353,6 +399,76 @@ class TestDivergence:
         assert report["errors"] == {"first": "non-finite loss at iteration 0"}
         assert list(report["projects"]) == ["second"]
         assert report["aggregates"]["projects_evaluated"] == ["second"]
+
+
+def projects_config(tmp_path, names, missing=(), **overrides):
+    """A trend-project config with one project per name; the projects in
+    ``missing`` point at CSVs that do not exist."""
+    specs = []
+    for i, name in enumerate(names):
+        (tmp_path / name).mkdir()
+        version_ids, paths, schema = write_trend_project(tmp_path / name, seed=5 + i)
+        if name in missing:
+            paths = {vid: tmp_path / name / f"absent-{vid}.csv" for vid in version_ids}
+        specs.append(
+            ProjectSpec(
+                name=name,
+                versions=tuple(VersionEntry(vid, str(paths[vid])) for vid in version_ids),
+                train_version="u3",
+                test_version="u4",
+            )
+        )
+    return trend_config(tmp_path, projects=tuple(specs), **overrides)
+
+
+class TestProjectPool:
+    """Projects run in forked workers; the report must not depend on it.
+    The worker count is forced, so the pool runs even on a one-CPU box."""
+
+    @staticmethod
+    def run_with_workers(cfg, monkeypatch, workers):
+        monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, workers))
+        return run_experiment(cfg)
+
+    def test_report_identical_inline_and_pooled(self, tmp_path, monkeypatch):
+        cfg = projects_config(tmp_path, ("a", "b", "c"), repeats=1)
+        inline = self.run_with_workers(cfg, monkeypatch, 1)
+        pooled = self.run_with_workers(cfg, monkeypatch, 2)
+        assert list(inline["projects"]) == ["a", "b", "c"]
+        assert json.dumps(pooled) == json.dumps(inline)
+
+    def test_missing_csvs_recorded_alike(self, tmp_path, monkeypatch):
+        cfg = projects_config(
+            tmp_path, ("a", "ghost", "c"), missing=("ghost",), repeats=1, baseline_kinds=("knn",)
+        )
+        inline = self.run_with_workers(cfg, monkeypatch, 1)
+        pooled = self.run_with_workers(cfg, monkeypatch, 2)
+        assert list(inline["errors"]) == ["ghost"]
+        assert "absent-u1.csv" in inline["errors"]["ghost"]
+        assert pooled["errors"] == inline["errors"]
+        assert list(pooled["projects"]) == ["a", "c"]
+        assert json.dumps(pooled) == json.dumps(inline)
+
+    def test_unexpected_exception_in_worker_reaches_caller(self, tmp_path, monkeypatch):
+        cfg = projects_config(tmp_path, ("a", "b"), repeats=1, baseline_kinds=("knn",))
+        parent = os.getpid()
+        original = experiment.train
+
+        def fail_in_worker(train_set, h):
+            if os.getpid() != parent:
+                raise RuntimeError("worker fault")
+            return original(train_set, h)
+
+        monkeypatch.setattr(experiment, "train", fail_in_worker)
+        with pytest.raises(RuntimeError, match="worker fault"):
+            self.run_with_workers(cfg, monkeypatch, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_return(self, tmp_path, monkeypatch):
+        cfg = projects_config(tmp_path, ("a", "b"), repeats=1, baseline_kinds=("knn",))
+        report = self.run_with_workers(cfg, monkeypatch, 2)
+        assert list(report["projects"]) == ["a", "b"]
+        assert multiprocessing.active_children() == []
 
 
 class TestEmitReport:
