@@ -24,7 +24,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
+
+from .stats import rankdata
 
 CE_CUTOFFS = (0.1, 0.2, 0.5, 1.0)
 
@@ -252,7 +253,7 @@ def auc(scores: Iterable[tuple[float, int]]) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    rank_sum_pos = float(np.sum(rankdata(values, method="average")[labels == 1]))
+    rank_sum_pos = float(np.sum(rankdata(values)[labels == 1]))
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

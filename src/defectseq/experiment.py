@@ -26,13 +26,12 @@ import json
 import math
 import multiprocessing as mp
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
-from scipy.stats import rankdata
 
 from . import baselines as bl
 from .dataset import (
@@ -61,7 +60,7 @@ from .history import (
     fit_normalizer,
 )
 from .rnn import Hyperparams, TrainingError, predict_set, train
-from .stats import scott_knott, win_tie_loss
+from .stats import rankdata, scott_knott, win_tie_loss
 
 RNN_TECHNIQUE = "rnn"
 METRIC_KEYS = tuple(f"ce_{format(pi, 'g')}" for pi in CE_CUTOFFS) + ("acc", "auc")
@@ -183,30 +182,33 @@ def load_config(path: str | Path) -> ExperimentConfig:
     seed = _config_value(raw, "seed", int, 1)
     hp_raw = raw.get("hyperparams") or {}
     require(hp_raw, "hyperparams")
-
-    def hp(key: str, kind: type, default):
-        return _config_value(hp_raw, key, kind, default, f"hyperparams.{key}")
-
+    hp_defaults = Hyperparams(seed=seed)
     hyperparams = Hyperparams(
-        hidden_size=hp("hidden_size", int, 16),
-        eta=hp("eta", float, 0.1),
-        lam=hp("lam", float, 1e-4),
-        iterations=hp("iterations", int, 500),
-        seed=hp("seed", int, seed),
-        init_scale=hp("init_scale", float, 0.2),
-        halving_limit=hp("halving_limit", int, 20),
+        **{
+            key: _config_value(hp_raw, key, kind, getattr(hp_defaults, key), f"hyperparams.{key}")
+            for key, kind in _HYPERPARAM_KINDS.items()
+        }
     )
     for key in ("code_metrics", "baselines"):
         if key in raw and not isinstance(raw[key], list):
             raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
     overrides = raw.get("technique_hyperparams") or {}
     require(overrides, "technique_hyperparams")
+    technique_hyperparams = {}
     for technique, block in overrides.items():
-        require(block, f"technique_hyperparams.{technique}")
+        where = f"technique_hyperparams.{technique}"
+        require(block, where)
+        for key in block:
+            if key not in _HYPERPARAM_KINDS:
+                raise ConfigError(f"{where}: unknown hyperparameter {key!r}")
+        technique_hyperparams[str(technique)] = {
+            key: _config_value(block, key, _HYPERPARAM_KINDS[key], None, f"{where}.{key}")
+            for key in block
+        }
     return ExperimentConfig(
         projects=tuple(projects),
         hyperparams=hyperparams,
-        technique_hyperparams={str(t): dict(o) for t, o in overrides.items()},
+        technique_hyperparams=technique_hyperparams,
         repeats=_config_value(raw, "repeats", int, 10),
         seed=seed,
         window=None if raw.get("len") is None else _config_value(raw, "len", int, None),
@@ -220,6 +222,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
+# every Hyperparams field, read as the type of its default (int or float)
+_HYPERPARAM_KINDS = {f.name: type(f.default) for f in fields(Hyperparams)}
 
 
 def _config_value(raw: Mapping, key: str, kind: type, default, name: str | None = None):
@@ -327,9 +331,10 @@ def _map_projects(jobs: list) -> list:
     which is closed and reaped before this returns or raises; otherwise
     (one project, one usable CPU, or no ``fork``) they run in this process.
     """
-    # fork, not spawn: a spawned worker would pay the numpy/scipy import
-    # (about 1 s on a 2-core VM) before its first project, and would not
-    # see the functions a caller has swapped into this module
+    # fork, not spawn: a spawned worker would start a fresh interpreter and
+    # import the package (about 0.35 s on a 2-core VM, most of it numpy)
+    # before its first project, and would not see the functions a caller
+    # has swapped into this module
     workers = _worker_count(len(jobs))
     if workers < 2 or "fork" not in mp.get_all_start_methods():
         return list(map(_project_outcome, jobs))
@@ -466,7 +471,7 @@ def average_rank(table: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
         row = table[project]
         if set(row) != set(techniques):
             raise ValueError(f"project {project!r} is missing techniques")
-        ranks = rankdata(-np.asarray([row[t] for t in techniques]), method="average")
+        ranks = rankdata(-np.asarray([row[t] for t in techniques]))
         for t, r in zip(techniques, ranks):
             sums[t] += float(r)
     n = len(table)

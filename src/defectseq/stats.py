@@ -5,6 +5,14 @@ approximation with tie and continuity corrections beyond), Cliff's delta,
 the Win/Tie/Loss verdict gated at p < 0.05 and |delta| >= 0.147, and the
 Scott-Knott recursive partition of mean-ordered techniques into
 statistically distinct ranks.
+
+The three distribution functions these procedures use are plain
+numpy/``math`` code, so importing the package loads no scipy:
+:func:`rankdata` (average ranks, also used by ``effort.auc`` and
+``experiment.average_rank``), :func:`norm_sf` (the normal upper tail of
+the large-sample Wilcoxon test) and :func:`chi2_ppf` (the Scott-Knott
+critical value).  The test suite checks each against ``scipy.stats``,
+which serves there as the oracle.
 """
 
 from __future__ import annotations
@@ -15,11 +23,112 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 # boundary below which an effect size is negligible (Romano et al. scale)
 NEGLIGIBLE_DELTA = 0.147
 DEFAULT_ALPHA = 0.05
+
+
+def rankdata(values) -> np.ndarray:
+    """Average ranks (1-based) of a 1-d sample; ties share the mean of the
+    ranks they span, and any nan makes every rank nan.
+
+    Equal to ``scipy.stats.rankdata(values, method="average")`` bit for
+    bit: every rank is a half-integer, computed exactly.
+    """
+    arr = np.ravel(np.asarray(values))
+    if np.isnan(arr).any():
+        return np.full(arr.size, np.nan)
+    order = np.argsort(arr, kind="mergesort")
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.arange(order.size, dtype=np.intp)
+    arr = arr[order]
+    starts = np.r_[True, arr[1:] != arr[:-1]]
+    dense = starts.cumsum()[inverse]
+    count = np.r_[np.nonzero(starts)[0], starts.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
+def norm_sf(z: float) -> float:
+    """Upper tail 1 - Phi(z) of the standard normal distribution."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _gamma_tails(a: float, x: float) -> tuple[float, float, float]:
+    """Regularized incomplete gamma tails P(a, x) and Q(a, x) = 1 - P, and
+    the density dP/dx.
+
+    Below x = a + 1 the power series gives P; above it the continued
+    fraction gives Q, so the smaller tail keeps its relative precision.
+    """
+    if x <= 0.0:
+        return 0.0, 1.0, 0.0
+    prefix = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        p = total * prefix
+        return p, 1.0 - p, prefix / x
+    # modified Lentz; for x >= a + 1 every partial denominator stays above
+    # b/2 (checked on a grid of a up to 500), so the usual guard against a
+    # zero divisor is left out
+    b = x + 1.0 - a
+    c = math.inf
+    d = h = 1.0 / b
+    for i in range(1, 1000):
+        an = i * (a - i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    q = prefix * h
+    return 1.0 - q, q, prefix / x
+
+
+def chi2_ppf(q: float, nu: float) -> float:
+    """Quantile of the chi-square distribution with ``nu`` > 0 degrees of
+    freedom: the x with P(nu/2, x/2) = q.
+
+    Newton's method on y = x/2, applied to the log of the smaller tail
+    (log Q against y above the median, log P against log y below it),
+    where both are close to linear.  Every evaluation narrows a bracket
+    around the root; a step that leaves it is replaced by bisection, or
+    by doubling while no upper end is known.
+    """
+    if q <= 0.0:
+        return 0.0
+    if q >= 1.0:
+        return math.inf
+    a = 0.5 * nu
+    upper = q > 0.5
+    tail = 1.0 - q if upper else q
+    lo, hi = 0.0, math.inf
+    y = max(a, 1.0)
+    for _ in range(200):
+        p_low, q_up, density = _gamma_tails(a, y)
+        try:
+            if upper:
+                new = y + q_up * math.log(q_up / tail) / density
+            else:
+                new = y * math.exp(-p_low * math.log(p_low / tail) / (y * density))
+        except (ArithmeticError, ValueError):  # a tail or the slope underflowed
+            new = math.inf
+        if abs(new - y) <= 1e-8 * y:
+            # Newton converges quadratically: the error left is of order step**2
+            return 2.0 * new
+        if (q_up > tail) if upper else (p_low < tail):
+            lo = y
+        else:
+            hi = y
+        y = new if lo < new < hi else (2.0 * y if hi == math.inf else 0.5 * (lo + hi))
+    return 2.0 * y
 
 
 @dataclass(frozen=True)
@@ -62,7 +171,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
     n = diff.size
     if n == 0:
         return WilcoxonResult(statistic=0.0, p_value=1.0, n=0, exact=True, degenerate=True)
-    ranks = sps.rankdata(np.abs(diff), method="average")
+    ranks = rankdata(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
     if n <= 20:
         double_ranks = np.rint(2 * ranks).astype(int)
@@ -81,7 +190,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
     d = w_plus - mean
     # continuity correction shrinks |d| by one half
     z = (d - 0.5 * np.sign(d)) / math.sqrt(var) if var > 0 else 0.0
-    p = min(1.0, 2.0 * float(sps.norm.sf(abs(z))))
+    p = min(1.0, 2.0 * norm_sf(abs(z)))
     return WilcoxonResult(statistic=w_plus, p_value=p, n=n, exact=False, degenerate=False)
 
 
@@ -216,7 +325,7 @@ def scott_knott(
         )
         lam, split = _sk_lambda(group_means, sigma2)
         nu = k / (math.pi - 2.0)
-        critical = float(sps.chi2.ppf(1.0 - alpha, nu))
+        critical = chi2_ppf(1.0 - alpha, nu)
         if lam > critical:
             partition(names[:split])
             partition(names[split:])

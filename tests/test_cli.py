@@ -60,6 +60,22 @@ class TestRun:
         assert main(["run", str(config)]) == 1
         assert capsys.readouterr().err == "error: len must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("{nn: {eta: fast}}", "technique_hyperparams.nn.eta must be a finite number, got 'fast'"),
+            ("{nn: {iterations: 2.5}}", "technique_hyperparams.nn.iterations must be an integer, got 2.5"),
+            ("{nn: {eta: .nan}}", "technique_hyperparams.nn.eta must be a finite number, got nan"),
+            ("{nn: {depth: 4}}", "technique_hyperparams.nn: unknown hyperparameter 'depth'"),
+        ],
+        ids=["eta-text", "iterations-fraction", "eta-nan", "unknown-key"],
+    )
+    def test_bad_technique_override_is_one_line(self, tmp_path, capsys, block, message):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text() + f"\ntechnique_hyperparams: {block}\n", encoding="utf-8")
+        assert main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
         assert "error" in capsys.readouterr().err

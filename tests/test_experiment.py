@@ -64,6 +64,10 @@ BAD_VALUES = [
     ("hyperparams: [1]", "hyperparams must be a mapping"),
     ("technique_hyperparams: [nn]", "technique_hyperparams must be a mapping"),
     ("technique_hyperparams: {nn: fast}", "technique_hyperparams.nn must be a mapping"),
+    ("technique_hyperparams: {nn: {eta: fast}}", "technique_hyperparams.nn.eta must be a finite number, got 'fast'"),
+    ("technique_hyperparams: {nn: {iterations: 2.5}}", "technique_hyperparams.nn.iterations must be an integer, got 2.5"),
+    ("technique_hyperparams: {nn: {eta: .nan}}", "technique_hyperparams.nn.eta must be a finite number, got nan"),
+    ("technique_hyperparams: {nn: {depth: 4}}", "technique_hyperparams.nn: unknown hyperparameter 'depth'"),
 ]
 
 

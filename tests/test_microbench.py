@@ -6,12 +6,16 @@ with ``--benchmark-autosave`` / ``--benchmark-compare`` (kept in
 ``.benchmarks/``), or skip them with ``--benchmark-skip``.
 """
 
+import math
+
 import numpy as np
+import pytest
 
 from defectseq.baselines import KNN, predict_baseline_many, train_baseline
 from defectseq.dataset import PROMISE_CODE_METRICS, make_metric_vector, parse_metrics_csv
 from defectseq.effort import CE_CUTOFFS, ce_report_values, scored_files
 from defectseq.rnn import Hyperparams, batch_gradient, group_by_length, init_params
+from defectseq.stats import chi2_ppf, scott_knott
 
 from helpers import hvsm_set
 
@@ -68,3 +72,22 @@ def test_parse_metrics_csv_1000_rows(benchmark):
     data = ("\n".join(lines) + "\n").encode("utf-8")
     snapshot = benchmark.pedantic(parse_metrics_csv, args=(data, metrics, "1.0"), rounds=5)
     assert len(snapshot.files) == 1000
+
+
+def test_scott_knott_5_techniques_by_9_projects(benchmark):
+    rng = np.random.default_rng(4)
+    centres = {"rnn": 0.45, "lr": 0.30, "nn": 0.29, "nb": 0.20, "knn": 0.19}
+    values = {t: list(rng.normal(loc=c, scale=0.03, size=9)) for t, c in centres.items()}
+    grouping = benchmark.pedantic(scott_knott, args=(values,), rounds=20)
+    assert len(grouping.ranks) >= 2  # at least one split, so the partition recursed
+
+
+def test_chi2_ppf_two_technique_critical_value(benchmark):
+    # the Scott-Knott critical value for a pair of techniques; scipy.stats.chi2.ppf
+    # takes about 100 us per call on a 2-core VM, and Scott-Knott calls this once
+    # per candidate partition
+    nu = 2 / (math.pi - 2)
+    critical = benchmark.pedantic(chi2_ppf, args=(0.95, nu), rounds=200)
+    assert critical == pytest.approx(5.501357838893093, rel=1e-12)
+    if not benchmark.disabled:  # --benchmark-disable makes one untimed call
+        assert benchmark.stats.stats.mean < 100e-6

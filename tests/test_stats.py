@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from defectseq.stats import (
     NEGLIGIBLE_DELTA,
     Outcome,
+    chi2_ppf,
     cliffs_delta,
+    norm_sf,
+    rankdata,
     scott_knott,
     wilcoxon_signed_rank,
     win_tie_loss,
@@ -52,6 +55,41 @@ def oracle_cliffs(a, b):
     gt = sum(1 for x in a for y in b if x > y)
     lt = sum(1 for x in a for y in b if x < y)
     return (gt - lt) / (len(a) * len(b))
+
+
+class TestDistributionFunctions:
+    """The numpy/math replacements against scipy.stats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 3.0])
+            | st.floats(allow_nan=False, min_value=-1e6, max_value=1e6),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_rankdata_bitwise_equal_to_scipy(self, values):
+        ours = rankdata(np.asarray(values))
+        theirs = sps.rankdata(values, method="average")
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+
+    def test_rankdata_nan_propagates_like_scipy(self):
+        values = [2.0, np.nan, 1.0, 2.0]
+        assert np.array_equal(
+            rankdata(values), sps.rankdata(values, method="average"), equal_nan=True
+        )
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.99])
+    def test_chi2_ppf_matches_scipy(self, q):
+        for k in range(1, 31):
+            nu = k / (math.pi - 2)
+            assert chi2_ppf(q, nu) == pytest.approx(sps.chi2.ppf(q, nu), rel=1e-12, abs=0)
+
+    def test_norm_sf_matches_scipy(self):
+        for z in np.linspace(0.0, 8.0, 801):
+            assert norm_sf(z) == pytest.approx(sps.norm.sf(z), rel=1e-13, abs=0)
 
 
 class TestWilcoxon:
