@@ -8,26 +8,14 @@ every sequence cut to a single step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import MetricVector
 from .history import Hvsm, HvsmSet, Normalizer, fit_normalizer_rows
-from .rnn import (
-    MODEL_FORMAT,
-    MODEL_FORMAT_VERSION,
-    Hyperparams,
-    RnnParams,
-    _group_forward,
-    descend,
-    params_from_json,
-    params_to_json,
-    train,
-)
+from .rnn import Hyperparams, RnnParams, _group_forward, descend, train
 
 LOGISTIC_REGRESSION = "lr"
 GAUSSIAN_NB = "nb"
@@ -44,11 +32,6 @@ class BaselineModel:
     kind: str
     normalizer: Normalizer
     params: dict
-
-    @property
-    def is_random(self) -> bool:
-        """Whether retraining with another seed can change predictions."""
-        return self.kind == FEEDFORWARD_NN
 
 
 def _feature_matrix(features: Sequence[tuple[MetricVector, int]]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
@@ -194,72 +177,3 @@ def predict_baseline_many(model: BaselineModel, xs: Sequence[MetricVector]) -> n
     predict = _predict_gaussian_nb if model.kind == GAUSSIAN_NB else _predict_knn
     return predict(p, Z)
 
-
-# ---------------------------------------------------------------------------
-# serialization (same envelope as the recurrent model, kind-tagged)
-# ---------------------------------------------------------------------------
-
-def save_baseline(path: str | Path, model: BaselineModel) -> None:
-    params: dict
-    if model.kind == LOGISTIC_REGRESSION:
-        params = {
-            "weights": model.params["weights"].tolist(),
-            "bias": model.params["bias"],
-        }
-    elif model.kind == GAUSSIAN_NB:
-        params = {
-            "priors": {str(c): v for c, v in model.params["priors"].items()},
-            "means": {str(c): v.tolist() for c, v in model.params["means"].items()},
-            "vars": {str(c): v.tolist() for c, v in model.params["vars"].items()},
-        }
-    elif model.kind == KNN:
-        params = {
-            "points": model.params["points"].tolist(),
-            "labels": model.params["labels"].tolist(),
-            "k": model.params["k"],
-        }
-    else:
-        params = params_to_json(model.params["rnn"])
-    payload = {
-        "format": MODEL_FORMAT,
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "schema": list(model.normalizer.schema),
-        "normalizer": {
-            "mean": model.normalizer.mean.tolist(),
-            "std": model.normalizer.std.tolist(),
-        },
-        "params": params,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_baseline(path: str | Path) -> BaselineModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != MODEL_FORMAT or payload.get("kind") not in BASELINE_KINDS:
-        raise ValueError(f"not a baseline model file: {path}")
-    kind = payload["kind"]
-    schema = tuple(payload["schema"])
-    normalizer = Normalizer(
-        mean=np.asarray(payload["normalizer"]["mean"], dtype=float),
-        std=np.asarray(payload["normalizer"]["std"], dtype=float),
-        schema=schema,
-    )
-    raw = payload["params"]
-    if kind == LOGISTIC_REGRESSION:
-        params = {"weights": np.asarray(raw["weights"], dtype=float), "bias": float(raw["bias"])}
-    elif kind == GAUSSIAN_NB:
-        params = {
-            "priors": {int(c): float(v) for c, v in raw["priors"].items()},
-            "means": {int(c): np.asarray(v, dtype=float) for c, v in raw["means"].items()},
-            "vars": {int(c): np.asarray(v, dtype=float) for c, v in raw["vars"].items()},
-        }
-    elif kind == KNN:
-        params = {
-            "points": np.asarray(raw["points"], dtype=float),
-            "labels": np.asarray(raw["labels"], dtype=float),
-            "k": int(raw["k"]),
-        }
-    else:
-        params = {"rnn": params_from_json(raw)}
-    return BaselineModel(kind=kind, normalizer=normalizer, params=params)

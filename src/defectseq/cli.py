@@ -33,9 +33,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     written = emit_report(report, out_dir)
     for path in written:
         print(path)
-    if report["errors"]:
-        for project, message in sorted(report["errors"].items()):
-            print(f"warning: {project}: {message}", file=sys.stderr)
+    for project, message in sorted(report["errors"].items()):
+        print(f"warning: {project}: {message}", file=sys.stderr)
+    for project, payload in sorted(report["projects"].items()):
+        for technique, entry in payload["techniques"].items():
+            if "error" in entry:
+                print(f"warning: {project}/{technique}: {entry['error']}", file=sys.stderr)
     if not report["projects"]:
         print("error: no project completed", file=sys.stderr)
         return 1

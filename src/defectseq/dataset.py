@@ -203,23 +203,6 @@ def parse_metrics_csv(
     return VersionSnapshot(version_id=version_id, files=files, labels=labels)
 
 
-def snapshot_to_csv(snapshot: VersionSnapshot) -> str:
-    """Serialize a snapshot back to the metrics-table format.
-
-    Round-trips with :func:`parse_metrics_csv`: the (key, values, bug_count)
-    multiset is preserved exactly.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    keys = sorted(snapshot.files)
-    schema = snapshot.files[keys[0]].schema if keys else ()
-    writer.writerow([NAME_COLUMN, *schema, BUG_COLUMN])
-    for key in keys:
-        vec = snapshot.files[key]
-        writer.writerow([key, *map(repr, vec.values.tolist()), snapshot.labels.get(key, 0)])
-    return out.getvalue()
-
-
 def parse_process_csv(data: bytes | str) -> dict[tuple[str, str], tuple[int, int]]:
     """Parse a companion change table with columns version,name,add,del."""
     if isinstance(data, bytes):

@@ -126,7 +126,10 @@ class ExperimentConfig:
         for technique, overrides in self.technique_hyperparams.items():
             if technique != RNN_TECHNIQUE and technique not in bl.BASELINE_KINDS:
                 raise ConfigError(f"hyperparameter override for unknown technique {technique!r}")
-            self._with_overrides(overrides)  # validates the keys/values
+            try:
+                self._with_overrides(overrides)  # validates the keys/values
+            except ValueError as exc:
+                raise ConfigError(f"technique_hyperparams.{technique}: {exc}") from None
 
     def _with_overrides(self, overrides: Mapping) -> Hyperparams:
         try:
@@ -183,12 +186,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     hp_raw = raw.get("hyperparams") or {}
     require(hp_raw, "hyperparams")
     hp_defaults = Hyperparams(seed=seed)
-    hyperparams = Hyperparams(
-        **{
-            key: _config_value(hp_raw, key, kind, getattr(hp_defaults, key), f"hyperparams.{key}")
-            for key, kind in _HYPERPARAM_KINDS.items()
-        }
-    )
+    hp_values = {
+        key: _config_value(hp_raw, key, kind, getattr(hp_defaults, key), f"hyperparams.{key}")
+        for key, kind in _HYPERPARAM_KINDS.items()
+    }
+    try:
+        hyperparams = Hyperparams(**hp_values)
+    except ValueError as exc:
+        raise ConfigError(f"hyperparams: {exc}") from None
     for key in ("code_metrics", "baselines"):
         if key in raw and not isinstance(raw[key], list):
             raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
@@ -550,7 +555,6 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
-    h = cfg.hyperparams
     return {
         "repeats": cfg.repeats,
         "seed": cfg.seed,
@@ -561,12 +565,7 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
         "knn_k": cfg.knn_k,
         "sk_pool_runs": cfg.sk_pool_runs,
         "hyperparams": {
-            "hidden_size": h.hidden_size,
-            "eta": h.eta,
-            "lam": h.lam,
-            "iterations": h.iterations,
-            "init_scale": h.init_scale,
-            "halving_limit": h.halving_limit,
+            key: getattr(cfg.hyperparams, key) for key in _HYPERPARAM_KINDS if key != "seed"
         },
         "technique_hyperparams": {
             t: dict(o) for t, o in sorted(cfg.technique_hyperparams.items())

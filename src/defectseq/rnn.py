@@ -15,16 +15,11 @@ L2 term on, so it verifies the code the trainer runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .history import Hvsm, HvsmSet, Normalizer
-
-MODEL_FORMAT = "defectseq-model"
-MODEL_FORMAT_VERSION = 1
 
 # log-loss clamp; keeps log() finite when sigmoid saturates to 0 or 1
 PROB_EPS = 1e-12
@@ -87,9 +82,6 @@ class RnnParams:
     @property
     def input_dim(self) -> int:
         return self.U.shape[1]
-
-    def copy(self) -> "RnnParams":
-        return RnnParams(self.U.copy(), self.W.copy(), self.V.copy(), self.b.copy(), float(self.c))
 
     def squared_weight_norm(self) -> float:
         """Sum of squared entries of U, V and W; biases excluded."""
@@ -328,46 +320,3 @@ def gradient_check(
             max_err = max(max_err, abs(a - numeric) / max(abs(a) + abs(numeric), 1e-5))
     return float(max_err)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def params_to_json(p: RnnParams) -> dict:
-    """The U/W/V/b/c block of a model file (shared by the baseline files)."""
-    return {"U": p.U.tolist(), "W": p.W.tolist(), "V": p.V.tolist(), "b": p.b.tolist(), "c": p.c}
-
-
-def params_from_json(raw: dict) -> RnnParams:
-    """Inverse of ``params_to_json``; floats round-trip exactly."""
-    return RnnParams(**{k: np.asarray(raw[k], dtype=float) for k in "UWVb"}, c=float(raw["c"]))
-
-
-def save_model(path: str | Path, p: RnnParams, h: Hyperparams) -> None:
-    """Versioned flat JSON file; floats round-trip exactly."""
-    payload = {
-        "format": MODEL_FORMAT,
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "rnn",
-        "hidden_size": p.hidden_size,
-        "input_dim": p.input_dim,
-        "hyperparams": {
-            "hidden_size": h.hidden_size,
-            "eta": h.eta,
-            "lam": h.lam,
-            "iterations": h.iterations,
-            "seed": h.seed,
-            "init_scale": h.init_scale,
-            "halving_limit": h.halving_limit,
-        },
-        "params": params_to_json(p),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> tuple[RnnParams, Hyperparams]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != MODEL_FORMAT or payload.get("kind") != "rnn":
-        raise ValueError(f"not a recurrent-model file: {path}")
-    h = Hyperparams(**payload["hyperparams"])
-    return params_from_json(payload["params"]), h

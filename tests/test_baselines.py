@@ -10,10 +10,8 @@ from defectseq.baselines import (
     GAUSSIAN_NB,
     KNN,
     LOGISTIC_REGRESSION,
-    load_baseline,
     predict_baseline,
     predict_baseline_many,
-    save_baseline,
     train_baseline,
 )
 from defectseq.dataset import make_metric_vector
@@ -259,13 +257,3 @@ class TestCommon:
     def test_unknown_kind_rejected(self, h, separable):
         with pytest.raises(ValueError):
             train_baseline("forest", separable, h)
-
-    @pytest.mark.parametrize("kind", BASELINE_KINDS)
-    def test_serialization_round_trip(self, kind, h, separable, tmp_path):
-        model = train_baseline(kind, separable, h)
-        path = tmp_path / f"{kind}.json"
-        save_baseline(path, model)
-        loaded = load_baseline(path)
-        rng = np.random.default_rng(5)
-        for q in rng.normal(size=(10, 2)) * 2:
-            assert predict_baseline(loaded, vec(*q)) == predict_baseline(model, vec(*q))

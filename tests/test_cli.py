@@ -47,6 +47,15 @@ class TestRun:
         assert main(["run", str(config), "--output", str(override)]) == 0
         assert (override / "report.json").exists()
 
+    def test_failed_technique_warns(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text() + "\nknn_k: 1000\n", encoding="utf-8")
+        assert main(["run", str(config)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        message = report["projects"]["trend"]["techniques"]["knn"]["error"]
+        assert message.startswith("k=1000 exceeds training size")
+        assert capsys.readouterr().err == f"warning: trend/knn: {message}\n"
+
     def test_config_without_project_name_is_one_line(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
         config.write_text("projects:\n  - versions: []\n", encoding="utf-8")

@@ -10,7 +10,6 @@ from defectseq.dataset import (
     normalize_key,
     parse_metrics_csv,
     parse_process_csv,
-    snapshot_to_csv,
 )
 
 from helpers import toy_history
@@ -65,13 +64,15 @@ class TestParseMetricsCsv:
         assert snap.labels["a"] == 2
 
     def test_round_trip_preserves_multiset(self):
-        text = make_csv(["a,1,10,2", "b,2.5,20,0", "c,0,1,7"])
+        text = make_csv(["c,0,1,7", "a,1,10,2", "b,2.5,20,0", "d,0.1,1e-3,1"])
         snap = parse_metrics_csv(text, SCHEMA, "1.0")
-        again = parse_metrics_csv(snapshot_to_csv(snap), SCHEMA, "1.0")
-        assert set(snap.files) == set(again.files)
-        for key in snap.files:
-            assert snap.files[key].values.tolist() == again.files[key].values.tolist()
-            assert snap.labels[key] == again.labels[key]
+        assert {k: v.values.tolist() for k, v in snap.files.items()} == {
+            "a": [1.0, 10.0],
+            "b": [2.5, 20.0],
+            "c": [0.0, 1.0],
+            "d": [0.1, 0.001],
+        }
+        assert snap.labels == {"a": 2, "b": 0, "c": 7, "d": 1}
 
 
 class TestNormalizeKey:

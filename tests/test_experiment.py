@@ -68,6 +68,9 @@ BAD_VALUES = [
     ("technique_hyperparams: {nn: {iterations: 2.5}}", "technique_hyperparams.nn.iterations must be an integer, got 2.5"),
     ("technique_hyperparams: {nn: {eta: .nan}}", "technique_hyperparams.nn.eta must be a finite number, got nan"),
     ("technique_hyperparams: {nn: {depth: 4}}", "technique_hyperparams.nn: unknown hyperparameter 'depth'"),
+    ("hyperparams: {iterations: 0}", "hyperparams: iterations must be positive"),
+    ("technique_hyperparams: {nn: {iterations: 0}}", "technique_hyperparams.nn: iterations must be positive"),
+    ("technique_hyperparams: {nn: {eta: -1}}", "technique_hyperparams.nn: eta must be non-negative"),
 ]
 
 

@@ -16,9 +16,7 @@ from defectseq.rnn import (
     gradient_check,
     group_by_length,
     init_params,
-    load_model,
     predict_set,
-    save_model,
     train,
 )
 
@@ -574,28 +572,6 @@ class TestPredict:
         item = hvsm_from_rows(np.ones((1, 2)), None, schema=("c", "d"))
         with pytest.raises(ValueError):
             self.predict_one(p, item, n)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(17)
-        p = random_params(rng, 4, 3)
-        h = Hyperparams(hidden_size=4, eta=0.07, lam=3e-4, iterations=12, seed=5)
-        path = tmp_path / "model.json"
-        save_model(path, p, h)
-        loaded, h2 = load_model(path)
-        assert np.array_equal(loaded.U, p.U)
-        assert np.array_equal(loaded.W, p.W)
-        assert np.array_equal(loaded.V, p.V)
-        assert np.array_equal(loaded.b, p.b)
-        assert loaded.c == p.c
-        assert h2 == h
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_model(path)
 
 
 class TestLearnability:
