@@ -4,18 +4,26 @@ Four natively implemented techniques: L2-regularized logistic regression,
 Gaussian naive Bayes, k-nearest neighbors on z-scored features, and a
 one-hidden-layer feedforward network reusing the recurrent classifier with
 every sequence cut to a single step.
+
+Every technique reads its rows from one :class:`Features` matrix.  A
+training matrix fits its z-scoring, z-scores itself and builds the
+network's one-step set on first use and keeps them, so all techniques and
+all repeats trained on it share one copy of each.  kNN finds its
+neighbours by an exact search that BLAS prunes first (see
+``_predict_knn``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import MetricVector
 from .history import Hvsm, HvsmSet, Normalizer, fit_normalizer_rows
-from .rnn import Hyperparams, RnnParams, _group_forward, descend, train
+from .rnn import Hyperparams, _group_forward, descend, train
 
 LOGISTIC_REGRESSION = "lr"
 GAUSSIAN_NB = "nb"
@@ -27,6 +35,63 @@ VARIANCE_FLOOR = 1e-9
 DEFAULT_KNN_K = 5
 
 
+@dataclass(frozen=True, eq=False)
+class Features:
+    """Raw metric rows (files x metrics) with their schema and, to train
+    on, their 0/1 labels.
+
+    The z-scoring fit on the rows, the z-scored rows and the feedforward
+    net's one-step set are each built on first use and kept.
+    """
+
+    values: np.ndarray
+    schema: tuple[str, ...]
+    labels: np.ndarray | None = None
+
+    @classmethod
+    def from_vectors(
+        cls, vectors: Sequence[MetricVector], labels: Sequence[int] | None = None
+    ) -> Features:
+        """Stack ``vectors`` (one schema) into rows, with optional labels."""
+        schema = vectors[0].schema if vectors else ()
+        if any(vec.schema != schema for vec in vectors):
+            raise ValueError("vectors differ in schema")
+        values = np.vstack([vec.values for vec in vectors]) if vectors else np.empty((0, 0))
+        return cls(
+            values=values,
+            schema=schema,
+            labels=None if labels is None else np.asarray(labels, dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @cached_property
+    def normalizer(self) -> Normalizer:
+        """Z-scoring fit on these rows."""
+        return fit_normalizer_rows(self.values, self.schema)
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        return self.normalizer.transform(self.values)
+
+    @cached_property
+    def one_step(self) -> HvsmSet:
+        """The z-scored rows as one-step sequences: the feedforward net is
+        the recurrent one on these.  Features arrive pre-normalized, so the
+        net trains on them raw."""
+        items = tuple(
+            Hvsm(
+                key=str(i),
+                version_ids=("0",),
+                sequence=(MetricVector(values=row, schema=self.schema, loc=0),),
+                label=int(label),
+            )
+            for i, (row, label) in enumerate(zip(self.normalized, self.labels))
+        )
+        return HvsmSet(anchor_version="0", items=items, window=1)
+
+
 @dataclass(eq=False)
 class BaselineModel:
     kind: str
@@ -34,33 +99,27 @@ class BaselineModel:
     params: dict
 
 
-def _feature_matrix(features: Sequence[tuple[MetricVector, int]]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    if not features:
-        raise ValueError("empty training data")
-    schema = features[0][0].schema
-    X = np.vstack([vec.values for vec, _ in features])
-    y = np.asarray([label for _, label in features], dtype=float)
-    if set(np.unique(y)) - {0.0, 1.0}:
-        raise ValueError("labels must be 0 or 1")
-    return X, y, schema
-
-
 def train_baseline(
     kind: str,
-    features: Sequence[tuple[MetricVector, int]],
+    features: Features,
     h: Hyperparams,
     k: int = DEFAULT_KNN_K,
 ) -> BaselineModel:
-    """Fit one baseline on (metric vector, binary label) pairs.
+    """Fit one baseline on labelled feature rows.
 
-    Features are z-scored with a normalizer fit here and stored on the
-    model, so prediction sees the same scaling.
+    Features are z-scored by the matrix's own normalizer, which is stored
+    on the model, so prediction sees the same scaling.
     """
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    X, y, schema = _feature_matrix(features)
-    normalizer = fit_normalizer_rows(X, schema)
-    Z = normalizer.transform(X)
+    if not len(features):
+        raise ValueError("empty training data")
+    y = features.labels
+    if y is None:
+        raise ValueError("training rows need labels")
+    if set(np.unique(y)) - {0.0, 1.0}:
+        raise ValueError("labels must be 0 or 1")
+    Z = features.normalized
 
     if kind == LOGISTIC_REGRESSION:
         if len(np.unique(y)) < 2:
@@ -77,8 +136,8 @@ def train_baseline(
             raise ValueError(f"k={k} exceeds training size {len(y)}")
         params = {"points": Z, "labels": y, "k": k}
     else:  # FEEDFORWARD_NN
-        params = {"rnn": _train_feedforward(Z, y, schema, h)}
-    return BaselineModel(kind=kind, normalizer=normalizer, params=params)
+        params = {"rnn": train(features.one_step, h).params}
+    return BaselineModel(kind=kind, normalizer=features.normalizer, params=params)
 
 
 def _train_logistic(Z: np.ndarray, y: np.ndarray, h: Hyperparams) -> dict:
@@ -110,25 +169,9 @@ def _train_gaussian_nb(Z: np.ndarray, y: np.ndarray) -> dict:
     return out
 
 
-def _train_feedforward(Z: np.ndarray, y: np.ndarray, schema, h: Hyperparams) -> RnnParams:
-    # one-step sequences make the recurrent net a plain hidden-layer
-    # classifier; features arrive pre-normalized, so train raw
-    items = tuple(
-        Hvsm(
-            key=str(i),
-            version_ids=("0",),
-            sequence=(MetricVector(values=row, schema=schema, loc=0),),
-            label=int(label),
-        )
-        for i, (row, label) in enumerate(zip(Z, y))
-    )
-    result = train(HvsmSet(anchor_version="0", items=items, window=1), h)
-    return result.params
-
-
 def predict_baseline(model: BaselineModel, x: MetricVector) -> float:
     """Probability of the positive class for one metric vector."""
-    return float(predict_baseline_many(model, [x])[0])
+    return float(predict_baseline_many(model, Features.from_vectors([x]))[0])
 
 
 def _predict_gaussian_nb(params: dict, Z: np.ndarray) -> np.ndarray:
@@ -146,28 +189,58 @@ def _predict_gaussian_nb(params: dict, Z: np.ndarray) -> np.ndarray:
 # elements of the (rows, training points, features) difference array that
 # one kNN block may hold
 KNN_BLOCK_ELEMENTS = 1 << 16
+# unit roundoff of float64
+_UNIT = np.finfo(float).eps / 2
 
 
 def _predict_knn(params: dict, Z: np.ndarray) -> np.ndarray:
-    points, k = params["points"], params["k"]
+    """Mean label of each row's k nearest training points by the distance
+    ``sqrt(sum((p - z) ** 2))``, distance ties going to the earlier point:
+    what a stable argsort of every distance would pick.
+
+    BLAS first estimates every squared distance as |z|² + |p|² − 2 z·p.
+    With d features, both that estimate and the exact sum of squares lie
+    within (2d + 6)·u·(|z|² + |p|²) of the true value (u the unit
+    roundoff), so they differ by less than ``err`` = 8(d + 4)·u·(|z|² +
+    max |p|²) plus one smallest normal for underflow.  Every point that the
+    exact distances rank in the top k then has an estimate within 2·err of
+    the row's k-th smallest estimate; only those candidates (and any whose
+    estimate is not finite) get the exact distance.
+    """
+    points, labels, k = params["points"], params["labels"], params["k"]
     rows = max(1, KNN_BLOCK_ELEMENTS // points.size)
+    p_sq = np.sum(points**2, axis=1)
+    p_sq_max = p_sq.max()
+    slack = 8 * (points.shape[1] + 4) * _UNIT
     out = np.empty(len(Z))
     for start in range(0, len(Z), rows):
         block = Z[start : start + rows]
-        dist = np.sqrt(np.sum((points - block[:, None, :]) ** 2, axis=-1))
-        # stable argsort breaks distance ties by training order
-        neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        out[start : start + rows] = params["labels"][neighbors].mean(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_sq = np.sum(block**2, axis=1)
+            estimate = z_sq[:, None] + p_sq - 2.0 * (block @ points.T)
+            err = slack * (z_sq + p_sq_max) + np.finfo(float).tiny
+            bound = np.partition(estimate, k - 1, axis=1)[:, k - 1] + 2.0 * err
+            candidate = (estimate <= bound[:, None]) | ~np.isfinite(estimate)
+        # a bound that overflowed keeps every point of its row
+        candidate[~np.isfinite(bound)] = True
+        r, c = np.nonzero(candidate)  # c ascends within each row
+        dist = np.sqrt(np.sum((points[c] - block[r]) ** 2, axis=-1))
+        # stable: equal distances keep training order
+        order = np.lexsort((dist, r))
+        counts = np.count_nonzero(candidate, axis=1)
+        first = np.cumsum(counts) - counts
+        neighbors = c[order[first[:, None] + np.arange(k)]]
+        out[start : start + rows] = labels[neighbors].mean(axis=1)
     return out
 
 
-def predict_baseline_many(model: BaselineModel, xs: Sequence[MetricVector]) -> np.ndarray:
-    """Probabilities of the positive class, aligned with ``xs``."""
-    if any(x.schema != model.normalizer.schema for x in xs):
-        raise ValueError("schema does not match the model's training schema")
-    if not xs:
+def predict_baseline_many(model: BaselineModel, rows: Features) -> np.ndarray:
+    """Probabilities of the positive class, aligned with ``rows``."""
+    if not len(rows):
         return np.empty(0)
-    Z = model.normalizer.transform(np.vstack([x.values for x in xs]))
+    if rows.schema != model.normalizer.schema:
+        raise ValueError("schema does not match the model's training schema")
+    Z = model.normalizer.transform(rows.values)
     p = model.params
     if model.kind == FEEDFORWARD_NN:
         return _group_forward(p["rnn"], Z[None])[1]

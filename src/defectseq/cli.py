@@ -61,17 +61,26 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    with open(args.scores, newline="", encoding="utf-8") as fh:
+def _read_table(path: Path, columns: tuple[str, ...], what: str) -> list[dict[str, str]]:
+    """The rows of a CSV file that has ``columns``; a row without a cell in
+    one of them is rejected by row and column (the header is row 1, as in
+    the metrics tables)."""
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
-        print("error: empty scores file", file=sys.stderr)
-        return 1
-    for column in ("name", "score", "loc", "bugs", "label"):
+        raise ValueError(f"empty {what} file")
+    for column in columns:
         if column not in rows[0]:
-            print(f"error: missing column {column!r}", file=sys.stderr)
-            return 1
-    # the header is row 1, as in the metrics tables
+            raise ValueError(f"missing column {column!r}")
+    for i, r in enumerate(rows, start=2):
+        for column in columns:
+            if r[column] is None:
+                raise ParseError(f"row {i}, column {column!r}: missing cell")
+    return rows
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    rows = _read_table(args.scores, ("name", "score", "loc", "bugs", "label"), "scores")
     scores = [_parse_number(r["score"], i, "score") for i, r in enumerate(rows, start=2)]
     locs, bugs, labels = (
         [_parse_count(r[column], i, column) for i, r in enumerate(rows, start=2)]
@@ -90,27 +99,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    with open(args.values, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        print("error: empty values file", file=sys.stderr)
-        return 1
-    for column in ("technique", "project", "value"):
-        if column not in rows[0]:
-            print(f"error: missing column {column!r}", file=sys.stderr)
-            return 1
-
+    rows = _read_table(args.values, ("technique", "project", "value"), "values")
     by_tech: dict[str, dict[str, list[float]]] = {}
     order: list[str] = []
     projects: list[str] = []
-    for r in rows:
+    for i, r in enumerate(rows, start=2):
         tech, project = r["technique"], r["project"]
         if tech not in by_tech:
             by_tech[tech] = {}
             order.append(tech)
         if project not in projects:
             projects.append(project)
-        by_tech[tech].setdefault(project, []).append(float(r["value"]))
+        by_tech[tech].setdefault(project, []).append(_parse_number(r["value"], i, "value"))
 
     # Scott-Knott over per-project means (one value per project per technique)
     values = {}

@@ -13,12 +13,13 @@ ordering becomes one cumulative-sum curve; every CE cutoff is then read
 from the running sum of that curve's trapezoids with ``np.searchsorted``,
 and ACC from the cumulative LOC of the same ranking.  Functions that take a list of
 :class:`ScoredFile` rows turn it into columns first and run the same core.
+``ScoredColumns.with_scores`` rescores the same files and shares what does
+not depend on the scores (key rank, optimal ordering and its CE areas), so
+many evaluations of one test set build those once.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -85,6 +86,17 @@ class ScoredColumns:
             bugs=self.bugs[order],
         )
 
+    def with_scores(self, score: np.ndarray) -> ScoredColumns:
+        """The same files under new scores.  What does not depend on the
+        scores (key rank, optimal ordering and its CE areas) is shared with
+        this column set, built at most once for both."""
+        scored = ScoredColumns(
+            keys=self.keys, score=np.asarray(score, dtype=float), loc=self.loc, bugs=self.bugs
+        )
+        for name in ("_key_rank", "optimal", "_optimal_areas"):
+            scored.__dict__[name] = getattr(self, name)
+        return scored
+
     @cached_property
     def _key_rank(self) -> np.ndarray:
         # position of each key in sorted order, the last tie-break of both
@@ -106,6 +118,11 @@ class ScoredColumns:
     def optimal(self) -> np.ndarray:
         """Best achievable inspection order: actual bug density descending."""
         return self._by_density(self.bugs)
+
+    @cached_property
+    def _optimal_areas(self) -> dict[tuple[float, ...], list[float]]:
+        # CE areas of the optimal curve by cutoffs, filled in by ce_report_values
+        return {}
 
 
 def scored_files(
@@ -212,10 +229,14 @@ def ce_report_values(
             raise ValueError(f"pi must be in (0, 1], got {pi}")
     if not columns.bugs.any():
         raise UndefinedCeError("no defective files: CE is undefined")
-    model, optimal = (
-        _areas(_points(columns.loc[order], columns.bugs[order]), cutoffs)
-        for order in (columns.ranking, columns.optimal)
-    )
+
+    def areas(order: np.ndarray) -> list[float]:
+        return _areas(_points(columns.loc[order], columns.bugs[order]), cutoffs)
+
+    model = areas(columns.ranking)
+    optimal = columns._optimal_areas.get(tuple(cutoffs))
+    if optimal is None:
+        optimal = columns._optimal_areas[tuple(cutoffs)] = areas(columns.optimal)
     values = {}
     for pi, area_model, area_optimal in zip(cutoffs, model, optimal):
         area_random = pi * pi / 2.0
@@ -258,10 +279,8 @@ def auc(scores: Iterable[tuple[float, int]]) -> float:
 
 
 def curve_to_csv(curve: CeCurve) -> str:
-    """Vertices as CSV for external plotting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["loc_fraction", "bug_fraction"])
-    for x, y in curve.points:
-        writer.writerow([repr(float(x)), repr(float(y))])
-    return out.getvalue()
+    """Vertices as CSV for external plotting (a float's repr never needs
+    CSV quoting)."""
+    return "loc_fraction,bug_fraction\n" + "".join(
+        f"{x!r},{y!r}\n" for x, y in curve.points.tolist()
+    )

@@ -8,6 +8,11 @@ with randomness, and aggregates cost-effectiveness, recall-at-effort and
 ROC area into ranking tables (means, average ranks, Scott-Knott groups,
 Win/Tie/Loss counts).
 
+Within a project, everything that a repeat's seed does not change is built
+once: the stacked sequence sets, the baselines' feature matrices with their
+z-scoring, and the test files' evaluation columns with their optimal
+ordering.  These live only as long as the project's run.
+
 Projects share nothing, so each runs in its own forked worker process,
 at most one per usable CPU; a single project or a single CPU runs inline.
 The outcomes are merged in config order, so the report does not depend on
@@ -44,6 +49,7 @@ from .dataset import (
 )
 from .effort import (
     CE_CUTOFFS,
+    ScoredColumns,
     auc,
     ce_curve,
     ce_report_values,
@@ -270,18 +276,14 @@ def load_project_history(spec: ProjectSpec, cfg: ExperimentConfig) -> ProjectHis
     return history
 
 
-def _evaluate_scores(
-    keys: Sequence[str],
-    probs: Sequence[float],
-    locs: Sequence[int],
-    bug_counts: Sequence[int],
-) -> tuple[dict, int]:
-    files, n_adjusted = scored_files(keys, probs, locs, bug_counts)
-    labels = [binarize_label(b) for b in bug_counts]
+def _evaluate_scores(frame: ScoredColumns, labels: Sequence[int], probs: np.ndarray) -> dict:
+    """One run's metrics: ``frame`` (the test files' columns, whose key rank
+    and optimal ordering every run shares) scored by ``probs``."""
+    files = frame.with_scores(probs)
     run = {f"ce_{k}": float(v) for k, v in ce_report_values(files).items()}
     run["acc"] = float(acc_at_effort(files))
-    run["auc"] = float(auc(list(zip(map(float, probs), labels))))
-    return run, n_adjusted
+    run["auc"] = float(auc(zip(files.score.tolist(), labels)))
+    return run
 
 
 def _mean_runs(runs: list[dict]) -> dict:
@@ -378,9 +380,6 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
     if any(label is None for label in train_labels):
         raise ValueError("training set has unlabeled files")
 
-    normalizer = fit_normalizer(train_set)
-    train_norm = apply_normalizer(normalizer, train_set)
-
     project: dict = {
         "train_version": spec.train_version,
         "test_version": spec.test_version,
@@ -402,58 +401,64 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
         "techniques": {},
     }
 
-    zero_loc_flagged = 0
+    # evaluation inputs, built once and shared by every technique and repeat:
+    # the test files' columns (each run fills in its scores) and AUC labels
+    frame, project["zero_loc_files_adjusted"] = scored_files(
+        keys, np.zeros(len(keys)), locs, bug_counts
+    )
+    labels = [binarize_label(b) for b in bug_counts]
 
-    # sequence model: one seeded run per repeat
+    # sequence model: one seeded run per repeat.  Every repeat trains before
+    # any predicts, so each set's stack is freed before the next is built.
+    normalizer = fit_normalizer(train_set)
+    train_norm = apply_normalizer(normalizer, train_set)
+    rnn_hyperparams = cfg.hyperparams_for(RNN_TECHNIQUE)
+    fitted = [
+        train(train_norm, replace(rnn_hyperparams, seed=cfg.seed + r)).params
+        for r in range(cfg.repeats)
+    ]
+    del train_norm
     runs = []
     score_sum = np.zeros(len(keys))
-    rnn_hyperparams = cfg.hyperparams_for(RNN_TECHNIQUE)
-    for r in range(cfg.repeats):
-        h_r = replace(rnn_hyperparams, seed=cfg.seed + r)
-        result = train(train_norm, h_r)
-        probs = predict_set(result.params, test_set, normalizer)
-        run, n_adj = _evaluate_scores(keys, probs, locs, bug_counts)
-        zero_loc_flagged = max(zero_loc_flagged, n_adj)
-        runs.append(run)
+    for params in fitted:
+        probs = predict_set(params, test_set, normalizer)
+        runs.append(_evaluate_scores(frame, labels, probs))
         score_sum += probs
+    del test_set  # the baselines score the anchor rows, not the sequences
     project["techniques"][RNN_TECHNIQUE] = {
         "runs": runs,
         "mean": _mean_runs(runs),
         "scores_mean": {k: float(s) for k, s in zip(keys, score_sum / cfg.repeats)},
     }
 
-    # single-version baselines on the anchor versions
+    # single-version baselines on the anchor versions; every kind and repeat
+    # shares the two feature matrices and what the training one derives
     train_snapshot = history.snapshot(spec.train_version)
-    feats = [
-        (train_snapshot.files[key], binarize_label(train_snapshot.labels.get(key, 0)))
-        for key in sorted(train_snapshot.files)
-    ]
-    test_vectors = [test_snapshot.files[key] for key in keys]
+    train_keys = sorted(train_snapshot.files)
+    train_rows = bl.Features.from_vectors(
+        [train_snapshot.files[key] for key in train_keys],
+        [binarize_label(train_snapshot.labels.get(key, 0)) for key in train_keys],
+    )
+    test_rows = bl.Features.from_vectors([test_snapshot.files[key] for key in keys])
     for kind in cfg.baseline_kinds:
         try:
-            entry = _run_baseline(kind, feats, test_vectors, keys, locs, bug_counts, cfg)
+            entry = _run_baseline(kind, train_rows, test_rows, frame, labels, cfg)
         except (ValueError, TrainingError) as exc:
-            project["techniques"][kind] = {"error": str(exc)}
-            continue
+            entry = {"error": str(exc)}
         project["techniques"][kind] = entry
-        zero_loc_flagged = max(zero_loc_flagged, entry.pop("_zero_loc", 0))
-
-    project["zero_loc_files_adjusted"] = zero_loc_flagged
     return project
 
 
-def _run_baseline(kind, feats, test_vectors, keys, locs, bug_counts, cfg) -> dict:
+def _run_baseline(kind, train_rows, test_rows, frame, labels, cfg) -> dict:
     seeds = range(cfg.repeats) if kind == bl.FEEDFORWARD_NN else (0,)
     runs = []
-    score_sum = np.zeros(len(keys))
-    n_adj = 0
+    score_sum = np.zeros(len(test_rows))
     base_hyperparams = cfg.hyperparams_for(kind)
     for r in seeds:
         h_r = replace(base_hyperparams, seed=cfg.seed + r)
-        model = bl.train_baseline(kind, feats, h_r, k=cfg.knn_k)
-        probs = bl.predict_baseline_many(model, test_vectors)
-        run, n_adj = _evaluate_scores(keys, probs, locs, bug_counts)
-        runs.append(run)
+        model = bl.train_baseline(kind, train_rows, h_r, k=cfg.knn_k)
+        probs = bl.predict_baseline_many(model, test_rows)
+        runs.append(_evaluate_scores(frame, labels, probs))
         score_sum += probs
     mean_scores = score_sum / len(runs)
     if len(runs) == 1:
@@ -462,8 +467,7 @@ def _run_baseline(kind, feats, test_vectors, keys, locs, bug_counts, cfg) -> dic
     return {
         "runs": runs,
         "mean": _mean_runs(runs),
-        "scores_mean": {k: float(s) for k, s in zip(keys, mean_scores)},
-        "_zero_loc": n_adj,
+        "scores_mean": {k: float(s) for k, s in zip(frame.keys, mean_scores)},
     }
 
 

@@ -4,6 +4,10 @@ For an anchor version v, every file present in v yields one sample: the
 file's metric vectors over its trailing run of consecutive versions ending
 at v, at most ``window`` versions long.  Files absent from v but seen
 earlier are dead and yield nothing.
+
+A set is immutable, so it stacks its samples into one ``(T, n, d)`` array
+per sequence length once, on first use (``HvsmSet.by_length``); training
+and prediction on the same set, in every repeat, read that one stack.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import csv
 import enum
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +74,25 @@ class HvsmSet:
     @property
     def schema(self) -> tuple[str, ...]:
         return self.items[0].schema if self.items else ()
+
+    @cached_property
+    def by_length(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Item indices and stacked ``(T, n, d)`` raw values of each
+        equal-length group of samples, in ascending T; built once per set."""
+        return _stack_by_length(self.items)
+
+
+def _stack_by_length(items: tuple[Hvsm, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    by_length: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        by_length.setdefault(item.length, []).append(i)
+    return [
+        (
+            np.asarray(idx, dtype=np.intp),
+            np.stack([np.vstack([vec.values for vec in items[i].sequence]) for i in idx], axis=1),
+        )
+        for idx in (by_length[T] for T in sorted(by_length))
+    ]
 
 
 def classify_file(history: ProjectHistory, v: str, key: str) -> Lifecycle:

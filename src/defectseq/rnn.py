@@ -4,11 +4,13 @@ One tanh hidden layer with shared weights across time steps, a sigmoid
 output read off the final state, and log loss with an L2 penalty on the
 three weight matrices (biases are unpenalized).
 
-There is one forward/backward implementation, and it is batched.
-``group_by_length`` stacks a training set into one ``(T, n, input_dim)``
-array per sequence length, once per training run; ``batch_gradient`` runs
-exact backpropagation through time over those groups, and prediction uses
-the same forward pass.  The finite-difference checker differentiates
+There is one forward/backward implementation, and it is batched.  A set
+stacks its samples into one ``(T, n, input_dim)`` array per sequence
+length once (``HvsmSet.by_length``); ``group_by_length`` pairs those
+stacks with their labels once per training run, ``batch_gradient`` runs
+exact backpropagation through time over them, and prediction runs the same
+forward pass over the test set's own stack, so repeats on the same sets
+restack nothing.  The finite-difference checker differentiates
 ``batch_gradient`` itself, on a batch of mixed lengths and labels with the
 L2 term on, so it verifies the code the trainer runs.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .history import Hvsm, HvsmSet, Normalizer
+from .history import HvsmSet, Normalizer
 
 # log-loss clamp; keeps log() finite when sigmoid saturates to 0 or 1
 PROB_EPS = 1e-12
@@ -118,23 +120,13 @@ Batch = list[tuple[np.ndarray, np.ndarray]]
 """Samples stacked by length: ``(X, y)`` pairs, X of shape (T, n, input_dim)."""
 
 
-def _stack_by_length(items: tuple[Hvsm, ...]) -> list[tuple[list[int], np.ndarray]]:
-    """Indices and stacked (T, n, input_dim) raw values of each equal-length
-    group of samples, in ascending T for a fixed summation order."""
-    by_length: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        by_length.setdefault(item.length, []).append(i)
-    return [
-        (idx, np.stack([np.vstack([vec.values for vec in items[i].sequence]) for i in idx], axis=1))
-        for idx in (by_length[T] for T in sorted(by_length))
-    ]
-
-
 def group_by_length(train_set: HvsmSet) -> Batch:
-    """The training batch: every sample stacked with the others of its length.
+    """The training batch: every sample stacked with the others of its length,
+    in ascending T for a fixed summation order.
 
-    Built once per training run; rejects an empty set and any sample whose
-    label is not 0 or 1.
+    Built once per training run from the set's own stack
+    (``HvsmSet.by_length``), so repeats on one set stack it once; rejects an
+    empty set and any sample whose label is not 0 or 1.
     """
     if not train_set.items:
         raise ValueError("empty training set")
@@ -143,7 +135,7 @@ def group_by_length(train_set: HvsmSet) -> Batch:
             raise ValueError(f"sample {item.key!r} has no 0/1 label: {item.label!r}")
     return [
         (X, np.asarray([train_set.items[i].label for i in idx], dtype=float))
-        for idx, X in _stack_by_length(train_set.items)
+        for idx, X in train_set.by_length
     ]
 
 
@@ -268,7 +260,7 @@ def predict_set(p: RnnParams, s: HvsmSet, n: Normalizer) -> np.ndarray:
     if len(s.schema) != p.input_dim:
         raise ValueError(f"input dim {len(s.schema)} does not match U ({p.input_dim})")
     probs = np.empty(len(s.items))
-    for idx, X in _stack_by_length(s.items):
+    for idx, X in s.by_length:
         _, probs[idx] = _group_forward(p, n.transform(X))
     return probs
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defectseq.baselines import LOGISTIC_REGRESSION, predict_baseline_many, train_baseline
+from defectseq.baselines import LOGISTIC_REGRESSION, Features, predict_baseline_many, train_baseline
 from defectseq.dataset import PROMISE_CODE_METRICS, make_metric_vector
 from defectseq.effort import CE_CUTOFFS, auc, ce_pi
 from defectseq.experiment import (
@@ -148,13 +148,13 @@ def test_criterion_5_sequence_information_learnability():
         rnn_auc = float(np.mean(aucs))
 
         schema = train_set.schema
-        features = [
-            (make_metric_vector(rows[-1], schema), label) for rows, label in train_samples
-        ]
-        lr = train_baseline(LOGISTIC_REGRESSION, features, Hyperparams(seed=0))
-        lr_scores = predict_baseline_many(
-            lr, [make_metric_vector(rows[-1], schema) for rows, _ in test_samples]
+        features = Features.from_vectors(
+            [make_metric_vector(rows[-1], schema) for rows, _ in train_samples],
+            [label for _, label in train_samples],
         )
+        lr = train_baseline(LOGISTIC_REGRESSION, features, Hyperparams(seed=0))
+        test_rows = [make_metric_vector(rows[-1], schema) for rows, _ in test_samples]
+        lr_scores = predict_baseline_many(lr, Features.from_vectors(test_rows))
         lr_auc = auc(list(zip(lr_scores, test_labels)))
 
         print(f"    sequence-model mean AUC {rnn_auc:.3f}, single-version LR AUC {lr_auc:.3f}")

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectseq import baselines
 from defectseq.baselines import (
@@ -10,6 +12,7 @@ from defectseq.baselines import (
     GAUSSIAN_NB,
     KNN,
     LOGISTIC_REGRESSION,
+    Features,
     predict_baseline,
     predict_baseline_many,
     train_baseline,
@@ -25,7 +28,11 @@ def vec(*values, schema=SCHEMA):
 
 
 def labeled(points, labels, schema=SCHEMA):
-    return [(vec(*p, schema=schema), y) for p, y in zip(points, labels)]
+    return Features.from_vectors([vec(*p, schema=schema) for p in points], labels)
+
+
+def rows(queries):
+    return Features.from_vectors(list(queries))
 
 
 @pytest.fixture
@@ -62,7 +69,7 @@ class TestLogisticRegression:
         queries = rng.normal(size=(10, 2))
         base = [predict_baseline(model, vec(*q)) for q in queries]
 
-        scaled = [(vec(v.values[0] * 50, v.values[1] * 0.02), y) for v, y in separable]
+        scaled = replace(separable, values=separable.values * [50, 0.02])
         model_scaled = train_baseline(LOGISTIC_REGRESSION, scaled, h)
         rescored = [
             predict_baseline(model_scaled, vec(q[0] * 50, q[1] * 0.02)) for q in queries
@@ -91,7 +98,7 @@ class TestGaussianNb:
         # the class-0 posterior equals the flipped-label model's class-1
         # posterior, so the two must complement each other within 1e-12
         model = train_baseline(GAUSSIAN_NB, separable, h)
-        flipped = train_baseline(GAUSSIAN_NB, [(v, 1 - y) for v, y in separable], h)
+        flipped = train_baseline(GAUSSIAN_NB, replace(separable, labels=1 - separable.labels), h)
         rng = np.random.default_rng(2)
         for q in rng.normal(size=(20, 2)) * 3:
             p1 = predict_baseline(model, vec(*q))
@@ -163,7 +170,7 @@ class TestBatchedPrediction:
         model = train_baseline(GAUSSIAN_NB, data, h)
         queries = [vec(*q, schema=schema) for q in rng.normal(size=(40, 20)) * 3]
         np.testing.assert_array_equal(
-            predict_baseline_many(model, queries), self.per_row(model, queries, nb_row)
+            predict_baseline_many(model, rows(queries)), self.per_row(model, queries, nb_row)
         )
 
     @pytest.mark.parametrize("block_elements", [1, 3 * 24 * 2, 1 << 16])
@@ -177,7 +184,7 @@ class TestBatchedPrediction:
         model = train_baseline(KNN, labeled(points, labels), h, k=3)
         queries = [vec(*q) for q in grid[:11]]  # 11 rows: the last block is short
         monkeypatch.setattr(baselines, "KNN_BLOCK_ELEMENTS", block_elements)
-        got = predict_baseline_many(model, queries)
+        got = predict_baseline_many(model, rows(queries))
         np.testing.assert_array_equal(got, self.per_row(model, queries, knn_row))
         # (-1, 0): its own two copies, then the earlier (label 1) copy of
         # the tied next-nearest pair
@@ -190,7 +197,87 @@ class TestBatchedPrediction:
         queries = [vec(*q) for q in np.round(rng.normal(size=(250, 2)), 1)]
         assert model.params["points"].size * 250 > baselines.KNN_BLOCK_ELEMENTS
         np.testing.assert_array_equal(
-            predict_baseline_many(model, queries), self.per_row(model, queries, knn_row)
+            predict_baseline_many(model, rows(queries)), self.per_row(model, queries, knn_row)
+        )
+
+
+def brute_force_knn(points, labels, k, Z):
+    """Every distance by the row formula, then a stable argsort of all of them."""
+    out = []
+    for z in Z:
+        dist = np.sqrt(np.sum((points - z) ** 2, axis=1))
+        out.append(labels[np.argsort(dist, kind="stable")[:k]].mean())
+    return np.asarray(out)
+
+
+# coarse values repeat, so points duplicate and distances tie at the k-th place
+coarse = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5, 3.0, 0.1, 0.3])
+values = coarse | st.floats(min_value=-10, max_value=10, allow_nan=False)
+# 1e200 overflows both the squared distances and their BLAS estimate; 1e-160
+# makes them subnormal and 1e-200 underflows them to zero
+scales = st.sampled_from([1.0, 1e-3, 1e150, 1e200, 1e-160, 1e-200])
+
+
+class TestKnnPruning:
+    """The BLAS-pruned search picks exactly the neighbours of a full sort."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_brute_force(self, data):
+        n = data.draw(st.integers(1, 24), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        k = data.draw(st.integers(1, n), label="k")
+        m = data.draw(st.integers(1, 12), label="queries")
+        points = np.asarray(data.draw(st.lists(values, min_size=n * d, max_size=n * d)))
+        queries = np.asarray(data.draw(st.lists(values, min_size=m * d, max_size=m * d)))
+        # far from the origin, the estimate cancels most of its digits
+        offset = data.draw(st.sampled_from([0.0, 100.0]), label="offset")
+        points = points.reshape(n, d) * data.draw(scales, label="point scale") + offset
+        queries = queries.reshape(m, d) * data.draw(scales, label="query scale") + offset
+        labels = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+        labels = np.asarray(labels)
+        # from one row per block up to every row in one block
+        block = data.draw(st.sampled_from([1, n * d, 3 * n * d - 1, 1 << 16]), label="block")
+        params = {"points": points, "labels": labels, "k": k}
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = brute_force_knn(points, labels, k, queries)
+            with mock.patch.object(baselines, "KNN_BLOCK_ELEMENTS", block):
+                got = baselines._predict_knn(params, queries)
+        np.testing.assert_array_equal(got, want)
+
+    def test_overflowing_row_falls_back_to_every_point(self):
+        points = np.array([[1.0, 0.0], [1e200, 0.0], [2e200, 0.0], [0.0, 1.0]])
+        labels = np.array([0.0, 1.0, 1.0, 0.0])
+        # the first row's own square overflows; the second's estimates for
+        # the two large points are inf - inf, so its k-th estimate is nan
+        queries = np.array([[1e200, 1e200], [1e110, 0.0], [0.0, 0.0], [1e-200, 0.0]])
+        params = {"points": points, "labels": labels, "k": 3}
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = baselines._predict_knn(params, queries)
+            np.testing.assert_array_equal(got, brute_force_knn(points, labels, 3, queries))
+
+
+    def test_subnormal_distances_keep_their_candidates(self):
+        # squares near 1e-316 are subnormal, so their rounding error is
+        # absolute, not relative to their size
+        points = np.array([-4, -3, 0, 3, 1, 1, -2, 4, 4, -1, 1.0])[:, None] * 1e-158
+        labels = np.array([1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1.0])
+        queries = np.array([[-2.0], [-2.0], [4.0]]) * 1e-158
+        params = {"points": points, "labels": labels, "k": 2}
+        np.testing.assert_array_equal(
+            baselines._predict_knn(params, queries), brute_force_knn(points, labels, 2, queries)
+        )
+
+
+    def test_cancellation_far_from_origin(self):
+        # |z|² + |p|² − 2 z·p cancels about 1e4 down to under 1: the estimate
+        # keeps only a few digits, and its slack must cover the rest
+        points = np.array([6, 9, -9, 1, 4, -6, 8, 3, -4, -8, -7.0])[:, None] * 0.1 + 100.0
+        labels = np.array([1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1.0])
+        queries = np.array([[-3.0], [7.0], [0.0]]) * 0.1 + 100.0
+        params = {"points": points, "labels": labels, "k": 3}
+        np.testing.assert_array_equal(
+            baselines._predict_knn(params, queries), brute_force_knn(points, labels, 3, queries)
         )
 
 
@@ -236,7 +323,7 @@ class TestCommon:
     def test_probability_in_unit_interval(self, kind, h, separable):
         model = train_baseline(kind, separable, h)
         rng = np.random.default_rng(4)
-        probs = predict_baseline_many(model, [vec(*q) for q in rng.normal(size=(20, 2)) * 4])
+        probs = predict_baseline_many(model, rows(vec(*q) for q in rng.normal(size=(20, 2)) * 4))
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
@@ -249,10 +336,10 @@ class TestCommon:
     def test_many_matches_one_at_a_time(self, kind, h, separable):
         model = train_baseline(kind, separable, h)
         queries = [vec(*q) for q in np.random.default_rng(5).normal(size=(7, 2)) * 2]
-        probs = predict_baseline_many(model, queries)
+        probs = predict_baseline_many(model, rows(queries))
         singles = [predict_baseline(model, q) for q in queries]
         np.testing.assert_allclose(probs, singles, rtol=1e-12, atol=0)
-        assert predict_baseline_many(model, []).shape == (0,)
+        assert predict_baseline_many(model, rows([])).shape == (0,)
 
     def test_unknown_kind_rejected(self, h, separable):
         with pytest.raises(ValueError):

@@ -130,9 +130,10 @@ class TestEval:
             ("f2,0.5,10,0,0.2", "row 3, column 'label': expected non-negative integer, got 0.2"),
             ("f2,0.5,10,0,2", "row 3, column 'label': expected 0 or 1, got 2"),
             ("f2,nan,10,0,0", "row 3, column 'score': non-finite cell 'nan'"),
+            ("b,0.2,20", "row 3, column 'bugs': missing cell"),
         ],
         ids=["fractional-loc", "non-numeric-loc", "fractional-bugs", "fractional-label",
-             "label-2", "nan-score"],
+             "label-2", "nan-score", "short-row"],
     )
     def test_bad_cell_names_row_and_column(self, tmp_path, capsys, row, message):
         scores = tmp_path / "scores.csv"
@@ -179,3 +180,21 @@ class TestStats:
         values = tmp_path / "values.csv"
         values.write_text("technique,project,value\na,p1,0.9\n", encoding="utf-8")
         assert main(["stats", str(values), "--reference", "zz"]) == 1
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("lr,b", "row 3, column 'value': missing cell"),
+            ("lr", "row 3, column 'project': missing cell"),
+            ("lr,b,abc", "row 3, column 'value': non-numeric cell 'abc'"),
+            ("lr,b,nan", "row 3, column 'value': non-finite cell 'nan'"),
+        ],
+        ids=["no-value", "no-project", "non-numeric-value", "nan-value"],
+    )
+    def test_bad_row_names_row_and_column(self, tmp_path, capsys, row, message):
+        values = tmp_path / "values.csv"
+        values.write_text(f"technique,project,value\na,b,0.9\n{row}\n", encoding="utf-8")
+        assert main(["stats", str(values)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from defectseq.effort import (
     CE_CUTOFFS,
+    CeCurve,
     ScoredColumns,
     ScoredFile,
     UndefinedCeError,
@@ -479,6 +482,11 @@ class TestColumnCoreMatchesLoops:
         for pi in cutoffs:
             assert outcome(ce_pi, columns, pi) == expected[format(pi, "g")]
 
+        # the same files rescored from another column set give the same values
+        rescored = scored_files(keys, [0.0] * len(keys), locs, bugs)[0].with_scores(scores)
+        assert outcome(ce_report_values, rescored, cutoffs) == outcome(
+            ce_report_values, columns, cutoffs
+        )
         assert outcome(acc_at_effort, columns) == outcome(loop_acc_at_effort, files)
         assert outcome(acc_at_effort, files) == outcome(loop_acc_at_effort, files)
         pairs = [(s, 1 if b > 0 else 0) for s, b in zip(scores, bugs)]
@@ -494,3 +502,39 @@ class TestColumnCoreMatchesLoops:
         acc_at_effort(files)
         # one model ranking and one optimal ordering, shared by CE and ACC
         assert len(calls) == 2
+
+    def test_rescoring_shares_the_optimal_ordering(self, monkeypatch):
+        frame, _ = scored_files([f.key for f in THREE_FILES], [0.0] * len(THREE_FILES),
+                                [f.loc for f in THREE_FILES], [f.bugs for f in THREE_FILES])
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+        first = ce_report_values(frame.with_scores([f.score for f in THREE_FILES]))
+        again = ce_report_values(frame.with_scores([f.score for f in THREE_FILES]))
+        flipped = ce_report_values(frame.with_scores([-f.score for f in THREE_FILES]))
+        # the optimal ordering once, then one model ranking per rescoring
+        assert len(calls) == 4
+        assert first == again == ce_report_values(THREE_FILES)
+        assert flipped != first
+
+
+def csv_writer_curve(curve):
+    """The CSV form written with ``csv.writer`` and ``repr``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["loc_fraction", "bug_fraction"])
+    for x, y in curve.points:
+        writer.writerow([repr(float(x)), repr(float(y))])
+    return out.getvalue()
+
+
+class TestCurveCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)), max_size=40
+        )
+    )
+    def test_equals_csv_writer_form(self, points):
+        curve = CeCurve(points=np.asarray(points, dtype=float).reshape(-1, 2), ordering=())
+        assert curve_to_csv(curve) == csv_writer_curve(curve)

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from defectseq import experiment
+from defectseq import baselines as bl
+from defectseq import experiment, history
 from defectseq.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -406,6 +407,38 @@ class TestDivergence:
         assert report["errors"] == {"first": "non-finite loss at iteration 0"}
         assert list(report["projects"]) == ["second"]
         assert report["aggregates"]["projects_evaluated"] == ["second"]
+
+
+class TestBuiltOncePerProject:
+    """Repeats reuse a project's arrays instead of rebuilding them."""
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_sets_stacked_and_features_built_once(self, tmp_path, monkeypatch, repeats):
+        stacked, feature_rows, normalizers = [], [], []
+        real_stack = history._stack_by_length
+        real_rows = bl.Features.from_vectors
+        real_fit = bl.fit_normalizer_rows
+        monkeypatch.setattr(
+            history, "_stack_by_length", lambda items: stacked.append(len(items)) or real_stack(items)
+        )
+        monkeypatch.setattr(
+            bl.Features, "from_vectors", lambda *a: feature_rows.append(len(a[0])) or real_rows(*a)
+        )
+        monkeypatch.setattr(
+            bl, "fit_normalizer_rows", lambda *a: normalizers.append(1) or real_fit(*a)
+        )
+        cfg = trend_config(tmp_path, repeats=repeats)
+        assert cfg.baseline_kinds == bl.BASELINE_KINDS
+        report = run_experiment(cfg)  # one project runs inline
+        assert report["errors"] == {}
+        project = report["projects"]["trend"]
+        assert all(len(t["runs"]) == repeats for t in project["techniques"].values())
+        n_train, n_test = project["train"]["files"], project["test"]["files"]
+        # the rnn's training and test sets, then the nn's one-step set
+        assert stacked == [n_train, n_test, n_train]
+        # the anchor rows to train on and to score, and one z-scoring for all
+        assert feature_rows == [n_train, n_test]
+        assert normalizers == [1]
 
 
 def projects_config(tmp_path, names, missing=(), **overrides):

@@ -11,9 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from defectseq.baselines import KNN, predict_baseline_many, train_baseline
+from defectseq.baselines import KNN, Features, predict_baseline_many, train_baseline
 from defectseq.dataset import PROMISE_CODE_METRICS, make_metric_vector, parse_metrics_csv
-from defectseq.effort import CE_CUTOFFS, ce_report_values, scored_files
+from defectseq.effort import (
+    CE_CUTOFFS,
+    ce_curve,
+    ce_report_values,
+    curve_to_csv,
+    rank_by_density,
+    scored_files,
+)
 from defectseq.rnn import Hyperparams, batch_gradient, group_by_length, init_params
 from defectseq.stats import chi2_ppf, scott_knott
 
@@ -38,14 +45,31 @@ def test_ce_report_values_2000_files(benchmark):
     assert set(values) == {format(pi, "g") for pi in CE_CUTOFFS}
 
 
+def test_curve_to_csv_1700_rows(benchmark):
+    # one CE curve of a wide-eval sized test release
+    rng = np.random.default_rng(5)
+    n = 1700
+    files, _ = scored_files(
+        [f"src/f{i}.java" for i in range(n)],
+        rng.uniform(size=n),
+        rng.integers(1, 400, size=n),
+        rng.integers(0, 3, size=n),
+    )
+    curve = ce_curve(rank_by_density(files))
+    text = benchmark.pedantic(curve_to_csv, args=(curve,), rounds=20)
+    assert text.count("\n") == n + 2
+
+
 def test_knn_predict_1700_by_560(benchmark):
     rng = np.random.default_rng(1)
-    train = [
-        (make_metric_vector(row, SCHEMA), int(label))
-        for row, label in zip(rng.normal(size=(560, 20)), rng.integers(0, 2, size=560))
-    ]
+    train = Features.from_vectors(
+        [make_metric_vector(row, SCHEMA) for row in rng.normal(size=(560, 20))],
+        rng.integers(0, 2, size=560),
+    )
     model = train_baseline(KNN, train, Hyperparams())
-    queries = [make_metric_vector(row, SCHEMA) for row in rng.normal(size=(1700, 20))]
+    queries = Features.from_vectors(
+        [make_metric_vector(row, SCHEMA) for row in rng.normal(size=(1700, 20))]
+    )
     probs = benchmark.pedantic(predict_baseline_many, args=(model, queries), rounds=3)
     assert probs.shape == (1700,)
 
