@@ -9,7 +9,7 @@ sample whose sequence covers its trailing run of consecutive releases.
 
 import numpy as np
 
-from defectseq.dataset import ProjectHistory, VersionSnapshot, make_metric_vector
+from defectseq.dataset import ProjectHistory, VersionSnapshot
 from defectseq.history import (
     classify_file,
     developing_fraction,
@@ -37,13 +37,21 @@ def build_history() -> ProjectHistory:
     rng = np.random.default_rng(7)
     versions = []
     for vid in ("v1", "v2", "v3", "v4", "v5"):
-        files = {
-            key: make_metric_vector([int(rng.integers(50, 500)), round(float(rng.uniform(1, 30)), 1)], SCHEMA)
-            for key, present in PRESENCE.items()
-            if vid in present
-        }
-        labels = {key: BUGS_AT_V4.get(key, 0) if vid == "v4" else 0 for key in files}
-        versions.append(VersionSnapshot(version_id=vid, files=files, labels=labels))
+        # one row per file present in this release: its metrics, bugs and LOC
+        keys = tuple(key for key, present in PRESENCE.items() if vid in present)
+        loc = rng.integers(50, 500, size=len(keys))
+        complexity = np.round(rng.uniform(1, 30, size=len(keys)), 1)
+        bugs = [BUGS_AT_V4.get(key, 0) if vid == "v4" else 0 for key in keys]
+        versions.append(
+            VersionSnapshot(
+                version_id=vid,
+                schema=SCHEMA,
+                keys=keys,
+                values=np.column_stack([loc, complexity]).astype(float),
+                bugs=np.array(bugs, dtype=np.int64),
+                loc=loc.astype(np.int64),
+            )
+        )
     return ProjectHistory(name="demo", versions=tuple(versions))
 
 
@@ -59,10 +67,20 @@ def main() -> None:
     print("  counts:", {state.value: n for state, n in counts.items()})
     print(f"  developing share: {developing_fraction(history, anchor):.1%}")
 
+    v4 = history.snapshot(anchor)
+    n_files, n_metrics = v4.values.shape
+    print(f"\n=== version {anchor} as arrays: {n_files} files x {n_metrics} metrics ===")
+    for key, row in v4.files.items():
+        values = v4.values[row].tolist()
+        print(f"  row {row}: {key:22s} values={values}  bugs={v4.bugs[row]}  loc={v4.loc[row]}")
+
     print(f"\n=== sequences extracted at {anchor} (window 4) ===")
     s = extract_hvsm_set(history, anchor, window=4)
     for item in s.items:
-        print(f"  {item.key:22s} T={item.length}  versions={'-'.join(item.version_ids)}  label={item.label}")
+        print(
+            f"  {item.key:22s} T={item.length}  versions={'-'.join(item.version_ids)}  "
+            f"label={item.label}  block={item.values.shape}"
+        )
 
     print("\n=== debug dump (one row per file and step) ===")
     print(hvsm_set_to_csv(s))

@@ -9,7 +9,6 @@ shows the finite-difference gradient check and variable-length prediction.
 
 import numpy as np
 
-from defectseq.dataset import MetricVector
 from defectseq.history import Hvsm, HvsmSet, apply_normalizer, fit_normalizer
 from defectseq.rnn import Hyperparams, gradient_check, predict_set, train
 
@@ -28,15 +27,11 @@ def make_samples(n: int, seed: int) -> HvsmSet:
         else:
             trend = (final + gaps.sum(), final + gaps[1], final)
         rows = np.column_stack([trend, rng.normal(size=(3, 2))])
+        # one (T, d) block per file: row t holds the metrics of release t
         items.append(
-            Hvsm(
-                key=f"f{i:03d}",
-                version_ids=("r1", "r2", "r3"),
-                sequence=tuple(MetricVector(values=r, schema=SCHEMA, loc=0) for r in rows),
-                label=1 if rising else 0,
-            )
+            Hvsm(key=f"f{i:03d}", version_ids=("r1", "r2", "r3"), values=rows, label=int(rising))
         )
-    return HvsmSet(anchor_version="r3", items=tuple(items), window=3)
+    return HvsmSet(anchor_version="r3", items=tuple(items), window=3, schema=SCHEMA)
 
 
 def main() -> None:
@@ -64,10 +59,10 @@ def main() -> None:
     short_item = Hvsm(
         key="short",
         version_ids=long_item.version_ids[1:],
-        sequence=long_item.sequence[1:],
+        values=long_item.values[1:],
         label=None,
     )
-    pair = HvsmSet(anchor_version="r3", items=(long_item, short_item), window=3)
+    pair = HvsmSet(anchor_version="r3", items=(long_item, short_item), window=3, schema=SCHEMA)
     for item, prob in zip(pair.items, predict_set(result.params, pair, normalizer)):
         print(f"  T={item.length}: p(defective) = {prob:.3f}")
 

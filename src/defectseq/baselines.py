@@ -1,27 +1,25 @@
-"""Single-version classifiers scoring the anchor version's metric vectors.
+"""Single-version classifiers scoring the anchor version's metric rows.
 
 Four natively implemented techniques: L2-regularized logistic regression,
 Gaussian naive Bayes, k-nearest neighbors on z-scored features, and a
 one-hidden-layer feedforward network reusing the recurrent classifier with
 every sequence cut to a single step.
 
-Every technique reads its rows from one :class:`Features` matrix.  A
-training matrix fits its z-scoring, z-scores itself and builds the
-network's one-step set on first use and keeps them, so all techniques and
-all repeats trained on it share one copy of each.  kNN finds its
-neighbours by an exact search that BLAS prunes first (see
-``_predict_knn``).
+Every technique reads its rows from one :class:`Features` matrix, rows
+gathered from a version's value matrix.  A training matrix fits its
+z-scoring, z-scores itself and builds the network's one-step set on first
+use and keeps them, so all techniques and all repeats trained on it share
+one copy of each.  kNN finds its neighbours by an exact search that BLAS
+prunes first (see ``_predict_knn``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import MetricVector
 from .history import Hvsm, HvsmSet, Normalizer, fit_normalizer_rows
 from .rnn import Hyperparams, _group_forward, descend, train
 
@@ -48,21 +46,6 @@ class Features:
     schema: tuple[str, ...]
     labels: np.ndarray | None = None
 
-    @classmethod
-    def from_vectors(
-        cls, vectors: Sequence[MetricVector], labels: Sequence[int] | None = None
-    ) -> Features:
-        """Stack ``vectors`` (one schema) into rows, with optional labels."""
-        schema = vectors[0].schema if vectors else ()
-        if any(vec.schema != schema for vec in vectors):
-            raise ValueError("vectors differ in schema")
-        values = np.vstack([vec.values for vec in vectors]) if vectors else np.empty((0, 0))
-        return cls(
-            values=values,
-            schema=schema,
-            labels=None if labels is None else np.asarray(labels, dtype=float),
-        )
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -80,16 +63,12 @@ class Features:
         """The z-scored rows as one-step sequences: the feedforward net is
         the recurrent one on these.  Features arrive pre-normalized, so the
         net trains on them raw."""
+        Z = self.normalized
         items = tuple(
-            Hvsm(
-                key=str(i),
-                version_ids=("0",),
-                sequence=(MetricVector(values=row, schema=self.schema, loc=0),),
-                label=int(label),
-            )
-            for i, (row, label) in enumerate(zip(self.normalized, self.labels))
+            Hvsm(key=str(i), version_ids=("0",), values=Z[i : i + 1], label=int(label))
+            for i, label in enumerate(self.labels)
         )
-        return HvsmSet(anchor_version="0", items=items, window=1)
+        return HvsmSet(anchor_version="0", items=items, window=1, schema=self.schema)
 
 
 @dataclass(eq=False)
@@ -167,11 +146,6 @@ def _train_gaussian_nb(Z: np.ndarray, y: np.ndarray) -> dict:
         out["means"][cls] = rows.mean(axis=0)
         out["vars"][cls] = np.maximum(rows.var(axis=0), VARIANCE_FLOOR)
     return out
-
-
-def predict_baseline(model: BaselineModel, x: MetricVector) -> float:
-    """Probability of the positive class for one metric vector."""
-    return float(predict_baseline_many(model, Features.from_vectors([x]))[0])
 
 
 def _predict_gaussian_nb(params: dict, Z: np.ndarray) -> np.ndarray:

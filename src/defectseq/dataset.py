@@ -1,10 +1,12 @@
 """Ingestion of per-version metrics tables and bug labels.
 
-A project is described by an ordered sequence of version snapshots.  Each
-snapshot maps a file key (directory path + file name, or a fully qualified
-class name in PROMISE-style data) to a numeric metric vector and a bug
-count.  Process metrics (lines added/deleted plus their running totals) can
-be appended to every vector from a companion table.
+A project is described by an ordered sequence of version snapshots.  A
+snapshot is one table in array form: its file keys (directory path + file
+name, or a fully qualified class name in PROMISE-style data) in table
+order, an ``(n, d)`` matrix of their metric values, and per-file bug counts
+and line counts; ``files`` maps each key to its row.  Process metrics (lines
+added/deleted plus their running totals) can be appended to every version's
+matrix as four columns from a companion table.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +31,9 @@ PROCESS_METRICS: tuple[str, ...] = ("add", "del", "cadd", "cdel")
 NAME_COLUMN = "name"
 BUG_COLUMN = "bug"
 
+# bug, line and change counts are held as int64
+_COUNT_LIMIT = 2**63
+
 
 class ParseError(ValueError):
     """Malformed input table; message names the offending row/column."""
@@ -43,63 +48,44 @@ def normalize_key(raw: str) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class MetricVector:
-    """One file's numeric metrics in one version.
+class VersionSnapshot:
+    """All files of one released version, one row per file.
 
-    ``loc`` duplicates the value of the "loc" schema entry (when present) as
-    an integer so effort-aware ranking does not have to re-find it.
+    Row i holds file ``keys[i]``: its metrics ``values[i]`` in ``schema``
+    order, its bug count ``bugs[i]`` and its line count ``loc[i]`` (the
+    rounded "loc" metric, or 0 when the schema has none).  ``files`` maps
+    each key to its row.
     """
 
-    values: np.ndarray
-    schema: tuple[str, ...]
-    loc: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.shape[0] != len(self.schema):
-            raise ValueError(
-                f"expected {len(self.schema)} values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("metric values must be finite")
-        if self.loc < 0:
-            raise ValueError("loc must be non-negative")
-
-
-def make_metric_vector(values: Sequence[float], schema: Sequence[str]) -> MetricVector:
-    """Build a MetricVector, deriving ``loc`` from the schema's loc entry."""
-    schema = tuple(schema)
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != len(schema):
-        raise ValueError(f"expected {len(schema)} values, got shape {arr.shape}")
-    loc = 0
-    for i, name in enumerate(schema):
-        if name.lower() == "loc":
-            loc = int(round(float(arr[i])))
-            break
-    return MetricVector(values=arr, schema=schema, loc=loc)
-
-
-@dataclass(frozen=True)
-class VersionSnapshot:
-    """All files of one released version with their bug counts."""
-
     version_id: str
-    files: dict[str, MetricVector]
-    labels: dict[str, int]
+    schema: tuple[str, ...]
+    keys: tuple[str, ...]
+    values: np.ndarray
+    bugs: np.ndarray
+    loc: np.ndarray
+    files: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        for key, count in self.labels.items():
-            if key not in self.files:
-                raise ValueError(f"label for unknown file {key!r}")
-            if count < 0:
-                raise ValueError(f"negative bug count for {key!r}")
+        n = len(self.keys)
+        object.__setattr__(self, "files", dict(zip(self.keys, range(n))))
+        if len(self.files) != n:
+            raise ValueError(f"duplicate file keys in version {self.version_id!r}")
+        if self.values.shape != (n, len(self.schema)):
+            raise ValueError(
+                f"expected values of shape {(n, len(self.schema))}, got {self.values.shape}"
+            )
+        if self.bugs.shape != (n,) or self.loc.shape != (n,):
+            raise ValueError("expected one bug count and one line count per file")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("metric values must be finite")
+        if np.any(self.bugs < 0) or np.any(self.loc < 0):
+            raise ValueError("bug and line counts must be non-negative")
 
 
 @dataclass(frozen=True)
 class ProjectHistory:
-    """Ordered version sequence of a project (ascending release order)."""
+    """Ordered version sequence of a project (ascending release order),
+    every version on one metric schema."""
 
     name: str
     versions: tuple[VersionSnapshot, ...]
@@ -109,6 +95,8 @@ class ProjectHistory:
         ids = [v.version_id for v in self.versions]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate version ids in {self.name!r}: {ids}")
+        if len({v.schema for v in self.versions}) > 1:
+            raise ValueError(f"versions of {self.name!r} differ in metric schema")
 
     @property
     def version_ids(self) -> list[str]:
@@ -146,11 +134,45 @@ def _parse_number(cell: str, row: int, column: str) -> float:
 def _parse_count(cell: str, row: int, column: str) -> int:
     value = _parse_number(cell, row, column)
     count = int(round(value))
-    if abs(value - count) > 1e-9 or count < 0:
+    if abs(value - count) > 1e-9 or not 0 <= count < _COUNT_LIMIT:
         raise ParseError(
             f"row {row}, column {column!r}: expected non-negative integer, got {value!r}"
         )
     return count
+
+
+def _parse_key(cell: str, row: int) -> str:
+    try:
+        return normalize_key(cell)
+    except ParseError as exc:
+        raise ParseError(f"row {row}: {exc}") from None
+
+
+def _read_table(
+    data: bytes | str, required: Sequence[str]
+) -> tuple[dict[str, int], Iterator[tuple[int, list[str]]]]:
+    """The header positions of the ``required`` columns, and the non-blank
+    rows as (row number, cells); a row whose cell count differs from the
+    header's raises ParseError."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ParseError("empty input: missing header row") from None
+    for column in required:
+        if column not in header:
+            raise ParseError(f"missing required column {column!r}")
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for row_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
+            yield row_no, row
+
+    return {column: header.index(column) for column in required}, rows()
 
 
 def parse_metrics_csv(
@@ -162,73 +184,52 @@ def parse_metrics_csv(
 
     The table must carry a header with a ``name`` column, every metric named
     in ``schema``, and an integer ``bug`` column; extra columns are ignored.
-    Rows with duplicate file keys, missing cells, or non-numeric metric
-    values are rejected.
+    Rows with duplicate or blank file keys, missing cells, non-numeric
+    metric values or a negative line count are rejected.  A file's line
+    count is its "loc" metric rounded to an integer.
     """
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header row") from None
-    header = [h.strip() for h in header]
-    positions: dict[str, int] = {}
-    for column in (NAME_COLUMN, BUG_COLUMN, *schema):
-        if column not in header:
-            raise ParseError(f"missing required column {column!r}")
-        positions[column] = header.index(column)
-
-    files: dict[str, MetricVector] = {}
-    labels: dict[str, int] = {}
     schema = tuple(schema)
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"row {row_no}: expected {len(header)} cells, got {len(row)}"
-            )
-        key = normalize_key(row[positions[NAME_COLUMN]])
-        if key in files:
+    positions, rows = _read_table(data, (NAME_COLUMN, BUG_COLUMN, *schema))
+    cells = [(positions[m], m) for m in schema]
+    loc_at = next((i for i, m in enumerate(schema) if m.lower() == "loc"), None)
+    seen: set[str] = set()
+    keys, values, bugs, locs = [], [], [], []
+    for row_no, row in rows:
+        key = _parse_key(row[positions[NAME_COLUMN]], row_no)
+        if key in seen:
             raise ParseError(f"row {row_no}: duplicate file key {key!r}")
-        values = [
-            _parse_number(row[positions[m]], row_no, m) for m in schema
-        ]
-        bug = _parse_count(row[positions[BUG_COLUMN]], row_no, BUG_COLUMN)
-        files[key] = make_metric_vector(values, schema)
-        labels[key] = bug
-    return VersionSnapshot(version_id=version_id, files=files, labels=labels)
+        seen.add(key)
+        keys.append(key)
+        metrics = [_parse_number(row[i], row_no, m) for i, m in cells]
+        values.append(metrics)
+        bugs.append(_parse_count(row[positions[BUG_COLUMN]], row_no, BUG_COLUMN))
+        if loc_at is not None:
+            loc = int(round(metrics[loc_at]))
+            if not 0 <= loc < _COUNT_LIMIT:
+                raise ParseError(
+                    f"row {row_no}, column {schema[loc_at]!r}: "
+                    f"expected a non-negative line count, got {metrics[loc_at]!r}"
+                )
+            locs.append(loc)
+    return VersionSnapshot(
+        version_id=version_id,
+        schema=schema,
+        keys=tuple(keys),
+        values=np.array(values, dtype=float).reshape(len(keys), len(schema)),
+        bugs=np.array(bugs, dtype=np.int64),
+        loc=np.array(locs, dtype=np.int64) if loc_at is not None else np.zeros(len(keys), np.int64),
+    )
 
 
 def parse_process_csv(data: bytes | str) -> dict[tuple[str, str], tuple[int, int]]:
     """Parse a companion change table with columns version,name,add,del."""
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ParseError("empty input: missing header row") from None
-    for column in ("version", "name", "add", "del"):
-        if column not in header:
-            raise ParseError(f"missing required column {column!r}")
-    i_version = header.index("version")
-    i_name = header.index("name")
-    i_add = header.index("add")
-    i_del = header.index("del")
+    positions, rows = _read_table(data, ("version", "name", "add", "del"))
     entries: dict[tuple[str, str], tuple[int, int]] = {}
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        version = row[i_version].strip()
-        key = normalize_key(row[i_name])
-        added = _parse_count(row[i_add], row_no, "add")
-        deleted = _parse_count(row[i_del], row_no, "del")
+    for row_no, row in rows:
+        version = row[positions["version"]].strip()
+        key = _parse_key(row[positions["name"]], row_no)
+        added = _parse_count(row[positions["add"]], row_no, "add")
+        deleted = _parse_count(row[positions["del"]], row_no, "del")
         if (version, key) in entries:
             raise ParseError(f"row {row_no}: duplicate entry for {version!r}/{key!r}")
         entries[(version, key)] = (added, deleted)
@@ -239,7 +240,7 @@ def attach_process_metrics(
     history: ProjectHistory,
     add_del: Mapping[tuple[str, str], tuple[int, int]],
 ) -> ProjectHistory:
-    """Extend every metric vector with [add, del, cadd, cdel].
+    """Append the columns [add, del, cadd, cdel] to every version's matrix.
 
     Per-version added/deleted line counts come from ``add_del``; files with
     no entry get 0/0 for that version.  The cumulative columns accumulate in
@@ -255,24 +256,19 @@ def attach_process_metrics(
             )
 
     cumulative: dict[str, tuple[int, int]] = {}
-    new_versions: list[VersionSnapshot] = []
+    versions = []
     for snap in history.versions:
-        new_files: dict[str, MetricVector] = {}
-        for key, vec in snap.files.items():
+        block = []
+        for key in snap.keys:
             added, deleted = add_del.get((snap.version_id, key), (0, 0))
             prev_add, prev_del = cumulative.get(key, (0, 0))
-            cadd, cdel = prev_add + added, prev_del + deleted
-            cumulative[key] = (cadd, cdel)
-            new_files[key] = MetricVector(
-                values=np.concatenate([vec.values, [added, deleted, cadd, cdel]]),
-                schema=vec.schema + PROCESS_METRICS,
-                loc=vec.loc,
-            )
-        new_versions.append(
-            VersionSnapshot(
-                version_id=snap.version_id,
-                files=new_files,
-                labels=dict(snap.labels),
+            cumulative[key] = (prev_add + added, prev_del + deleted)
+            block.append((added, deleted, *cumulative[key]))
+        versions.append(
+            replace(
+                snap,
+                schema=snap.schema + PROCESS_METRICS,
+                values=np.hstack([snap.values, np.array(block, dtype=float).reshape(-1, 4)]),
             )
         )
-    return ProjectHistory(name=history.name, versions=tuple(new_versions))
+    return ProjectHistory(name=history.name, versions=tuple(versions))

@@ -3,15 +3,17 @@
 For every project the driver anchors the training set at its second-to-last
 configured version and the test set at the last one (both overridable),
 trains the recurrent classifier on metric sequences and each baseline on
-the anchor version's plain vectors, repeats seeded runs for the techniques
-with randomness, and aggregates cost-effectiveness, recall-at-effort and
-ROC area into ranking tables (means, average ranks, Scott-Knott groups,
-Win/Tie/Loss counts).
+the anchor version's rows of its value matrix, repeats seeded runs for the
+techniques with randomness, and aggregates cost-effectiveness,
+recall-at-effort and ROC area into ranking tables (means, average ranks,
+Scott-Knott groups, Win/Tie/Loss counts).
 
 Within a project, everything that a repeat's seed does not change is built
-once: the stacked sequence sets, the baselines' feature matrices with their
-z-scoring, and the test files' evaluation columns with their optimal
-ordering.  These live only as long as the project's run.
+once: the stacked sequence sets, the baselines' feature matrices (gathered
+from the anchor versions' matrices) with their z-scoring, and the test
+files' evaluation columns (line and bug counts read off the test version's
+arrays) with their optimal ordering.  These live only as long as the
+project's run.
 
 Projects share nothing, so each runs in its own forked worker process,
 at most one per usable CPU; a single project or a single CPU runs inline.
@@ -368,17 +370,14 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
 
     test_snapshot = history.snapshot(spec.test_version)
     keys = [item.key for item in test_set.items]
-    locs = [item.sequence[-1].loc for item in test_set.items]
-    bug_counts = [int(test_snapshot.labels.get(key, 0)) for key in keys]
+    test_rows = [test_snapshot.files[key] for key in keys]
+    locs = test_snapshot.loc[test_rows].tolist()
+    bug_counts = test_snapshot.bugs[test_rows].tolist()
     n_defective = sum(1 for b in bug_counts if b > 0)
     if n_defective == 0:
         raise ValueError("all-clean test set: CE undefined")
     if n_defective == len(bug_counts):
         raise ValueError("all-defective test set: AUC undefined")
-
-    train_labels = [item.label for item in train_set.items]
-    if any(label is None for label in train_labels):
-        raise ValueError("training set has unlabeled files")
 
     project: dict = {
         "train_version": spec.train_version,
@@ -431,18 +430,19 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
         "scores_mean": {k: float(s) for k, s in zip(keys, score_sum / cfg.repeats)},
     }
 
-    # single-version baselines on the anchor versions; every kind and repeat
-    # shares the two feature matrices and what the training one derives
+    # single-version baselines on the anchor versions' rows; every kind and
+    # repeat shares the two feature matrices and what the training one derives
     train_snapshot = history.snapshot(spec.train_version)
-    train_keys = sorted(train_snapshot.files)
-    train_rows = bl.Features.from_vectors(
-        [train_snapshot.files[key] for key in train_keys],
-        [binarize_label(train_snapshot.labels.get(key, 0)) for key in train_keys],
+    train_rows = [train_snapshot.files[key] for key in sorted(train_snapshot.files)]
+    train_features = bl.Features(
+        values=train_snapshot.values[train_rows],
+        schema=train_snapshot.schema,
+        labels=(train_snapshot.bugs[train_rows] > 0).astype(float),
     )
-    test_rows = bl.Features.from_vectors([test_snapshot.files[key] for key in keys])
+    test_features = bl.Features(values=test_snapshot.values[test_rows], schema=test_snapshot.schema)
     for kind in cfg.baseline_kinds:
         try:
-            entry = _run_baseline(kind, train_rows, test_rows, frame, labels, cfg)
+            entry = _run_baseline(kind, train_features, test_features, frame, labels, cfg)
         except (ValueError, TrainingError) as exc:
             entry = {"error": str(exc)}
         project["techniques"][kind] = entry

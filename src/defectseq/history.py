@@ -1,13 +1,14 @@
 """Per-file version sequences and their extraction into training samples.
 
 For an anchor version v, every file present in v yields one sample: the
-file's metric vectors over its trailing run of consecutive versions ending
-at v, at most ``window`` versions long.  Files absent from v but seen
-earlier are dead and yield nothing.
+file's rows of the version matrices over its trailing run of consecutive
+versions ending at v, at most ``window`` versions long, as one ``(T, d)``
+block.  Files absent from v but seen earlier are dead and yield nothing.
 
-A set is immutable, so it stacks its samples into one ``(T, n, d)`` array
-per sequence length once, on first use (``HvsmSet.by_length``); training
-and prediction on the same set, in every repeat, read that one stack.
+A set is immutable and carries its samples' metric schema.  It stacks its
+samples into one ``(T, n, d)`` array per sequence length once, on first use
+(``HvsmSet.by_length``); training and prediction on the same set, in every
+repeat, read that one stack.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .dataset import MetricVector, ProjectHistory, binarize_label
+from .dataset import ProjectHistory
 
 
 class Lifecycle(enum.Enum):
@@ -34,46 +35,42 @@ class Hvsm:
     """One file's historical version sequence of metrics.
 
     ``version_ids`` are consecutive versions of the project ending at the
-    anchor; ``sequence`` holds the aligned metric vectors.  ``label`` is the
-    binarized bug label at the anchor, or None when unknown.
+    anchor; row t of the ``(T, d)`` block ``values`` holds the file's
+    metrics at ``version_ids[t]``.  ``label`` is the binarized bug label at
+    the anchor, or None when unknown.
     """
 
     key: str
     version_ids: tuple[str, ...]
-    sequence: tuple[MetricVector, ...]
+    values: np.ndarray
     label: int | None
 
     def __post_init__(self):
-        if len(self.version_ids) != len(self.sequence) or not self.sequence:
-            raise ValueError("sequence and version_ids must align and be non-empty")
-        schemas = {vec.schema for vec in self.sequence}
-        if len(schemas) != 1:
-            raise ValueError(f"mixed schemas in sequence for {self.key!r}")
+        T = len(self.version_ids)
+        if not T or self.values.ndim != 2 or len(self.values) != T:
+            raise ValueError("values must be a (T, d) block aligned with non-empty version_ids")
 
     @property
     def length(self) -> int:
-        return len(self.sequence)
-
-    @property
-    def schema(self) -> tuple[str, ...]:
-        return self.sequence[0].schema
+        return len(self.version_ids)
 
 
 @dataclass(frozen=True, eq=False)
 class HvsmSet:
-    """All samples extracted at one anchor version."""
+    """All samples extracted at one anchor version, on one metric schema."""
 
     anchor_version: str
     items: tuple[Hvsm, ...]
     window: int
+    schema: tuple[str, ...]
+
+    def __post_init__(self):
+        if any(item.values.shape[1] != len(self.schema) for item in self.items):
+            raise ValueError(f"every sample step needs one value per schema entry {self.schema}")
 
     @property
     def m(self) -> int:
         return len(self.items)
-
-    @property
-    def schema(self) -> tuple[str, ...]:
-        return self.items[0].schema if self.items else ()
 
     @cached_property
     def by_length(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -87,10 +84,7 @@ def _stack_by_length(items: tuple[Hvsm, ...]) -> list[tuple[np.ndarray, np.ndarr
     for i, item in enumerate(items):
         by_length.setdefault(item.length, []).append(i)
     return [
-        (
-            np.asarray(idx, dtype=np.intp),
-            np.stack([np.vstack([vec.values for vec in items[i].sequence]) for i in idx], axis=1),
-        )
+        (np.asarray(idx, dtype=np.intp), np.stack([items[i].values for i in idx], axis=1))
         for idx in (by_length[T] for T in sorted(by_length))
     ]
 
@@ -151,26 +145,26 @@ def extract_hvsm_set(
         window = anchor_idx + 1
     if window < 1:
         raise ValueError("window must be at least 1")
-    anchor = history.versions[anchor_idx]
+    versions = history.versions
+    anchor = versions[anchor_idx]
+    labels = (anchor.bugs > 0).astype(int).tolist()
     items: list[Hvsm] = []
     for key in sorted(anchor.files):
+        row = anchor.files[key]
+        rows = [anchor.values[row]]
         start = anchor_idx
-        while (
-            start > 0
-            and anchor_idx - start + 1 < window
-            and key in history.versions[start - 1].files
-        ):
+        while start > 0 and len(rows) < window and key in versions[start - 1].files:
             start -= 1
-        version_ids = tuple(
-            history.versions[i].version_id for i in range(start, anchor_idx + 1)
+            rows.append(versions[start].values[versions[start].files[key]])
+        items.append(
+            Hvsm(
+                key=key,
+                version_ids=tuple(snap.version_id for snap in versions[start : anchor_idx + 1]),
+                values=np.array(rows[::-1]),
+                label=labels[row],
+            )
         )
-        sequence = tuple(
-            history.versions[i].files[key] for i in range(start, anchor_idx + 1)
-        )
-        bug = anchor.labels.get(key)
-        label = binarize_label(bug) if bug is not None else None
-        items.append(Hvsm(key=key, version_ids=version_ids, sequence=sequence, label=label))
-    return HvsmSet(anchor_version=v, items=tuple(items), window=window)
+    return HvsmSet(anchor_version=v, items=tuple(items), window=window, schema=anchor.schema)
 
 
 def average_length(s: HvsmSet) -> float:
@@ -197,11 +191,10 @@ class Normalizer:
 
 
 def fit_normalizer(train: HvsmSet) -> Normalizer:
-    """Population mean/std over every vector of every training sequence."""
+    """Population mean/std over every step of every training sequence."""
     if not train.items:
         raise ValueError("cannot fit a normalizer on an empty set")
-    rows = np.vstack([vec.values for item in train.items for vec in item.sequence])
-    return fit_normalizer_rows(rows, train.schema)
+    return fit_normalizer_rows(np.vstack([item.values for item in train.items]), train.schema)
 
 
 def fit_normalizer_rows(rows: np.ndarray, schema: tuple[str, ...]) -> Normalizer:
@@ -215,24 +208,13 @@ def fit_normalizer_rows(rows: np.ndarray, schema: tuple[str, ...]) -> Normalizer
 
 
 def apply_normalizer(n: Normalizer, s: HvsmSet) -> HvsmSet:
-    """Z-score every vector of every sample; order, labels, lengths unchanged."""
-    if s.items and s.schema != n.schema:
+    """Z-score every step of every sample; order, labels, lengths unchanged."""
+    if s.schema != n.schema:
         raise ValueError("normalizer schema does not match the set's schema")
-    items = []
-    for item in s.items:
-        sequence = tuple(
-            MetricVector(values=n.transform(vec.values), schema=vec.schema, loc=vec.loc)
-            for vec in item.sequence
-        )
-        items.append(
-            Hvsm(
-                key=item.key,
-                version_ids=item.version_ids,
-                sequence=sequence,
-                label=item.label,
-            )
-        )
-    return HvsmSet(anchor_version=s.anchor_version, items=tuple(items), window=s.window)
+    items = tuple(
+        Hvsm(item.key, item.version_ids, n.transform(item.values), item.label) for item in s.items
+    )
+    return replace(s, items=items)
 
 
 def hvsm_set_to_csv(s: HvsmSet) -> str:
@@ -241,14 +223,14 @@ def hvsm_set_to_csv(s: HvsmSet) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["name", "version", "T", "step", *s.schema, "label"])
     for item in s.items:
-        for step, (version_id, vec) in enumerate(zip(item.version_ids, item.sequence), 1):
+        for step, (version_id, values) in enumerate(zip(item.version_ids, item.values), 1):
             writer.writerow(
                 [
                     item.key,
                     version_id,
                     item.length,
                     step,
-                    *map(repr, vec.values.tolist()),
+                    *map(repr, values.tolist()),
                     "" if item.label is None else item.label,
                 ]
             )

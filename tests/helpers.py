@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from defectseq.dataset import MetricVector, ProjectHistory, VersionSnapshot, make_metric_vector
+from defectseq.dataset import ProjectHistory, VersionSnapshot
 from defectseq.history import Hvsm, HvsmSet
 
 TOY_SCHEMA = ("loc", "x")
@@ -24,41 +24,51 @@ TOY_PRESENCE = {
 TOY_BUGS = {"fA": 2, "fB": 0, "fC": 1, "fD": 0}  # labels at v4
 
 
+def snapshot(version_id, schema, rows, bugs=None) -> VersionSnapshot:
+    """A version from ``{key: metric values}`` (and optional bug counts);
+    line counts are the rounded "loc" metric, as the parser reads them."""
+    keys = tuple(rows)
+    values = np.array([rows[key] for key in keys], dtype=float).reshape(len(keys), len(schema))
+    loc_at = schema.index("loc") if "loc" in schema else None
+    return VersionSnapshot(
+        version_id=version_id,
+        schema=tuple(schema),
+        keys=keys,
+        values=values,
+        bugs=np.array([(bugs or {}).get(key, 0) for key in keys], dtype=np.int64),
+        loc=np.rint(values[:, loc_at]).astype(np.int64) if loc_at is not None
+        else np.zeros(len(keys), np.int64),
+    )
+
+
 def toy_history() -> ProjectHistory:
     versions = []
     for i, vid in enumerate(("v1", "v2", "v3", "v4", "v5"), start=1):
-        files = {}
-        labels = {}
-        for key, present in TOY_PRESENCE.items():
-            if vid not in present:
-                continue
-            files[key] = make_metric_vector([10 * i, float(i)], TOY_SCHEMA)
-            labels[key] = TOY_BUGS.get(key, 0) if vid == "v4" else 0
-        versions.append(VersionSnapshot(version_id=vid, files=files, labels=labels))
+        rows = {key: [10 * i, float(i)] for key, present in TOY_PRESENCE.items() if vid in present}
+        versions.append(snapshot(vid, TOY_SCHEMA, rows, TOY_BUGS if vid == "v4" else None))
     return ProjectHistory(name="toy", versions=tuple(versions))
 
 
-def hvsm_from_rows(rows: np.ndarray, label: int | None, schema=None, key="f") -> Hvsm:
+def hvsm_from_rows(rows: np.ndarray, label: int | None, key="f") -> Hvsm:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if schema is None:
-        schema = tuple(f"m{i}" for i in range(rows.shape[1]))
     return Hvsm(
         key=key,
         version_ids=tuple(f"v{i}" for i in range(rows.shape[0])),
-        sequence=tuple(
-            MetricVector(values=row, schema=tuple(schema), loc=0) for row in rows
-        ),
+        values=rows,
         label=label,
     )
 
 
-def hvsm_set(samples, anchor="v", window=None) -> HvsmSet:
-    """samples: iterable of (rows, label) pairs."""
+def hvsm_set(samples, anchor="v", window=None, schema=None) -> HvsmSet:
+    """samples: iterable of (rows, label) pairs; the schema defaults to
+    m0, m1, ..., one name per column."""
     items = tuple(
         hvsm_from_rows(rows, label, key=f"f{i:04d}") for i, (rows, label) in enumerate(samples)
     )
     max_t = max(item.length for item in items)
-    return HvsmSet(anchor_version=anchor, items=items, window=window or max_t)
+    if schema is None:
+        schema = tuple(f"m{i}" for i in range(items[0].values.shape[1]))
+    return HvsmSet(anchor_version=anchor, items=items, window=window or max_t, schema=schema)
 
 
 def write_trend_project(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from defectseq.baselines import LOGISTIC_REGRESSION, Features, predict_baseline_many, train_baseline
-from defectseq.dataset import PROMISE_CODE_METRICS, make_metric_vector
+from defectseq.dataset import PROMISE_CODE_METRICS
 from defectseq.effort import CE_CUTOFFS, auc, ce_pi
 from defectseq.experiment import (
     ExperimentConfig,
@@ -148,13 +148,14 @@ def test_criterion_5_sequence_information_learnability():
         rnn_auc = float(np.mean(aucs))
 
         schema = train_set.schema
-        features = Features.from_vectors(
-            [make_metric_vector(rows[-1], schema) for rows, _ in train_samples],
-            [label for _, label in train_samples],
+        features = Features(
+            values=np.array([rows[-1] for rows, _ in train_samples]),
+            schema=schema,
+            labels=np.array([label for _, label in train_samples], dtype=float),
         )
         lr = train_baseline(LOGISTIC_REGRESSION, features, Hyperparams(seed=0))
-        test_rows = [make_metric_vector(rows[-1], schema) for rows, _ in test_samples]
-        lr_scores = predict_baseline_many(lr, Features.from_vectors(test_rows))
+        test_rows = Features(values=np.array([rows[-1] for rows, _ in test_samples]), schema=schema)
+        lr_scores = predict_baseline_many(lr, test_rows)
         lr_auc = auc(list(zip(lr_scores, test_labels)))
 
         print(f"    sequence-model mean AUC {rnn_auc:.3f}, single-version LR AUC {lr_auc:.3f}")

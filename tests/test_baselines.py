@@ -13,26 +13,29 @@ from defectseq.baselines import (
     KNN,
     LOGISTIC_REGRESSION,
     Features,
-    predict_baseline,
     predict_baseline_many,
     train_baseline,
 )
-from defectseq.dataset import make_metric_vector
 from defectseq.rnn import Hyperparams, TrainingError
 
 SCHEMA = ("m0", "m1")
 
 
-def vec(*values, schema=SCHEMA):
-    return make_metric_vector(list(values), schema)
-
-
 def labeled(points, labels, schema=SCHEMA):
-    return Features.from_vectors([vec(*p, schema=schema) for p in points], labels)
+    return Features(
+        values=np.asarray(points, dtype=float).reshape(-1, len(schema)),
+        schema=schema,
+        labels=np.asarray(labels, dtype=float),
+    )
 
 
-def rows(queries):
-    return Features.from_vectors(list(queries))
+def rows(queries, schema=SCHEMA):
+    return Features(values=np.asarray(queries, dtype=float).reshape(-1, len(schema)), schema=schema)
+
+
+def score(model, *values, schema=SCHEMA):
+    """Positive-class probability of the one row ``values``."""
+    return float(predict_baseline_many(model, rows([values], schema))[0])
 
 
 @pytest.fixture
@@ -55,8 +58,8 @@ class TestLogisticRegression:
         model = train_baseline(
             LOGISTIC_REGRESSION, labeled([[0.0], [1.0]], [0, 1], schema=("m",)), h
         )
-        p0 = predict_baseline(model, vec(0.0, schema=("m",)))
-        p1 = predict_baseline(model, vec(1.0, schema=("m",)))
+        p0 = score(model, 0.0, schema=("m",))
+        p1 = score(model, 1.0, schema=("m",))
         assert p1 > p0
 
     def test_single_class_rejected(self, h):
@@ -67,12 +70,12 @@ class TestLogisticRegression:
         model = train_baseline(LOGISTIC_REGRESSION, separable, h)
         rng = np.random.default_rng(1)
         queries = rng.normal(size=(10, 2))
-        base = [predict_baseline(model, vec(*q)) for q in queries]
+        base = [score(model, *q) for q in queries]
 
         scaled = replace(separable, values=separable.values * [50, 0.02])
         model_scaled = train_baseline(LOGISTIC_REGRESSION, scaled, h)
         rescored = [
-            predict_baseline(model_scaled, vec(q[0] * 50, q[1] * 0.02)) for q in queries
+            score(model_scaled, q[0] * 50, q[1] * 0.02) for q in queries
         ]
         assert np.argsort(base).tolist() == np.argsort(rescored).tolist()
 
@@ -87,12 +90,12 @@ class TestGaussianNb:
     def test_symmetric_classes_give_half_at_origin(self, h):
         data = labeled([[1.0], [2.0], [-1.0], [-2.0]], [1, 1, 0, 0], schema=("m",))
         model = train_baseline(GAUSSIAN_NB, data, h)
-        assert predict_baseline(model, vec(0.0, schema=("m",))) == pytest.approx(0.5, abs=1e-9)
+        assert score(model, 0.0, schema=("m",)) == pytest.approx(0.5, abs=1e-9)
 
     def test_deep_in_class_region(self, h, separable):
         model = train_baseline(GAUSSIAN_NB, separable, h)
-        assert predict_baseline(model, vec(3.0, 3.0)) > 0.5
-        assert predict_baseline(model, vec(-3.0, -3.0)) < 0.5
+        assert score(model, 3.0, 3.0) > 0.5
+        assert score(model, -3.0, -3.0) < 0.5
 
     def test_posteriors_sum_to_one(self, h, separable):
         # the class-0 posterior equals the flipped-label model's class-1
@@ -101,8 +104,8 @@ class TestGaussianNb:
         flipped = train_baseline(GAUSSIAN_NB, replace(separable, labels=1 - separable.labels), h)
         rng = np.random.default_rng(2)
         for q in rng.normal(size=(20, 2)) * 3:
-            p1 = predict_baseline(model, vec(*q))
-            p0 = predict_baseline(flipped, vec(*q))
+            p1 = score(model, *q)
+            p0 = score(flipped, *q)
             assert 0.0 <= p1 <= 1.0
             assert p1 + p0 == pytest.approx(1.0, abs=1e-12)
 
@@ -115,20 +118,20 @@ class TestKnn:
     def test_exact_training_point_k1(self, h):
         data = labeled([[0.0, 0.0], [5.0, 5.0]], [0, 1])
         model = train_baseline(KNN, data, h, k=1)
-        assert predict_baseline(model, vec(0.0, 0.0)) == 0.0
-        assert predict_baseline(model, vec(5.0, 5.0)) == 1.0
+        assert score(model, 0.0, 0.0) == 0.0
+        assert score(model, 5.0, 5.0) == 1.0
 
     def test_vote_fraction(self, h):
         data = labeled([[0.0], [0.1], [0.2], [9.0]], [1, 1, 0, 0], schema=("m",))
         model = train_baseline(KNN, data, h, k=3)
-        assert predict_baseline(model, vec(0.05, schema=("m",))) == pytest.approx(2 / 3)
+        assert score(model, 0.05, schema=("m",)) == pytest.approx(2 / 3)
 
     def test_distance_ties_broken_by_training_order(self, h):
         # equidistant neighbors: the earlier training rows win the vote
         data = labeled([[1.0], [-1.0], [1.0]], [1, 0, 0], schema=("m",))
         model = train_baseline(KNN, data, h, k=2)
         # distances from 0: all equal after z-scoring; stable order keeps rows 0,1
-        assert predict_baseline(model, vec(0.0, schema=("m",))) == pytest.approx(0.5)
+        assert score(model, 0.0, schema=("m",)) == pytest.approx(0.5)
 
     def test_k_exceeding_training_size_rejected(self, h):
         with pytest.raises(ValueError):
@@ -160,7 +163,7 @@ class TestBatchedPrediction:
 
     @staticmethod
     def per_row(model, queries, row_formula):
-        Z = model.normalizer.transform(np.vstack([q.values for q in queries]))
+        Z = model.normalizer.transform(np.asarray(queries, dtype=float))
         return np.asarray([row_formula(model.params, z) for z in Z])
 
     def test_nb_matches_row_formula(self, h):
@@ -168,9 +171,10 @@ class TestBatchedPrediction:
         schema = tuple(f"m{i}" for i in range(20))
         data = labeled(rng.normal(size=(60, 20)), rng.integers(0, 2, size=60), schema=schema)
         model = train_baseline(GAUSSIAN_NB, data, h)
-        queries = [vec(*q, schema=schema) for q in rng.normal(size=(40, 20)) * 3]
+        queries = rng.normal(size=(40, 20)) * 3
         np.testing.assert_array_equal(
-            predict_baseline_many(model, rows(queries)), self.per_row(model, queries, nb_row)
+            predict_baseline_many(model, rows(queries, schema)),
+            self.per_row(model, queries, nb_row),
         )
 
     @pytest.mark.parametrize("block_elements", [1, 3 * 24 * 2, 1 << 16])
@@ -182,7 +186,7 @@ class TestBatchedPrediction:
         points = grid + grid
         labels = [1] * len(grid) + [0] * len(grid)
         model = train_baseline(KNN, labeled(points, labels), h, k=3)
-        queries = [vec(*q) for q in grid[:11]]  # 11 rows: the last block is short
+        queries = grid[:11]  # 11 rows: the last block is short
         monkeypatch.setattr(baselines, "KNN_BLOCK_ELEMENTS", block_elements)
         got = predict_baseline_many(model, rows(queries))
         np.testing.assert_array_equal(got, self.per_row(model, queries, knn_row))
@@ -194,7 +198,7 @@ class TestBatchedPrediction:
         rng = np.random.default_rng(6)
         points = np.round(rng.normal(size=(300, 2)), 1)  # coarse grid: ties
         model = train_baseline(KNN, labeled(points, rng.integers(0, 2, size=300)), h, k=5)
-        queries = [vec(*q) for q in np.round(rng.normal(size=(250, 2)), 1)]
+        queries = np.round(rng.normal(size=(250, 2)), 1)
         assert model.params["points"].size * 250 > baselines.KNN_BLOCK_ELEMENTS
         np.testing.assert_array_equal(
             predict_baseline_many(model, rows(queries)), self.per_row(model, queries, knn_row)
@@ -286,12 +290,12 @@ class TestFeedforward:
         h = Hyperparams(hidden_size=3, eta=0.0, init_scale=0.0, iterations=1, seed=0)
         data = labeled([[0.0, 1.0], [1.0, 0.0]], [0, 1])
         model = train_baseline(FEEDFORWARD_NN, data, h)
-        assert predict_baseline(model, vec(7.0, -3.0)) == 0.5
+        assert score(model, 7.0, -3.0) == 0.5
 
     def test_learns_separable(self, h, separable):
         model = train_baseline(FEEDFORWARD_NN, separable, h)
-        assert predict_baseline(model, vec(2.5, 2.5)) > 0.5
-        assert predict_baseline(model, vec(-2.5, -2.5)) < 0.5
+        assert score(model, 2.5, 2.5) > 0.5
+        assert score(model, -2.5, -2.5) < 0.5
 
     def test_seed_changes_model(self, separable):
         h1 = Hyperparams(hidden_size=4, iterations=5, seed=1)
@@ -306,7 +310,7 @@ class TestFeedforward:
         for q in np.random.default_rng(6).normal(size=(5, 2)):
             z = n.transform(q)
             expected = 1.0 / (1.0 + np.exp(-(float(p.V[0] @ np.tanh(p.U @ z + p.b)) + p.c)))
-            assert predict_baseline(model, vec(*q)) == pytest.approx(expected, rel=1e-12)
+            assert score(model, *q) == pytest.approx(expected, rel=1e-12)
 
 
 class TestCommon:
@@ -317,27 +321,27 @@ class TestCommon:
         a = train_baseline(kind, separable, h)
         b = train_baseline(kind, separable, h)
         for q in queries:
-            assert predict_baseline(a, vec(*q)) == predict_baseline(b, vec(*q))
+            assert score(a, *q) == score(b, *q)
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_probability_in_unit_interval(self, kind, h, separable):
         model = train_baseline(kind, separable, h)
         rng = np.random.default_rng(4)
-        probs = predict_baseline_many(model, rows(vec(*q) for q in rng.normal(size=(20, 2)) * 4))
+        probs = predict_baseline_many(model, rows(rng.normal(size=(20, 2)) * 4))
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_schema_mismatch_rejected(self, kind, h, separable):
         model = train_baseline(kind, separable, h)
         with pytest.raises(ValueError):
-            predict_baseline(model, vec(1.0, schema=("other",)))
+            score(model, 1.0, schema=("other",))
 
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     def test_many_matches_one_at_a_time(self, kind, h, separable):
         model = train_baseline(kind, separable, h)
-        queries = [vec(*q) for q in np.random.default_rng(5).normal(size=(7, 2)) * 2]
+        queries = np.random.default_rng(5).normal(size=(7, 2)) * 2
         probs = predict_baseline_many(model, rows(queries))
-        singles = [predict_baseline(model, q) for q in queries]
+        singles = [score(model, *q) for q in queries]
         np.testing.assert_allclose(probs, singles, rtol=1e-12, atol=0)
         assert predict_baseline_many(model, rows([])).shape == (0,)
 

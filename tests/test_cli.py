@@ -85,6 +85,22 @@ class TestRun:
         assert main(["run", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("u2,f0000", "row 2: expected 4 cells, got 2"), ("u2, ,3,1", "row 2: empty file key")],
+        ids=["short-row", "blank-key"],
+    )
+    def test_bad_change_table_row_is_one_line(self, tmp_path, capsys, row, message):
+        config = write_config(tmp_path)
+        (tmp_path / "change.csv").write_text(f"version,name,add,del\n{row}\n", encoding="utf-8")
+        text = config.read_text().replace(
+            "metrics: trend-u2.csv}", "metrics: trend-u2.csv, process: change.csv}"
+        )
+        config.write_text(text + "\nmetrics: code+process\n", encoding="utf-8")
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"warning: trend: {message}\nerror: no project completed\n"
+
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
         assert "error" in capsys.readouterr().err

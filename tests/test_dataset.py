@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from defectseq.dataset import (
     ParseError,
+    VersionSnapshot,
     attach_process_metrics,
     binarize_label,
-    make_metric_vector,
     normalize_key,
     parse_metrics_csv,
     parse_process_csv,
@@ -21,18 +21,29 @@ def make_csv(rows, header="name,wmc,loc,bug"):
     return "\n".join([header, *rows]) + "\n"
 
 
+def row_of(snap, key):
+    """Metric values of file ``key``."""
+    return snap.values[snap.files[key]].tolist()
+
+
+def by_key(snap, column):
+    """``{key: value}`` of one per-file array: bugs or loc."""
+    return {key: int(getattr(snap, column)[row]) for key, row in snap.files.items()}
+
+
 class TestParseMetricsCsv:
     def test_single_row(self):
         snap = parse_metrics_csv(make_csv(["a/B.java,3,120,3"]), SCHEMA, "1.0")
         assert len(snap.files) == 1
-        vec = snap.files["a/B.java"]
-        assert vec.values.tolist() == [3.0, 120.0]
-        assert vec.loc == 120
-        assert snap.labels["a/B.java"] == 3
+        assert snap.keys == ("a/B.java",) and snap.schema == SCHEMA
+        assert row_of(snap, "a/B.java") == [3.0, 120.0]
+        assert snap.loc.tolist() == [120]
+        assert snap.bugs.tolist() == [3]
 
     def test_header_only(self):
         snap = parse_metrics_csv(make_csv([]), SCHEMA)
-        assert snap.files == {} and snap.labels == {}
+        assert snap.files == {} and snap.keys == ()
+        assert snap.values.shape == (0, 2) and snap.bugs.shape == snap.loc.shape == (0,)
 
     def test_nan_cell_rejected(self):
         with pytest.raises(ParseError, match="wmc"):
@@ -53,7 +64,7 @@ class TestParseMetricsCsv:
     def test_extra_columns_ignored(self):
         text = "version,name,wmc,loc,bug,notes\n1.0,a,1,10,0,hello\n"
         snap = parse_metrics_csv(text, SCHEMA)
-        assert snap.files["a"].values.tolist() == [1.0, 10.0]
+        assert row_of(snap, "a") == [1.0, 10.0]
 
     def test_negative_bug_rejected(self):
         with pytest.raises(ParseError, match="bug"):
@@ -61,18 +72,93 @@ class TestParseMetricsCsv:
 
     def test_bytes_accepted(self):
         snap = parse_metrics_csv(make_csv(["a,1,10,2"]).encode(), SCHEMA)
-        assert snap.labels["a"] == 2
+        assert by_key(snap, "bugs") == {"a": 2}
 
     def test_round_trip_preserves_multiset(self):
         text = make_csv(["c,0,1,7", "a,1,10,2", "b,2.5,20,0", "d,0.1,1e-3,1"])
         snap = parse_metrics_csv(text, SCHEMA, "1.0")
-        assert {k: v.values.tolist() for k, v in snap.files.items()} == {
+        assert {k: row_of(snap, k) for k in snap.files} == {
             "a": [1.0, 10.0],
             "b": [2.5, 20.0],
             "c": [0.0, 1.0],
             "d": [0.1, 0.001],
         }
-        assert snap.labels == {"a": 2, "b": 0, "c": 7, "d": 1}
+        assert by_key(snap, "bugs") == {"a": 2, "b": 0, "c": 7, "d": 1}
+
+    @pytest.mark.parametrize("cell", ["", "   "])
+    def test_blank_key_names_row(self, cell):
+        with pytest.raises(ParseError, match=r"^row 3: empty file key$"):
+            parse_metrics_csv(make_csv(["a,1,10,0", f"{cell},2,20,0"]), SCHEMA)
+
+    @pytest.mark.parametrize("loc", ["-1", "-0.6"])
+    def test_negative_loc_names_row_and_column(self, loc):
+        expected = r"^row 2, column 'loc': expected a non-negative line count"
+        with pytest.raises(ParseError, match=expected):
+            parse_metrics_csv(make_csv([f"a,1,{loc},0"]), SCHEMA)
+
+    def test_loc_rounding_to_zero_accepted(self):
+        # the line count is the rounded cell, so -0.4 counts as 0 lines
+        assert parse_metrics_csv(make_csv(["a,1,-0.4,0"]), SCHEMA).loc.tolist() == [0]
+
+    @pytest.mark.parametrize("row", ["a,1,10", "a,1,10,0,9"])
+    def test_short_or_long_row_rejected(self, row):
+        with pytest.raises(ParseError, match=r"^row 2: expected 4 cells, got [35]$"):
+            parse_metrics_csv(make_csv([row]), SCHEMA)
+
+    def test_count_beyond_int64_rejected(self):
+        with pytest.raises(ParseError, match="row 2, column 'loc'"):
+            parse_metrics_csv(make_csv(["a,1,1e19,0"]), SCHEMA)
+        with pytest.raises(ParseError, match="row 2, column 'bug'"):
+            parse_metrics_csv(make_csv(["a,1,10,1e19"]), SCHEMA)
+
+
+# a cell as a table writer might emit it, with the value it must parse to
+NUMBER_CELLS = st.one_of(
+    st.integers(-10**6, 10**6).map(lambda n: str(n)),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(lambda n: f"{n}.5"),
+)
+LOC_CELLS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(0, 10**6).map(lambda n: f"{n}.5"),
+    st.floats(0, 1e6, allow_nan=False, allow_infinity=False).map(repr),
+)
+COUNT_CELLS = st.integers(0, 50).flatmap(lambda n: st.sampled_from([str(n), f"{n}.0"]))
+KEY_CELLS = st.tuples(
+    st.sampled_from(["", " ", "  "]),
+    st.text("abcXYZ/._$0123", min_size=1, max_size=8),
+    st.sampled_from(["", " ", "\t"]),
+)
+
+
+class TestParseOracle:
+    """The parsed arrays equal a cell-by-cell reading of the table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        with_loc=st.booleans(),
+        rows=st.lists(
+            st.tuples(KEY_CELLS, NUMBER_CELLS, LOC_CELLS, COUNT_CELLS),
+            max_size=8,
+            unique_by=lambda r: r[0][1],
+        ),
+    )
+    def test_arrays_match_per_cell_oracle(self, with_loc, rows):
+        schema = ("wmc", "loc") if with_loc else ("wmc",)
+        header = "name,wmc,loc,bug" if with_loc else "name,wmc,bug"
+        lines = []
+        for (pre, key, post), wmc, loc, bug in rows:
+            cells = [f"{pre}{key}{post}", wmc, *([loc] if with_loc else []), bug]
+            lines.append(",".join(cells))
+        snap = parse_metrics_csv(make_csv(lines, header), schema)
+        assert snap.keys == tuple(key for (_, key, _), *_ in rows)
+        expected = [[float(wmc), *([float(loc)] if with_loc else [])] for _, wmc, loc, _ in rows]
+        assert snap.values.tolist() == expected
+        assert snap.values.shape == (len(rows), len(schema))
+        assert snap.bugs.tolist() == [int(float(bug)) for *_, bug in rows]
+        locs = [int(round(float(loc))) if with_loc else 0 for _, _, loc, _ in rows]
+        assert snap.loc.tolist() == locs
+        assert snap.bugs.dtype == snap.loc.dtype == np.int64
 
 
 class TestNormalizeKey:
@@ -99,22 +185,40 @@ class TestBinarizeLabel:
             binarize_label(-1)
 
 
-class TestMetricVector:
+def version(values, schema=SCHEMA, loc=(0,), bugs=(0,), keys=("a",)):
+    return VersionSnapshot(
+        version_id="1",
+        schema=schema,
+        keys=keys,
+        values=np.asarray(values, dtype=float),
+        bugs=np.asarray(bugs, dtype=np.int64),
+        loc=np.asarray(loc, dtype=np.int64),
+    )
+
+
+class TestSnapshotRows:
+    """A version's metric rows: shape, finiteness and line counts."""
+
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            make_metric_vector([1.0], SCHEMA)
+        with pytest.raises(ValueError, match="shape"):
+            version([[1.0]])
+        with pytest.raises(ValueError, match="shape"):
+            version([1.0, 2.0])
 
     def test_loc_derived_from_schema(self):
-        vec = make_metric_vector([5, 42], SCHEMA)
-        assert vec.loc == 42
+        snap = parse_metrics_csv("name,wmc,loc,bug\na,5,42.4,0\nb,5,42.5,0\nc,5,43.5,0\n", SCHEMA)
+        assert snap.loc.tolist() == [42, 42, 44]  # Python's round: half to even
+        assert version([[5.0, 42.0]], loc=[42]).loc.tolist() == [42]
+        with pytest.raises(ValueError, match="non-negative"):
+            version([[5.0, 42.0]], loc=[-1])
 
     def test_no_loc_column_defaults_zero(self):
-        vec = make_metric_vector([5.0], ("wmc",))
-        assert vec.loc == 0
+        snap = parse_metrics_csv("name,wmc,loc,bug\na,5,42,0\n", ("wmc",))
+        assert snap.loc.tolist() == [0]
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            make_metric_vector([np.inf, 1], SCHEMA)
+        with pytest.raises(ValueError, match="finite"):
+            version([[np.inf, 1.0]])
 
 
 class TestAttachProcessMetrics:
@@ -126,7 +230,7 @@ class TestAttachProcessMetrics:
             ("v3", "fA"): (0, 1),
         }
         out = attach_process_metrics(history, add_del)
-        rows = [out.snapshot(v).files["fA"].values[-4:].tolist() for v in ("v1", "v2", "v3")]
+        rows = [row_of(out.snapshot(v), "fA")[-4:] for v in ("v1", "v2", "v3")]
         assert rows == [
             [10, 2, 10, 2],
             [5, 0, 15, 2],
@@ -135,11 +239,11 @@ class TestAttachProcessMetrics:
 
     def test_newborn_base_case(self):
         out = attach_process_metrics(toy_history(), {("v4", "fD"): (100, 0)})
-        assert out.snapshot("v4").files["fD"].values[-4:].tolist() == [100, 0, 100, 0]
+        assert row_of(out.snapshot("v4"), "fD")[-4:] == [100, 0, 100, 0]
 
     def test_missing_entries_default_zero(self):
         out = attach_process_metrics(toy_history(), {})
-        assert out.snapshot("v1").files["fA"].values[-4:].tolist() == [0, 0, 0, 0]
+        assert row_of(out.snapshot("v1"), "fA")[-4:] == [0, 0, 0, 0]
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
@@ -151,7 +255,14 @@ class TestAttachProcessMetrics:
 
     def test_schema_extended(self):
         out = attach_process_metrics(toy_history(), {})
-        assert out.snapshot("v1").files["fA"].schema[-4:] == ("add", "del", "cadd", "cdel")
+        history = toy_history()
+        for before, after in zip(history.versions, out.versions):
+            assert after.schema == before.schema + ("add", "del", "cadd", "cdel")
+            assert after.values.shape == (len(before.keys), len(before.schema) + 4)
+            np.testing.assert_array_equal(after.values[:, :-4], before.values)
+            assert after.keys == before.keys
+            assert after.bugs.tolist() == before.bugs.tolist()
+            assert after.loc.tolist() == before.loc.tolist()
 
     def test_cumulative_monotone(self):
         rng = np.random.default_rng(0)
@@ -168,8 +279,8 @@ class TestAttachProcessMetrics:
             cadds, cdels = [], []
             for snap in out.versions:
                 if key in snap.files:
-                    cadds.append(snap.files[key].values[-2])
-                    cdels.append(snap.files[key].values[-1])
+                    cadds.append(row_of(snap, key)[-2])
+                    cdels.append(row_of(snap, key)[-1])
             assert cadds == sorted(cadds)
             assert cdels == sorted(cdels)
 
@@ -191,3 +302,12 @@ class TestParseProcessCsv:
 
     def test_integral_float_accepted(self):
         assert parse_process_csv("version,name,add,del\n1.0,a,3.0,1\n") == {("1.0", "a"): (3, 1)}
+
+    @pytest.mark.parametrize("row, got", [("1.0,a", 2), ("1.0,a,3,1,9", 5)])
+    def test_short_or_long_row_rejected(self, row, got):
+        with pytest.raises(ParseError, match=rf"^row 2: expected 4 cells, got {got}$"):
+            parse_process_csv("version,name,add,del\n" + row + "\n")
+
+    def test_blank_key_names_row(self):
+        with pytest.raises(ParseError, match=r"^row 3: empty file key$"):
+            parse_process_csv("version,name,add,del\n1.0,a,3,1\n1.0, ,3,1\n")

@@ -416,14 +416,17 @@ class TestBuiltOncePerProject:
     def test_sets_stacked_and_features_built_once(self, tmp_path, monkeypatch, repeats):
         stacked, feature_rows, normalizers = [], [], []
         real_stack = history._stack_by_length
-        real_rows = bl.Features.from_vectors
+        real_init = bl.Features.__init__
         real_fit = bl.fit_normalizer_rows
+
+        def counting_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            feature_rows.append(len(self))
+
         monkeypatch.setattr(
             history, "_stack_by_length", lambda items: stacked.append(len(items)) or real_stack(items)
         )
-        monkeypatch.setattr(
-            bl.Features, "from_vectors", lambda *a: feature_rows.append(len(a[0])) or real_rows(*a)
-        )
+        monkeypatch.setattr(bl.Features, "__init__", counting_init)
         monkeypatch.setattr(
             bl, "fit_normalizer_rows", lambda *a: normalizers.append(1) or real_fit(*a)
         )

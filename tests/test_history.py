@@ -14,7 +14,7 @@ from defectseq.history import (
     lifecycle_counts,
 )
 
-from helpers import hvsm_from_rows, hvsm_set, toy_history
+from helpers import hvsm_from_rows, hvsm_set, snapshot, toy_history
 
 
 @pytest.fixture(scope="module")
@@ -77,23 +77,21 @@ class TestExtractHvsmSet:
         s = extract_hvsm_set(history, "v4", window=4)
         item = {i.key: i for i in s.items}["fD"]
         assert item.length == 1
-        np.testing.assert_array_equal(
-            item.sequence[0].values, history.snapshot("v4").files["fD"].values
-        )
+        v4 = history.snapshot("v4")
+        np.testing.assert_array_equal(item.values, v4.values[[v4.files["fD"]]])
 
     def test_value_count_is_metrics_times_length(self):
         # ten metrics over three steps carry thirty values
         rows = np.arange(30, dtype=float).reshape(3, 10)
         item = hvsm_from_rows(rows, label=1)
-        assert sum(vec.values.size for vec in item.sequence) == 30
+        assert item.values.shape == (3, 10) and item.values.size == 30
 
     def test_window_one_degenerates_to_single_version(self, history):
         s = extract_hvsm_set(history, "v4", window=1)
         assert {item.length for item in s.items} == {1}
+        v4 = history.snapshot("v4")
         for item in s.items:
-            np.testing.assert_array_equal(
-                item.sequence[0].values, history.snapshot("v4").files[item.key].values
-            )
+            np.testing.assert_array_equal(item.values[0], v4.values[v4.files[item.key]])
 
     def test_default_window_spans_full_history(self, history):
         s = extract_hvsm_set(history, "v4")
@@ -101,11 +99,10 @@ class TestExtractHvsmSet:
         assert {i.key: i.length for i in s.items}["fA"] == 4
 
     def test_gap_truncates_to_consecutive_suffix(self):
-        from defectseq.dataset import ProjectHistory, VersionSnapshot, make_metric_vector
+        from defectseq.dataset import ProjectHistory
 
         def snap(vid, keys):
-            files = {k: make_metric_vector([1.0, 1.0], ("loc", "x")) for k in keys}
-            return VersionSnapshot(version_id=vid, files=files, labels={k: 0 for k in keys})
+            return snapshot(vid, ("loc", "x"), {k: [1.0, 1.0] for k in keys})
 
         gapped = ProjectHistory(
             name="gap",
@@ -131,8 +128,7 @@ class TestExtractHvsmSet:
         assert [i.key for i in a.items] == [i.key for i in b.items]
         for x, y in zip(a.items, b.items):
             assert x.version_ids == y.version_ids
-            for vx, vy in zip(x.sequence, y.sequence):
-                np.testing.assert_array_equal(vx.values, vy.values)
+            np.testing.assert_array_equal(x.values, y.values)
 
     def test_unknown_version_rejected(self, history):
         with pytest.raises(KeyError):
@@ -166,7 +162,7 @@ class TestNormalizer:
         object.__setattr__(n, "mean", np.zeros(2))
         object.__setattr__(n, "std", np.ones(2))
         out = apply_normalizer(n, s)
-        np.testing.assert_array_equal(out.items[0].sequence[0].values, [1.0, -2.0])
+        np.testing.assert_array_equal(out.items[0].values, [[1.0, -2.0], [3.0, 0.5]])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -175,7 +171,7 @@ class TestNormalizer:
         samples = [(rng.normal(size=(int(rng.integers(1, 4)), 3)) * 5 + 2, 0) for _ in range(6)]
         s = hvsm_set(samples)
         out = apply_normalizer(fit_normalizer(s), s)
-        rows = np.vstack([v.values for item in out.items for v in item.sequence])
+        rows = np.vstack([item.values for item in out.items])
         np.testing.assert_allclose(rows.mean(axis=0), 0.0, atol=1e-9)
         for var in rows.var(axis=0):
             assert var == pytest.approx(1.0, abs=1e-9) or var == pytest.approx(0.0, abs=1e-9)
@@ -197,7 +193,7 @@ class TestNormalizer:
         from defectseq.history import HvsmSet
 
         with pytest.raises(ValueError):
-            fit_normalizer(HvsmSet(anchor_version="v", items=(), window=1))
+            fit_normalizer(HvsmSet(anchor_version="v", items=(), window=1, schema=("m0",)))
 
 
 def test_debug_csv_dump(history):

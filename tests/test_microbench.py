@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from defectseq.baselines import KNN, Features, predict_baseline_many, train_baseline
-from defectseq.dataset import PROMISE_CODE_METRICS, make_metric_vector, parse_metrics_csv
+from defectseq.dataset import PROMISE_CODE_METRICS, parse_metrics_csv
 from defectseq.effort import (
     CE_CUTOFFS,
     ce_curve,
@@ -62,14 +62,13 @@ def test_curve_to_csv_1700_rows(benchmark):
 
 def test_knn_predict_1700_by_560(benchmark):
     rng = np.random.default_rng(1)
-    train = Features.from_vectors(
-        [make_metric_vector(row, SCHEMA) for row in rng.normal(size=(560, 20))],
-        rng.integers(0, 2, size=560),
+    train = Features(
+        values=rng.normal(size=(560, 20)),
+        schema=SCHEMA,
+        labels=rng.integers(0, 2, size=560).astype(float),
     )
     model = train_baseline(KNN, train, Hyperparams())
-    queries = Features.from_vectors(
-        [make_metric_vector(row, SCHEMA) for row in rng.normal(size=(1700, 20))]
-    )
+    queries = Features(values=rng.normal(size=(1700, 20)), schema=SCHEMA)
     probs = benchmark.pedantic(predict_baseline_many, args=(model, queries), rounds=3)
     assert probs.shape == (1700,)
 

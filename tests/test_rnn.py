@@ -371,7 +371,7 @@ class TestBatchGradient:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            group_by_length(HvsmSet(anchor_version="v", items=(), window=1))
+            group_by_length(HvsmSet(anchor_version="v", items=(), window=1, schema=("m0",)))
 
 
 class TestGroupByLength:
@@ -421,7 +421,7 @@ class TestTrain:
 
     def test_unlabeled_sample_rejected(self):
         item = hvsm_from_rows(np.ones((1, 2)), label=None)
-        batch = HvsmSet(anchor_version="v", items=(item,), window=1)
+        batch = HvsmSet(anchor_version="v", items=(item,), window=1, schema=("m0", "m1"))
         with pytest.raises(ValueError):
             train(batch, Hyperparams(hidden_size=2, iterations=1))
 
@@ -517,8 +517,10 @@ class TestPredict:
         return Normalizer(mean=np.zeros(dim), std=np.ones(dim), schema=schema)
 
     @staticmethod
-    def predict_one(p, item, n) -> float:
-        return float(predict_set(p, HvsmSet(anchor_version="v", items=(item,), window=item.length), n)[0])
+    def predict_one(p, item, n, schema=None) -> float:
+        schema = schema or tuple(f"m{i}" for i in range(item.values.shape[1]))
+        s = HvsmSet(anchor_version="v", items=(item,), window=item.length, schema=schema)
+        return float(predict_set(p, s, n)[0])
 
     def test_zero_weights_give_half(self):
         p = init_params(Hyperparams(hidden_size=3, init_scale=0.0), 2)
@@ -563,15 +565,15 @@ class TestPredict:
         n = Normalizer(mean=np.array([1.0, -1.0]), std=np.array([2.0, 4.0]), schema=schema)
         rows = rng.normal(size=(2, 2))
         manual = ref_forward(p, (rows - n.mean) / n.std)[1]
-        item = hvsm_from_rows(rows, None, schema=schema)
-        assert self.predict_one(p, item, n) == pytest.approx(manual)
+        item = hvsm_from_rows(rows, None)
+        assert self.predict_one(p, item, n, schema) == pytest.approx(manual)
 
     def test_schema_mismatch_rejected(self):
         p = init_params(Hyperparams(hidden_size=2), 2)
         n = Normalizer(mean=np.zeros(2), std=np.ones(2), schema=("a", "b"))
-        item = hvsm_from_rows(np.ones((1, 2)), None, schema=("c", "d"))
+        item = hvsm_from_rows(np.ones((1, 2)), None)
         with pytest.raises(ValueError):
-            self.predict_one(p, item, n)
+            self.predict_one(p, item, n, ("c", "d"))
 
 
 class TestLearnability:
