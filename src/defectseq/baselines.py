@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .history import Hvsm, HvsmSet, Normalizer, fit_normalizer_rows
-from .rnn import Hyperparams, _group_forward, descend, train
+from .rnn import Batch, Hyperparams, descend, forward, train
 
 LOGISTIC_REGRESSION = "lr"
 GAUSSIAN_NB = "nb"
@@ -63,12 +63,18 @@ class Features:
         """The z-scored rows as one-step sequences: the feedforward net is
         the recurrent one on these.  Features arrive pre-normalized, so the
         net trains on them raw."""
-        Z = self.normalized
+        stack = self.normalized[None]
         items = tuple(
-            Hvsm(key=str(i), version_ids=("0",), values=Z[i : i + 1], label=int(label))
+            Hvsm(key=str(i), version_ids=("0",), values=stack[:, i], label=int(label))
             for i, label in enumerate(self.labels)
         )
-        return HvsmSet(anchor_version="0", items=items, window=1, schema=self.schema)
+        return HvsmSet(
+            anchor_version="0",
+            items=items,
+            window=1,
+            schema=self.schema,
+            by_length=((np.arange(len(items)), stack),),
+        )
 
 
 @dataclass(eq=False)
@@ -217,7 +223,7 @@ def predict_baseline_many(model: BaselineModel, rows: Features) -> np.ndarray:
     Z = model.normalizer.transform(rows.values)
     p = model.params
     if model.kind == FEEDFORWARD_NN:
-        return _group_forward(p["rnn"], Z[None])[1]
+        return forward(p["rnn"], Batch([Z[None]]))[1]
     if model.kind == LOGISTIC_REGRESSION:
         # row by row: ``Z @ w`` may round differently and move reported scores
         return np.asarray([1.0 / (1.0 + np.exp(-(p["weights"] @ z + p["bias"]))) for z in Z])

@@ -112,6 +112,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             projects.append(project)
         by_tech[tech].setdefault(project, []).append(_parse_number(r["value"], i, "value"))
 
+    reference = args.reference or order[0]
+    if reference not in by_tech:
+        print(f"error: unknown reference technique {reference!r}", file=sys.stderr)
+        return 1
+
     # Scott-Knott over per-project means (one value per project per technique)
     values = {}
     for tech in order:
@@ -126,10 +131,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         labels = ", ".join(f"{n} (mean {grouping.means[n]:.3f})" for n in names)
         print(f"  rank {rank}: {labels}")
 
-    reference = args.reference or order[0]
-    if reference not in by_tech:
-        print(f"error: unknown reference technique {reference!r}", file=sys.stderr)
-        return 1
     print(f"win/tie/loss for {reference}:")
     for tech in order:
         if tech == reference:

@@ -408,7 +408,8 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
     labels = [binarize_label(b) for b in bug_counts]
 
     # sequence model: one seeded run per repeat.  Every repeat trains before
-    # any predicts, so each set's stack is freed before the next is built.
+    # any predicts, so the normalized training stacks are freed before
+    # prediction normalizes the test set's.
     normalizer = fit_normalizer(train_set)
     train_norm = apply_normalizer(normalizer, train_set)
     rnn_hyperparams = cfg.hyperparams_for(RNN_TECHNIQUE)

@@ -5,10 +5,13 @@ file's rows of the version matrices over its trailing run of consecutive
 versions ending at v, at most ``window`` versions long, as one ``(T, d)``
 block.  Files absent from v but seen earlier are dead and yield nothing.
 
-A set is immutable and carries its samples' metric schema.  It stacks its
-samples into one ``(T, n, d)`` array per sequence length once, on first use
-(``HvsmSet.by_length``); training and prediction on the same set, in every
-repeat, read that one stack.
+A set is immutable and carries its samples' metric schema and its values,
+stacked into one ``(T, n, d)`` array per sequence length
+(``HvsmSet.by_length``).  Extraction gathers each stack straight from the
+version matrices, one gather per length and step, and normalization
+transforms the stacks; each sample's block is a view into its length's
+stack, so a set holds its values once, and training and prediction on it,
+in every repeat, read those stacks.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,38 +57,55 @@ class Hvsm:
         return len(self.version_ids)
 
 
+Stacks = tuple[tuple[np.ndarray, np.ndarray], ...]
+"""Item indices and stacked ``(T, n, d)`` values of each equal-length group
+of samples, in ascending T and item order within a group."""
+
+
 @dataclass(frozen=True, eq=False)
 class HvsmSet:
-    """All samples extracted at one anchor version, on one metric schema."""
+    """All samples extracted at one anchor version, on one metric schema.
+
+    ``by_length`` holds the samples' values stacked by length.  A set built
+    from items alone stacks them; extraction and normalization hand over the
+    stacks that the items' blocks view.
+    """
 
     anchor_version: str
     items: tuple[Hvsm, ...]
     window: int
     schema: tuple[str, ...]
+    by_length: Stacks | None = None
 
     def __post_init__(self):
         if any(item.values.shape[1] != len(self.schema) for item in self.items):
             raise ValueError(f"every sample step needs one value per schema entry {self.schema}")
+        if self.by_length is None:
+            object.__setattr__(self, "by_length", _stack_by_length(self.items))
 
     @property
     def m(self) -> int:
         return len(self.items)
 
-    @cached_property
-    def by_length(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Item indices and stacked ``(T, n, d)`` raw values of each
-        equal-length group of samples, in ascending T; built once per set."""
-        return _stack_by_length(self.items)
 
-
-def _stack_by_length(items: tuple[Hvsm, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _stack_by_length(items: tuple[Hvsm, ...]) -> Stacks:
     by_length: dict[int, list[int]] = {}
     for i, item in enumerate(items):
         by_length.setdefault(item.length, []).append(i)
-    return [
+    return tuple(
         (np.asarray(idx, dtype=np.intp), np.stack([items[i].values for i in idx], axis=1))
         for idx in (by_length[T] for T in sorted(by_length))
-    ]
+    )
+
+
+def _views(by_length: Stacks) -> list[np.ndarray]:
+    """Each item's ``(T, d)`` block as a view into its length's stack, in
+    item order."""
+    views = [None] * sum(len(idx) for idx, _ in by_length)
+    for idx, X in by_length:
+        for j, i in enumerate(idx.tolist()):
+            views[i] = X[:, j]
+    return views
 
 
 def classify_file(history: ProjectHistory, v: str, key: str) -> Lifecycle:
@@ -148,23 +167,39 @@ def extract_hvsm_set(
     versions = history.versions
     anchor = versions[anchor_idx]
     labels = (anchor.bugs > 0).astype(int).tolist()
-    items: list[Hvsm] = []
-    for key in sorted(anchor.files):
-        row = anchor.files[key]
-        rows = [anchor.values[row]]
+    keys = sorted(anchor.files)
+    # each file's rows in the versions of its run, anchor first
+    runs: dict[int, list[int]] = {}
+    walks: list[list[int]] = []
+    for i, key in enumerate(keys):
+        rows = [anchor.files[key]]
         start = anchor_idx
         while start > 0 and len(rows) < window and key in versions[start - 1].files:
             start -= 1
-            rows.append(versions[start].values[versions[start].files[key]])
-        items.append(
-            Hvsm(
-                key=key,
-                version_ids=tuple(snap.version_id for snap in versions[start : anchor_idx + 1]),
-                values=np.array(rows[::-1]),
-                label=labels[row],
-            )
-        )
-    return HvsmSet(anchor_version=v, items=tuple(items), window=window, schema=anchor.schema)
+            rows.append(versions[start].files[key])
+        runs.setdefault(len(rows), []).append(i)
+        walks.append(rows)
+    by_length = []
+    version_ids = {}
+    for T in sorted(runs):
+        idx = runs[T]
+        first = anchor_idx - T + 1
+        version_ids[T] = tuple(snap.version_id for snap in versions[first : anchor_idx + 1])
+        stack = np.empty((T, len(idx), len(anchor.schema)))
+        for t in range(T):
+            stack[t] = versions[first + t].values[[walks[i][T - 1 - t] for i in idx]]
+        by_length.append((np.asarray(idx, dtype=np.intp), stack))
+    items = tuple(
+        Hvsm(key=key, version_ids=version_ids[len(rows)], values=values, label=labels[rows[0]])
+        for key, rows, values in zip(keys, walks, _views(by_length))
+    )
+    return HvsmSet(
+        anchor_version=v,
+        items=items,
+        window=window,
+        schema=anchor.schema,
+        by_length=tuple(by_length),
+    )
 
 
 def average_length(s: HvsmSet) -> float:
@@ -211,10 +246,12 @@ def apply_normalizer(n: Normalizer, s: HvsmSet) -> HvsmSet:
     """Z-score every step of every sample; order, labels, lengths unchanged."""
     if s.schema != n.schema:
         raise ValueError("normalizer schema does not match the set's schema")
+    by_length = tuple((idx, n.transform(X)) for idx, X in s.by_length)
     items = tuple(
-        Hvsm(item.key, item.version_ids, n.transform(item.values), item.label) for item in s.items
+        Hvsm(item.key, item.version_ids, values, item.label)
+        for item, values in zip(s.items, _views(by_length))
     )
-    return replace(s, items=items)
+    return HvsmSet(s.anchor_version, items, s.window, s.schema, by_length)
 
 
 def hvsm_set_to_csv(s: HvsmSet) -> str:

@@ -5,14 +5,18 @@ output read off the final state, and log loss with an L2 penalty on the
 three weight matrices (biases are unpenalized).
 
 There is one forward/backward implementation, and it is batched.  A set
-stacks its samples into one ``(T, n, input_dim)`` array per sequence
-length once (``HvsmSet.by_length``); ``group_by_length`` pairs those
-stacks with their labels once per training run, ``batch_gradient`` runs
-exact backpropagation through time over them, and prediction runs the same
-forward pass over the test set's own stack, so repeats on the same sets
-restack nothing.  The finite-difference checker differentiates
-``batch_gradient`` itself, on a batch of mixed lengths and labels with the
-L2 term on, so it verifies the code the trainer runs.
+holds its samples stacked into one ``(T, n, input_dim)`` array per sequence
+length (``HvsmSet.by_length``).  ``group_by_length`` lays those stacks
+end-aligned on one time axis once per training run (a ``Batch``), so the
+samples active at each step are one suffix of rows; ``forward`` sweeps the
+axis once, with one recurrent product per step for every length, and
+``batch_gradient`` runs exact backpropagation through time back along it.
+Every sum over samples keeps the order of a pass per length group, so the
+sweep's numbers equal that loop's bit for bit.  Prediction runs the same
+sweep over the test set's own stacks, so repeats on the same sets restack
+nothing.  The finite-difference checker differentiates ``batch_gradient``
+itself, on a batch of mixed lengths and labels with the L2 term on, so it
+verifies the code the trainer runs.
 """
 
 from __future__ import annotations
@@ -116,8 +120,46 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-Batch = list[tuple[np.ndarray, np.ndarray]]
-"""Samples stacked by length: ``(X, y)`` pairs, X of shape (T, n, input_dim)."""
+class Batch:
+    """Samples stacked by length and laid end-aligned on one time axis.
+
+    ``stacks`` holds one ``(T, n, input_dim)`` array per length, in strictly
+    ascending T; group g's samples are rows ``rows[g]:rows[g + 1]`` of the
+    batch, and a sample of length T occupies steps ``depth - T ... depth - 1``
+    (``depth`` the longest T).  The samples active at step τ are then the
+    suffix of rows from ``first[τ]``, and those continuing from step τ - 1 are
+    the suffix from ``first[τ - 1]``.  ``labels`` holds the 0/1 label of every
+    row, or is None for a batch that is only predicted.
+
+    The sweep's work arrays (states and deltas, ``(depth, m, hidden)``
+    each, and the gradient's per-step terms) are allocated on first use and
+    kept for the batch's lifetime.
+    """
+
+    def __init__(self, stacks, labels: np.ndarray | None = None):
+        self.stacks = tuple(stacks)
+        self.labels = labels
+        lengths = [X.shape[0] for X in self.stacks]
+        counts = [X.shape[1] for X in self.stacks]
+        self.rows = np.cumsum([0, *counts]).tolist()
+        self.m = self.rows[-1]
+        self.depth = lengths[-1]
+        self.steps = sum(lengths)  # (group, step) pairs
+        self.first = [
+            next(r for r, T in zip(self.rows, lengths) if T >= self.depth - tau)
+            for tau in range(self.depth)
+        ]
+        # the rows of one-sample groups
+        self.singles = [r for r, n in zip(self.rows, counts) if n == 1]
+        self._work: dict[str, np.ndarray] = {}
+
+    def work(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The batch's zero-initialized work array ``name``, reallocated only
+        when its shape changes."""
+        arr = self._work.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._work[name] = np.zeros(shape)
+        return arr
 
 
 def group_by_length(train_set: HvsmSet) -> Batch:
@@ -125,59 +167,129 @@ def group_by_length(train_set: HvsmSet) -> Batch:
     in ascending T for a fixed summation order.
 
     Built once per training run from the set's own stack
-    (``HvsmSet.by_length``), so repeats on one set stack it once; rejects an
-    empty set and any sample whose label is not 0 or 1.
+    (``HvsmSet.by_length``); rejects an empty set and any sample whose label
+    is not 0 or 1.
     """
     if not train_set.items:
         raise ValueError("empty training set")
     for item in train_set.items:
         if item.label not in (0, 1):
             raise ValueError(f"sample {item.key!r} has no 0/1 label: {item.label!r}")
-    return [
-        (X, np.asarray([train_set.items[i].label for i in idx], dtype=float))
-        for idx, X in train_set.by_length
-    ]
+    labels = [train_set.items[i].label for idx, _ in train_set.by_length for i in idx]
+    return Batch([X for _, X in train_set.by_length], np.asarray(labels, dtype=float))
 
 
-def _group_forward(p: RnnParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized forward for one equal-length group; states (T, n, hidden)."""
-    T, n, _ = X.shape
-    S = np.empty((T, n, p.hidden_size))
-    S[0] = np.tanh(X[0] @ p.U.T + p.b)
-    for t in range(1, T):
-        S[t] = np.tanh(X[t] @ p.U.T + S[t - 1] @ p.W.T + p.b)
-    probs = _sigmoid(S[T - 1] @ p.V[0] + p.c)
-    return S, probs
+def _recurrent(A: np.ndarray, M: np.ndarray, singles: list[int], a: int) -> np.ndarray:
+    """``A[a:] @ M``.  gemv rounds a one-row product differently from gemm,
+    so where other rows share the product, each row in ``singles`` (a
+    one-sample group's) gets a product of its own."""
+    R = A[a:] @ M
+    if len(R) > 1:
+        for r in singles:
+            if r >= a:
+                R[r - a : r - a + 1] = A[r : r + 1] @ M
+    return R
+
+
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """``terms[0] + terms[1] + ...`` in that order.  A reduce over axis 0
+    adds row by row, except over one-element rows, which it sums pairwise."""
+    if terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
+
+
+def forward(p: RnnParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """States ``(depth, m, hidden)`` and output probabilities ``(m,)`` of
+    every row, by one sweep over the batch's time axis.
+
+    Each group's input projection is one matmul over its own stack; at each
+    step the continuing rows add ``S[τ - 1] @ W.T`` to it, every active row
+    adds b, and tanh runs in place, so a row that starts at τ gets
+    ``tanh(x U^T + b)``.  The states array belongs to the batch.
+    """
+    depth, rows, first = batch.depth, batch.rows, batch.first
+    S = batch.work("states", (depth, batch.m, p.hidden_size))
+    for X, a, b in zip(batch.stacks, rows, rows[1:]):
+        np.matmul(X, p.U.T, out=S[depth - X.shape[0] :, a:b])
+    WT = p.W.T
+    for tau in range(depth):
+        if tau:
+            c = first[tau - 1]
+            S[tau, c:] += _recurrent(S[tau - 1], WT, batch.singles, c)
+        active = S[tau, first[tau] :]
+        active += p.b
+        np.tanh(active, out=active)
+    z = np.empty(batch.m)
+    for a, b in zip(rows, rows[1:]):
+        np.matmul(S[-1, a:b], p.V[0], out=z[a:b])
+    return S, _sigmoid(z + p.c)
+
+
+def _stacked_sums(p: RnnParams, batch: Batch, S: np.ndarray, D: np.ndarray):
+    """The data parts of dU, dW and db from the states and deltas: one term
+    per (group, step), written in the loop's order after a leading zero row
+    and summed in that order."""
+    depth, rows = batch.depth, batch.rows
+    u_terms = batch.work("u_terms", (1 + batch.steps, *p.U.shape))
+    w_terms = batch.work("w_terms", (1 + batch.steps - len(batch.stacks), *p.W.shape))
+    b_terms = batch.work("b_terms", (1 + batch.steps, *p.b.shape))
+    k = j = 1
+    for X, a, b in zip(batch.stacks, rows, rows[1:]):
+        T = X.shape[0]
+        Dg = D[depth - T :, a:b][::-1]  # steps descending
+        np.matmul(Dg.transpose(0, 2, 1), X[::-1], out=u_terms[k : k + T])
+        Dg.sum(axis=1, out=b_terms[k : k + T])
+        if T > 1:
+            Sg = S[depth - T : -1, a:b][::-1]
+            np.matmul(Dg[:-1].transpose(0, 2, 1), Sg, out=w_terms[j : j + T - 1])
+        k += T
+        j += T - 1
+    return _sum_terms(u_terms), _sum_terms(w_terms), _sum_terms(b_terms)
 
 
 def batch_gradient(p: RnnParams, batch: Batch, lam: float) -> tuple[Gradients, float]:
     """Average per-sample gradient plus the L2 term on U, V, W, by
-    backpropagation through time over every length group.
+    backpropagation through time over the batch's sweep.
 
     Returns the gradient and the mean loss ``mean(L_a) + lam/2 * ||w||^2``.
+    Every sum over samples runs in the order of a loop over the length
+    groups in ascending T and, within one, over steps in descending t, each
+    term the group's own product: the sweep changes no bit of the result.
     """
-    m = sum(X.shape[1] for X, _ in batch)
-    dU = np.zeros_like(p.U)
-    dW = np.zeros_like(p.W)
-    dV = np.zeros_like(p.V)
-    db = np.zeros_like(p.b)
-    dc = 0.0
+    S, probs = forward(p, batch)
+    y = batch.labels
+    depth, rows, first, m = batch.depth, batch.rows, batch.first, batch.m
+    clipped = probs.clip(PROB_EPS, 1.0 - PROB_EPS)
+    losses = -y * np.log(clipped) - (1 - y) * np.log(1 - clipped)
+    dz = probs - y
     data_loss = 0.0
-    for X, y in batch:
-        T = X.shape[0]
-        S, probs = _group_forward(p, X)
-        clipped = probs.clip(PROB_EPS, 1.0 - PROB_EPS)
-        data_loss += float((-y * np.log(clipped) - (1 - y) * np.log(1 - clipped)).sum())
-        dz = probs - y  # (n,)
-        dV += dz[None, :] @ S[T - 1]
-        dc += float(dz.sum())
-        delta = (dz[:, None] * p.V[0]) * (1.0 - S[T - 1] ** 2)  # n x hidden
-        for t in range(T - 1, -1, -1):
-            dU += delta.T @ X[t]
-            db += delta.sum(axis=0)
-            if t > 0:
-                dW += delta.T @ S[t - 1]
-                delta = (delta @ p.W) * (1.0 - S[t - 1] ** 2)
+    dc = 0.0
+    dV = np.zeros_like(p.V)
+    for a, b in zip(rows, rows[1:]):
+        data_loss += float(losses[a:b].sum())
+        dc += float(dz[a:b].sum())
+        dV += dz[None, a:b] @ S[-1, a:b]
+
+    # deltas, written over the 1 - S² they consume
+    D = batch.work("deltas", S.shape)
+    np.square(S, out=D)
+    np.subtract(1.0, D, out=D)
+    np.multiply(dz[:, None] * p.V[0], D[-1], out=D[-1])
+    for tau in range(depth - 1, 0, -1):
+        continuing = D[tau - 1, first[tau - 1] :]
+        continuing *= _recurrent(D[tau], p.W, batch.singles, first[tau - 1])
+
+    if batch.steps == 1:
+        # one group of one step (the nn's batch): one term each, added to
+        # zero as the loop's accumulators do; stacking them costs more
+        dU = np.zeros_like(p.U)
+        dU += D[-1].T @ batch.stacks[0][0]
+        db = np.zeros_like(p.b)
+        db += D[-1].sum(axis=0)
+        dW = np.zeros_like(p.W)
+    else:
+        dU, dW, db = _stacked_sums(p, batch, S, D)
     grad = Gradients(
         dU=dU / m + lam * p.U,
         dW=dW / m + lam * p.W,
@@ -260,8 +372,9 @@ def predict_set(p: RnnParams, s: HvsmSet, n: Normalizer) -> np.ndarray:
     if len(s.schema) != p.input_dim:
         raise ValueError(f"input dim {len(s.schema)} does not match U ({p.input_dim})")
     probs = np.empty(len(s.items))
-    for idx, X in s.by_length:
-        _, probs[idx] = _group_forward(p, n.transform(X))
+    _, probs[np.concatenate([idx for idx, _ in s.by_length])] = forward(
+        p, Batch([n.transform(X) for _, X in s.by_length])
+    )
     return probs
 
 
@@ -279,8 +392,11 @@ def gradient_check(
     """Max relative error between ``batch_gradient`` and central differences
     of the loss it returns.
 
-    The batch holds two samples of every length 1..T, labelled ``y`` and
-    ``1 - y``, and the L2 term uses ``h.lam``: the path training runs.
+    The batch holds two samples, labelled ``y`` and ``1 - y``, of every
+    length 1..T except T - 1 for T > 2, so some step of the sweep starts no
+    row, and for T > 1 a single sample of length T, labelled ``y``, so a
+    one-row group shares the recurrent products; the L2 term uses
+    ``h.lam``: the path training runs.
     Every parameter, biases and ``c`` included, is perturbed at a random
     point drawn from the hyperparams' seed.  The relative error uses the
     denominator max(|analytic| + |numeric|, 1e-5) so structurally-zero
@@ -295,8 +411,12 @@ def gradient_check(
         b=rng.uniform(-s, s, size=h.hidden_size),
         c=np.array(rng.uniform(-s, s)),  # 0-d, so it is perturbed in place like the rest
     )
-    labels = np.array([y, 1 - y], dtype=float)
-    batch = [(rng.normal(size=(t, 2, input_dim)), labels) for t in range(1, T + 1)]
+    lengths = [t for t in range(1, T + 1) if t != T - 1 or T == 2]
+    counts = [1 if t == T > 1 else 2 for t in lengths]
+    batch = Batch(
+        [rng.normal(size=(t, n, input_dim)) for t, n in zip(lengths, counts)],
+        np.array([label for n in counts for label in (y, 1 - y)[:n]], dtype=float),
+    )
     g, _ = batch_gradient(p, batch, h.lam)
     max_err = 0.0
     for arr, analytic in ((p.U, g.dU), (p.W, g.dW), (p.V, g.dV), (p.b, g.db), (p.c, g.dc)):

@@ -197,6 +197,17 @@ class TestStats:
         values.write_text("technique,project,value\na,p1,0.9\n", encoding="utf-8")
         assert main(["stats", str(values), "--reference", "zz"]) == 1
 
+    def test_unknown_reference_prints_no_ranks(self, tmp_path, capsys):
+        # the reference is checked before the Scott-Knott ranks are printed
+        values = tmp_path / "values.csv"
+        values.write_text(
+            "technique,project,value\na,p1,0.9\nb,p1,0.1\na,p2,0.8\nb,p2,0.2\n", encoding="utf-8"
+        )
+        assert main(["stats", str(values), "--reference", "zz"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown reference technique 'zz'\n"
+
     @pytest.mark.parametrize(
         "row, message",
         [

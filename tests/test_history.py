@@ -142,6 +142,25 @@ class TestExtractHvsmSet:
         s = extract_hvsm_set(history, "v4", window=4)
         assert average_length(s) == pytest.approx((4 + 3 + 2 + 1) / 4)
 
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_items_view_their_length_stacks(self, history, window):
+        # the stacks hold the values once: each block is a view into its
+        # length's stack, which equals stacking the blocks
+        for s in (extract_hvsm_set(history, "v4", window), extract_hvsm_set(history, "v5", window)):
+            lengths = [item.length for item in s.items]
+            assert [X.shape[0] for _, X in s.by_length] == sorted(set(lengths))
+            for idx, X in s.by_length:
+                for j, i in enumerate(idx):
+                    assert np.shares_memory(s.items[i].values, X)
+                    np.testing.assert_array_equal(X[:, j], s.items[i].values)
+                    assert s.items[i].length == X.shape[0]
+            n = fit_normalizer(s)
+            out = apply_normalizer(n, s)
+            for (idx, X), (_, Z) in zip(s.by_length, out.by_length):
+                np.testing.assert_array_equal(Z, n.transform(X))
+                for j, i in enumerate(idx):
+                    assert np.shares_memory(out.items[i].values, Z)
+
 
 class TestNormalizer:
     def test_single_vector_constant_dims(self):

@@ -85,6 +85,32 @@ def test_batch_gradient_standin_sized(benchmark):
     assert grad.dU.shape == (16, 20) and np.isfinite(loss)
 
 
+def test_batch_gradient_long_history_sized(benchmark):
+    # about one long-history training set: lengths 1..11, ten groups of 29
+    # and 174 samples of the longest, 24 metrics; the sweep's 11 steps
+    rng = np.random.default_rng(6)
+    counts = [29] * 10 + [174]
+    samples = [
+        (rng.normal(size=(T, 24)), int(rng.integers(0, 2)))
+        for T, n in enumerate(counts, start=1)
+        for _ in range(n)
+    ]
+    batch = group_by_length(hvsm_set(samples))
+    params = init_params(Hyperparams(hidden_size=16, seed=0), input_dim=24)
+    grad, loss = benchmark.pedantic(batch_gradient, args=(params, batch, 1e-4), rounds=20)
+    assert batch.depth == 11 and grad.dU.shape == (16, 24) and np.isfinite(loss)
+
+
+def test_batch_gradient_one_step_sized(benchmark):
+    # the nn baseline's gradient: 872 one-step samples, 20 metrics
+    rng = np.random.default_rng(7)
+    samples = [(rng.normal(size=(1, 20)), int(rng.integers(0, 2))) for _ in range(872)]
+    batch = group_by_length(hvsm_set(samples))
+    params = init_params(Hyperparams(hidden_size=16, seed=0), input_dim=20)
+    grad, loss = benchmark.pedantic(batch_gradient, args=(params, batch, 1e-4), rounds=20)
+    assert np.array_equal(grad.dW, 1e-4 * params.W) and np.isfinite(loss)
+
+
 def test_parse_metrics_csv_1000_rows(benchmark):
     rng = np.random.default_rng(3)
     metrics = PROMISE_CODE_METRICS

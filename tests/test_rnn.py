@@ -3,16 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from defectseq import rnn
 from defectseq.history import HvsmSet, Normalizer
 from defectseq.rnn import (
+    Batch,
+    Gradients,
     Hyperparams,
     RnnParams,
     TrainingError,
-    _group_forward,
     batch_gradient,
+    forward,
     gradient_check,
     group_by_length,
     init_params,
@@ -105,12 +107,66 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# oracle: the per-group loop the sweep replaced, one forward and one
+# backward pass per length group and step
+# ---------------------------------------------------------------------------
+
+def loop_group_forward(p: RnnParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States (T, n, hidden) and probabilities of one equal-length group."""
+    T, n, _ = X.shape
+    S = np.empty((T, n, p.hidden_size))
+    S[0] = np.tanh(X[0] @ p.U.T + p.b)
+    for t in range(1, T):
+        S[t] = np.tanh(X[t] @ p.U.T + S[t - 1] @ p.W.T + p.b)
+    probs = 1.0 / (1.0 + np.exp(-(S[T - 1] @ p.V[0] + p.c)))
+    return S, probs
+
+
+def loop_batch_gradient(p: RnnParams, groups, lam: float) -> tuple[Gradients, float]:
+    """``batch_gradient`` over ``(X, y)`` length groups in ascending T."""
+    m = sum(X.shape[1] for X, _ in groups)
+    dU = np.zeros_like(p.U)
+    dW = np.zeros_like(p.W)
+    dV = np.zeros_like(p.V)
+    db = np.zeros_like(p.b)
+    dc = 0.0
+    data_loss = 0.0
+    for X, y in groups:
+        T = X.shape[0]
+        S, probs = loop_group_forward(p, X)
+        clipped = probs.clip(rnn.PROB_EPS, 1.0 - rnn.PROB_EPS)
+        data_loss += float((-y * np.log(clipped) - (1 - y) * np.log(1 - clipped)).sum())
+        dz = probs - y
+        dV += dz[None, :] @ S[T - 1]
+        dc += float(dz.sum())
+        delta = (dz[:, None] * p.V[0]) * (1.0 - S[T - 1] ** 2)
+        for t in range(T - 1, -1, -1):
+            dU += delta.T @ X[t]
+            db += delta.sum(axis=0)
+            if t > 0:
+                dW += delta.T @ S[t - 1]
+                delta = (delta @ p.W) * (1.0 - S[t - 1] ** 2)
+    grad = Gradients(
+        dU=dU / m + lam * p.U,
+        dW=dW / m + lam * p.W,
+        dV=dV / m + lam * p.V,
+        db=db / m,
+        dc=dc / m,
+    )
+    return grad, float(data_loss / m + 0.5 * lam * p.squared_weight_norm())
+
+
+def as_batch(groups) -> Batch:
+    return Batch([X for X, _ in groups], np.concatenate([y for _, y in groups]))
+
+
+# ---------------------------------------------------------------------------
 # the production path on a batch of one
 # ---------------------------------------------------------------------------
 
 def forward_one(p: RnnParams, rows: np.ndarray) -> tuple[np.ndarray, float]:
-    """States and probability of one sequence through the batched forward."""
-    S, probs = _group_forward(p, np.atleast_2d(rows)[:, None, :])
+    """States and probability of one sequence through the sweep."""
+    S, probs = forward(p, Batch([np.atleast_2d(rows)[:, None, :]]))
     return S[:, 0, :], float(probs[0])
 
 
@@ -296,7 +352,7 @@ class TestGradientCheck:
         for y in (0, 1):
             assert gradient_check(Hyperparams(hidden_size=2, seed=1), 3, 4, y=y) < 1e-5
 
-    @pytest.mark.parametrize("fault", ["output-bias", "l2-term", "length-groups"])
+    @pytest.mark.parametrize("fault", ["output-bias", "l2-term", "length-groups", "start-rows"])
     def test_detects_broken_batch_gradient(self, monkeypatch, fault):
         original = rnn.batch_gradient
 
@@ -306,8 +362,12 @@ class TestGradientCheck:
                 grad = replace(grad, dc=1.01 * grad.dc)
             elif fault == "l2-term":  # left out of the gradient, kept in the loss
                 grad = original(p, batch, 0.0)[0]
-            else:  # only the shortest length group reaches the gradient
-                grad = original(p, batch[:1], lam)[0]
+            elif fault == "length-groups":  # only the shortest group reaches the gradient
+                shortest = Batch(batch.stacks[:1], batch.labels[: batch.rows[1]])
+                grad = original(p, shortest, lam)[0]
+            else:  # rows starting at a step get tanh(2 x U^T + b) in the gradient
+                doubled = [np.concatenate([2 * X[:1], X[1:]]) for X in batch.stacks]
+                grad = original(p, Batch(doubled, batch.labels), lam)[0]
             return grad, loss
 
         monkeypatch.setattr(rnn, "batch_gradient", broken)
@@ -374,15 +434,75 @@ class TestBatchGradient:
             group_by_length(HvsmSet(anchor_version="v", items=(), window=1, schema=("m0",)))
 
 
+def hex_gradients(g: Gradients, loss: float) -> dict:
+    out = {name: [float(x).hex() for x in np.ravel(value)] for name, value in as_dict(g).items()}
+    out["loss"] = float(loss).hex()
+    return out
+
+
+def random_groups(rng, lengths, counts, input_dim):
+    return [
+        (rng.normal(size=(T, n, input_dim)), rng.integers(0, 2, size=n).astype(float))
+        for T, n in zip(lengths, counts)
+    ]
+
+
+class TestSweepMatchesLoop:
+    """The end-aligned sweep against the per-group loop it replaced, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        lengths=st.sets(st.integers(1, 12), min_size=1, max_size=12).map(sorted),
+        counts=st.lists(st.integers(2, 40), min_size=12, max_size=12),
+        input_dim=st.integers(1, 24),
+        hidden=st.integers(1, 16),
+        lam=st.floats(1e-6, 1.0),
+    )
+    # hidden 1: the terms' rows hold one element each, and eight of them
+    # are where a reduce would start summing pairwise
+    @example(seed=0, lengths=[1, 6], counts=[2] * 12, input_dim=1, hidden=1, lam=1.0)
+    # the nn baseline's batch: one group of one step
+    @example(seed=1, lengths=[1], counts=[40] * 12, input_dim=20, hidden=16, lam=1e-4)
+    def test_gradient_and_forward_bitwise(self, seed, lengths, counts, input_dim, hidden, lam):
+        rng = np.random.default_rng(seed)
+        groups = random_groups(rng, lengths, counts, input_dim)
+        p = random_params(rng, hidden, input_dim)
+        batch = as_batch(groups)
+        expected = hex_gradients(*loop_batch_gradient(p, groups, lam))
+        assert hex_gradients(*batch_gradient(p, batch, lam)) == expected
+        # a second call reuses the batch's work arrays
+        assert hex_gradients(*batch_gradient(p, batch, lam)) == expected
+
+        schema = tuple(f"m{i}" for i in range(input_dim))
+        samples = [(X[:, i, :], None) for X, _ in groups for i in range(X.shape[1])]
+        n = Normalizer(mean=np.zeros(input_dim), std=np.ones(input_dim), schema=schema)
+        got = predict_set(p, hvsm_set(samples), n)
+        want = np.concatenate([loop_group_forward(p, X)[1] for X, _ in groups])
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("counts", [(1, 5, 1, 7), (4, 1, 6), (1, 1), (3, 1)])
+    def test_one_sample_groups_bitwise(self, counts):
+        # a one-sample group's products run as gemv in the loop; the sweep
+        # gives its rows their own products, so it stays exact
+        rng = np.random.default_rng(sum(counts))
+        groups = random_groups(rng, range(1, len(counts) + 1), counts, 5)
+        p = random_params(rng, 16, 5)
+        got = hex_gradients(*batch_gradient(p, as_batch(groups), 1e-3))
+        assert got == hex_gradients(*loop_batch_gradient(p, groups, 1e-3))
+
+
 class TestGroupByLength:
     def test_groups_ascend_by_length_in_sample_order(self):
         rng = np.random.default_rng(20)
         samples = [(rng.normal(size=(T, 2)), T % 2) for T in (3, 1, 3, 2, 1)]
         batch = group_by_length(hvsm_set(samples))
-        assert [X.shape for X, _ in batch] == [(1, 2, 2), (2, 1, 2), (3, 2, 2)]
-        np.testing.assert_array_equal(batch[0][0][:, 1, :], samples[4][0])
-        np.testing.assert_array_equal(batch[2][0][:, 0, :], samples[0][0])
-        assert [y.tolist() for _, y in batch] == [[1.0, 1.0], [0.0], [1.0, 1.0]]
+        assert [X.shape for X in batch.stacks] == [(1, 2, 2), (2, 1, 2), (3, 2, 2)]
+        np.testing.assert_array_equal(batch.stacks[0][:, 1, :], samples[4][0])
+        np.testing.assert_array_equal(batch.stacks[2][:, 0, :], samples[0][0])
+        assert batch.labels.tolist() == [1.0, 1.0, 0.0, 1.0, 1.0]
+        # end-aligned: length 3 from step 0, length 2 from 1, length 1 at 2
+        assert (batch.rows, batch.depth, batch.first) == ([0, 2, 3, 5], 3, [3, 2, 0])
 
 
 class TestTrain:
