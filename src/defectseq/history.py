@@ -68,7 +68,8 @@ class HvsmSet:
 
     ``by_length`` holds the samples' values stacked by length.  A set built
     from items alone stacks them; extraction and normalization hand over the
-    stacks that the items' blocks view.
+    stacks that the items' blocks view, and stacks that do not hold the
+    items that way are rejected.
     """
 
     anchor_version: str
@@ -82,6 +83,8 @@ class HvsmSet:
             raise ValueError(f"every sample step needs one value per schema entry {self.schema}")
         if self.by_length is None:
             object.__setattr__(self, "by_length", _stack_by_length(self.items))
+        else:
+            _check_stacks(self.items, self.by_length)
 
     @property
     def m(self) -> int:
@@ -96,6 +99,21 @@ def _stack_by_length(items: tuple[Hvsm, ...]) -> Stacks:
         (np.asarray(idx, dtype=np.intp), np.stack([items[i].values for i in idx], axis=1))
         for idx in (by_length[T] for T in sorted(by_length))
     )
+
+
+def _check_stacks(items: tuple[Hvsm, ...], by_length: Stacks) -> None:
+    """Raise unless every item sits in exactly one stack, of its length, in
+    ascending T, with its block a view into that stack."""
+    covered = sorted(i for idx, _ in by_length for i in idx.tolist())
+    lengths = [X.shape[0] for _, X in by_length]
+    if covered != list(range(len(items))) or lengths != sorted(set(lengths)):
+        raise ValueError("by_length must hold every item once, in ascending length")
+    for idx, X in by_length:
+        if X.shape[1] != len(idx) or any(
+            items[i].length != len(X) or not np.may_share_memory(items[i].values, X)
+            for i in idx.tolist()
+        ):
+            raise ValueError("every item's block must be a view into the stack of its length")
 
 
 def _views(by_length: Stacks) -> list[np.ndarray]:

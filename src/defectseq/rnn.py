@@ -226,28 +226,6 @@ def forward(p: RnnParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     return S, _sigmoid(z + p.c)
 
 
-def _stacked_sums(p: RnnParams, batch: Batch, S: np.ndarray, D: np.ndarray):
-    """The data parts of dU, dW and db from the states and deltas: one term
-    per (group, step), written in the loop's order after a leading zero row
-    and summed in that order."""
-    depth, rows = batch.depth, batch.rows
-    u_terms = batch.work("u_terms", (1 + batch.steps, *p.U.shape))
-    w_terms = batch.work("w_terms", (1 + batch.steps - len(batch.stacks), *p.W.shape))
-    b_terms = batch.work("b_terms", (1 + batch.steps, *p.b.shape))
-    k = j = 1
-    for X, a, b in zip(batch.stacks, rows, rows[1:]):
-        T = X.shape[0]
-        Dg = D[depth - T :, a:b][::-1]  # steps descending
-        np.matmul(Dg.transpose(0, 2, 1), X[::-1], out=u_terms[k : k + T])
-        Dg.sum(axis=1, out=b_terms[k : k + T])
-        if T > 1:
-            Sg = S[depth - T : -1, a:b][::-1]
-            np.matmul(Dg[:-1].transpose(0, 2, 1), Sg, out=w_terms[j : j + T - 1])
-        k += T
-        j += T - 1
-    return _sum_terms(u_terms), _sum_terms(w_terms), _sum_terms(b_terms)
-
-
 def batch_gradient(p: RnnParams, batch: Batch, lam: float) -> tuple[Gradients, float]:
     """Average per-sample gradient plus the L2 term on U, V, W, by
     backpropagation through time over the batch's sweep.
@@ -280,16 +258,23 @@ def batch_gradient(p: RnnParams, batch: Batch, lam: float) -> tuple[Gradients, f
         continuing = D[tau - 1, first[tau - 1] :]
         continuing *= _recurrent(D[tau], p.W, batch.singles, first[tau - 1])
 
-    if batch.steps == 1:
-        # one group of one step (the nn's batch): one term each, added to
-        # zero as the loop's accumulators do; stacking them costs more
-        dU = np.zeros_like(p.U)
-        dU += D[-1].T @ batch.stacks[0][0]
-        db = np.zeros_like(p.b)
-        db += D[-1].sum(axis=0)
-        dW = np.zeros_like(p.W)
-    else:
-        dU, dW, db = _stacked_sums(p, batch, S, D)
+    # one term per (group, step) in the loop's order, after a leading zero
+    # row, summed in that order
+    u_terms = batch.work("u_terms", (1 + batch.steps, *p.U.shape))
+    w_terms = batch.work("w_terms", (1 + batch.steps - len(batch.stacks), *p.W.shape))
+    b_terms = batch.work("b_terms", (1 + batch.steps, *p.b.shape))
+    k = j = 1
+    for X, a, b in zip(batch.stacks, rows, rows[1:]):
+        T = X.shape[0]
+        Dg = D[depth - T :, a:b][::-1]  # steps descending
+        np.matmul(Dg.transpose(0, 2, 1), X[::-1], out=u_terms[k : k + T])
+        Dg.sum(axis=1, out=b_terms[k : k + T])
+        if T > 1:
+            Sg = S[depth - T : -1, a:b][::-1]
+            np.matmul(Dg[:-1].transpose(0, 2, 1), Sg, out=w_terms[j : j + T - 1])
+        k += T
+        j += T - 1
+    dU, dW, db = _sum_terms(u_terms), _sum_terms(w_terms), _sum_terms(b_terms)
     grad = Gradients(
         dU=dU / m + lam * p.U,
         dW=dW / m + lam * p.W,

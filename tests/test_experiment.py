@@ -414,9 +414,10 @@ class TestBuiltOncePerProject:
 
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_sets_stacked_and_features_built_once(self, tmp_path, monkeypatch, repeats):
-        stacked, extracted, feature_rows, normalizers = [], [], [], []
+        stacked, extracted, one_step, feature_rows, normalizers = [], [], [], [], []
         real_stack = history._stack_by_length
         real_extract = experiment.extract_hvsm_set
+        real_set = bl.HvsmSet
         real_init = bl.Features.__init__
         real_fit = bl.fit_normalizer_rows
 
@@ -429,10 +430,16 @@ class TestBuiltOncePerProject:
             extracted.append(s.m)
             return s
 
+        def one_step_set(*args, **kwargs):
+            s = real_set(*args, **kwargs)
+            one_step.append(s.m)
+            return s
+
         monkeypatch.setattr(
             history, "_stack_by_length", lambda items: stacked.append(len(items)) or real_stack(items)
         )
         monkeypatch.setattr(experiment, "extract_hvsm_set", extracting)
+        monkeypatch.setattr(bl, "HvsmSet", one_step_set)
         monkeypatch.setattr(bl.Features, "__init__", counting_init)
         monkeypatch.setattr(
             bl, "fit_normalizer_rows", lambda *a: normalizers.append(1) or real_fit(*a)
@@ -444,9 +451,11 @@ class TestBuiltOncePerProject:
         project = report["projects"]["trend"]
         assert all(len(t["runs"]) == repeats for t in project["techniques"].values())
         n_train, n_test = project["train"]["files"], project["test"]["files"]
-        # the rnn's training and test sets are gathered by length once, and
-        # no set (the nn's one-step set included) is restacked from its items
+        # the rnn's training and test sets are gathered by length once, the
+        # nn's one-step set is built once for all repeats, and no set is
+        # restacked from its items
         assert extracted == [n_train, n_test]
+        assert one_step == [n_train]
         assert stacked == []
         # the anchor rows to train on and to score, and one z-scoring for all
         assert feature_rows == [n_train, n_test]

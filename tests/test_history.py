@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectseq.history import (
+    Hvsm,
     Lifecycle,
     apply_normalizer,
     average_length,
@@ -160,6 +163,22 @@ class TestExtractHvsmSet:
                 np.testing.assert_array_equal(Z, n.transform(X))
                 for j, i in enumerate(idx):
                     assert np.shares_memory(out.items[i].values, Z)
+
+    def test_rejects_stacks_that_do_not_hold_the_items(self, history):
+        s = extract_hvsm_set(history, "v4", window=4)
+        copied = tuple(
+            Hvsm(item.key, item.version_ids, item.values.copy(), item.label) for item in s.items
+        )
+        with pytest.raises(ValueError, match="view into the stack"):
+            replace(s, items=copied)  # the old stacks no longer hold the items
+        with pytest.raises(ValueError, match="every item once"):
+            replace(s, by_length=s.by_length[1:])
+        with pytest.raises(ValueError, match="ascending length"):
+            replace(s, by_length=s.by_length[::-1])
+        restacked = replace(s, items=copied, by_length=None)  # stacks the new items
+        for (idx, X), (idx2, X2) in zip(s.by_length, restacked.by_length):
+            np.testing.assert_array_equal(idx2, idx)
+            np.testing.assert_array_equal(X2, X)
 
 
 class TestNormalizer:
