@@ -34,6 +34,7 @@ import math
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -591,15 +592,78 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
 # report emission
 # ---------------------------------------------------------------------------
 
+def _write_json(fh, obj) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` to ``fh``, the
+    same bytes, chunk by chunk.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder and holds
+    the whole document.  Here the nesting is walked in Python, and each
+    container whose values are all scalars goes to the C encoder in one
+    call, its item separator carrying the newline and indent of its depth.
+    Keys of a dict that holds a container must be str.
+    """
+    encoders = {}
+
+    def encode(o, depth):
+        if depth not in encoders:
+            encoders[depth] = json.JSONEncoder(
+                sort_keys=True, separators=(",\n" + "  " * depth, ": ")
+            ).encode
+        return encoders[depth](o)
+
+    def write(o, depth):
+        if isinstance(o, dict):
+            values = o.values()
+        elif isinstance(o, (list, tuple)):
+            values = o
+        else:
+            fh.write(encode(o, depth))
+            return
+        inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if not any(isinstance(v, (dict, list, tuple)) for v in values):
+            text = encode(o, depth + 1)
+            if o:  # the C encoder puts no newline inside the brackets
+                text = f"{text[0]}{inner}{text[1:-1]}{close}{text[-1]}"
+            fh.write(text)
+            return
+        if isinstance(o, dict):
+            brackets = "{}"
+            items = ((f"{encode_basestring_ascii(k)}: ", o[k]) for k in sorted(o))
+        else:
+            brackets = "[]"
+            items = (("", v) for v in o)
+        fh.write(brackets[0])
+        sep = inner
+        for prefix, value in items:
+            fh.write(sep + prefix)
+            sep = "," + inner
+            write(value, depth + 1)
+        fh.write(close + brackets[1])
+
+    write(obj, 0)
+
+
 def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
     """Write report.json, summary.csv, per-technique CE curves, Scott-Knott
-    groups and the Win/Tie/Loss table.  Returns the written paths."""
+    groups and the Win/Tie/Loss table.  Returns the written paths.
+
+    report.json is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
+    newline, streamed into a file beside it that replaces it only once
+    complete, so a failed encode leaves no partial report.json.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    partial = out / "report.json.partial"
+    try:
+        with partial.open("w", encoding="utf-8") as fh:
+            _write_json(fh, report)
+            fh.write("\n")
+        os.replace(partial, report_path)
+    finally:
+        partial.unlink(missing_ok=True)
     written.append(report_path)
 
     summary_path = out / "summary.csv"

@@ -142,3 +142,43 @@ def trend_samples(n: int, seed: int, n_noise: int = 3, T: int = 3):
         samples.append((rows, label))
         final_rows.append(rows[-1])
     return samples, np.asarray(final_rows)
+
+
+def standin_sized_report() -> dict:
+    """A report shaped like ``run_experiment``'s on the nine stand-in
+    projects: per project, 500 test files and, for each of five
+    techniques, one run, its mean and a mean score for every test file."""
+    from defectseq.experiment import METRIC_KEYS
+
+    n_files, techniques = 500, ("rnn", "lr", "nb", "knn", "nn")
+    rng = np.random.default_rng(0)
+    projects = {}
+    for p in range(9):
+        keys = [f"p{p}.pkg.C{i:04d}" for i in range(n_files)]
+        test_files = {
+            k: {"loc": int(loc), "bugs": int(bugs)}
+            for k, loc, bugs in zip(keys, rng.integers(1, 900, n_files), rng.integers(0, 3, n_files))
+        }
+        techniques_out = {}
+        for t in techniques:
+            mean = {m: float(v) for m, v in zip(METRIC_KEYS, rng.uniform(size=len(METRIC_KEYS)))}
+            techniques_out[t] = {
+                "runs": [dict(mean)],
+                "mean": mean,
+                "scores_mean": dict(zip(keys, rng.uniform(size=n_files).tolist())),
+            }
+        projects[f"p{p}"] = {
+            "train_version": "1.0",
+            "test_version": "1.1",
+            "train": {"files": n_files, "developing_pct": 50.0, "avg_length": 2.5},
+            "test": {"files": n_files, "developing_pct": 50.0, "avg_length": 2.5, "defective": 100},
+            "test_files": test_files,
+            "techniques": techniques_out,
+            "zero_loc_files_adjusted": 0,
+        }
+    return {
+        "config": {"repeats": 1, "seed": 0, "baselines": list(techniques[1:]), "projects": []},
+        "projects": projects,
+        "errors": {},
+        "aggregates": {"projects_evaluated": sorted(projects)},
+    }

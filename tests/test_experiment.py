@@ -1,10 +1,14 @@
+import io
 import json
+import math
 import multiprocessing
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectseq import baselines as bl
 from defectseq import experiment, history
@@ -20,7 +24,7 @@ from defectseq.experiment import (
 )
 from defectseq.rnn import Hyperparams
 
-from helpers import write_trend_project
+from helpers import standin_sized_report, write_trend_project
 
 FAST_HP = Hyperparams(hidden_size=6, eta=0.5, lam=1e-4, iterations=80, seed=0)
 
@@ -563,6 +567,36 @@ class TestEmitReport:
         assert first == [0.0, 0.0]
         assert last == [1.0, 1.0]
 
+    def test_report_json_is_sorted_indented_dumps(self, emitted):
+        report, out, _ = emitted
+        expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert (out / "report.json").read_bytes() == expected.encode("utf-8")
+
+    def test_failed_encode_leaves_previous_report(self, emitted, tmp_path):
+        report, out, _ = emitted
+        target = tmp_path / "again"
+        emit_report(report, target)
+        before = {p.name: p.read_bytes() for p in target.iterdir() if p.is_file()}
+        broken = {**report, "projects": {"zz": {"techniques": {"rnn": {"runs": [object()]}}}}}
+        with pytest.raises(TypeError):
+            emit_report(broken, target)
+        assert {p.name: p.read_bytes() for p in target.iterdir() if p.is_file()} == before
+
+    def test_encode_memory_bounded(self, tmp_path):
+        # 9 projects x 5 techniques x 500 test files, as on the stand-in data
+        report = standin_sized_report()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            emit_report(report, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "report.json").stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 2
+
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = trend_config(tmp_path, repeats=2)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -576,3 +610,34 @@ class TestEmitReport:
         emit_report(report, out)
         assert (out / "summary.csv").read_text().startswith("project,technique")
         assert (out / "win_tie_loss.csv").read_text().startswith("baseline,metric")
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e-07, 1e16, math.nan, math.inf, -math.inf]),
+    st.text(max_size=6),
+)
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(['"', "\\", 'a"b\\c', "é", "\u2603", "\x00\n"])
+
+
+def json_trees(depth):
+    if depth == 0:
+        return JSON_SCALARS
+    inner = json_trees(depth - 1)
+    return st.one_of(
+        JSON_SCALARS,
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=4),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=json_trees(4))
+def test_json_writer_matches_sorted_indented_dumps(obj):
+    buf = io.StringIO()
+    experiment._write_json(buf, obj)
+    assert buf.getvalue() == json.dumps(obj, sort_keys=True, indent=2)

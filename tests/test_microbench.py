@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the training, parsing and evaluation layers
+"""Micro-benchmarks of the training, parsing, evaluation and emit layers
 (pytest-benchmark).
 
 Each runs a handful of rounds so that the suite stays quick; compare runs
@@ -6,6 +6,7 @@ with ``--benchmark-autosave`` / ``--benchmark-compare`` (kept in
 ``.benchmarks/``), or skip them with ``--benchmark-skip``.
 """
 
+import json
 import math
 
 import numpy as np
@@ -21,10 +22,11 @@ from defectseq.effort import (
     rank_by_density,
     scored_files,
 )
+from defectseq.experiment import _write_json
 from defectseq.rnn import Hyperparams, batch_gradient, group_by_length, init_params
 from defectseq.stats import chi2_ppf, scott_knott
 
-from helpers import hvsm_set
+from helpers import hvsm_set, standin_sized_report
 
 SCHEMA = tuple(f"m{i}" for i in range(20))
 
@@ -58,6 +60,19 @@ def test_curve_to_csv_1700_rows(benchmark):
     curve = ce_curve(rank_by_density(files))
     text = benchmark.pedantic(curve_to_csv, args=(curve,), rounds=20)
     assert text.count("\n") == n + 2
+
+
+def test_report_json_standin_sized(benchmark, tmp_path):
+    # report.json of the nine stand-in projects: 9 x 5 techniques x 500 files
+    report = standin_sized_report()
+    path = tmp_path / "report.json"
+
+    def encode():
+        with path.open("w", encoding="utf-8") as fh:
+            _write_json(fh, report)
+
+    benchmark.pedantic(encode, rounds=5)
+    assert path.read_text(encoding="utf-8") == json.dumps(report, sort_keys=True, indent=2)
 
 
 def test_knn_predict_1700_by_560(benchmark):
