@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .history import Hvsm, HvsmSet, Normalizer, fit_normalizer_rows
-from .rnn import Batch, Hyperparams, descend, forward, train
+from .rnn import BLAS_THREAD_BOUND, Batch, Hyperparams, descend, forward, train
 
 LOGISTIC_REGRESSION = "lr"
 GAUSSIAN_NB = "nb"
@@ -166,9 +166,6 @@ def _predict_gaussian_nb(params: dict, Z: np.ndarray) -> np.ndarray:
     return w1 / (w0 + w1)
 
 
-# elements of the (rows, training points, features) difference array that
-# one kNN block may hold
-KNN_BLOCK_ELEMENTS = 1 << 16
 # unit roundoff of float64
 _UNIT = np.finfo(float).eps / 2
 
@@ -185,10 +182,11 @@ def _predict_knn(params: dict, Z: np.ndarray) -> np.ndarray:
     max |p|²) plus one smallest normal for underflow.  Every point that the
     exact distances rank in the top k then has an estimate within 2·err of
     the row's k-th smallest estimate; only those candidates (and any whose
-    estimate is not finite) get the exact distance.
+    estimate is not finite) get the exact distance.  The queries go in
+    blocks whose estimate product stays under ``BLAS_THREAD_BOUND``.
     """
     points, labels, k = params["points"], params["labels"], params["k"]
-    rows = max(1, KNN_BLOCK_ELEMENTS // points.size)
+    rows = max(1, (BLAS_THREAD_BOUND - 1) // points.size)
     p_sq = np.sum(points**2, axis=1)
     p_sq_max = p_sq.max()
     slack = 8 * (points.shape[1] + 4) * _UNIT

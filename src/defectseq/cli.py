@@ -12,14 +12,13 @@ Verbs:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ParseError, _parse_count, _parse_number
+from .dataset import ParseError, _parse_count, _parse_number, _read_table
 from .effort import acc_at_effort, auc, ce_report_values, scored_files
 from .experiment import emit_report, load_config, run_experiment
 from .rnn import Hyperparams, gradient_check
@@ -61,35 +60,28 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_table(path: Path, columns: tuple[str, ...], what: str) -> list[dict[str, str]]:
-    """The rows of a CSV file that has ``columns``; a row without a cell in
-    one of them is rejected by row and column (the header is row 1, as in
-    the metrics tables)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
+def _read_rows(path: Path, columns: tuple[str, ...], what: str) -> list[tuple[int, dict[str, str]]]:
+    """The non-blank rows of a CSV file that has ``columns``, as (row
+    number, {column: cell}), read as the metrics tables are: a missing
+    column, or a row with fewer or more cells than the header (row 1), is
+    rejected by name or row number."""
+    positions, rows = _read_table(path.read_bytes(), columns)
+    table = [(i, {column: row[at] for column, at in positions.items()}) for i, row in rows]
+    if not table:
         raise ValueError(f"empty {what} file")
-    for column in columns:
-        if column not in rows[0]:
-            raise ValueError(f"missing column {column!r}")
-    for i, r in enumerate(rows, start=2):
-        for column in columns:
-            if r[column] is None:
-                raise ParseError(f"row {i}, column {column!r}: missing cell")
-    return rows
+    return table
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    rows = _read_table(args.scores, ("name", "score", "loc", "bugs", "label"), "scores")
-    scores = [_parse_number(r["score"], i, "score") for i, r in enumerate(rows, start=2)]
+    rows = _read_rows(args.scores, ("name", "score", "loc", "bugs", "label"), "scores")
+    scores = [_parse_number(r["score"], i, "score") for i, r in rows]
     locs, bugs, labels = (
-        [_parse_count(r[column], i, column) for i, r in enumerate(rows, start=2)]
-        for column in ("loc", "bugs", "label")
+        [_parse_count(r[column], i, column) for i, r in rows] for column in ("loc", "bugs", "label")
     )
-    for i, label in enumerate(labels, start=2):
+    for (i, _), label in zip(rows, labels):
         if label > 1:
             raise ParseError(f"row {i}, column 'label': expected 0 or 1, got {label}")
-    files, n_adjusted = scored_files([r["name"] for r in rows], scores, locs, bugs)
+    files, n_adjusted = scored_files([r["name"] for _, r in rows], scores, locs, bugs)
     result = {f"ce_{k}": v for k, v in ce_report_values(files).items()}
     result["acc"] = acc_at_effort(files)
     result["auc"] = auc(list(zip(scores, labels)))
@@ -99,11 +91,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    rows = _read_table(args.values, ("technique", "project", "value"), "values")
+    rows = _read_rows(args.values, ("technique", "project", "value"), "values")
     by_tech: dict[str, dict[str, list[float]]] = {}
     order: list[str] = []
     projects: list[str] = []
-    for i, r in enumerate(rows, start=2):
+    for i, r in rows:
         tech, project = r["technique"], r["project"]
         if tech not in by_tech:
             by_tech[tech] = {}

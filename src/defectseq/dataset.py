@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
@@ -153,26 +154,110 @@ def _read_table(
 ) -> tuple[dict[str, int], Iterator[tuple[int, list[str]]]]:
     """The header positions of the ``required`` columns, and the non-blank
     rows as (row number, cells); a row whose cell count differs from the
-    header's raises ParseError."""
+    header's, or that csv cannot read, raises ParseError."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
+    # newline="" as csv asks of a file: a row ends at LF, CRLF or CR
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise ParseError("empty input: missing header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"row 1: {exc}") from None
     for column in required:
         if column not in header:
-            raise ParseError(f"missing required column {column!r}")
+            raise ParseError(f"missing column {column!r}")
 
     def rows() -> Iterator[tuple[int, list[str]]]:
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-            yield row_no, row
+        row_no = 1
+        try:
+            for row_no, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
+                yield row_no, row
+        except csv.Error as exc:
+            raise ParseError(f"row {row_no + 1}: {exc}") from None
 
     return {column: header.index(column) for column in required}, rows()
+
+
+_NOT_PLAIN = re.compile('["\r\0\x1c-\x1f]')
+
+
+def _loc_column(schema: tuple[str, ...]) -> int | None:
+    return next((i for i, m in enumerate(schema) if m.lower() == "loc"), None)
+
+
+def _parse_metrics_fast(
+    text: str, schema: tuple[str, ...]
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(keys, values, bugs, loc)`` of a plain table, read by numpy's C
+    reader, or None wherever the per-cell parser might read the table
+    differently or reject it.
+
+    Plain means no quote, carriage return or NUL anywhere, so that a row is
+    one line split on commas, as csv reads it; no line longer than csv's
+    field limit; and none of the separators U+001C..U+001F, which numpy
+    strips from a number as whitespace and float() does not.  The table
+    must have data rows, the required columns, rows of the header's width,
+    non-blank unique keys, finite values, integral bug counts within 1e-9
+    and counts in int64 range; anything else, and any cell numpy cannot
+    read, returns None.
+    """
+    if _NOT_PLAIN.search(text):
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    if any(column not in header for column in (NAME_COLUMN, BUG_COLUMN, *schema)):
+        return None
+    name_at, commas = header.index(NAME_COLUMN), len(header) - 1
+    key_cells, rows = [], []
+    for line in lines[1:]:
+        cell = line.split(",", name_at + 1)[name_at] if line.count(",") == commas else ""
+        if not cell.strip():
+            if line.replace(",", "").strip():
+                return None  # a short or long row, or a blank key
+            continue  # csv skips a row whose every cell is blank
+        key_cells.append(cell)
+        rows.append(line)
+    try:
+        keys = [normalize_key(cell) for cell in key_cells]
+    except ParseError:
+        return None
+    if not rows or len(set(keys)) != len(keys):
+        return None
+    try:
+        table = np.loadtxt(
+            rows,
+            delimiter=",",
+            usecols=[header.index(column) for column in (*schema, BUG_COLUMN)],
+            comments=None,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    if table.shape != (len(rows), len(schema) + 1) or not np.isfinite(table).all():
+        return None
+    values = np.ascontiguousarray(table[:, :-1])
+    bugs = table[:, -1]
+    counts = np.rint(bugs)
+    loc_at = _loc_column(schema)
+    lines_of_code = np.rint(values[:, loc_at]) if loc_at is not None else np.zeros(len(rows))
+    if not (
+        (np.abs(bugs - counts) <= 1e-9).all()
+        and _in_count_range(counts)
+        and _in_count_range(lines_of_code)
+    ):
+        return None
+    return tuple(keys), values, counts.astype(np.int64), lines_of_code.astype(np.int64)
+
+
+def _in_count_range(counts: np.ndarray) -> bool:
+    return bool(((counts >= 0) & (counts < float(_COUNT_LIMIT))).all())
 
 
 def parse_metrics_csv(
@@ -187,11 +272,22 @@ def parse_metrics_csv(
     Rows with duplicate or blank file keys, missing cells, non-numeric
     metric values or a negative line count are rejected.  A file's line
     count is its "loc" metric rounded to an integer.
+
+    A plain table is read whole by numpy (``_parse_metrics_fast``); any
+    other, and every rejected one, is read cell by cell, so the per-cell
+    parser alone defines what is accepted and every ParseError's text.
     """
     schema = tuple(schema)
-    positions, rows = _read_table(data, (NAME_COLUMN, BUG_COLUMN, *schema))
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    fast = _parse_metrics_fast(text, schema)
+    if fast is not None:
+        keys, values, bugs, loc = fast
+        return VersionSnapshot(
+            version_id=version_id, schema=schema, keys=keys, values=values, bugs=bugs, loc=loc
+        )
+    positions, rows = _read_table(text, (NAME_COLUMN, BUG_COLUMN, *schema))
     cells = [(positions[m], m) for m in schema]
-    loc_at = next((i for i, m in enumerate(schema) if m.lower() == "loc"), None)
+    loc_at = _loc_column(schema)
     seen: set[str] = set()
     keys, values, bugs, locs = [], [], [], []
     for row_no, row in rows:

@@ -30,6 +30,11 @@ from .history import HvsmSet, Normalizer
 # log-loss clamp; keeps log() finite when sigmoid saturates to 0 or 1
 PROB_EPS = 1e-12
 
+# multiply-adds from which OpenBLAS runs a matrix product on two threads;
+# waking the second thread after an idle spell can stall the call for
+# milliseconds, so row-independent products are cut into smaller row blocks
+BLAS_THREAD_BOUND = 1 << 19
+
 
 class TrainingError(RuntimeError):
     """Raised when training produces a non-finite loss."""
@@ -179,12 +184,45 @@ def group_by_length(train_set: HvsmSet) -> Batch:
     return Batch([X for _, X in train_set.by_length], np.asarray(labels, dtype=float))
 
 
+def row_blocks(n: int, row_cost: int) -> list[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` blocks covering rows ``0 .. n``, each
+    under ``BLAS_THREAD_BOUND`` multiply-adds at ``row_cost`` per row, of
+    near-equal size and never of one row: gemv rounds a one-row product
+    differently from gemm, while gemm's rows do not depend on how many
+    other rows share the call.  Where fewer than three rows fit under the
+    bound, all rows stay in one block, as an even split could leave a
+    block of one."""
+    cap = (BLAS_THREAD_BOUND - 1) // row_cost
+    if n <= cap or cap < 3:
+        return [(0, n)]
+    k = -(-n // cap)
+    size, extra = divmod(n, k)
+    stops = [(i + 1) * size + min(i + 1, extra) for i in range(k)]
+    return list(zip([0, *stops], stops))
+
+
+def _matmul_rows(A: np.ndarray, M: np.ndarray, out: np.ndarray) -> None:
+    """``np.matmul(A, M, out=out)`` for a 2-d ``M``, one product per
+    ``row_blocks`` block of A's rows (its second-to-last axis)."""
+    n = A.shape[-2]
+    if n * M.size < BLAS_THREAD_BOUND:
+        np.matmul(A, M, out=out)
+        return
+    for i, j in row_blocks(n, M.size):
+        np.matmul(A[..., i:j, :], M, out=out[..., i:j, :])
+
+
 def _recurrent(A: np.ndarray, M: np.ndarray, singles: list[int], a: int) -> np.ndarray:
-    """``A[a:] @ M``.  gemv rounds a one-row product differently from gemm,
-    so where other rows share the product, each row in ``singles`` (a
-    one-sample group's) gets a product of its own."""
-    R = A[a:] @ M
-    if len(R) > 1:
+    """``A[a:] @ M``, in row blocks.  gemv rounds a one-row product
+    differently from gemm, so where other rows share the product, each row
+    in ``singles`` (a one-sample group's) gets a product of its own."""
+    n = len(A) - a
+    if n * M.size < BLAS_THREAD_BOUND:
+        R = A[a:] @ M
+    else:
+        R = np.empty((n, M.shape[1]))
+        _matmul_rows(A[a:], M, R)
+    if n > 1:
         for r in singles:
             if r >= a:
                 R[r - a : r - a + 1] = A[r : r + 1] @ M
@@ -213,15 +251,16 @@ def forward(p: RnnParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """States ``(depth, m, hidden)`` and output probabilities ``(m,)`` of
     every row, by one sweep over the batch's time axis.
 
-    Each group's input projection is one matmul over its own stack; at each
-    step the continuing rows add ``S[τ - 1] @ W.T`` to it, every active row
-    adds b, and tanh runs in place, so a row that starts at τ gets
-    ``tanh(x U^T + b)``.  The states array belongs to the batch.
+    Each group's input projection is one matmul over its own stack, in
+    row blocks; at each step the continuing rows add ``S[τ - 1] @
+    W.T`` to it, every active row adds b, and tanh runs in place, so a row
+    that starts at τ gets ``tanh(x U^T + b)``.  The states array belongs to
+    the batch.
     """
     depth, rows, first = batch.depth, batch.rows, batch.first
     S = batch.work("states", (depth, batch.m, p.hidden_size))
     for X, a, b in zip(batch.stacks, rows, rows[1:]):
-        np.matmul(X, p.U.T, out=S[depth - X.shape[0] :, a:b])
+        _matmul_rows(X, p.U.T, S[depth - X.shape[0] :, a:b])
     WT = p.W.T
     for tau in range(depth):
         if tau:

@@ -16,7 +16,7 @@ from defectseq.baselines import (
     predict_baseline_many,
     train_baseline,
 )
-from defectseq.rnn import Hyperparams, TrainingError
+from defectseq.rnn import BLAS_THREAD_BOUND, Hyperparams, TrainingError
 
 SCHEMA = ("m0", "m1")
 
@@ -177,8 +177,9 @@ class TestBatchedPrediction:
             self.per_row(model, queries, nb_row),
         )
 
-    @pytest.mark.parametrize("block_elements", [1, 3 * 24 * 2, 1 << 16])
-    def test_knn_matches_row_formula_with_ties(self, h, monkeypatch, block_elements):
+    # one row, two rows and every row per block
+    @pytest.mark.parametrize("bound", [1, 3 * 24 * 2, 1 << 16])
+    def test_knn_matches_row_formula_with_ties(self, h, monkeypatch, bound):
         # every training point appears twice with opposite labels, and the
         # queries sit on the same grid, so many distances tie exactly and
         # the vote depends on breaking them by training order
@@ -187,19 +188,21 @@ class TestBatchedPrediction:
         labels = [1] * len(grid) + [0] * len(grid)
         model = train_baseline(KNN, labeled(points, labels), h, k=3)
         queries = grid[:11]  # 11 rows: the last block is short
-        monkeypatch.setattr(baselines, "KNN_BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(baselines, "BLAS_THREAD_BOUND", bound)
         got = predict_baseline_many(model, rows(queries))
         np.testing.assert_array_equal(got, self.per_row(model, queries, knn_row))
         # (-1, 0): its own two copies, then the earlier (label 1) copy of
         # the tied next-nearest pair
         assert got[0] == 2 / 3
 
-    def test_knn_random_matrix(self, h):
+    def test_knn_random_matrix(self, h, monkeypatch):
         rng = np.random.default_rng(6)
         points = np.round(rng.normal(size=(300, 2)), 1)  # coarse grid: ties
         model = train_baseline(KNN, labeled(points, rng.integers(0, 2, size=300)), h, k=5)
         queries = np.round(rng.normal(size=(250, 2)), 1)
-        assert model.params["points"].size * 250 > baselines.KNN_BLOCK_ELEMENTS
+        # 40 queries per block, so the queries span several blocks
+        monkeypatch.setattr(baselines, "BLAS_THREAD_BOUND", 40 * points.size + 1)
+        assert model.params["points"].size * 250 > baselines.BLAS_THREAD_BOUND
         np.testing.assert_array_equal(
             predict_baseline_many(model, rows(queries)), self.per_row(model, queries, knn_row)
         )
@@ -240,12 +243,15 @@ class TestKnnPruning:
         queries = queries.reshape(m, d) * data.draw(scales, label="query scale") + offset
         labels = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
         labels = np.asarray(labels)
-        # from one row per block up to every row in one block
-        block = data.draw(st.sampled_from([1, n * d, 3 * n * d - 1, 1 << 16]), label="block")
+        # from one row per block up to every row in one block, which the
+        # production bound gives here
+        bound = data.draw(
+            st.sampled_from([1, n * d + 1, 3 * n * d, BLAS_THREAD_BOUND]), label="bound"
+        )
         params = {"points": points, "labels": labels, "k": k}
         with np.errstate(over="ignore", invalid="ignore"):
             want = brute_force_knn(points, labels, k, queries)
-            with mock.patch.object(baselines, "KNN_BLOCK_ELEMENTS", block):
+            with mock.patch.object(baselines, "BLAS_THREAD_BOUND", bound):
                 got = baselines._predict_knn(params, queries)
         np.testing.assert_array_equal(got, want)
 

@@ -146,16 +146,38 @@ class TestEval:
             ("f2,0.5,10,0,0.2", "row 3, column 'label': expected non-negative integer, got 0.2"),
             ("f2,0.5,10,0,2", "row 3, column 'label': expected 0 or 1, got 2"),
             ("f2,nan,10,0,0", "row 3, column 'score': non-finite cell 'nan'"),
-            ("b,0.2,20", "row 3, column 'bugs': missing cell"),
+            ("b,0.2,20", "row 3: expected 5 cells, got 3"),
+            ("f2,0.5,10,0,0,9", "row 3: expected 5 cells, got 6"),
         ],
         ids=["fractional-loc", "non-numeric-loc", "fractional-bugs", "fractional-label",
-             "label-2", "nan-score", "short-row"],
+             "label-2", "nan-score", "short-row", "long-row"],
     )
     def test_bad_cell_names_row_and_column(self, tmp_path, capsys, row, message):
         scores = tmp_path / "scores.csv"
         scores.write_text(f"name,score,loc,bugs,label\nf1,0.9,10,1,1\n{row}\n", encoding="utf-8")
         assert main(["eval", str(scores)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_blank_rows_keep_row_numbers(self, tmp_path, capsys):
+        # rows are numbered as lines of the file, blank ones included
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "name,score,loc,bugs,label\nf1,0.9,10,1,1\n\n , , ,,\nf2,0.5,x,0,0\n", encoding="utf-8"
+        )
+        assert main(["eval", str(scores)]) == 1
+        assert capsys.readouterr().err == "error: row 5, column 'loc': non-numeric cell 'x'\n"
+
+    def test_carriage_return_line_ends(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"name,score,loc,bugs,label\rf1,0.9,10,1,1\rf2,0.5,10,0,0\r")
+        assert main(["eval", str(scores)]) == 0
+        assert json.loads(capsys.readouterr().out)["auc"] == 1.0
+
+    def test_header_only_fails(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("name,score,loc,bugs,label\n", encoding="utf-8")
+        assert main(["eval", str(scores)]) == 1
+        assert capsys.readouterr().err == "error: empty scores file\n"
 
     def test_all_clean_fails_with_diagnostic(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -192,6 +214,14 @@ class TestStats:
         assert main(["stats", str(values), "--reference", "b"]) == 0
         assert "win/tie/loss for b" in capsys.readouterr().out
 
+    def test_missing_column_is_one_line(self, tmp_path, capsys):
+        values = tmp_path / "values.csv"
+        values.write_text("technique,value\na,0.9\n", encoding="utf-8")
+        assert main(["stats", str(values)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: missing column 'project'\n"
+        assert captured.out == ""
+
     def test_unknown_reference_fails(self, tmp_path, capsys):
         values = tmp_path / "values.csv"
         values.write_text("technique,project,value\na,p1,0.9\n", encoding="utf-8")
@@ -211,12 +241,13 @@ class TestStats:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("lr,b", "row 3, column 'value': missing cell"),
-            ("lr", "row 3, column 'project': missing cell"),
+            ("lr,b", "row 3: expected 3 cells, got 2"),
+            ("lr", "row 3: expected 3 cells, got 1"),
+            ("lr,b,0.5,9", "row 3: expected 3 cells, got 4"),
             ("lr,b,abc", "row 3, column 'value': non-numeric cell 'abc'"),
             ("lr,b,nan", "row 3, column 'value': non-finite cell 'nan'"),
         ],
-        ids=["no-value", "no-project", "non-numeric-value", "nan-value"],
+        ids=["no-value", "no-project", "long-row", "non-numeric-value", "nan-value"],
     )
     def test_bad_row_names_row_and_column(self, tmp_path, capsys, row, message):
         values = tmp_path / "values.csv"

@@ -1,7 +1,12 @@
+import csv
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from defectseq import dataset
 from defectseq.dataset import (
     ParseError,
     VersionSnapshot,
@@ -105,6 +110,18 @@ class TestParseMetricsCsv:
         with pytest.raises(ParseError, match=r"^row 2: expected 4 cells, got [35]$"):
             parse_metrics_csv(make_csv([row]), SCHEMA)
 
+    def test_carriage_return_ends_a_row(self):
+        snap = parse_metrics_csv("name,wmc,loc,bug\ra,1,10,0\rb,2,20,1\r", SCHEMA)
+        assert snap.keys == ("a", "b") and snap.bugs.tolist() == [0, 1]
+        with pytest.raises(ParseError, match=r"^row 3: expected 4 cells, got 2$"):
+            parse_metrics_csv(make_csv(["a,1,10,0", "b,2\r5,20,0"]), SCHEMA)
+
+    def test_unreadable_row_names_row(self):
+        # a cell beyond csv's field limit is an error of csv itself
+        key = "k" * (csv.field_size_limit() + 1)
+        with pytest.raises(ParseError, match=r"^row 3: field larger than field limit"):
+            parse_metrics_csv(make_csv(["a,1,10,0", f"{key},2,20,0"]), SCHEMA)
+
     def test_count_beyond_int64_rejected(self):
         with pytest.raises(ParseError, match="row 2, column 'loc'"):
             parse_metrics_csv(make_csv(["a,1,1e19,0"]), SCHEMA)
@@ -159,6 +176,142 @@ class TestParseOracle:
         locs = [int(round(float(loc))) if with_loc else 0 for _, _, loc, _ in rows]
         assert snap.loc.tolist() == locs
         assert snap.bugs.dtype == snap.loc.dtype == np.int64
+
+
+def outcome(data, schema):
+    """What parse_metrics_csv makes of a table: the snapshot's keys, arrays
+    (values by float.hex) and layout, or the exception's type and text."""
+    try:
+        snap = parse_metrics_csv(data, schema)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    arrays = (snap.values, snap.bugs, snap.loc)
+    return (
+        snap.keys,
+        [float(x).hex() for x in snap.values.ravel()],
+        snap.bugs.tolist(),
+        snap.loc.tolist(),
+        [(a.shape, a.dtype.str, a.flags.c_contiguous) for a in arrays],
+    )
+
+
+def per_cell_outcome(data, schema):
+    """``outcome`` with the numpy reader off: every table read cell by cell."""
+    with mock.patch.object(dataset, "_parse_metrics_fast", lambda text, schema: None):
+        return outcome(data, schema)
+
+
+# cells that numpy and float() might read differently, or that one rejects
+ODD_CELLS = st.sampled_from([
+    "nan", "-inf", "Infinity", "1e400", "1e-400", "-0", "+3", "1.", ".5", "1E3",
+    "1_0", "\u0663", "\uff11", "0x10", "1d5", "", " ", "1 2", "#1", "1#", " 7 ",
+    "\t8", "\xa09", "\u20031", "1\x0c", "\x0b2", "\x1c1", "1\x1f", "\x851", "\u20284",
+])
+COUNT_ODD = st.sampled_from([
+    "2.0", "1.0000000001", "0.99999999995", "1.000001", "2.5", "-1", "-0", "-1e-10",
+    "0.5", "1e19", "9223372036854775807", "9.2e18", "1_0", "nan", "", "\u0663", " 4 ",
+])
+KEY_ODD = st.sampled_from([
+    "", " ", "\t", "dup", "#k", "\xe9/\xfc", "\xa0d", "k\x1c", "\u2028k", 'q"k', '"x,y"',
+])
+# lines csv skips: no cells, or only blank ones
+BLANK_LINES = st.sampled_from(["", "  ", ",,,", " , ,\t, ", "\t", ",", "\xa0"])
+
+
+@st.composite
+def mutated_tables(draw):
+    """A metrics table, mostly well formed, with some of: odd cells, short
+    and long rows, blank rows, duplicate and blank keys, quotes, CR/CRLF
+    line ends, NUL, and no rows at all."""
+    with_loc = draw(st.booleans())
+    schema = ("wmc", "loc") if with_loc else ("wmc",)
+    columns = draw(st.permutations(["name", "wmc", "loc", "bug", "notes"][: 4 + draw(st.booleans())]))
+    # the share of odd cells; "one" makes exactly one cell odd
+    odd = draw(st.sampled_from([0.0, "one", "one", 0.05, 0.3]))
+    n_rows = draw(st.integers(0, 6))
+    target = (draw(st.integers(0, max(n_rows - 1, 0))), draw(st.sampled_from(columns)))
+    lines = [",".join(columns)]
+    for i in range(n_rows):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(BLANK_LINES))
+            continue
+        row = []
+        for column in columns:
+            if odd == "one":
+                mutate = (i, column) == target
+            else:
+                mutate = draw(st.floats(0, 1)) < odd
+            if column == "name":
+                row.append(draw(KEY_ODD) if mutate else draw(KEY_CELLS.map("".join)) + str(i))
+            elif column == "bug":
+                row.append(draw(COUNT_ODD) if mutate else draw(COUNT_CELLS))
+            elif column == "notes":
+                row.append(draw(st.sampled_from(["", "x", "#", "é"])))
+            else:
+                row.append(draw(ODD_CELLS) if mutate else draw(LOC_CELLS))
+        shape = draw(st.sampled_from(["row"] * 18 + ["short", "long"]))
+        if shape == "short":
+            row.pop()
+        elif shape == "long":
+            row.append("9")
+        lines.append(",".join(row))
+    ends = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "mixed"]))
+    if ends == "mixed":
+        text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    else:
+        text = ends.join(lines) + draw(st.sampled_from([ends, ""]))
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["\0", '"', "\x1e", "\n"])) + text[at:]
+    return text, schema
+
+
+class TestFastPathMatchesPerCell:
+    """The numpy reader and the per-cell parser: the same arrays bit for
+    bit, or the same exception and text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=mutated_tables(), as_bytes=st.booleans())
+    @example(table=("name,wmc,loc,bug\n", SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\r\na,1,2,0\r\n", SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\na,\x1c1,2,0\n", SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\na,1_0,2,0\n", SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\na,1,2,0\nb,1,2,1.000001\n", SCHEMA), as_bytes=False)
+    @example(table=("name,bug,wmc\na,-1e-10,7\nb,1e19,8\n", ("wmc",)), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\na,1,2,0\na,3,4,1\n", SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\n ,1,2,0\n", SCHEMA), as_bytes=False)
+    @example(table=('name,wmc,loc,bug\n"a",1,2,0\n', SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\na,1,2\n", SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\na,1#,2,0\n", SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\na,nan,2,0\n", SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\na,\u0663,2,0\n", SCHEMA), as_bytes=False)
+    @example(table=("name,wmc,loc,bug\na,1,2,0\x00\n", SCHEMA), as_bytes=True)
+    @example(table=("name,wmc,loc,bug\na,1,2,0\n,,,\nb,1,2,3", SCHEMA), as_bytes=True)
+    def test_same_outcome(self, table, as_bytes):
+        text, schema = table
+        data = text.encode("utf-8") if as_bytes else text
+        assert outcome(data, schema) == per_cell_outcome(data, schema)
+
+    def test_clean_table_skips_per_cell_parser(self, monkeypatch):
+        rows = [f" org.C{i} ,{i % 7}.25,{10 * i},{i % 3}.0" for i in range(300)]
+        data = make_csv([*rows[:150], "", " , , , ", *rows[150:]]).encode("utf-8")
+
+        def per_cell(*args):
+            raise AssertionError("a clean table reached the per-cell parser")
+
+        monkeypatch.setattr(dataset, "_parse_number", per_cell)
+        monkeypatch.setattr(dataset, "_read_table", per_cell)
+        snap = parse_metrics_csv(data, SCHEMA)
+        assert snap.keys[:2] == ("org.C0", "org.C1") and len(snap.keys) == 300
+        assert snap.values[3].tolist() == [3.25, 30.0]
+        assert snap.bugs[:4].tolist() == [0, 1, 2, 0]
+
+    @pytest.mark.parametrize("text", ["name,wmc,loc,bug", "name,wmc,loc,bug\n", "name,wmc,loc,bug\n\n , ,,\n"])
+    def test_header_only_warns_nothing(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            snap = parse_metrics_csv(text, SCHEMA)
+        assert snap.keys == () and snap.values.shape == (0, 2) and snap.bugs.shape == (0,)
 
 
 class TestNormalizeKey:

@@ -8,11 +8,18 @@ with ``--benchmark-autosave`` / ``--benchmark-compare`` (kept in
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from defectseq.baselines import KNN, Features, predict_baseline_many, train_baseline
+from defectseq.baselines import (
+    FEEDFORWARD_NN,
+    KNN,
+    Features,
+    predict_baseline_many,
+    train_baseline,
+)
 from defectseq.dataset import PROMISE_CODE_METRICS, parse_metrics_csv
 from defectseq.effort import (
     CE_CUTOFFS,
@@ -88,6 +95,28 @@ def test_knn_predict_1700_by_560(benchmark):
     assert probs.shape == (1700,)
 
 
+def test_nn_predict_1700_rows_after_idle(benchmark):
+    # the nn's prediction of a wide-eval sized test release; its input
+    # projection once crossed OpenBLAS's threading bound, and waking the
+    # second thread after an idle spell stalled the call for milliseconds
+    rng = np.random.default_rng(8)
+    train = Features(
+        values=rng.normal(size=(560, 20)),
+        schema=SCHEMA,
+        labels=rng.integers(0, 2, size=560).astype(float),
+    )
+    model = train_baseline(FEEDFORWARD_NN, train, Hyperparams(iterations=5))
+    queries = Features(values=rng.normal(size=(1700, 20)), schema=SCHEMA)
+
+    def idle():
+        time.sleep(0.002)
+
+    probs = benchmark.pedantic(
+        predict_baseline_many, args=(model, queries), setup=idle, rounds=20
+    )
+    assert probs.shape == (1700,)
+
+
 def test_batch_gradient_standin_sized(benchmark):
     # about one stand-in training set: 870 samples of lengths 1..3, 20 metrics
     rng = np.random.default_rng(2)
@@ -136,6 +165,19 @@ def test_parse_metrics_csv_1000_rows(benchmark):
     data = ("\n".join(lines) + "\n").encode("utf-8")
     snapshot = benchmark.pedantic(parse_metrics_csv, args=(data, metrics, "1.0"), rounds=5)
     assert len(snapshot.files) == 1000
+
+
+def test_parse_metrics_csv_1000_rows_quoted_keys(benchmark):
+    # quoted keys keep numpy's reader off: the per-cell path
+    rng = np.random.default_rng(3)
+    metrics = PROMISE_CODE_METRICS
+    lines = ["name," + ",".join(metrics) + ",bug"]
+    for i in range(1000):
+        values = ",".join(repr(v) for v in np.round(rng.uniform(0, 500, size=len(metrics)), 3).tolist())
+        lines.append(f'"org.example.C{i:04d}",{values},{int(rng.integers(0, 3))}')
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    snapshot = benchmark.pedantic(parse_metrics_csv, args=(data, metrics, "1.0"), rounds=5)
+    assert snapshot.keys[0] == "org.example.C0000" and len(snapshot.files) == 1000
 
 
 def test_scott_knott_5_techniques_by_9_projects(benchmark):

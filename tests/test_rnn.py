@@ -492,6 +492,62 @@ class TestSweepMatchesLoop:
         assert got == hex_gradients(*loop_batch_gradient(p, groups, 1e-3))
 
 
+class TestRowBlocks:
+    """``row_blocks`` keeps products under the BLAS thread bound and never
+    leaves a one-row (gemv) block."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 20_000), row_cost=st.integers(1, rnn.BLAS_THREAD_BOUND))
+    @example(n=1639, row_cost=320)  # one row past the bound
+    @example(n=3277, row_cost=320)  # one row past twice the most rows per block
+    def test_blocks_cover_rows_under_the_bound(self, n, row_cost):
+        blocks = rnn.row_blocks(n, row_cost)
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == n
+        if (rnn.BLAS_THREAD_BOUND - 1) // row_cost < 3:  # too costly to split
+            assert blocks == [(0, n)]
+            return
+        sizes = [b - a for a, b in blocks]
+        assert all(size * row_cost < rnn.BLAS_THREAD_BOUND for size in sizes)
+        assert n < 2 or min(sizes) >= 2
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_atlas_sized_projection_is_split(self):
+        # the nn's one-step projection of a 1,700-file release, 20 metrics
+        assert rnn.row_blocks(1638, 20 * 16) == [(0, 1638)]
+        assert rnn.row_blocks(1639, 20 * 16) == [(0, 820), (820, 1639)]
+        assert len(rnn.row_blocks(1700, 20 * 16)) == 2
+
+
+class TestBlockedProducts:
+    """Forward, prediction and gradient over groups large enough to be cut
+    into row blocks equal the unblocked per-group loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "lengths, counts",
+        [
+            ((1,), (1700,)),  # the nn's one-step batch of a wide test release
+            ((1, 2), (1639, 2049)),  # projections one row past the bound
+            ((2, 3), (1, 2048)),  # recurrent products at the bound, one-sample group
+        ],
+    )
+    def test_bitwise_against_loop(self, lengths, counts):
+        rng = np.random.default_rng(sum(counts))
+        groups = random_groups(rng, lengths, counts, 20)
+        p = random_params(rng, 16, 20)
+        batch = as_batch(groups)
+        want = [x.hex() for X, _ in groups for x in loop_group_forward(p, X)[1]]
+        assert [x.hex() for x in forward(p, batch)[1]] == want
+
+        schema = tuple(f"m{i}" for i in range(20))
+        samples = [(X[:, i, :], None) for X, _ in groups for i in range(X.shape[1])]
+        n = Normalizer(mean=np.zeros(20), std=np.ones(20), schema=schema)
+        assert [x.hex() for x in predict_set(p, hvsm_set(samples), n)] == want
+
+        expected = hex_gradients(*loop_batch_gradient(p, groups, 1e-4))
+        assert hex_gradients(*batch_gradient(p, batch, 1e-4)) == expected
+
+
 class TestGroupByLength:
     def test_groups_ascend_by_length_in_sample_order(self):
         rng = np.random.default_rng(20)
