@@ -79,8 +79,11 @@ def main() -> None:
     for item in s.items:
         print(
             f"  {item.key:22s} T={item.length}  versions={'-'.join(item.version_ids)}  "
-            f"label={item.label}  block={item.values.shape}"
+            f"label={item.label}"
         )
+    # the values live once, in one (T, files, metrics) stack per length
+    for idx, X in s.by_length:
+        print(f"  stack {X.shape}: {', '.join(s.items[i].key for i in idx)}")
 
     print("\n=== debug dump (one row per file and step) ===")
     print(hvsm_set_to_csv(s))

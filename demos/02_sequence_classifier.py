@@ -17,7 +17,7 @@ SCHEMA = ("trend", "noise_a", "noise_b")
 
 def make_samples(n: int, seed: int) -> HvsmSet:
     rng = np.random.default_rng(seed)
-    items = []
+    items, blocks = [], []
     for i in range(n):
         rising = i % 2 == 0
         final = rng.normal()
@@ -26,12 +26,12 @@ def make_samples(n: int, seed: int) -> HvsmSet:
             trend = (final - gaps.sum(), final - gaps[1], final)
         else:
             trend = (final + gaps.sum(), final + gaps[1], final)
-        rows = np.column_stack([trend, rng.normal(size=(3, 2))])
         # one (T, d) block per file: row t holds the metrics of release t
-        items.append(
-            Hvsm(key=f"f{i:03d}", version_ids=("r1", "r2", "r3"), values=rows, label=int(rising))
-        )
-    return HvsmSet(anchor_version="r3", items=tuple(items), window=3, schema=SCHEMA)
+        blocks.append(np.column_stack([trend, rng.normal(size=(3, 2))]))
+        items.append(Hvsm(key=f"f{i:03d}", version_ids=("r1", "r2", "r3"), label=int(rising)))
+    # every file has three releases, so the set's values are one (3, n, d) stack
+    stack = np.stack(blocks, axis=1)
+    return HvsmSet("r3", tuple(items), 3, SCHEMA, by_length=((np.arange(n), stack),))
 
 
 def main() -> None:
@@ -56,13 +56,11 @@ def main() -> None:
 
     print("\n=== variable-length prediction (shared weights across steps) ===")
     long_item = test_set.items[0]
-    short_item = Hvsm(
-        key="short",
-        version_ids=long_item.version_ids[1:],
-        values=long_item.values[1:],
-        label=None,
-    )
-    pair = HvsmSet(anchor_version="r3", items=(long_item, short_item), window=3, schema=SCHEMA)
+    short_item = Hvsm(key="short", version_ids=long_item.version_ids[1:], label=None)
+    (_, stack), = test_set.by_length
+    # stacks ascend in length: the short item's (2, 1, d) stack comes first
+    by_length = ((np.array([1]), stack[1:, :1]), (np.array([0]), stack[:, :1]))
+    pair = HvsmSet("r3", (long_item, short_item), 3, SCHEMA, by_length)
     for item, prob in zip(pair.items, predict_set(result.params, pair, normalizer)):
         print(f"  T={item.length}: p(defective) = {prob:.3f}")
 

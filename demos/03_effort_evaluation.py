@@ -9,26 +9,28 @@ cut off at several inspection budgets.
 
 from defectseq.effort import (
     CE_CUTOFFS,
-    ScoredFile,
     acc_at_effort,
     auc,
     ce_curve,
     ce_pi,
     rank_by_density,
+    scored_files,
 )
 
-FILES = [
-    ScoredFile("app/Main.java", score=0.9, loc=10, bugs=1),
-    ScoredFile("app/View.java", score=0.5, loc=10, bugs=0),
-    ScoredFile("app/Model.java", score=0.9, loc=80, bugs=1),
-]
+# one column per field, one entry per file
+FILES, _ = scored_files(
+    keys=["app/Main.java", "app/View.java", "app/Model.java"],
+    scores=[0.9, 0.5, 0.9],
+    locs=[10, 10, 80],
+    bugs=[1, 0, 1],
+)
 
 
 def main() -> None:
     ranking = rank_by_density(FILES)
     print("=== density ranking (score per line, descending) ===")
-    for f in ranking:
-        print(f"  {f.key:16s} score={f.score:.2f} loc={f.loc:3d} density={f.score / f.loc:.4f}")
+    for key, score, loc in zip(ranking.keys, ranking.score, ranking.loc):
+        print(f"  {key:16s} score={score:.2f} loc={loc:3d} density={score / loc:.4f}")
 
     print("\n=== cumulative inspection curve ===")
     curve = ce_curve(ranking)
@@ -39,9 +41,9 @@ def main() -> None:
     for pi in CE_CUTOFFS:
         print(f"  CE at {pi:>4}: {ce_pi(FILES, pi):.4f}")
 
-    labels = [1 if f.bugs else 0 for f in FILES]
+    labels = (FILES.bugs > 0).astype(int).tolist()
     print(f"\nrecall at 20% effort: {acc_at_effort(FILES):.3f}")
-    print(f"ROC area:             {auc([(f.score, y) for f, y in zip(FILES, labels)]):.3f}")
+    print(f"ROC area:             {auc(zip(FILES.score.tolist(), labels)):.3f}")
 
 
 if __name__ == "__main__":

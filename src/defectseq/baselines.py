@@ -65,7 +65,7 @@ class Features:
         net trains on them raw."""
         stack = self.normalized[None]
         items = tuple(
-            Hvsm(key=str(i), version_ids=("0",), values=stack[:, i], label=int(label))
+            Hvsm(key=str(i), version_ids=("0",), label=int(label))
             for i, label in enumerate(self.labels)
         )
         return HvsmSet(

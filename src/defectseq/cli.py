@@ -20,9 +20,9 @@ import numpy as np
 
 from .dataset import ParseError, _parse_count, _parse_number, _read_table
 from .effort import acc_at_effort, auc, ce_report_values, scored_files
-from .experiment import emit_report, load_config, run_experiment
+from .experiment import emit_report, load_config, run_experiment, win_tie_loss_tally
 from .rnn import Hyperparams, gradient_check
-from .stats import scott_knott, win_tie_loss
+from .stats import scott_knott
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -127,10 +127,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for tech in order:
         if tech == reference:
             continue
-        counts = {"win": 0, "tie": 0, "loss": 0}
-        for project in projects:
-            outcome = win_tie_loss(by_tech[reference][project], by_tech[tech][project])
-            counts[outcome.value] += 1
+        counts, _ = win_tie_loss_tally(by_tech[reference], by_tech[tech])
         print(f"  vs {tech}: {counts['win']}/{counts['tie']}/{counts['loss']}")
     return 0
 

@@ -11,11 +11,11 @@ Everything runs on columns (:class:`ScoredColumns`: key, score, LOC and bug
 arrays).  A column set is ranked once, by one ``np.lexsort``, and each
 ordering becomes one cumulative-sum curve; every CE cutoff is then read
 from the running sum of that curve's trapezoids with ``np.searchsorted``,
-and ACC from the cumulative LOC of the same ranking.  Functions that take a list of
-:class:`ScoredFile` rows turn it into columns first and run the same core.
-``ScoredColumns.with_scores`` rescores the same files and shares what does
-not depend on the scores (key rank, optimal ordering and its CE areas), so
-many evaluations of one test set build those once.
+and ACC from the cumulative LOC of the same ranking.  Every evaluation
+function takes columns, which :func:`scored_files` builds from parallel
+sequences.  ``ScoredColumns.with_scores`` rescores the same files and
+shares what does not depend on the scores (key rank, optimal ordering and
+its CE areas), so many evaluations of one test set build those once.
 """
 
 from __future__ import annotations
@@ -35,20 +35,6 @@ class UndefinedCeError(ValueError):
     """CE is undefined: no bugs, or the optimal curve equals the diagonal."""
 
 
-@dataclass(frozen=True)
-class ScoredFile:
-    key: str
-    score: float
-    loc: int
-    bugs: int
-
-    def __post_init__(self):
-        if self.loc < 1:
-            raise ValueError(f"loc must be >= 1 for {self.key!r} (adjust zero-LOC first)")
-        if self.bugs < 0:
-            raise ValueError(f"negative bug count for {self.key!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class ScoredColumns:
     """Parallel per-file columns: keys, scores, LOC (>= 1) and bug counts."""
@@ -65,15 +51,6 @@ class ScoredColumns:
         for message, bad in checks:
             if bad.any():
                 raise ValueError(f"{message} for {self.keys[np.argmax(bad)]!r}")
-
-    @classmethod
-    def from_files(cls, files: Sequence[ScoredFile]) -> ScoredColumns:
-        return cls(
-            keys=tuple(f.key for f in files),
-            score=np.array([f.score for f in files], dtype=float),
-            loc=np.array([f.loc for f in files], dtype=np.int64),
-            bugs=np.array([f.bugs for f in files], dtype=np.int64),
-        )
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -146,24 +123,11 @@ def scored_files(
     return columns, int(np.count_nonzero(loc < 1))
 
 
-def _columns(files: Sequence[ScoredFile] | ScoredColumns) -> ScoredColumns:
-    return files if isinstance(files, ScoredColumns) else ScoredColumns.from_files(files)
-
-
-def rank_by_density(
-    files: Sequence[ScoredFile] | ScoredColumns,
-) -> list[ScoredFile] | ScoredColumns:
-    """Sort by score/LOC descending; ties go to the smaller file, then key.
-
-    Returns the same kind of sequence it is given: a list of
-    :class:`ScoredFile` or reordered :class:`ScoredColumns`.
-    """
-    columns = _columns(files)
-    if not len(columns):
+def rank_by_density(files: ScoredColumns) -> ScoredColumns:
+    """Sort by score/LOC descending; ties go to the smaller file, then key."""
+    if not len(files):
         raise ValueError("no files to rank")
-    if files is columns:
-        return columns.take(columns.ranking)
-    return [files[i] for i in columns.ranking]
+    return files.take(files.ranking)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +135,6 @@ class CeCurve:
     """Cumulative (LOC fraction, bug fraction) vertices of one ordering."""
 
     points: np.ndarray  # (k+1) x 2, starts at (0, 0)
-    ordering: tuple[str, ...]
 
 
 def _points(loc: np.ndarray, bugs: np.ndarray) -> np.ndarray:
@@ -185,12 +148,11 @@ def _points(loc: np.ndarray, bugs: np.ndarray) -> np.ndarray:
     return points
 
 
-def ce_curve(ordering: Sequence[ScoredFile] | ScoredColumns) -> CeCurve:
+def ce_curve(ordering: ScoredColumns) -> CeCurve:
     """Piecewise-linear curve through the cumulative totals after each file."""
-    columns = _columns(ordering)
-    if not len(columns):
+    if not len(ordering):
         raise ValueError("empty ordering")
-    return CeCurve(points=_points(columns.loc, columns.bugs), ordering=columns.keys)
+    return CeCurve(points=_points(ordering.loc, ordering.bugs))
 
 
 def _areas(points: np.ndarray, cutoffs: Sequence[float]) -> list[float]:
@@ -213,7 +175,7 @@ def _areas(points: np.ndarray, cutoffs: Sequence[float]) -> list[float]:
 
 
 def ce_report_values(
-    files: Sequence[ScoredFile] | ScoredColumns, cutoffs: Sequence[float] = CE_CUTOFFS
+    files: ScoredColumns, cutoffs: Sequence[float] = CE_CUTOFFS
 ) -> dict[str, float]:
     """CE at every cutoff, keyed by the cutoff's string form.
 
@@ -221,22 +183,21 @@ def ce_report_values(
     first pi of total LOC: 1 means the ranking matches the best achievable
     ordering; negative values mean it is worse than random.
     """
-    columns = _columns(files)
-    if not len(columns):
+    if not len(files):
         raise ValueError("no files")
     for pi in cutoffs:
         if not 0.0 < pi <= 1.0:
             raise ValueError(f"pi must be in (0, 1], got {pi}")
-    if not columns.bugs.any():
+    if not files.bugs.any():
         raise UndefinedCeError("no defective files: CE is undefined")
 
     def areas(order: np.ndarray) -> list[float]:
-        return _areas(_points(columns.loc[order], columns.bugs[order]), cutoffs)
+        return _areas(_points(files.loc[order], files.bugs[order]), cutoffs)
 
-    model = areas(columns.ranking)
-    optimal = columns._optimal_areas.get(tuple(cutoffs))
+    model = areas(files.ranking)
+    optimal = files._optimal_areas.get(tuple(cutoffs))
     if optimal is None:
-        optimal = columns._optimal_areas[tuple(cutoffs)] = areas(columns.optimal)
+        optimal = files._optimal_areas[tuple(cutoffs)] = areas(files.optimal)
     values = {}
     for pi, area_model, area_optimal in zip(cutoffs, model, optimal):
         area_random = pi * pi / 2.0
@@ -247,22 +208,21 @@ def ce_report_values(
     return values
 
 
-def ce_pi(files: Sequence[ScoredFile] | ScoredColumns, pi: float) -> float:
+def ce_pi(files: ScoredColumns, pi: float) -> float:
     """CE at one cutoff (see :func:`ce_report_values`)."""
     return ce_report_values(files, (pi,))[format(pi, "g")]
 
 
-def acc_at_effort(files: Sequence[ScoredFile] | ScoredColumns, effort: float = 0.2) -> float:
+def acc_at_effort(files: ScoredColumns, effort: float = 0.2) -> float:
     """Recall of defective files once the top of the ranking uses
     ``effort`` of the total LOC; partially inspected files do not count."""
-    columns = _columns(files)
-    defective = int(np.count_nonzero(columns.bugs))
+    defective = int(np.count_nonzero(files.bugs))
     if defective == 0:
         raise ValueError("no defective files: recall undefined")
-    cum_loc = np.cumsum(columns.loc[columns.ranking])
+    cum_loc = np.cumsum(files.loc[files.ranking])
     budget = effort * int(cum_loc[-1]) * (1 + 1e-12)
-    inspected = columns.ranking[: np.searchsorted(cum_loc, budget, side="right")]
-    return int(np.count_nonzero(columns.bugs[inspected])) / defective
+    inspected = files.ranking[: np.searchsorted(cum_loc, budget, side="right")]
+    return int(np.count_nonzero(files.bugs[inspected])) / defective
 
 
 def auc(scores: Iterable[tuple[float, int]]) -> float:

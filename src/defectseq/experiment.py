@@ -153,13 +153,21 @@ class ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a YAML (or JSON) experiment description."""
-    raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"invalid YAML{at}: {problem}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     base = Path(path).parent
 
-    def resolve(p: str) -> str:
-        q = Path(p)
+    def resolve(entry: dict, key: str, where: str) -> str:
+        if not isinstance(entry[key], str):
+            raise ConfigError(f"{where}: {key} must be a path, got {entry[key]!r}")
+        q = Path(entry[key])
         return str(q if q.is_absolute() else base / q)
 
     def require(entry, where: str, *keys: str) -> None:
@@ -169,17 +177,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if key not in entry:
                 raise ConfigError(f"{where}: missing key {key!r}")
 
+    for key in ("projects", "code_metrics", "baselines"):
+        if key in raw and not isinstance(raw[key], list):
+            raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
     projects = []
     for i, entry in enumerate(raw.get("projects", [])):
         require(entry, f"project {i}", "name")
+        if not isinstance(entry.get("versions", []), list):
+            raise ConfigError(f"project {i}: versions must be a list, got {entry['versions']!r}")
         versions = []
         for j, v in enumerate(entry.get("versions", [])):
-            require(v, f"project {i}, version {j}", "id", "metrics")
+            where = f"project {i}, version {j}"
+            require(v, where, "id", "metrics")
             versions.append(
                 VersionEntry(
                     version_id=str(v["id"]),
-                    metrics_path=resolve(v["metrics"]),
-                    process_path=resolve(v["process"]) if v.get("process") else None,
+                    metrics_path=resolve(v, "metrics", where),
+                    process_path=resolve(v, "process", where) if v.get("process") else None,
                 )
             )
         ids = [v.version_id for v in versions]
@@ -203,9 +217,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         hyperparams = Hyperparams(**hp_values)
     except ValueError as exc:
         raise ConfigError(f"hyperparams: {exc}") from None
-    for key in ("code_metrics", "baselines"):
-        if key in raw and not isinstance(raw[key], list):
-            raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
     overrides = raw.get("technique_hyperparams") or {}
     require(overrides, "technique_hyperparams")
     technique_hyperparams = {}
@@ -489,6 +500,20 @@ def average_rank(table: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
     return {t: sums[t] / n for t in techniques}
 
 
+def win_tie_loss_tally(
+    subject: Mapping[str, Sequence[float]], other: Mapping[str, Sequence[float]]
+) -> tuple[dict[str, int], dict[str, str]]:
+    """Win/tie/loss counts of ``subject`` against ``other``, both mapping
+    each project to its values, and the outcome per project in
+    ``subject``'s order."""
+    counts = {"win": 0, "tie": 0, "loss": 0}
+    per_project = {}
+    for project, values in subject.items():
+        per_project[project] = win_tie_loss(values, other[project]).value
+        counts[per_project[project]] += 1
+    return counts, per_project
+
+
 def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
     ok_projects = sorted(report["projects"])
     techniques = [RNN_TECHNIQUE, *cfg.baseline_kinds]
@@ -501,6 +526,13 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
     if not ok_projects or not usable:
         report["aggregates"] = aggregates
         return
+
+    def runs(t: str, metric: str) -> dict[str, list[float]]:
+        """Technique ``t``'s value of ``metric`` in every run, by project."""
+        return {
+            p: [run[metric] for run in report["projects"][p]["techniques"][t]["runs"]]
+            for p in ok_projects
+        }
 
     mean_table = {
         metric: {
@@ -522,14 +554,7 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
     sk = {}
     for metric in METRIC_KEYS:
         if cfg.sk_pool_runs:
-            values = {
-                t: [
-                    run[metric]
-                    for p in ok_projects
-                    for run in report["projects"][p]["techniques"][t]["runs"]
-                ]
-                for t in usable
-            }
+            values = {t: sum(runs(t, metric).values(), []) for t in usable}
         else:
             values = {t: [mean_table[metric][p][t] for p in ok_projects] for t in usable}
         grouping = scott_knott(values)
@@ -542,19 +567,7 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
             continue
         wtl[t] = {}
         for metric in METRIC_KEYS:
-            counts = {"win": 0, "tie": 0, "loss": 0}
-            per_project = {}
-            for p in ok_projects:
-                subject = [
-                    run[metric]
-                    for run in report["projects"][p]["techniques"][RNN_TECHNIQUE]["runs"]
-                ]
-                other = [
-                    run[metric] for run in report["projects"][p]["techniques"][t]["runs"]
-                ]
-                outcome = win_tie_loss(subject, other)
-                counts[outcome.value] += 1
-                per_project[p] = outcome.value
+            counts, per_project = win_tie_loss_tally(runs(RNN_TECHNIQUE, metric), runs(t, metric))
             wtl[t][metric] = {**counts, "per_project": per_project}
     aggregates["win_tie_loss"] = wtl
     report["aggregates"] = aggregates

@@ -2,16 +2,16 @@
 
 For an anchor version v, every file present in v yields one sample: the
 file's rows of the version matrices over its trailing run of consecutive
-versions ending at v, at most ``window`` versions long, as one ``(T, d)``
-block.  Files absent from v but seen earlier are dead and yield nothing.
+versions ending at v, at most ``window`` versions long.  Files absent
+from v but seen earlier are dead and yield nothing.
 
-A set is immutable and carries its samples' metric schema and its values,
-stacked into one ``(T, n, d)`` array per sequence length
-(``HvsmSet.by_length``).  Extraction gathers each stack straight from the
-version matrices, one gather per length and step, and normalization
-transforms the stacks; each sample's block is a view into its length's
-stack, so a set holds its values once, and training and prediction on it,
-in every repeat, read those stacks.
+A sample (``Hvsm``) is a record of the file's key, version ids and label.
+Its set is immutable and carries the samples' metric schema and their
+values, stacked into one ``(T, n, d)`` array per sequence length
+(``HvsmSet.by_length``), the only place that holds them.  Extraction
+gathers each stack straight from the version matrices, one gather per
+length and step, and normalization transforms the stacks; training and
+prediction on a set, in every repeat, read those stacks.
 """
 
 from __future__ import annotations
@@ -37,20 +37,14 @@ class Hvsm:
     """One file's historical version sequence of metrics.
 
     ``version_ids`` are consecutive versions of the project ending at the
-    anchor; row t of the ``(T, d)`` block ``values`` holds the file's
-    metrics at ``version_ids[t]``.  ``label`` is the binarized bug label at
-    the anchor, or None when unknown.
+    anchor; the file's metrics at ``version_ids[t]`` are step t of its set's
+    stack of this length.  ``label`` is the binarized bug label at the
+    anchor, or None when unknown.
     """
 
     key: str
     version_ids: tuple[str, ...]
-    values: np.ndarray
     label: int | None
-
-    def __post_init__(self):
-        T = len(self.version_ids)
-        if not T or self.values.ndim != 2 or len(self.values) != T:
-            raise ValueError("values must be a (T, d) block aligned with non-empty version_ids")
 
     @property
     def length(self) -> int:
@@ -66,64 +60,41 @@ of samples, in ascending T and item order within a group."""
 class HvsmSet:
     """All samples extracted at one anchor version, on one metric schema.
 
-    ``by_length`` holds the samples' values stacked by length.  A set built
-    from items alone stacks them; extraction and normalization hand over the
-    stacks that the items' blocks view, and stacks that do not hold the
-    items that way are rejected.
+    ``by_length`` holds the samples' values stacked by length; a set whose
+    stacks do not hold every item once, at its length, is rejected.
     """
 
     anchor_version: str
     items: tuple[Hvsm, ...]
     window: int
     schema: tuple[str, ...]
-    by_length: Stacks | None = None
+    by_length: Stacks
 
     def __post_init__(self):
-        if any(item.values.shape[1] != len(self.schema) for item in self.items):
-            raise ValueError(f"every sample step needs one value per schema entry {self.schema}")
-        if self.by_length is None:
-            object.__setattr__(self, "by_length", _stack_by_length(self.items))
-        else:
-            _check_stacks(self.items, self.by_length)
+        covered = sorted(i for idx, _ in self.by_length for i in idx.tolist())
+        lengths = [len(X) for _, X in self.by_length]
+        if covered != list(range(self.m)) or lengths != sorted(set(lengths)) or 0 in lengths:
+            raise ValueError("by_length must hold every item once, in ascending length")
+        for idx, X in self.by_length:
+            if X.shape != (len(X), len(idx), len(self.schema)) or any(
+                self.items[i].length != len(X) for i in idx.tolist()
+            ):
+                raise ValueError("each stack must be (T, items, schema size), items of length T")
 
     @property
     def m(self) -> int:
         return len(self.items)
 
 
-def _stack_by_length(items: tuple[Hvsm, ...]) -> Stacks:
-    by_length: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        by_length.setdefault(item.length, []).append(i)
-    return tuple(
-        (np.asarray(idx, dtype=np.intp), np.stack([items[i].values for i in idx], axis=1))
-        for idx in (by_length[T] for T in sorted(by_length))
-    )
-
-
-def _check_stacks(items: tuple[Hvsm, ...], by_length: Stacks) -> None:
-    """Raise unless every item sits in exactly one stack, of its length, in
-    ascending T, with its block a view into that stack."""
-    covered = sorted(i for idx, _ in by_length for i in idx.tolist())
-    lengths = [X.shape[0] for _, X in by_length]
-    if covered != list(range(len(items))) or lengths != sorted(set(lengths)):
-        raise ValueError("by_length must hold every item once, in ascending length")
-    for idx, X in by_length:
-        if X.shape[1] != len(idx) or any(
-            items[i].length != len(X) or not np.may_share_memory(items[i].values, X)
-            for i in idx.tolist()
-        ):
-            raise ValueError("every item's block must be a view into the stack of its length")
-
-
-def _views(by_length: Stacks) -> list[np.ndarray]:
-    """Each item's ``(T, d)`` block as a view into its length's stack, in
-    item order."""
-    views = [None] * sum(len(idx) for idx, _ in by_length)
-    for idx, X in by_length:
-        for j, i in enumerate(idx.tolist()):
-            views[i] = X[:, j]
-    return views
+def _item_rows(s: HvsmSet) -> np.ndarray:
+    """Every step of every sample as one ``(steps, d)`` array, in item order
+    and step order within an item, scattered from the stacks."""
+    lengths = np.array([item.length for item in s.items], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    rows = np.empty((int(lengths.sum()), len(s.schema)))
+    for idx, X in s.by_length:
+        rows[starts[idx][:, None] + np.arange(len(X))] = X.swapaxes(0, 1)
+    return rows
 
 
 def classify_file(history: ProjectHistory, v: str, key: str) -> Lifecycle:
@@ -208,8 +179,8 @@ def extract_hvsm_set(
             stack[t] = versions[first + t].values[[walks[i][T - 1 - t] for i in idx]]
         by_length.append((np.asarray(idx, dtype=np.intp), stack))
     items = tuple(
-        Hvsm(key=key, version_ids=version_ids[len(rows)], values=values, label=labels[rows[0]])
-        for key, rows, values in zip(keys, walks, _views(by_length))
+        Hvsm(key=key, version_ids=version_ids[len(rows)], label=labels[rows[0]])
+        for key, rows in zip(keys, walks)
     )
     return HvsmSet(
         anchor_version=v,
@@ -247,7 +218,8 @@ def fit_normalizer(train: HvsmSet) -> Normalizer:
     """Population mean/std over every step of every training sequence."""
     if not train.items:
         raise ValueError("cannot fit a normalizer on an empty set")
-    return fit_normalizer_rows(np.vstack([item.values for item in train.items]), train.schema)
+    # item order: a mean over rows adds them in sequence, so it sets the bits
+    return fit_normalizer_rows(_item_rows(train), train.schema)
 
 
 def fit_normalizer_rows(rows: np.ndarray, schema: tuple[str, ...]) -> Normalizer:
@@ -265,11 +237,7 @@ def apply_normalizer(n: Normalizer, s: HvsmSet) -> HvsmSet:
     if s.schema != n.schema:
         raise ValueError("normalizer schema does not match the set's schema")
     by_length = tuple((idx, n.transform(X)) for idx, X in s.by_length)
-    items = tuple(
-        Hvsm(item.key, item.version_ids, values, item.label)
-        for item, values in zip(s.items, _views(by_length))
-    )
-    return HvsmSet(s.anchor_version, items, s.window, s.schema, by_length)
+    return HvsmSet(s.anchor_version, s.items, s.window, s.schema, by_length)
 
 
 def hvsm_set_to_csv(s: HvsmSet) -> str:
@@ -277,15 +245,16 @@ def hvsm_set_to_csv(s: HvsmSet) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["name", "version", "T", "step", *s.schema, "label"])
+    rows = iter(_item_rows(s).tolist())
     for item in s.items:
-        for step, (version_id, values) in enumerate(zip(item.version_ids, item.values), 1):
+        for step, (version_id, values) in enumerate(zip(item.version_ids, rows), 1):
             writer.writerow(
                 [
                     item.key,
                     version_id,
                     item.length,
                     step,
-                    *map(repr, values.tolist()),
+                    *map(repr, values),
                     "" if item.label is None else item.label,
                 ]
             )

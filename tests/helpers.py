@@ -49,26 +49,32 @@ def toy_history() -> ProjectHistory:
     return ProjectHistory(name="toy", versions=tuple(versions))
 
 
-def hvsm_from_rows(rows: np.ndarray, label: int | None, key="f") -> Hvsm:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return Hvsm(
-        key=key,
-        version_ids=tuple(f"v{i}" for i in range(rows.shape[0])),
-        values=rows,
-        label=label,
-    )
-
-
 def hvsm_set(samples, anchor="v", window=None, schema=None) -> HvsmSet:
-    """samples: iterable of (rows, label) pairs; the schema defaults to
-    m0, m1, ..., one name per column."""
+    """samples: iterable of (rows, label) pairs, each rows a (T, d) block;
+    the schema defaults to m0, m1, ..., one name per column."""
+    samples = list(samples)
+    arrays = [np.atleast_2d(np.asarray(rows, dtype=float)) for rows, _ in samples]
     items = tuple(
-        hvsm_from_rows(rows, label, key=f"f{i:04d}") for i, (rows, label) in enumerate(samples)
+        Hvsm(key=f"f{i:04d}", version_ids=tuple(f"v{t}" for t in range(len(rows))), label=label)
+        for i, (rows, (_, label)) in enumerate(zip(arrays, samples))
     )
-    max_t = max(item.length for item in items)
+    lengths = [len(rows) for rows in arrays]
+    by_length = tuple(
+        (idx, np.stack([arrays[i] for i in idx], axis=1))
+        for idx in (np.flatnonzero(np.equal(lengths, T)) for T in sorted(set(lengths)))
+    )
     if schema is None:
-        schema = tuple(f"m{i}" for i in range(items[0].values.shape[1]))
-    return HvsmSet(anchor_version=anchor, items=items, window=window or max_t, schema=schema)
+        schema = tuple(f"m{i}" for i in range(arrays[0].shape[1]))
+    return HvsmSet(anchor, items, window or max(lengths), schema, by_length)
+
+
+def blocks(s: HvsmSet) -> list[np.ndarray]:
+    """Each sample's (T, d) block, read off its length's stack, in item order."""
+    out = [None] * s.m
+    for idx, X in s.by_length:
+        for j, i in enumerate(idx.tolist()):
+            out[i] = X[:, j]
+    return out
 
 
 def write_trend_project(

@@ -101,6 +101,30 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == f"warning: trend: {message}\nerror: no project completed\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("projects: 5\n", "projects must be a list, got 5"),
+            ("projects:\n  - {name: a, versions: 5}\n", "project 0: versions must be a list, got 5"),
+            (
+                "projects:\n  - name: a\n    versions:\n      - {id: v1, metrics: [x]}\n",
+                "project 0, version 0: metrics must be a path, got ['x']",
+            ),
+            (
+                "projects: [{name: a\n",
+                "invalid YAML at line 2, column 1: expected ',' or '}', but got '<stream end>'",
+            ),
+        ],
+        ids=["projects-int", "versions-int", "metrics-list", "yaml-syntax"],
+    )
+    def test_malformed_config_is_one_line(self, tmp_path, capsys, text, message):
+        config = tmp_path / "config.yaml"
+        config.write_text(text, encoding="utf-8")
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
         assert "error" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from defectseq.effort import (
     CE_CUTOFFS,
     CeCurve,
     ScoredColumns,
-    ScoredFile,
     UndefinedCeError,
     acc_at_effort,
     auc,
@@ -24,8 +24,26 @@ from defectseq.effort import (
 
 
 # ---------------------------------------------------------------------------
-# independent oracles
+# independent oracles, on plain rows
 # ---------------------------------------------------------------------------
+
+class Row(NamedTuple):
+    """One scored file, as the oracles read it."""
+
+    key: str
+    score: float
+    loc: int
+    bugs: int
+
+
+def columns(rows):
+    """The rows as the columns that every evaluation function takes."""
+    return scored_files(*(list(c) for c in zip(*rows)))[0]
+
+
+def ranked_keys(rows):
+    return list(rank_by_density(columns(rows)).keys)
+
 
 def oracle_vertices(ordering):
     """Cumulative (loc%, bug%) polyline, written independently."""
@@ -59,7 +77,7 @@ def oracle_ce(files, pi):
 def random_instance(rng, max_files=8):
     n = int(rng.integers(1, max_files + 1))
     files = [
-        ScoredFile(
+        Row(
             key=f"f{i}",
             score=float(rng.uniform()),
             loc=int(rng.integers(1, 101)),
@@ -82,33 +100,33 @@ def instance_is_defined(files):
 # ---------------------------------------------------------------------------
 
 THREE_FILES = [
-    ScoredFile("f1", score=0.9, loc=10, bugs=1),
-    ScoredFile("f2", score=0.5, loc=10, bugs=0),
-    ScoredFile("f3", score=0.9, loc=80, bugs=1),
+    Row("f1", score=0.9, loc=10, bugs=1),
+    Row("f2", score=0.5, loc=10, bugs=0),
+    Row("f3", score=0.9, loc=80, bugs=1),
 ]
 
 
 class TestRankByDensity:
     def test_equal_scores_smaller_loc_first(self):
-        files = [ScoredFile("big", 0.8, 100, 0), ScoredFile("small", 0.8, 10, 0)]
-        assert [f.key for f in rank_by_density(files)] == ["small", "big"]
+        files = [Row("big", 0.8, 100, 0), Row("small", 0.8, 10, 0)]
+        assert ranked_keys(files) == ["small", "big"]
 
     def test_singleton(self):
-        files = [ScoredFile("only", 0.3, 5, 1)]
-        assert rank_by_density(files) == files
+        files = [Row("only", 0.3, 5, 1)]
+        assert ranked_keys(files) == ["only"]
 
     def test_density_tie_broken_by_loc_then_key(self):
         files = [
-            ScoredFile("f1", 0.9, 10, 1),
-            ScoredFile("f2", 0.9, 90, 0),
-            ScoredFile("f3", 0.1, 10, 1),
+            Row("f1", 0.9, 10, 1),
+            Row("f2", 0.9, 90, 0),
+            Row("f3", 0.1, 10, 1),
         ]
         # densities 0.09, 0.01, 0.01; the 0.01 tie goes to the smaller file
-        assert [f.key for f in rank_by_density(files)] == ["f1", "f3", "f2"]
+        assert ranked_keys(files) == ["f1", "f3", "f2"]
 
     def test_key_breaks_full_ties(self):
-        files = [ScoredFile("b", 0.5, 10, 0), ScoredFile("a", 0.5, 10, 0)]
-        assert [f.key for f in rank_by_density(files)] == ["a", "b"]
+        files = [Row("b", 0.5, 10, 0), Row("a", 0.5, 10, 0)]
+        assert ranked_keys(files) == ["a", "b"]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -117,13 +135,12 @@ class TestRankByDensity:
         rng = np.random.default_rng(seed)
         files = random_instance(rng)
         transformed = [
-            ScoredFile(f.key, score=float(np.exp(3 * f.score / f.loc)) * f.loc, loc=f.loc, bugs=f.bugs)
+            Row(f.key, score=float(np.exp(3 * f.score / f.loc)) * f.loc, loc=f.loc, bugs=f.bugs)
             for f in files
         ]
-        assert [f.key for f in rank_by_density(files)] == [
-            f.key for f in rank_by_density(transformed)
-        ]
+        assert ranked_keys(files) == ranked_keys(transformed)
         if instance_is_defined(files):
+            files, transformed = columns(files), columns(transformed)
             for pi in CE_CUTOFFS:
                 assert ce_pi(files, pi) == pytest.approx(ce_pi(transformed, pi), abs=1e-12)
             assert acc_at_effort(files) == acc_at_effort(transformed)
@@ -132,22 +149,22 @@ class TestRankByDensity:
 class TestCeCurve:
     def test_hand_computed_vertices(self):
         files = [
-            ScoredFile("a", 1.0, 10, 1),
-            ScoredFile("b", 0.9, 10, 0),
-            ScoredFile("c", 0.8, 80, 1),
+            Row("a", 1.0, 10, 1),
+            Row("b", 0.9, 10, 0),
+            Row("c", 0.8, 80, 1),
         ]
-        curve = ce_curve(files)
+        curve = ce_curve(columns(files))
         np.testing.assert_allclose(
             curve.points, [(0, 0), (0.1, 0.5), (0.2, 0.5), (1, 1)], atol=1e-12
         )
 
     def test_single_file(self):
-        curve = ce_curve([ScoredFile("a", 0.2, 7, 2)])
+        curve = ce_curve(columns([Row("a", 0.2, 7, 2)]))
         np.testing.assert_allclose(curve.points, [(0, 0), (1, 1)], atol=1e-12)
 
     def test_all_bugs_up_front(self):
-        files = [ScoredFile("a", 1.0, 25, 3), ScoredFile("b", 0.1, 75, 0)]
-        curve = ce_curve(files)
+        files = [Row("a", 1.0, 25, 3), Row("b", 0.1, 75, 0)]
+        curve = ce_curve(columns(files))
         np.testing.assert_allclose(curve.points[1], (0.25, 1.0), atol=1e-12)
 
     def test_coordinates_non_decreasing_and_terminal(self):
@@ -156,17 +173,17 @@ class TestCeCurve:
             files = random_instance(rng)
             if sum(f.bugs for f in files) == 0:
                 continue
-            pts = ce_curve(rank_by_density(files)).points
+            pts = ce_curve(rank_by_density(columns(files))).points
             assert np.all(np.diff(pts[:, 0]) >= 0)
             assert np.all(np.diff(pts[:, 1]) >= 0)
             np.testing.assert_allclose(pts[-1], (1.0, 1.0), atol=1e-12)
 
     def test_zero_bugs_curve_still_valid(self):
-        curve = ce_curve([ScoredFile("a", 0.5, 10, 0)])
+        curve = ce_curve(columns([Row("a", 0.5, 10, 0)]))
         np.testing.assert_allclose(curve.points, [(0, 0), (1, 0)], atol=1e-12)
 
     def test_csv_export_round_trips(self):
-        curve = ce_curve(THREE_FILES)
+        curve = ce_curve(columns(THREE_FILES))
         text = curve_to_csv(curve)
         rows = [line.split(",") for line in text.strip().splitlines()[1:]]
         values = np.asarray([[float(a), float(b)] for a, b in rows])
@@ -176,26 +193,28 @@ class TestCeCurve:
 class TestCePi:
     def test_worked_example(self):
         # areas 0.675 (model), 0.725 (optimal), 0.5 (random)
-        assert ce_pi(THREE_FILES, 1.0) == pytest.approx(0.7778, abs=1e-4)
-        assert ce_pi(THREE_FILES, 1.0) == pytest.approx(oracle_ce(THREE_FILES, 1.0), abs=1e-15)
+        assert ce_pi(columns(THREE_FILES), 1.0) == pytest.approx(0.7778, abs=1e-4)
+        assert ce_pi(columns(THREE_FILES), 1.0) == pytest.approx(
+            oracle_ce(THREE_FILES, 1.0), abs=1e-15
+        )
 
     def test_optimal_scores_give_one(self):
-        files = [ScoredFile(f"f{i}", score=(i + 1) * 0.1, loc=10, bugs=i) for i in range(4)]
+        files = [Row(f"f{i}", score=(i + 1) * 0.1, loc=10, bugs=i) for i in range(4)]
         # score order equals bug-density order
         ordered = sorted(files, key=lambda f: -f.score)
-        assert [f.key for f in rank_by_density(ordered)] == [
+        assert ranked_keys(ordered) == [
             f.key for f in sorted(files, key=lambda f: (-(f.bugs / f.loc), f.loc, f.key))
         ]
         for pi in CE_CUTOFFS:
-            assert ce_pi(files, pi) == pytest.approx(1.0, abs=1e-12)
+            assert ce_pi(columns(files), pi) == pytest.approx(1.0, abs=1e-12)
 
     def test_reverse_optimal_no_better_than_random(self):
         files = [
-            ScoredFile("a", 0.1, 10, 5),
-            ScoredFile("b", 0.5, 10, 1),
-            ScoredFile("c", 0.9, 10, 0),
+            Row("a", 0.1, 10, 5),
+            Row("b", 0.5, 10, 1),
+            Row("c", 0.9, 10, 0),
         ]
-        assert ce_pi(files, 1.0) <= 0.0
+        assert ce_pi(columns(files), 1.0) <= 0.0
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(1234)
@@ -205,7 +224,7 @@ class TestCePi:
             if not instance_is_defined(files):
                 continue
             for pi in CE_CUTOFFS:
-                assert ce_pi(files, pi) == pytest.approx(oracle_ce(files, pi), abs=1e-12)
+                assert ce_pi(columns(files), pi) == pytest.approx(oracle_ce(files, pi), abs=1e-12)
             checked += 1
 
     def test_optimal_matches_best_permutation(self):
@@ -225,35 +244,35 @@ class TestCePi:
 
     def test_zero_bugs_undefined(self):
         with pytest.raises(UndefinedCeError):
-            ce_pi([ScoredFile("a", 0.5, 10, 0)], 1.0)
+            ce_pi(columns([Row("a", 0.5, 10, 0)]), 1.0)
 
     def test_degenerate_optimal_undefined(self):
         # one file: optimal curve is the diagonal's chord, denominator 0
         with pytest.raises(UndefinedCeError):
-            ce_pi([ScoredFile("a", 0.5, 10, 2)], 1.0)
+            ce_pi(columns([Row("a", 0.5, 10, 2)]), 1.0)
 
     def test_invalid_pi_rejected(self):
         with pytest.raises(ValueError):
-            ce_pi(THREE_FILES, 0.0)
+            ce_pi(columns(THREE_FILES), 0.0)
 
 
 class TestAccAtEffort:
     def test_all_defects_in_budget(self):
-        files = [ScoredFile("a", 0.9, 10, 1), ScoredFile("b", 0.1, 90, 0)]
-        assert acc_at_effort(files) == 1.0
+        files = [Row("a", 0.9, 10, 1), Row("b", 0.1, 90, 0)]
+        assert acc_at_effort(columns(files)) == 1.0
 
     def test_no_defects_in_budget(self):
-        files = [ScoredFile("a", 0.9, 10, 0), ScoredFile("b", 0.1, 90, 1)]
-        assert acc_at_effort(files) == 0.0
+        files = [Row("a", 0.9, 10, 0), Row("b", 0.1, 90, 1)]
+        assert acc_at_effort(columns(files)) == 0.0
 
     def test_partial_file_not_counted(self):
-        files = [ScoredFile(f"f{i}", 1.0 - i / 10, 10, 1 if i in (0, 9) else 0) for i in range(10)]
+        files = [Row(f"f{i}", 1.0 - i / 10, 10, 1 if i in (0, 9) else 0) for i in range(10)]
         # 20% of 100 LOC inspects exactly two files; one of the two defects
-        assert acc_at_effort(files) == 0.5
+        assert acc_at_effort(columns(files)) == 0.5
 
     def test_no_defective_rejected(self):
         with pytest.raises(ValueError):
-            acc_at_effort([ScoredFile("a", 0.5, 10, 0)])
+            acc_at_effort(columns([Row("a", 0.5, 10, 0)]))
 
 
 class TestAuc:
@@ -302,8 +321,8 @@ class TestScoredFiles:
         assert files.bugs.tolist() == [1, 0, 2]
 
     def test_negative_bugs_rejected(self):
-        with pytest.raises(ValueError):
-            ScoredFile("a", 0.5, 10, -1)
+        with pytest.raises(ValueError, match="negative bug count for 'a'"):
+            ScoredColumns(keys=("a",), score=np.array([0.5]), loc=np.array([10]), bugs=np.array([-1]))
 
     def test_negative_bugs_in_columns_named(self):
         with pytest.raises(ValueError, match="negative bug count for 'b'"):
@@ -314,8 +333,8 @@ class TestScoredFiles:
             scored_files(["a", "b"], [0.5], [10, 10], [1, 0])
 
     def test_zero_loc_direct_construction_rejected(self):
-        with pytest.raises(ValueError):
-            ScoredFile("a", 0.5, 0, 1)
+        with pytest.raises(ValueError, match="loc must be >= 1 for 'a'"):
+            ScoredColumns(keys=("a",), score=np.array([0.5]), loc=np.array([0]), bugs=np.array([1]))
 
     def test_zero_loc_direct_column_construction_rejected(self):
         with pytest.raises(ValueError, match="loc must be >= 1 for 'b'"):
@@ -325,18 +344,6 @@ class TestScoredFiles:
                 loc=np.array([10, 0]),
                 bugs=np.array([1, 0]),
             )
-
-    def test_list_and_columns_give_the_same_values(self):
-        files, _ = scored_files([f.key for f in THREE_FILES], [f.score for f in THREE_FILES],
-                                [f.loc for f in THREE_FILES], [f.bugs for f in THREE_FILES])
-        assert ce_report_values(files) == ce_report_values(THREE_FILES)
-        assert acc_at_effort(files) == acc_at_effort(THREE_FILES)
-        ranked = rank_by_density(files)
-        assert isinstance(ranked, ScoredColumns)
-        assert ranked.keys == tuple(f.key for f in rank_by_density(THREE_FILES))
-        np.testing.assert_array_equal(
-            ce_curve(ranked).points, ce_curve(rank_by_density(THREE_FILES)).points
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -456,45 +463,39 @@ class TestColumnCoreMatchesLoops:
     @given(tied_files, st.sampled_from([0.05, 0.25, 0.3, 0.75]))
     def test_bitwise_equal(self, rows, extra_pi):
         keys, scores, locs, bugs = (list(c) for c in zip(*rows))
-        columns, adjusted = scored_files(keys, scores, locs, bugs)
+        frame, adjusted = scored_files(keys, scores, locs, bugs)
         assert adjusted == sum(1 for loc in locs if loc < 1)
-        files = [ScoredFile(k, float(s), max(loc, 1), b) for k, s, loc, b in rows]
+        files = [Row(k, float(s), max(loc, 1), b) for k, s, loc, b in rows]
 
         reference = loop_rank_by_density(files)
-        assert rank_by_density(files) == reference
-        ranked = rank_by_density(columns)
+        ranked = rank_by_density(frame)
         assert ranked.keys == tuple(f.key for f in reference)
         curve = ce_curve(ranked)
-        assert curve.ordering == tuple(f.key for f in reference)
         assert np.array_equal(curve.points, loop_ce_curve(reference))
-        assert np.array_equal(ce_curve(reference).points, loop_ce_curve(reference))
 
         # cutoffs at curve vertices hit the whole-segment boundary exactly
         vertex_pis = [float(x) for x in curve.points[1:, 0][:3]]
         cutoffs = (*CE_CUTOFFS, extra_pi, *vertex_pis)
         expected = {format(pi, "g"): outcome(loop_ce_pi, files, pi) for pi in cutoffs}
         if all(isinstance(v, float) for v in expected.values()):
-            assert ce_report_values(columns, cutoffs) == expected
-            assert ce_report_values(files, cutoffs) == expected
+            assert ce_report_values(frame, cutoffs) == expected
         else:
             with pytest.raises(UndefinedCeError):
-                ce_report_values(columns, cutoffs)
+                ce_report_values(frame, cutoffs)
         for pi in cutoffs:
-            assert outcome(ce_pi, columns, pi) == expected[format(pi, "g")]
+            assert outcome(ce_pi, frame, pi) == expected[format(pi, "g")]
 
         # the same files rescored from another column set give the same values
         rescored = scored_files(keys, [0.0] * len(keys), locs, bugs)[0].with_scores(scores)
         assert outcome(ce_report_values, rescored, cutoffs) == outcome(
-            ce_report_values, columns, cutoffs
+            ce_report_values, frame, cutoffs
         )
-        assert outcome(acc_at_effort, columns) == outcome(loop_acc_at_effort, files)
-        assert outcome(acc_at_effort, files) == outcome(loop_acc_at_effort, files)
+        assert outcome(acc_at_effort, frame) == outcome(loop_acc_at_effort, files)
         pairs = [(s, 1 if b > 0 else 0) for s, b in zip(scores, bugs)]
         assert outcome(auc, pairs) == outcome(loop_auc, pairs)
 
     def test_ranking_is_computed_once_per_column_set(self, monkeypatch):
-        files, _ = scored_files([f.key for f in THREE_FILES], [f.score for f in THREE_FILES],
-                                [f.loc for f in THREE_FILES], [f.bugs for f in THREE_FILES])
+        files = columns(THREE_FILES)
         calls = []
         real = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
@@ -514,7 +515,7 @@ class TestColumnCoreMatchesLoops:
         flipped = ce_report_values(frame.with_scores([-f.score for f in THREE_FILES]))
         # the optimal ordering once, then one model ranking per rescoring
         assert len(calls) == 4
-        assert first == again == ce_report_values(THREE_FILES)
+        assert first == again == ce_report_values(columns(THREE_FILES))
         assert flipped != first
 
 
@@ -536,5 +537,5 @@ class TestCurveCsv:
         )
     )
     def test_equals_csv_writer_form(self, points):
-        curve = CeCurve(points=np.asarray(points, dtype=float).reshape(-1, 2), ordering=())
+        curve = CeCurve(points=np.asarray(points, dtype=float).reshape(-1, 2))
         assert curve_to_csv(curve) == csv_writer_curve(curve)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectseq import baselines as bl
-from defectseq import experiment, history
+from defectseq import experiment
 from defectseq.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -418,8 +418,7 @@ class TestBuiltOncePerProject:
 
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_sets_stacked_and_features_built_once(self, tmp_path, monkeypatch, repeats):
-        stacked, extracted, one_step, feature_rows, normalizers = [], [], [], [], []
-        real_stack = history._stack_by_length
+        extracted, one_step, feature_rows, normalizers = [], [], [], []
         real_extract = experiment.extract_hvsm_set
         real_set = bl.HvsmSet
         real_init = bl.Features.__init__
@@ -439,9 +438,6 @@ class TestBuiltOncePerProject:
             one_step.append(s.m)
             return s
 
-        monkeypatch.setattr(
-            history, "_stack_by_length", lambda items: stacked.append(len(items)) or real_stack(items)
-        )
         monkeypatch.setattr(experiment, "extract_hvsm_set", extracting)
         monkeypatch.setattr(bl, "HvsmSet", one_step_set)
         monkeypatch.setattr(bl.Features, "__init__", counting_init)
@@ -455,12 +451,10 @@ class TestBuiltOncePerProject:
         project = report["projects"]["trend"]
         assert all(len(t["runs"]) == repeats for t in project["techniques"].values())
         n_train, n_test = project["train"]["files"], project["test"]["files"]
-        # the rnn's training and test sets are gathered by length once, the
-        # nn's one-step set is built once for all repeats, and no set is
-        # restacked from its items
+        # the rnn's training and test sets are gathered by length once, and
+        # the nn's one-step set is built once for all repeats
         assert extracted == [n_train, n_test]
         assert one_step == [n_train]
-        assert stacked == []
         # the anchor rows to train on and to score, and one z-scoring for all
         assert feature_rows == [n_train, n_test]
         assert normalizers == [1]

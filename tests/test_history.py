@@ -1,11 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectseq.history import (
     Hvsm,
+    HvsmSet,
     Lifecycle,
     apply_normalizer,
     average_length,
@@ -13,11 +12,12 @@ from defectseq.history import (
     developing_fraction,
     extract_hvsm_set,
     fit_normalizer,
+    fit_normalizer_rows,
     hvsm_set_to_csv,
     lifecycle_counts,
 )
 
-from helpers import hvsm_from_rows, hvsm_set, snapshot, toy_history
+from helpers import blocks, hvsm_set, snapshot, toy_history
 
 
 @pytest.fixture(scope="module")
@@ -78,23 +78,23 @@ class TestExtractHvsmSet:
 
     def test_newborn_is_single_step(self, history):
         s = extract_hvsm_set(history, "v4", window=4)
-        item = {i.key: i for i in s.items}["fD"]
-        assert item.length == 1
+        i = [item.key for item in s.items].index("fD")
+        assert s.items[i].length == 1
         v4 = history.snapshot("v4")
-        np.testing.assert_array_equal(item.values, v4.values[[v4.files["fD"]]])
+        np.testing.assert_array_equal(blocks(s)[i], v4.values[[v4.files["fD"]]])
 
     def test_value_count_is_metrics_times_length(self):
         # ten metrics over three steps carry thirty values
         rows = np.arange(30, dtype=float).reshape(3, 10)
-        item = hvsm_from_rows(rows, label=1)
-        assert item.values.shape == (3, 10) and item.values.size == 30
+        (_, X), = hvsm_set([(rows, 1)]).by_length
+        assert X.shape == (3, 1, 10) and X.size == 30
 
     def test_window_one_degenerates_to_single_version(self, history):
         s = extract_hvsm_set(history, "v4", window=1)
         assert {item.length for item in s.items} == {1}
         v4 = history.snapshot("v4")
-        for item in s.items:
-            np.testing.assert_array_equal(item.values[0], v4.values[v4.files[item.key]])
+        for item, values in zip(s.items, blocks(s)):
+            np.testing.assert_array_equal(values[0], v4.values[v4.files[item.key]])
 
     def test_default_window_spans_full_history(self, history):
         s = extract_hvsm_set(history, "v4")
@@ -131,7 +131,8 @@ class TestExtractHvsmSet:
         assert [i.key for i in a.items] == [i.key for i in b.items]
         for x, y in zip(a.items, b.items):
             assert x.version_ids == y.version_ids
-            np.testing.assert_array_equal(x.values, y.values)
+        for x, y in zip(blocks(a), blocks(b)):
+            np.testing.assert_array_equal(x, y)
 
     def test_unknown_version_rejected(self, history):
         with pytest.raises(KeyError):
@@ -146,39 +147,49 @@ class TestExtractHvsmSet:
         assert average_length(s) == pytest.approx((4 + 3 + 2 + 1) / 4)
 
     @pytest.mark.parametrize("window", [None, 2])
-    def test_items_view_their_length_stacks(self, history, window):
-        # the stacks hold the values once: each block is a view into its
-        # length's stack, which equals stacking the blocks
-        for s in (extract_hvsm_set(history, "v4", window), extract_hvsm_set(history, "v5", window)):
-            lengths = [item.length for item in s.items]
-            assert [X.shape[0] for _, X in s.by_length] == sorted(set(lengths))
-            for idx, X in s.by_length:
-                for j, i in enumerate(idx):
-                    assert np.shares_memory(s.items[i].values, X)
-                    np.testing.assert_array_equal(X[:, j], s.items[i].values)
-                    assert s.items[i].length == X.shape[0]
-            n = fit_normalizer(s)
-            out = apply_normalizer(n, s)
-            for (idx, X), (_, Z) in zip(s.by_length, out.by_length):
-                np.testing.assert_array_equal(Z, n.transform(X))
-                for j, i in enumerate(idx):
-                    assert np.shares_memory(out.items[i].values, Z)
+    def test_stacks_hold_each_files_rows(self, window):
+        # every file and version has its own values, so a sample gathered
+        # from the wrong row or version shows up
+        from defectseq.dataset import ProjectHistory
 
-    def test_rejects_stacks_that_do_not_hold_the_items(self, history):
-        s = extract_hvsm_set(history, "v4", window=4)
-        copied = tuple(
-            Hvsm(item.key, item.version_ids, item.values.copy(), item.label) for item in s.items
+        presence = {"a": "1234", "b": "234", "c": "4", "d": "124", "e": "34"}
+        versions = tuple(
+            snapshot(v, ("loc", "x"), {k: [10 * ord(k) + int(v), -int(v)] for k in presence
+                                       if v in presence[k]})
+            for v in "1234"
         )
-        with pytest.raises(ValueError, match="view into the stack"):
-            replace(s, items=copied)  # the old stacks no longer hold the items
-        with pytest.raises(ValueError, match="every item once"):
-            replace(s, by_length=s.by_length[1:])
-        with pytest.raises(ValueError, match="ascending length"):
-            replace(s, by_length=s.by_length[::-1])
-        restacked = replace(s, items=copied, by_length=None)  # stacks the new items
-        for (idx, X), (idx2, X2) in zip(s.by_length, restacked.by_length):
-            np.testing.assert_array_equal(idx2, idx)
-            np.testing.assert_array_equal(X2, X)
+        history = ProjectHistory(name="distinct", versions=versions)
+        s = extract_hvsm_set(history, "4", window)
+        assert [X.shape[0] for _, X in s.by_length] == sorted({i.length for i in s.items})
+        for item, values in zip(s.items, blocks(s)):
+            expected = [history.snapshot(v).values[history.snapshot(v).files[item.key]]
+                        for v in item.version_ids]
+            np.testing.assert_array_equal(values, expected)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing item", "every item once"),
+            ("repeated item", "every item once"),
+            ("descending T", "ascending length"),
+            ("T differs from an item's length", "items of length T"),
+            ("wrong d", "schema size"),
+        ],
+        ids=["missing-item", "repeated-item", "descending-T", "T-not-item-length", "wrong-d"],
+    )
+    def test_rejects_stacks_that_do_not_match_the_items(self, history, case, message):
+        s = extract_hvsm_set(history, "v4", window=4)  # four items of lengths 1..4
+        (idx1, X1), (idx2, X2), *rest = s.by_length
+        by_length = {
+            "missing item": s.by_length[1:],
+            "repeated item": ((idx1.repeat(2), X1.repeat(2, axis=1)), *s.by_length[1:]),
+            "descending T": s.by_length[::-1],
+            "T differs from an item's length": ((idx2, X1), (idx1, X2), *rest),
+            "wrong d": tuple((idx, X[..., :1]) for idx, X in s.by_length),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            HvsmSet(s.anchor_version, s.items, s.window, s.schema, by_length)
+        HvsmSet(s.anchor_version, s.items, s.window, s.schema, s.by_length)  # the intact set
 
 
 class TestNormalizer:
@@ -200,7 +211,7 @@ class TestNormalizer:
         object.__setattr__(n, "mean", np.zeros(2))
         object.__setattr__(n, "std", np.ones(2))
         out = apply_normalizer(n, s)
-        np.testing.assert_array_equal(out.items[0].values, [[1.0, -2.0], [3.0, 0.5]])
+        np.testing.assert_array_equal(blocks(out)[0], [[1.0, -2.0], [3.0, 0.5]])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -209,7 +220,7 @@ class TestNormalizer:
         samples = [(rng.normal(size=(int(rng.integers(1, 4)), 3)) * 5 + 2, 0) for _ in range(6)]
         s = hvsm_set(samples)
         out = apply_normalizer(fit_normalizer(s), s)
-        rows = np.vstack([item.values for item in out.items])
+        rows = np.vstack(blocks(out))
         np.testing.assert_allclose(rows.mean(axis=0), 0.0, atol=1e-9)
         for var in rows.var(axis=0):
             assert var == pytest.approx(1.0, abs=1e-9) or var == pytest.approx(0.0, abs=1e-9)
@@ -228,15 +239,37 @@ class TestNormalizer:
             apply_normalizer(fit_normalizer(other), s)
 
     def test_empty_set_rejected(self):
-        from defectseq.history import HvsmSet
-
         with pytest.raises(ValueError):
-            fit_normalizer(HvsmSet(anchor_version="v", items=(), window=1, schema=("m0",)))
+            fit_normalizer(HvsmSet("v", (), 1, ("m0",), by_length=()))
+
+    def test_fit_reads_rows_in_item_order(self):
+        # a mean over rows adds them in sequence, so the rows must come in
+        # item order, not grouped by length, for the bits to match
+        rng = np.random.default_rng(3)
+        samples = [(rng.normal(size=(T, 3)) * 10.0 ** rng.integers(-3, 4), 0)
+                   for T in (3, 1, 2, 3, 1, 1, 2, 3, 2, 1)]
+        s = hvsm_set(samples)
+        fit = fit_normalizer(s)
+        expected = fit_normalizer_rows(np.vstack([rows for rows, _ in samples]), s.schema)
+        for got, want in ((fit.mean, expected.mean), (fit.std, expected.std)):
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+TOY_V4_CSV = """\
+name,version,T,step,loc,x,label
+fA,v1,4,1,10.0,1.0,1
+fA,v2,4,2,20.0,2.0,1
+fA,v3,4,3,30.0,3.0,1
+fA,v4,4,4,40.0,4.0,1
+fB,v2,3,1,20.0,2.0,0
+fB,v3,3,2,30.0,3.0,0
+fB,v4,3,3,40.0,4.0,0
+fC,v3,2,1,30.0,3.0,1
+fC,v4,2,2,40.0,4.0,1
+fD,v4,1,1,40.0,4.0,0
+"""
 
 
 def test_debug_csv_dump(history):
-    s = extract_hvsm_set(history, "v4", window=4)
-    text = hvsm_set_to_csv(s)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("name,version,T,step")
-    assert len(lines) == 1 + sum(i.length for i in s.items)
+    # one row per (file, step), files in item order: the exact text
+    assert hvsm_set_to_csv(extract_hvsm_set(history, "v4", window=4)) == TOY_V4_CSV

@@ -22,7 +22,7 @@ from defectseq.rnn import (
     train,
 )
 
-from helpers import hvsm_from_rows, hvsm_set, trend_samples
+from helpers import hvsm_set, trend_samples
 
 
 def random_params(rng, hidden, input_dim, scale=0.5):
@@ -431,7 +431,7 @@ class TestBatchGradient:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            group_by_length(HvsmSet(anchor_version="v", items=(), window=1, schema=("m0",)))
+            group_by_length(HvsmSet("v", (), 1, ("m0",), by_length=()))
 
 
 def hex_gradients(g: Gradients, loss: float) -> dict:
@@ -596,8 +596,7 @@ class TestTrain:
         assert result.loss_history[1] <= result.loss_history[0] + 1e-12
 
     def test_unlabeled_sample_rejected(self):
-        item = hvsm_from_rows(np.ones((1, 2)), label=None)
-        batch = HvsmSet(anchor_version="v", items=(item,), window=1, schema=("m0", "m1"))
+        batch = hvsm_set([(np.ones((1, 2)), None)])
         with pytest.raises(ValueError):
             train(batch, Hyperparams(hidden_size=2, iterations=1))
 
@@ -693,22 +692,20 @@ class TestPredict:
         return Normalizer(mean=np.zeros(dim), std=np.ones(dim), schema=schema)
 
     @staticmethod
-    def predict_one(p, item, n, schema=None) -> float:
-        schema = schema or tuple(f"m{i}" for i in range(item.values.shape[1]))
-        s = HvsmSet(anchor_version="v", items=(item,), window=item.length, schema=schema)
-        return float(predict_set(p, s, n)[0])
+    def predict_one(p, rows, n, schema=None) -> float:
+        return float(predict_set(p, hvsm_set([(rows, None)], schema=schema), n)[0])
 
     def test_zero_weights_give_half(self):
         p = init_params(Hyperparams(hidden_size=3, init_scale=0.0), 2)
-        item = hvsm_from_rows(np.random.default_rng(0).normal(size=(3, 2)), 1)
-        assert self.predict_one(p, item, self.identity_normalizer(2)) == 0.5
+        rows = np.random.default_rng(0).normal(size=(3, 2))
+        assert self.predict_one(p, rows, self.identity_normalizer(2)) == 0.5
 
     def test_variable_lengths_accepted(self):
         rng = np.random.default_rng(13)
         p = random_params(rng, 3, 2)
         n = self.identity_normalizer(2)
-        p3 = self.predict_one(p, hvsm_from_rows(rng.normal(size=(3, 2)), None), n)
-        p2 = self.predict_one(p, hvsm_from_rows(rng.normal(size=(2, 2)), None), n)
+        p3 = self.predict_one(p, rng.normal(size=(3, 2)), n)
+        p2 = self.predict_one(p, rng.normal(size=(2, 2)), n)
         assert 0 < p3 < 1 and 0 < p2 < 1
 
     def test_independent_of_other_samples(self):
@@ -716,7 +713,7 @@ class TestPredict:
         p = random_params(rng, 3, 2)
         n = self.identity_normalizer(2)
         rows = rng.normal(size=(2, 2))
-        alone = self.predict_one(p, hvsm_from_rows(rows, 1), n)
+        alone = self.predict_one(p, rows, n)
         together = predict_set(
             p, hvsm_set([(rows, 1), (rng.normal(size=(4, 2)), 0)]), n
         )
@@ -730,8 +727,8 @@ class TestPredict:
         samples = [(rng.normal(size=(T, 3)), 0) for T in (1, 3, 2, 3, 1)]
         s = hvsm_set(samples)
         batch = predict_set(p, s, n)
-        for prob, item, (rows, _) in zip(batch, s.items, samples):
-            assert prob == pytest.approx(self.predict_one(p, item, n), rel=1e-12)
+        for prob, (rows, _) in zip(batch, samples):
+            assert prob == pytest.approx(self.predict_one(p, rows, n), rel=1e-12)
             assert prob == pytest.approx(ref_forward(p, rows)[1], rel=1e-12)
 
     def test_normalization_applied(self):
@@ -741,15 +738,13 @@ class TestPredict:
         n = Normalizer(mean=np.array([1.0, -1.0]), std=np.array([2.0, 4.0]), schema=schema)
         rows = rng.normal(size=(2, 2))
         manual = ref_forward(p, (rows - n.mean) / n.std)[1]
-        item = hvsm_from_rows(rows, None)
-        assert self.predict_one(p, item, n, schema) == pytest.approx(manual)
+        assert self.predict_one(p, rows, n, schema) == pytest.approx(manual)
 
     def test_schema_mismatch_rejected(self):
         p = init_params(Hyperparams(hidden_size=2), 2)
         n = Normalizer(mean=np.zeros(2), std=np.ones(2), schema=("a", "b"))
-        item = hvsm_from_rows(np.ones((1, 2)), None)
         with pytest.raises(ValueError):
-            self.predict_one(p, item, n, ("c", "d"))
+            self.predict_one(p, np.ones((1, 2)), n, ("c", "d"))
 
 
 class TestLearnability:
