@@ -39,30 +39,32 @@ def write_project(root: Path) -> list[str]:
     return version_ids
 
 
+def config_text(version_ids: list[str]) -> str:
+    """The manifest of the run on the tables ``write_project`` wrote."""
+    return "\n".join(
+        [
+            "seed: 5",
+            "repeats: 10",
+            "len: 3",
+            f"code_metrics: [{', '.join(SCHEMA)}]",
+            "baselines: [lr, nb, knn, nn]",
+            f"output: {OUT / 'report'}",
+            "hyperparams: {hidden_size: 8, eta: 0.3, iterations: 200}",
+            "projects:",
+            "  - name: demo",
+            "    train_version: r3",
+            "    test_version: r4",
+            "    versions:",
+        ]
+        + [f"      - {{id: {vid}, metrics: demo-{vid}.csv}}" for vid in version_ids]
+    ) + "\n"
+
+
 def main() -> None:
     OUT.mkdir(exist_ok=True)
     version_ids = write_project(OUT)
     config = OUT / "config.yaml"
-    config.write_text(
-        "\n".join(
-            [
-                "seed: 5",
-                "repeats: 10",
-                "len: 3",
-                f"code_metrics: [{', '.join(SCHEMA)}]",
-                "baselines: [lr, nb, knn, nn]",
-                f"output: {OUT / 'report'}",
-                "hyperparams: {hidden_size: 8, eta: 0.3, iterations: 200}",
-                "projects:",
-                "  - name: demo",
-                "    train_version: r3",
-                "    test_version: r4",
-                "    versions:",
-            ]
-            + [f"      - {{id: {vid}, metrics: demo-{vid}.csv}}" for vid in version_ids]
-        )
-        + "\n"
-    )
+    config.write_text(config_text(version_ids))
 
     print(f"running: defectseq run {config}\n")
     code = cli_main(["run", str(config)])

@@ -33,7 +33,7 @@ import json
 import math
 import multiprocessing as mp
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -72,6 +72,7 @@ from .rnn import Hyperparams, TrainingError, predict_set, train
 from .stats import rankdata, scott_knott, win_tie_loss
 
 RNN_TECHNIQUE = "rnn"
+TECHNIQUES = (RNN_TECHNIQUE, *bl.BASELINE_KINDS)
 METRIC_KEYS = tuple(f"ce_{format(pi, 'g')}" for pi in CE_CUTOFFS) + ("acc", "auc")
 
 
@@ -89,14 +90,18 @@ class VersionEntry:
 @dataclass(frozen=True)
 class ProjectSpec:
     name: str
-    versions: tuple[VersionEntry, ...]
-    train_version: str
-    test_version: str
+    versions: tuple[VersionEntry, ...]  # in release order
+    train_version: str | None = None  # None: the second-to-last version
+    test_version: str | None = None  # None: the last version
 
     def __post_init__(self):
         ids = [v.version_id for v in self.versions]
         if len(self.versions) < 2:
             raise ConfigError(f"project {self.name!r} needs at least 2 versions")
+        if self.train_version is None:
+            object.__setattr__(self, "train_version", ids[-2])
+        if self.test_version is None:
+            object.__setattr__(self, "test_version", ids[-1])
         if self.train_version not in ids or self.test_version not in ids:
             raise ConfigError(
                 f"project {self.name!r}: train/test versions must appear in the manifest"
@@ -128,31 +133,97 @@ class ExperimentConfig:
         if self.window is not None and self.window < 1:
             raise ConfigError(f"len must be at least 1, got {self.window}")
         if self.metric_set not in ("code", "code+process"):
-            raise ConfigError(f"unknown metric set {self.metric_set!r}")
+            raise ConfigError(f"metrics must be code or code+process, got {self.metric_set!r}")
         for kind in self.baseline_kinds:
             if kind not in bl.BASELINE_KINDS:
-                raise ConfigError(f"unknown baseline {kind!r}")
-        for technique, overrides in self.technique_hyperparams.items():
-            if technique != RNN_TECHNIQUE and technique not in bl.BASELINE_KINDS:
-                raise ConfigError(f"hyperparameter override for unknown technique {technique!r}")
+                raise ConfigError(f"baselines: unknown baseline {kind!r}")
+        names = [p.name for p in self.projects]
+        for key, items in (("projects", names), ("baselines", self.baseline_kinds)):
+            for item in items:
+                if list(items).count(item) > 1:
+                    raise ConfigError(f"{key}: {item!r} is listed twice")
+        for technique in self.technique_hyperparams:
+            if technique not in TECHNIQUES:
+                raise ConfigError(f"technique_hyperparams: unknown technique {technique!r}")
             try:
-                self._with_overrides(overrides)  # validates the keys/values
+                self.hyperparams_for(technique)  # validates the keys/values
             except ValueError as exc:
                 raise ConfigError(f"technique_hyperparams.{technique}: {exc}") from None
 
-    def _with_overrides(self, overrides: Mapping) -> Hyperparams:
+    def hyperparams_for(self, technique: str) -> Hyperparams:
+        """Technique-level hyperparameters: the shared block plus overrides."""
         try:
-            return replace(self.hyperparams, **dict(overrides))
+            return replace(self.hyperparams, **self.technique_hyperparams.get(technique, {}))
         except TypeError as exc:
             raise ConfigError(f"bad hyperparameter override: {exc}") from None
 
-    def hyperparams_for(self, technique: str) -> Hyperparams:
-        """Technique-level hyperparameters: the shared block plus overrides."""
-        return self._with_overrides(self.technique_hyperparams.get(technique, {}))
+
+@dataclass(frozen=True)
+class _Block:
+    """A mapping read into ``cls`` through ``keys``, manifest key -> (field,
+    kind); a kind is int, float, bool, str, Path (a str resolved against the
+    config file's directory), a list [kind] or a block.  The report echoes a
+    block as its keys, or as its ``echo`` field if set."""
+
+    cls: type
+    keys: dict
+    noun: str = "key"
+    echo: str | None = None
+
+
+_VERSION = _Block(
+    VersionEntry,
+    {
+        "id": ("version_id", str),
+        "metrics": ("metrics_path", Path),
+        "process": ("process_path", Path),
+    },
+    echo="version_id",
+)
+_PROJECT = _Block(
+    ProjectSpec,
+    {
+        "name": ("name", str),
+        "versions": ("versions", [_VERSION]),
+        "train_version": ("train_version", str),
+        "test_version": ("test_version", str),
+    },
+)
+_HYPERPARAMS = _Block(
+    Hyperparams,
+    # every field but the seed, which each run sets from the top-level seed
+    {f.name: (f.name, type(f.default)) for f in fields(Hyperparams) if f.name != "seed"},
+    noun="hyperparameter",
+)
+# per-technique overrides of the shared block, each read into a dict
+_OVERRIDES = _Block(
+    dict, {t: (t, replace(_HYPERPARAMS, cls=dict)) for t in TECHNIQUES}, noun="technique"
+)
+_SETTINGS = _Block(
+    ExperimentConfig,
+    {
+        "projects": ("projects", [_PROJECT]),
+        "hyperparams": ("hyperparams", _HYPERPARAMS),
+        "technique_hyperparams": ("technique_hyperparams", _OVERRIDES),
+        "repeats": ("repeats", int),
+        "seed": ("seed", int),
+        "len": ("window", int),
+        "metrics": ("metric_set", str),
+        "code_metrics": ("code_metrics", [str]),
+        "baselines": ("baseline_kinds", [str]),
+        "knn_k": ("knn_k", int),
+        "sk_pool_runs": ("sk_pool_runs", bool),
+        "output": ("output_dir", str),
+    },
+)
+_KIND_NAMES = {
+    int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+    Path: "a path",
+}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a YAML (or JSON) experiment description."""
+    """Read a YAML (or JSON) experiment description through ``_SETTINGS``."""
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
@@ -160,114 +231,69 @@ def load_config(path: str | Path) -> ExperimentConfig:
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
         raise ConfigError(f"invalid YAML{at}: {problem}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a mapping")
-    base = Path(path).parent
-
-    def resolve(entry: dict, key: str, where: str) -> str:
-        if not isinstance(entry[key], str):
-            raise ConfigError(f"{where}: {key} must be a path, got {entry[key]!r}")
-        q = Path(entry[key])
-        return str(q if q.is_absolute() else base / q)
-
-    def require(entry, where: str, *keys: str) -> None:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where} must be a mapping")
-        for key in keys:
-            if key not in entry:
-                raise ConfigError(f"{where}: missing key {key!r}")
-
-    for key in ("projects", "code_metrics", "baselines"):
-        if key in raw and not isinstance(raw[key], list):
-            raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
-    projects = []
-    for i, entry in enumerate(raw.get("projects", [])):
-        require(entry, f"project {i}", "name")
-        if not isinstance(entry.get("versions", []), list):
-            raise ConfigError(f"project {i}: versions must be a list, got {entry['versions']!r}")
-        versions = []
-        for j, v in enumerate(entry.get("versions", [])):
-            where = f"project {i}, version {j}"
-            require(v, where, "id", "metrics")
-            versions.append(
-                VersionEntry(
-                    version_id=str(v["id"]),
-                    metrics_path=resolve(v, "metrics", where),
-                    process_path=resolve(v, "process", where) if v.get("process") else None,
-                )
-            )
-        ids = [v.version_id for v in versions]
-        projects.append(
-            ProjectSpec(
-                name=str(entry["name"]),
-                versions=tuple(versions),
-                train_version=str(entry.get("train_version", ids[-2] if len(ids) >= 2 else "")),
-                test_version=str(entry.get("test_version", ids[-1] if ids else "")),
-            )
-        )
-    seed = _config_value(raw, "seed", int, 1)
-    hp_raw = raw.get("hyperparams") or {}
-    require(hp_raw, "hyperparams")
-    hp_defaults = Hyperparams(seed=seed)
-    hp_values = {
-        key: _config_value(hp_raw, key, kind, getattr(hp_defaults, key), f"hyperparams.{key}")
-        for key, kind in _HYPERPARAM_KINDS.items()
-    }
-    try:
-        hyperparams = Hyperparams(**hp_values)
-    except ValueError as exc:
-        raise ConfigError(f"hyperparams: {exc}") from None
-    overrides = raw.get("technique_hyperparams") or {}
-    require(overrides, "technique_hyperparams")
-    technique_hyperparams = {}
-    for technique, block in overrides.items():
-        where = f"technique_hyperparams.{technique}"
-        require(block, where)
-        for key in block:
-            if key not in _HYPERPARAM_KINDS:
-                raise ConfigError(f"{where}: unknown hyperparameter {key!r}")
-        technique_hyperparams[str(technique)] = {
-            key: _config_value(block, key, _HYPERPARAM_KINDS[key], None, f"{where}.{key}")
-            for key in block
-        }
-    return ExperimentConfig(
-        projects=tuple(projects),
-        hyperparams=hyperparams,
-        technique_hyperparams=technique_hyperparams,
-        repeats=_config_value(raw, "repeats", int, 10),
-        seed=seed,
-        window=None if raw.get("len") is None else _config_value(raw, "len", int, None),
-        metric_set=str(raw.get("metrics", "code")),
-        code_metrics=tuple(raw.get("code_metrics", PROMISE_CODE_METRICS)),
-        baseline_kinds=tuple(raw.get("baselines", bl.BASELINE_KINDS)),
-        knn_k=_config_value(raw, "knn_k", int, bl.DEFAULT_KNN_K),
-        sk_pool_runs=_config_value(raw, "sk_pool_runs", bool, False),
-        output_dir=str(raw.get("output", "out")),
-    )
+    return _read(_SETTINGS, raw, "", Path(path).parent)
 
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
-# every Hyperparams field, read as the type of its default (int or float)
-_HYPERPARAM_KINDS = {f.name: type(f.default) for f in fields(Hyperparams)}
-
-
-def _config_value(raw: Mapping, key: str, kind: type, default, name: str | None = None):
-    """``raw[key]`` (``default`` when absent) read as ``kind``: int, float
-    or bool.  Only a bool reads as bool, an int refuses a fractional value
-    and a float refuses nan and inf; anything else raises a one-line
-    ``ConfigError`` naming the key (``name``, if given) and the value."""
-    value = raw.get(key, default)
+def _read(kind, value, where: str, base: Path):
+    """``value``, at key path ``where``, read as ``kind``, or a one-line
+    ``ConfigError`` that starts with ``where``.  Only a bool reads as bool,
+    an int refuses a fractional value, a float nan and inf, a str or Path
+    any non-string.  A block refuses a key it does not know and requires a
+    field without a default; null reads as an empty block, and leaves a
+    field whose default is None at None."""
+    if isinstance(kind, _Block):
+        raw = {} if value is None else value
+        prefix = f"{where}: " if where else ""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where or 'config'} must be a mapping")
+        for key in raw:
+            if key not in kind.keys:
+                raise ConfigError(f"{prefix}unknown {kind.noun} {key!r}")
+        fields_ = {} if kind.cls is dict else {f.name: f for f in fields(kind.cls)}
+        values = {}
+        for key, (name, sub) in kind.keys.items():
+            f = fields_.get(name)
+            if key not in raw:
+                if f and f.default is MISSING and f.default_factory is MISSING:
+                    raise ConfigError(f"{prefix}missing key {key!r}")
+            elif raw[key] is not None or f is None or f.default is not None:
+                values[name] = _read(sub, raw[key], f"{where}.{key}" if where else key, base)
+        try:
+            return kind.cls(**values)
+        except ValueError as exc:  # a range or consistency check of the block
+            raise ConfigError(f"{prefix}{exc}") from None
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(_read(kind[0], item, f"{where}[{i}]", base) for i, item in enumerate(value))
     try:
         if isinstance(value, bool) != (kind is bool):
             raise TypeError
+        if kind is str or kind is Path:
+            if not isinstance(value, str):
+                raise TypeError
+            return value if kind is str else os.fspath(base / value)
         out = kind(value)
         if kind is int and isinstance(value, float) and out != value:
             raise ValueError
         if kind is float and not math.isfinite(out):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name or key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+        raise ConfigError(f"{where} must be {_KIND_NAMES[kind]}, got {value!r}") from None
     return out
+
+
+def _echo(kind, value):
+    """``value``, read as ``kind``, in the report's JSON form: a block as
+    the mapping of its keys (or as its ``echo`` field), a tuple as a list."""
+    if isinstance(kind, list):
+        return [_echo(kind[0], item) for item in value]
+    if not isinstance(kind, _Block):
+        return value
+    if kind.echo:
+        return getattr(value, kind.echo)
+    held = value if kind.cls is dict else vars(value)  # a dict holds only the keys given
+    return {key: _echo(sub, held[name]) for key, (name, sub) in kind.keys.items() if name in held}
 
 
 def load_project_history(spec: ProjectSpec, cfg: ExperimentConfig) -> ProjectHistory:
@@ -313,8 +339,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Projects run in parallel, one per worker process (see ``_map_projects``);
     their outcomes are merged in config order, so the report does not
     depend on the worker count."""
+    config = _echo(_SETTINGS, cfg)
+    del config["output"]  # where the files go is not part of the run
     report: dict = {
-        "config": _config_dict(cfg),
+        "config": config,
         "projects": {},
         "errors": {},
         "aggregates": {},
@@ -571,34 +599,6 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
             wtl[t][metric] = {**counts, "per_project": per_project}
     aggregates["win_tie_loss"] = wtl
     report["aggregates"] = aggregates
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "repeats": cfg.repeats,
-        "seed": cfg.seed,
-        "len": cfg.window,
-        "metrics": cfg.metric_set,
-        "code_metrics": list(cfg.code_metrics),
-        "baselines": list(cfg.baseline_kinds),
-        "knn_k": cfg.knn_k,
-        "sk_pool_runs": cfg.sk_pool_runs,
-        "hyperparams": {
-            key: getattr(cfg.hyperparams, key) for key in _HYPERPARAM_KINDS if key != "seed"
-        },
-        "technique_hyperparams": {
-            t: dict(o) for t, o in sorted(cfg.technique_hyperparams.items())
-        },
-        "projects": [
-            {
-                "name": p.name,
-                "train_version": p.train_version,
-                "test_version": p.test_version,
-                "versions": [v.version_id for v in p.versions],
-            }
-            for p in cfg.projects
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

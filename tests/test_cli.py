@@ -61,7 +61,7 @@ class TestRun:
         config.write_text("projects:\n  - versions: []\n", encoding="utf-8")
         assert main(["run", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: project 0: missing key 'name'\n"
+        assert err == "error: projects[0]: missing key 'name'\n"
 
     def test_zero_len_is_one_line(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -86,6 +86,50 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t + "\noutput: [x]", "output must be a string, got ['x']"),
+            (lambda t: t + "\nmetrics: [x]", "metrics must be a string, got ['x']"),
+            (lambda t: t.replace("name: trend", "name: [a]"),
+             "projects[0].name must be a string, got ['a']"),
+            (lambda t: t.replace("id: u1", "id: {v: 1}"),
+             "projects[0].versions[0].id must be a string, got {'v': 1}"),
+            (lambda t: t.replace("id: u1", "id: 1.10"),
+             "projects[0].versions[0].id must be a string, got 1.1"),
+            (lambda t: t.replace("train_version: u3", "train_version: 3"),
+             "projects[0].train_version must be a string, got 3"),
+            (lambda t: t.replace("repeats: 1", "repeets: 3"), "unknown key 'repeets'"),
+            (lambda t: t + "\nhyperparams: {seed: 5}",
+             "hyperparams: unknown hyperparameter 'seed'"),
+            (lambda t: t + "\ntechnique_hyperparams: {rnn: {seed: 9}}",
+             "technique_hyperparams.rnn: unknown hyperparameter 'seed'"),
+            (lambda t: t + "\ntechnique_hyperparams: {forest: {eta: 1}}",
+             "technique_hyperparams: unknown technique 'forest'"),
+            (lambda t: t.replace("projects:\n", "projects:\n" + t.split("projects:\n")[1] + "\n"),
+             "projects: 'trend' is listed twice"),
+            (lambda t: t.replace("baselines: [lr, knn]", "baselines: [lr, lr]"),
+             "baselines: 'lr' is listed twice"),
+            (lambda t: t + "\nbaselines: [lr, forest]", "baselines: unknown baseline 'forest'"),
+            (lambda t: t + "\nmetrics: code+churn",
+             "metrics must be code or code+process, got 'code+churn'"),
+        ],
+        ids=["output-list", "metrics-list", "name-list", "id-mapping", "id-float", "train-int",
+             "unknown-key", "shared-seed", "override-seed", "unknown-technique",
+             "duplicate-project", "duplicate-baseline", "unknown-baseline", "unknown-metric-set"],
+    )
+    def test_malformed_value_ends_run_with_one_line(
+        self, tmp_path, capsys, monkeypatch, edit, message
+    ):
+        config = write_config(tmp_path)
+        config.write_text(edit(config.read_text()) + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists() and not (tmp_path / "['x']").exists()
+
+    @pytest.mark.parametrize(
         "row, message",
         [("u2,f0000", "row 2: expected 4 cells, got 2"), ("u2, ,3,1", "row 2: empty file key")],
         ids=["short-row", "blank-key"],
@@ -105,10 +149,13 @@ class TestRun:
         "text, message",
         [
             ("projects: 5\n", "projects must be a list, got 5"),
-            ("projects:\n  - {name: a, versions: 5}\n", "project 0: versions must be a list, got 5"),
+            (
+                "projects:\n  - {name: a, versions: 5}\n",
+                "projects[0].versions must be a list, got 5",
+            ),
             (
                 "projects:\n  - name: a\n    versions:\n      - {id: v1, metrics: [x]}\n",
-                "project 0, version 0: metrics must be a path, got ['x']",
+                "projects[0].versions[0].metrics must be a path, got ['x']",
             ),
             (
                 "projects: [{name: a\n",

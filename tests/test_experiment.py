@@ -61,7 +61,7 @@ BAD_VALUES = [
     ("hyperparams: {eta: fast}", "hyperparams.eta must be a finite number, got 'fast'"),
     ("hyperparams: {lam: .nan}", "hyperparams.lam must be a finite number, got nan"),
     ("hyperparams: {iterations: 2.5}", "hyperparams.iterations must be an integer, got 2.5"),
-    ("hyperparams: {seed: []}", "hyperparams.seed must be an integer, got []"),
+    ("hyperparams: {seed: []}", "hyperparams: unknown hyperparameter 'seed'"),
     ("hyperparams: {init_scale: .inf}", "hyperparams.init_scale must be a finite number, got inf"),
     ("hyperparams: {halving_limit: null}", "hyperparams.halving_limit must be an integer, got None"),
     ("code_metrics: wmc", "code_metrics must be a list, got 'wmc'"),
@@ -188,12 +188,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "projects, message",
         [
-            ("  - versions: []\n", "project 0: missing key 'name'"),
+            ("  - versions: []\n", "projects[0]: missing key 'name'"),
             ("  - name: a\n    versions:\n      - {metrics: x.csv}\n",
-             "project 0, version 0: missing key 'id'"),
+             "projects[0].versions[0]: missing key 'id'"),
             ("  - name: a\n    versions:\n      - {id: v1, metrics: x.csv}\n      - {id: v2}\n",
-             "project 0, version 1: missing key 'metrics'"),
-            ("  - just-a-name\n", "project 0 must be a mapping"),
+             "projects[0].versions[1]: missing key 'metrics'"),
+            ("  - just-a-name\n", "projects[0] must be a mapping"),
         ],
         ids=["name", "id", "metrics", "not-a-mapping"],
     )
