@@ -15,12 +15,13 @@ files' evaluation columns (line and bug counts read off the test version's
 arrays) with their optimal ordering.  These live only as long as the
 project's run.
 
-Projects share nothing, so each runs in its own forked worker process,
-at most one per usable CPU; a single project or a single CPU runs inline.
-The outcomes are merged in config order, so the report does not depend on
-the worker count.  A project that fails on its own data is recorded under
-``errors``; any other exception reaches the caller, and no worker outlives
-``run_experiment``.
+Projects share nothing, so they run in forked worker processes, at most
+one per usable CPU, each taking the next project when it has finished one;
+a single project or a single CPU runs inline.  The outcomes are received on
+the caller's thread and merged in config order, so the report does not
+depend on the worker count.  A project that fails on its own data is
+recorded under ``errors``; any other exception reaches the caller, and no
+worker outlives ``run_experiment``.
 
 The report is a plain JSON-ready dict so that a written ``report.json``
 re-reads to exactly the in-memory structure.
@@ -130,6 +131,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
+        if self.seed < 0:  # numpy refuses a negative seed, but only once a run trains
+            raise ConfigError(f"seed cannot be negative, got {self.seed}")
         if self.window is not None and self.window < 1:
             raise ConfigError(f"len must be at least 1, got {self.window}")
         if self.metric_set not in ("code", "code+process"):
@@ -336,9 +339,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the configured comparison; per-project failures are recorded
     under ``errors`` and do not abort the remaining projects.
 
-    Projects run in parallel, one per worker process (see ``_map_projects``);
-    their outcomes are merged in config order, so the report does not
-    depend on the worker count."""
+    Projects run in parallel in forked worker processes (see
+    ``_map_projects``); their outcomes are merged in config order, so the
+    report does not depend on the worker count."""
     config = _echo(_SETTINGS, cfg)
     del config["output"]  # where the files go is not part of the run
     report: dict = {
@@ -376,9 +379,17 @@ def _worker_count(n_projects: int) -> int:
 def _map_projects(jobs: list) -> list:
     """``_project_outcome`` of every job, in order.
 
-    With two or more workers the jobs go to a pool of forked processes,
-    which is closed and reaped before this returns or raises; otherwise
-    (one project, one usable CPU, or no ``fork``) they run in this process.
+    With two or more workers the jobs go to forked worker processes, each
+    connected to this process by its own pipe: a worker is sent the index
+    of a job (the jobs reach it through the fork), runs it, and sends back
+    its outcome, and is then sent the next index, or None to stop.  The
+    outcomes are received here, on the caller's thread.  An exception that
+    ``_project_outcome`` lets through is re-raised here, and a worker that
+    dies without a result ends the map in a ``RuntimeError`` that names its
+    project.  Every worker has exited and been reaped before this returns
+    or raises; if the caller dies, each worker exits once its current job
+    is done.  With one project, one usable CPU, or no ``fork``, the jobs
+    run in this process.
     """
     # fork, not spawn: a spawned worker would start a fresh interpreter and
     # import the package (about 0.35 s on a 2-core VM, most of it numpy)
@@ -387,16 +398,84 @@ def _map_projects(jobs: list) -> list:
     workers = _worker_count(len(jobs))
     if workers < 2 or "fork" not in mp.get_all_start_methods():
         return list(map(_project_outcome, jobs))
-    pool = mp.get_context("fork").Pool(workers)
+    from multiprocessing.connection import wait  # only a pooled run needs it
+
+    ctx = mp.get_context("fork")
+    outcomes = [None] * len(jobs)
+    pending = iter(range(len(jobs)))
+    procs = {}  # this process's end of each worker's pipe -> the worker
+    running = {}  # pipe end -> index of the job its worker runs
+
+    def hand_out(conn):
+        index = next(pending, None)
+        if index is not None:
+            running[conn] = index
+        try:
+            conn.send(index)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the worker is gone; its pipe reads as EOF below
+
     try:
-        outcomes = pool.map(_project_outcome, jobs, chunksize=1)
-        pool.close()
+        for _ in range(workers):
+            conn, worker_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_serve_jobs, args=(jobs, worker_conn, [conn, *procs]), daemon=True
+            )
+            proc.start()
+            # closed before the next fork, so that no other worker holds
+            # this worker's end and its death reads as EOF on ``conn``
+            worker_conn.close()
+            procs[conn] = proc
+            hand_out(conn)
+        while running:
+            for conn in wait(list(running)):
+                index = running.pop(conn)
+                try:
+                    outcome = conn.recv()
+                except (EOFError, OSError):  # OSError: it died mid-message
+                    procs[conn].join()
+                    raise RuntimeError(
+                        f"project {jobs[index][0].name!r}: its worker process ended without"
+                        f" a result (exit code {procs[conn].exitcode})"
+                    ) from None
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                outcomes[index] = outcome
+                hand_out(conn)
     except BaseException:
-        pool.terminate()
+        for proc in procs.values():
+            proc.terminate()
         raise
     finally:
-        pool.join()
+        for conn, proc in procs.items():
+            proc.join()
+            conn.close()
     return outcomes
+
+
+def _serve_jobs(jobs: list, conn, callers_ends: list) -> None:
+    """A worker of ``_map_projects``: run the job at each index received on
+    ``conn`` until None, and send back its outcome, or the exception that
+    ``_project_outcome`` let through, which unpickles with this worker's
+    traceback as its cause, as a ``multiprocessing.Pool`` would send it.
+
+    ``callers_ends`` are the caller's ends of this worker's pipe and of the
+    pipes of the workers forked before it, inherited through the fork.  They
+    are closed first, so that if the caller dies the pipe breaks and this
+    worker exits once its current job is done."""
+    for end in callers_ends:
+        end.close()
+    try:
+        for index in iter(conn.recv, None):
+            try:
+                outcome = _project_outcome(jobs[index])
+            except Exception as exc:
+                from multiprocessing.pool import ExceptionWithTraceback
+
+                outcome = ExceptionWithTraceback(exc, exc.__traceback__)
+            conn.send(outcome)
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        pass  # the caller is gone
 
 
 def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:

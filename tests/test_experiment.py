@@ -1,10 +1,16 @@
+import contextlib
 import io
 import json
 import math
 import multiprocessing
 import os
+import select
+import signal
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +60,7 @@ def trend_config(tmp_path, repeats=2, clean_test=False, **overrides):
 BAD_VALUES = [
     ("repeats: abc", "repeats must be an integer, got 'abc'"),
     ("seed: 1.5", "seed must be an integer, got 1.5"),
+    ("seed: -1", "seed cannot be negative, got -1"),
     ("knn_k: true", "knn_k must be an integer, got True"),
     ("len: three", "len must be an integer, got 'three'"),
     ("sk_pool_runs: 'yes'", "sk_pool_runs must be true or false, got 'yes'"),
@@ -480,6 +487,36 @@ def projects_config(tmp_path, names, missing=(), **overrides):
     return trend_config(tmp_path, projects=tuple(specs), **overrides)
 
 
+def b_pid_path(cfg):
+    return Path(cfg.output_dir).parent / "b.pid"
+
+
+def kill_a_while_b_runs(job):
+    """A ``_project_outcome`` for projects a and b: b's worker writes its
+    pid and sleeps, a's waits for that pid and then kills itself."""
+    spec, cfg = job
+    pid_path = b_pid_path(cfg)
+    if spec.name == "b":
+        partial = pid_path.with_suffix(".partial")
+        partial.write_text(str(os.getpid()))
+        os.replace(partial, pid_path)
+        time.sleep(60)
+    while not pid_path.exists():
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def finish_after_the_caller_dies(job):
+    """A ``_project_outcome`` that marks its project as started and returns
+    once the process that forked this worker has died."""
+    spec, cfg = job
+    caller = os.getppid()
+    (Path(cfg.output_dir).parent / f"{spec.name}.started").write_text(str(os.getpid()))
+    while os.getppid() == caller:
+        time.sleep(0.01)
+    return True, {}
+
+
 class TestProjectPool:
     """Projects run in forked workers; the report must not depend on it.
     The worker count is forced, so the pool runs even on a one-CPU box."""
@@ -528,6 +565,106 @@ class TestProjectPool:
         report = self.run_with_workers(cfg, monkeypatch, 2)
         assert list(report["projects"]) == ["a", "b"]
         assert multiprocessing.active_children() == []
+
+    def test_uneven_job_counts_give_the_same_report(self, tmp_path, monkeypatch):
+        # five projects on one, two and three workers: neither two nor
+        # three divides five, so the workers finish different job counts
+        cfg = projects_config(tmp_path, "abcde", repeats=1, baseline_kinds=("knn",))
+        inline, *pooled = (
+            json.dumps(self.run_with_workers(cfg, monkeypatch, workers)) for workers in (1, 2, 3)
+        )
+        assert list(json.loads(inline)["projects"]) == list("abcde")
+        assert pooled == [inline, inline]
+
+    def test_pooled_run_starts_no_thread(self, tmp_path, monkeypatch):
+        cfg = projects_config(tmp_path, ("a", "b"), repeats=1, baseline_kinds=("knn",))
+        started = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        report = self.run_with_workers(cfg, monkeypatch, 2)
+        assert list(report["projects"]) == ["a", "b"]
+        assert started == []
+
+    def test_killed_worker_fails_fast(self, tmp_path, monkeypatch):
+        """Project a's worker, the first forked, is killed while b's is
+        still busy: the run ends in one line naming a, and b's worker is
+        stopped and reaped.  The run goes in a child process that is waited
+        for with a timeout, so a hang fails the test instead of stalling the
+        suite."""
+        cfg = projects_config(tmp_path, ("a", "b"), repeats=1, baseline_kinds=("knn",))
+        monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, 2))
+        monkeypatch.setattr(experiment, "_project_outcome", kill_a_while_b_runs)
+        pid_path = b_pid_path(cfg)
+
+        def run(conn):
+            try:
+                run_experiment(cfg)
+                message = None
+            except RuntimeError as exc:
+                message = str(exc)
+            try:  # before active_children(), which would reap it
+                os.waitpid(int(pid_path.read_text()), os.WNOHANG)
+                reaped = False
+            except ChildProcessError:
+                reaped = True
+            conn.send((message, reaped, [p.pid for p in multiprocessing.active_children()]))
+
+        ctx = multiprocessing.get_context("fork")
+        conn, guard_conn = ctx.Pipe(duplex=False)
+        guard = ctx.Process(target=run, args=(guard_conn,))
+        guard.start()
+        guard_conn.close()
+        ended = False
+        try:
+            ended = conn.poll(30)
+            result = conn.recv() if ended else None
+        finally:
+            guard.kill()
+            guard.join()
+            conn.close()
+            if not ended and pid_path.exists():  # b's worker may still be asleep
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(pid_path.read_text()), signal.SIGKILL)
+        assert ended, "the run did not end within 30 s of a worker's death"
+        message, reaped, left = result
+        assert message == (
+            "project 'a': its worker process ended without a result (exit code -9)"
+        )
+        assert reaped
+        assert left == []
+
+    def test_workers_exit_when_the_caller_is_killed(self, tmp_path, monkeypatch):
+        """A caller killed while both workers run leaves no worker behind:
+        each finishes its project, finds the pipe broken and exits.  The
+        workers hold the write end of a pipe, which reads as EOF once the
+        caller and every worker have exited."""
+        cfg = projects_config(tmp_path, ("a", "b"), repeats=1, baseline_kinds=("knn",))
+        monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, 2))
+        monkeypatch.setattr(experiment, "_project_outcome", finish_after_the_caller_dies)
+        alive_r, alive_w = os.pipe()
+        caller = multiprocessing.get_context("fork").Process(target=run_experiment, args=(cfg,))
+        caller.start()
+        os.close(alive_w)
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.glob("*.started"))) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            caller.kill()
+            caller.join()
+            ended, _, _ = select.select([alive_r], [], [], 30)
+            if not ended:  # stop the stray workers, which still hold the pipe
+                for marker in tmp_path.glob("*.started"):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(int(marker.read_text()), signal.SIGKILL)
+            assert ended, "a worker outlived its killed caller by 30 s"
+            assert os.read(alive_r, 1) == b""
+        finally:
+            os.close(alive_r)
 
 
 class TestEmitReport:

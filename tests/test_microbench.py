@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the training, parsing, evaluation and emit layers
-(pytest-benchmark).
+"""Micro-benchmarks of the training, parsing, evaluation and emit layers,
+and of the project workers' dispatch (pytest-benchmark).
 
 Each runs a handful of rounds so that the suite stays quick; compare runs
 with ``--benchmark-autosave`` / ``--benchmark-compare`` (kept in
@@ -29,7 +29,8 @@ from defectseq.effort import (
     rank_by_density,
     scored_files,
 )
-from defectseq.experiment import _write_json
+from defectseq import experiment
+from defectseq.experiment import ProjectSpec, VersionEntry, _write_json
 from defectseq.rnn import Hyperparams, batch_gradient, group_by_length, init_params
 from defectseq.stats import chi2_ppf, scott_knott
 
@@ -197,3 +198,19 @@ def test_chi2_ppf_two_technique_critical_value(benchmark):
     assert critical == pytest.approx(5.501357838893093, rel=1e-12)
     if not benchmark.disabled:  # --benchmark-disable makes one untimed call
         assert benchmark.stats.stats.mean < 100e-6
+
+
+def finished_at_once(job):
+    return True, {}
+
+
+@pytest.mark.parametrize("n_jobs", [3, 9])
+def test_map_projects_trivial_jobs(benchmark, monkeypatch, n_jobs):
+    # the cost of forking two workers, handing out the jobs and reaping the
+    # workers: every job returns at once
+    monkeypatch.setattr(experiment, "_project_outcome", finished_at_once)
+    monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, 2))
+    versions = (VersionEntry("1", "a.csv"), VersionEntry("2", "b.csv"))
+    jobs = [(ProjectSpec(f"p{i}", versions), None) for i in range(n_jobs)]
+    outcomes = benchmark.pedantic(experiment._map_projects, args=(jobs,), rounds=20)
+    assert outcomes == [(True, {})] * n_jobs
