@@ -10,13 +10,7 @@ sample whose sequence covers its trailing run of consecutive releases.
 import numpy as np
 
 from defectseq.dataset import ProjectHistory, VersionSnapshot
-from defectseq.history import (
-    classify_file,
-    developing_fraction,
-    extract_hvsm_set,
-    hvsm_set_to_csv,
-    lifecycle_counts,
-)
+from defectseq.history import developing_fraction, extract_hvsm_set, lifecycle_counts
 
 SCHEMA = ("loc", "complexity")
 
@@ -58,13 +52,18 @@ def build_history() -> ProjectHistory:
 def main() -> None:
     history = build_history()
     anchor = "v4"
+    s = extract_hvsm_set(history, anchor, window=4)
+    lengths = {item.key: item.length for item in s.items}
 
     print(f"=== lifecycle states at {anchor} ===")
+    # a file in the anchor's set is developing if its sequence reaches back
+    # to an earlier release, newborn if not; every file here was seen by
+    # v4, so one missing from the set is dead
     for key in PRESENCE:
-        state = classify_file(history, anchor, key)
-        print(f"  {key:22s} {state.value}")
-    counts = lifecycle_counts(history, anchor)
-    print("  counts:", {state.value: n for state, n in counts.items()})
+        T = lengths.get(key)
+        state = "dead" if T is None else "developing" if T > 1 else "newborn"
+        print(f"  {key:22s} {state}")
+    print("  counts:", lifecycle_counts(history, anchor))
     print(f"  developing share: {developing_fraction(history, anchor):.1%}")
 
     v4 = history.snapshot(anchor)
@@ -75,7 +74,6 @@ def main() -> None:
         print(f"  row {row}: {key:22s} values={values}  bugs={v4.bugs[row]}  loc={v4.loc[row]}")
 
     print(f"\n=== sequences extracted at {anchor} (window 4) ===")
-    s = extract_hvsm_set(history, anchor, window=4)
     for item in s.items:
         print(
             f"  {item.key:22s} T={item.length}  versions={'-'.join(item.version_ids)}  "
@@ -84,9 +82,6 @@ def main() -> None:
     # the values live once, in one (T, files, metrics) stack per length
     for idx, X in s.by_length:
         print(f"  stack {X.shape}: {', '.join(s.items[i].key for i in idx)}")
-
-    print("\n=== debug dump (one row per file and step) ===")
-    print(hvsm_set_to_csv(s))
 
 
 if __name__ == "__main__":

@@ -126,22 +126,20 @@ def train_baseline(
 
 
 def _train_logistic(Z: np.ndarray, y: np.ndarray, h: Hyperparams) -> dict:
-    """Full-batch gradient descent on log loss; L2 on weights, not bias."""
+    """Full-batch gradient descent on log loss; L2 on weights, not bias.
+    The parameter vector is the weights, then the bias."""
     m, d = Z.shape
 
-    def objective(params):
-        w, b = params
+    def objective(theta):
+        w, b = theta[:d], theta[d]
         p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
-        grad = (Z.T @ (p - y) / m + h.lam * w, float(np.mean(p - y)))
+        grad = np.append(Z.T @ (p - y) / m + h.lam * w, np.mean(p - y))
         p = np.clip(p, 1e-12, 1 - 1e-12)
         loss = np.mean(-y * np.log(p) - (1 - y) * np.log(1 - p)) + 0.5 * h.lam * np.sum(w**2)
         return grad, float(loss)
 
-    def step(params, grad, eta):
-        return params[0] - eta * grad[0], params[1] - eta * grad[1]
-
-    (w, b), _ = descend(objective, step, (np.zeros(d), 0.0), h)
-    return {"weights": w, "bias": b}
+    theta, _ = descend(objective, np.zeros(d + 1), h)
+    return {"weights": theta[:d], "bias": float(theta[d])}
 
 
 def _train_gaussian_nb(Z: np.ndarray, y: np.ndarray) -> dict:

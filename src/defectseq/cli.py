@@ -16,13 +16,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from . import experiment
 from .dataset import ParseError, _parse_count, _parse_number, _read_table
 from .effort import acc_at_effort, auc, ce_report_values, scored_files
 from .experiment import emit_report, load_config, run_experiment, win_tie_loss_tally
 from .rnn import Hyperparams, gradient_check
-from .stats import scott_knott
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -93,38 +91,28 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     rows = _read_rows(args.values, ("technique", "project", "value"), "values")
     by_tech: dict[str, dict[str, list[float]]] = {}
-    order: list[str] = []
     projects: list[str] = []
     for i, r in rows:
         tech, project = r["technique"], r["project"]
-        if tech not in by_tech:
-            by_tech[tech] = {}
-            order.append(tech)
         if project not in projects:
             projects.append(project)
-        by_tech[tech].setdefault(project, []).append(_parse_number(r["value"], i, "value"))
+        by_tech.setdefault(tech, {}).setdefault(project, []).append(
+            _parse_number(r["value"], i, "value")
+        )
 
-    reference = args.reference or order[0]
+    reference = args.reference or next(iter(by_tech))
     if reference not in by_tech:
         print(f"error: unknown reference technique {reference!r}", file=sys.stderr)
         return 1
 
-    # Scott-Knott over per-project means (one value per project per technique)
-    values = {}
-    for tech in order:
-        missing = [p for p in projects if p not in by_tech[tech]]
-        if missing:
-            print(f"error: {tech!r} lacks values for {missing}", file=sys.stderr)
-            return 1
-        values[tech] = [float(np.mean(by_tech[tech][p])) for p in projects]
-    grouping = scott_knott(values)
+    grouping = experiment.scott_knott(experiment.project_means(by_tech, projects))
     print("scott-knott ranks:")
     for rank, names in enumerate(grouping.ranks, start=1):
         labels = ", ".join(f"{n} (mean {grouping.means[n]:.3f})" for n in names)
         print(f"  rank {rank}: {labels}")
 
     print(f"win/tie/loss for {reference}:")
-    for tech in order:
+    for tech in by_tech:
         if tech == reference:
             continue
         counts, _ = win_tie_loss_tally(by_tech[reference], by_tech[tech])

@@ -37,7 +37,7 @@ import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -329,9 +329,24 @@ def _evaluate_scores(frame: ScoredColumns, labels: Sequence[int], probs: np.ndar
     return run
 
 
-def _mean_runs(runs: list[dict]) -> dict:
+def _technique_entry(
+    probs_by_run: Iterable[np.ndarray], frame: ScoredColumns, labels: Sequence[int], repeats: int
+) -> dict:
+    """A technique's report entry from each run's test-file probabilities:
+    its runs' metrics, their means and the mean score per file.  A single
+    run is a deterministic technique's, and stands for all ``repeats``."""
+    runs = []
+    score_sum = np.zeros(len(frame))
+    for probs in probs_by_run:
+        runs.append(_evaluate_scores(frame, labels, probs))
+        score_sum += probs
+    mean_scores = score_sum / len(runs)
+    if len(runs) == 1:
+        runs = runs * repeats
     return {
-        key: float(np.mean([run[key] for run in runs])) for key in METRIC_KEYS
+        "runs": runs,
+        "mean": {key: float(np.mean([run[key] for run in runs])) for key in METRIC_KEYS},
+        "scores_mean": {k: float(s) for k, s in zip(frame.keys, mean_scores)},
     }
 
 
@@ -537,18 +552,10 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
         for r in range(cfg.repeats)
     ]
     del train_norm
-    runs = []
-    score_sum = np.zeros(len(keys))
-    for params in fitted:
-        probs = predict_set(params, test_set, normalizer)
-        runs.append(_evaluate_scores(frame, labels, probs))
-        score_sum += probs
+    project["techniques"][RNN_TECHNIQUE] = _technique_entry(
+        (predict_set(params, test_set, normalizer) for params in fitted), frame, labels, cfg.repeats
+    )
     del test_set  # the baselines score the anchor rows, not the sequences
-    project["techniques"][RNN_TECHNIQUE] = {
-        "runs": runs,
-        "mean": _mean_runs(runs),
-        "scores_mean": {k: float(s) for k, s in zip(keys, score_sum / cfg.repeats)},
-    }
 
     # single-version baselines on the anchor versions' rows; every kind and
     # repeat shares the two feature matrices and what the training one derives
@@ -571,24 +578,11 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
 
 def _run_baseline(kind, train_rows, test_rows, frame, labels, cfg) -> dict:
     seeds = range(cfg.repeats) if kind == bl.FEEDFORWARD_NN else (0,)
-    runs = []
-    score_sum = np.zeros(len(test_rows))
-    base_hyperparams = cfg.hyperparams_for(kind)
-    for r in seeds:
-        h_r = replace(base_hyperparams, seed=cfg.seed + r)
-        model = bl.train_baseline(kind, train_rows, h_r, k=cfg.knn_k)
-        probs = bl.predict_baseline_many(model, test_rows)
-        runs.append(_evaluate_scores(frame, labels, probs))
-        score_sum += probs
-    mean_scores = score_sum / len(runs)
-    if len(runs) == 1:
-        # deterministic technique: one run stands for every repeat
-        runs = runs * cfg.repeats
-    return {
-        "runs": runs,
-        "mean": _mean_runs(runs),
-        "scores_mean": {k: float(s) for k, s in zip(frame.keys, mean_scores)},
-    }
+    h = cfg.hyperparams_for(kind)
+    models = (bl.train_baseline(kind, train_rows, replace(h, seed=cfg.seed + r), k=cfg.knn_k)
+              for r in seeds)
+    probs_by_run = (bl.predict_baseline_many(model, test_rows) for model in models)
+    return _technique_entry(probs_by_run, frame, labels, cfg.repeats)
 
 
 def average_rank(table: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
@@ -605,6 +599,21 @@ def average_rank(table: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
             sums[t] += float(r)
     n = len(table)
     return {t: sums[t] / n for t in techniques}
+
+
+def project_means(
+    values: Mapping[str, Mapping[str, Sequence[float]]], projects: Sequence[str]
+) -> dict[str, list[float]]:
+    """Each technique's mean value in every project, in ``projects`` order,
+    from its values by project: Scott-Knott's input over per-project means.
+    A technique without values for some project is rejected by name."""
+    means = {}
+    for technique, by_project in values.items():
+        missing = [p for p in projects if p not in by_project]
+        if missing:
+            raise ValueError(f"{technique!r} lacks values for {missing}")
+        means[technique] = [float(np.mean(by_project[p])) for p in projects]
+    return means
 
 
 def win_tie_loss_tally(
@@ -641,21 +650,18 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
             for p in ok_projects
         }
 
-    mean_table = {
-        metric: {
-            p: {t: report["projects"][p]["techniques"][t]["mean"][metric] for t in usable}
-            for p in ok_projects
-        }
+    means = {
+        metric: project_means({t: runs(t, metric) for t in usable}, ok_projects)
         for metric in METRIC_KEYS
     }
     aggregates["mean_by_technique"] = {
-        metric: {
-            t: float(np.mean([mean_table[metric][p][t] for p in ok_projects])) for t in usable
-        }
-        for metric in METRIC_KEYS
+        metric: {t: float(np.mean(means[metric][t])) for t in usable} for metric in METRIC_KEYS
     }
     aggregates["average_rank"] = {
-        metric: average_rank(mean_table[metric]) for metric in METRIC_KEYS
+        metric: average_rank(
+            {p: {t: means[metric][t][i] for t in usable} for i, p in enumerate(ok_projects)}
+        )
+        for metric in METRIC_KEYS
     }
 
     sk = {}
@@ -663,9 +669,8 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
         if cfg.sk_pool_runs:
             values = {t: sum(runs(t, metric).values(), []) for t in usable}
         else:
-            values = {t: [mean_table[metric][p][t] for p in ok_projects] for t in usable}
-        grouping = scott_knott(values)
-        sk[metric] = [list(rank) for rank in grouping.ranks]
+            values = means[metric]
+        sk[metric] = [list(rank) for rank in scott_knott(values).ranks]
     aggregates["scott_knott"] = sk
 
     wtl: dict = {}

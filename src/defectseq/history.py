@@ -16,20 +16,11 @@ prediction on a set, in every repeat, read those stacks.
 
 from __future__ import annotations
 
-import csv
-import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import ProjectHistory
-
-
-class Lifecycle(enum.Enum):
-    DEVELOPING = "developing"
-    NEWBORN = "newborn"
-    DEAD = "dead"
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,43 +88,27 @@ def _item_rows(s: HvsmSet) -> np.ndarray:
     return rows
 
 
-def classify_file(history: ProjectHistory, v: str, key: str) -> Lifecycle:
-    """Lifecycle of ``key`` at version ``v``.
-
-    Developing: present at v and in some earlier version.  Newborn: first
-    appears at v.  Dead: seen earlier but absent from v.
-    """
-    idx = history.index(v)
-    present_now = key in history.versions[idx].files
-    present_before = any(
-        key in history.versions[i].files for i in range(idx)
-    )
-    if present_now:
-        return Lifecycle.DEVELOPING if present_before else Lifecycle.NEWBORN
-    if present_before:
-        return Lifecycle.DEAD
-    raise KeyError(f"file {key!r} never seen up to version {v!r}")
-
-
-def lifecycle_counts(history: ProjectHistory, v: str) -> dict[Lifecycle, int]:
-    """Counts of developing/newborn files in v and of files dead at v."""
+def lifecycle_counts(history: ProjectHistory, v: str) -> dict[str, int]:
+    """Counts of version v's files by lifecycle state: ``developing``
+    (present at v and in some earlier version), ``newborn`` (first present
+    at v) and ``dead`` (seen earlier but absent from v)."""
     idx = history.index(v)
     now = set(history.versions[idx].files)
     before: set[str] = set()
     for i in range(idx):
         before |= set(history.versions[i].files)
     return {
-        Lifecycle.DEVELOPING: len(now & before),
-        Lifecycle.NEWBORN: len(now - before),
-        Lifecycle.DEAD: len(before - now),
+        "developing": len(now & before),
+        "newborn": len(now - before),
+        "dead": len(before - now),
     }
 
 
 def developing_fraction(history: ProjectHistory, v: str) -> float:
     """Share of version v's files that existed in an earlier version."""
     counts = lifecycle_counts(history, v)
-    total = counts[Lifecycle.DEVELOPING] + counts[Lifecycle.NEWBORN]
-    return counts[Lifecycle.DEVELOPING] / total if total else 0.0
+    total = counts["developing"] + counts["newborn"]
+    return counts["developing"] / total if total else 0.0
 
 
 def extract_hvsm_set(
@@ -238,24 +213,3 @@ def apply_normalizer(n: Normalizer, s: HvsmSet) -> HvsmSet:
         raise ValueError("normalizer schema does not match the set's schema")
     by_length = tuple((idx, n.transform(X)) for idx, X in s.by_length)
     return HvsmSet(s.anchor_version, s.items, s.window, s.schema, by_length)
-
-
-def hvsm_set_to_csv(s: HvsmSet) -> str:
-    """Debug dump: one row per (file, step) with the step's metric values."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "version", "T", "step", *s.schema, "label"])
-    rows = iter(_item_rows(s).tolist())
-    for item in s.items:
-        for step, (version_id, values) in enumerate(zip(item.version_ids, rows), 1):
-            writer.writerow(
-                [
-                    item.key,
-                    version_id,
-                    item.length,
-                    step,
-                    *map(repr, values),
-                    "" if item.label is None else item.label,
-                ]
-            )
-    return out.getvalue()

@@ -4,6 +4,12 @@ One tanh hidden layer with shared weights across time steps, a sigmoid
 output read off the final state, and log loss with an L2 penalty on the
 three weight matrices (biases are unpenalized).
 
+The parameters are one flat float64 vector ``theta``, laid out U, V, W, b,
+c; ``RnnParams`` names views into it, and ``batch_gradient`` returns its
+gradient in the same layout.  ``descend`` is the one optimizer, for this
+model and the nn and lr baselines alike: each step is ``theta - eta *
+gradient``, its learning rate halved while the loss would rise.
+
 There is one forward/backward implementation, and it is batched.  A set
 holds its samples stacked into one ``(T, n, input_dim)`` array per sequence
 length (``HvsmSet.by_length``).  ``group_by_length`` lays those stacks
@@ -71,54 +77,45 @@ class Hyperparams:
             raise ValueError("halving_limit must be non-negative")
 
 
-@dataclass(eq=False)
 class RnnParams:
-    """Weights of the classifier.
+    """Weights of the classifier, as named views into one flat vector.
 
-    U maps the input into the hidden layer, W carries the hidden state
-    across adjacent time steps, V reads the final state out, b and c are
-    the hidden/output biases.
+    ``theta`` holds U (hidden x input), V (1 x hidden), W (hidden x
+    hidden), b (hidden) and c (1,), in that order.  U maps the input into
+    the hidden layer, W carries the hidden state across adjacent time
+    steps, V reads the final state out, b and c are the hidden/output
+    biases.  A view shares its memory with ``theta``.
     """
 
-    U: np.ndarray  # hidden x input
-    W: np.ndarray  # hidden x hidden
-    V: np.ndarray  # 1 x hidden
-    b: np.ndarray  # hidden
-    c: float
+    def __init__(self, theta: np.ndarray, hidden_size: int, input_dim: int):
+        h, d = hidden_size, input_dim
+        v, w, b = h * d, h * (d + 1), h * (d + h + 1)  # where V, W and b start
+        self.theta, self.hidden_size, self.input_dim = theta, h, d
+        self.U = theta[:v].reshape(h, d)
+        self.V = theta[v:w].reshape(1, h)
+        self.W = theta[w:b].reshape(h, h)
+        self.b = theta[b:-1]
+        self.c = theta[-1:]
 
-    @property
-    def hidden_size(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.U.shape[1]
+    @classmethod
+    def zeros(cls, hidden_size: int, input_dim: int) -> RnnParams:
+        h, d = hidden_size, input_dim
+        return cls(np.zeros(h * (d + h + 2) + 1), h, d)
 
     def squared_weight_norm(self) -> float:
         """Sum of squared entries of U, V and W; biases excluded."""
         return float((self.U**2).sum() + (self.V**2).sum() + (self.W**2).sum())
 
 
-@dataclass(eq=False)
-class Gradients:
-    dU: np.ndarray
-    dW: np.ndarray
-    dV: np.ndarray
-    db: np.ndarray
-    dc: float
-
-
 def init_params(h: Hyperparams, input_dim: int) -> RnnParams:
-    """Uniform random U, V, W in [-init_scale, init_scale]; zero biases."""
+    """Uniform random U, V, W in [-init_scale, init_scale], drawn in their
+    ``theta`` order; zero biases."""
     if input_dim < 1:
         raise ValueError("input_dim must be positive")
-    rng = np.random.default_rng(h.seed)
-    s = h.init_scale
-    U = rng.uniform(-s, s, size=(h.hidden_size, input_dim))
-    V = rng.uniform(-s, s, size=(1, h.hidden_size))
-    W = rng.uniform(-s, s, size=(h.hidden_size, h.hidden_size))
-    b = np.zeros(h.hidden_size)
-    return RnnParams(U=U, W=W, V=V, b=b, c=0.0)
+    p = RnnParams.zeros(h.hidden_size, input_dim)
+    weights = p.theta[: -h.hidden_size - 1]
+    weights[:] = np.random.default_rng(h.seed).uniform(-h.init_scale, h.init_scale, weights.size)
+    return p
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -275,11 +272,12 @@ def forward(p: RnnParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     return S, _sigmoid(z + p.c)
 
 
-def batch_gradient(p: RnnParams, batch: Batch, lam: float) -> tuple[Gradients, float]:
+def batch_gradient(p: RnnParams, batch: Batch, lam: float) -> tuple[np.ndarray, float]:
     """Average per-sample gradient plus the L2 term on U, V, W, by
     backpropagation through time over the batch's sweep.
 
-    Returns the gradient and the mean loss ``mean(L_a) + lam/2 * ||w||^2``.
+    Returns the gradient, laid out as ``p.theta``, and the mean loss
+    ``mean(L_a) + lam/2 * ||w||^2``.
     Every sum over samples runs in the order of a loop over the length
     groups in ascending T and, within one, over steps in descending t, each
     term the group's own product: the sweep changes no bit of the result.
@@ -325,26 +323,14 @@ def batch_gradient(p: RnnParams, batch: Batch, lam: float) -> tuple[Gradients, f
             np.matmul(Dg[:-1].transpose(0, 2, 1), Sg, out=w_terms[j : j + T - 1])
         k += T
         j += T - 1
-    dU, dW, db = _sum_terms(u_terms), _sum_terms(w_terms), _sum_terms(b_terms)
-    grad = Gradients(
-        dU=dU / m + lam * p.U,
-        dW=dW / m + lam * p.W,
-        dV=dV / m + lam * p.V,
-        db=db / m,
-        dc=dc / m,
-    )
+    g = RnnParams(np.empty_like(p.theta), p.hidden_size, p.input_dim)
+    np.add(_sum_terms(u_terms) / m, lam * p.U, out=g.U)
+    np.add(dV / m, lam * p.V, out=g.V)
+    np.add(_sum_terms(w_terms) / m, lam * p.W, out=g.W)
+    np.divide(_sum_terms(b_terms), m, out=g.b)
+    g.c[0] = dc / m
     mean_loss = data_loss / m + 0.5 * lam * p.squared_weight_norm()
-    return grad, float(mean_loss)
-
-
-def _apply_step(p: RnnParams, g: Gradients, eta: float) -> RnnParams:
-    return RnnParams(
-        U=p.U - eta * g.dU,
-        W=p.W - eta * g.dW,
-        V=p.V - eta * g.dV,
-        b=p.b - eta * g.db,
-        c=p.c - eta * g.dc,
-    )
+    return g.theta, float(mean_loss)
 
 
 @dataclass(eq=False)
@@ -353,21 +339,22 @@ class TrainResult:
     loss_history: list[float]
 
 
-def descend(objective, step, params, h: Hyperparams):
-    """Full-batch gradient descent for ``h.iterations`` steps from ``params``.
+def descend(objective, theta: np.ndarray, h: Hyperparams):
+    """Full-batch gradient descent for ``h.iterations`` steps from the
+    parameter vector ``theta``.
 
-    ``objective(params)`` returns ``(gradient, loss)``; ``step(params,
-    gradient, eta)`` returns the moved params.  On a loss increase the step
-    is retried with a halved learning rate (the reduction persists), up to
-    ``h.halving_limit`` times per step.  Raises TrainingError with the
-    iteration index if the loss turns non-finite.  Returns the final params
-    and the loss history, initial loss first.
+    ``objective(theta)`` returns ``(gradient, loss)``, the gradient a
+    vector like ``theta``; a step moves to ``theta - eta * gradient``.  On
+    a loss increase the step is retried with a halved learning rate (the
+    reduction persists), up to ``h.halving_limit`` times per step.  Raises
+    TrainingError with the iteration index if the loss turns non-finite.
+    Returns the final vector and the loss history, initial loss first.
     """
-    grad, current = objective(params)
+    grad, current = objective(theta)
     history = [current]
     eta = h.eta
     for it in range(h.iterations):
-        candidate = step(params, grad, eta)
+        candidate = theta - eta * grad
         cand_grad, cand_loss = objective(candidate)
         halvings = 0
         while (
@@ -376,26 +363,26 @@ def descend(objective, step, params, h: Hyperparams):
             and halvings < h.halving_limit
         ):
             eta *= 0.5
-            candidate = step(params, grad, eta)
+            candidate = theta - eta * grad
             cand_grad, cand_loss = objective(candidate)
             halvings += 1
         if not np.isfinite(cand_loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
-        params, grad, current = candidate, cand_grad, cand_loss
+        theta, grad, current = candidate, cand_grad, cand_loss
         history.append(current)
-    return params, history
+    return theta, history
 
 
 def train(train_set: HvsmSet, h: Hyperparams) -> TrainResult:
     """Fit the classifier by ``descend`` on the set's batch, grouped once."""
     batch = group_by_length(train_set)
-    params, history = descend(
-        lambda q: batch_gradient(q, batch, h.lam),
-        _apply_step,
-        init_params(h, len(train_set.schema)),
+    shape = h.hidden_size, len(train_set.schema)
+    theta, history = descend(
+        lambda theta: batch_gradient(RnnParams(theta, *shape), batch, h.lam),
+        init_params(h, shape[1]).theta,
         h,
     )
-    return TrainResult(params=params, loss_history=history)
+    return TrainResult(params=RnnParams(theta, *shape), loss_history=history)
 
 
 def predict_set(p: RnnParams, s: HvsmSet, n: Normalizer) -> np.ndarray:
@@ -433,20 +420,16 @@ def gradient_check(
     row, and for T > 1 a single sample of length T, labelled ``y``, so a
     one-row group shares the recurrent products; the L2 term uses
     ``h.lam``: the path training runs.
-    Every parameter, biases and ``c`` included, is perturbed at a random
+    Every entry of ``theta``, biases included, is perturbed at a random
     point drawn from the hyperparams' seed.  The relative error uses the
     denominator max(|analytic| + |numeric|, 1e-5) so structurally-zero
     gradients do not divide by zero.
     """
     rng = np.random.default_rng(h.seed)
     s = max(h.init_scale, 0.1)
-    p = RnnParams(
-        U=rng.uniform(-s, s, size=(h.hidden_size, input_dim)),
-        W=rng.uniform(-s, s, size=(h.hidden_size, h.hidden_size)),
-        V=rng.uniform(-s, s, size=(1, h.hidden_size)),
-        b=rng.uniform(-s, s, size=h.hidden_size),
-        c=np.array(rng.uniform(-s, s)),  # 0-d, so it is perturbed in place like the rest
-    )
+    p = RnnParams.zeros(h.hidden_size, input_dim)
+    theta = p.theta
+    theta[:] = rng.uniform(-s, s, size=theta.size)
     lengths = [t for t in range(1, T + 1) if t != T - 1 or T == 2]
     counts = [1 if t == T > 1 else 2 for t in lengths]
     batch = Batch(
@@ -455,16 +438,13 @@ def gradient_check(
     )
     g, _ = batch_gradient(p, batch, h.lam)
     max_err = 0.0
-    for arr, analytic in ((p.U, g.dU), (p.W, g.dW), (p.V, g.dV), (p.b, g.db), (p.c, g.dc)):
-        for i in np.ndindex(arr.shape):
-            orig = arr[i]
-            arr[i] = orig + eps
-            hi = batch_gradient(p, batch, h.lam)[1]
-            arr[i] = orig - eps
-            lo = batch_gradient(p, batch, h.lam)[1]
-            arr[i] = orig
-            numeric = (hi - lo) / (2 * eps)
-            a = np.asarray(analytic)[i]
-            max_err = max(max_err, abs(a - numeric) / max(abs(a) + abs(numeric), 1e-5))
+    for i, analytic in enumerate(g.tolist()):
+        orig = theta[i]
+        theta[i] = orig + eps
+        hi = batch_gradient(p, batch, h.lam)[1]
+        theta[i] = orig - eps
+        lo = batch_gradient(p, batch, h.lam)[1]
+        theta[i] = orig
+        numeric = (hi - lo) / (2 * eps)
+        max_err = max(max_err, abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-5))
     return float(max_err)
-

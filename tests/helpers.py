@@ -49,6 +49,19 @@ def toy_history() -> ProjectHistory:
     return ProjectHistory(name="toy", versions=tuple(versions))
 
 
+def lifecycle_states(history: ProjectHistory, s: HvsmSet) -> dict[str, str]:
+    """Each file's lifecycle state at the anchor of ``s``, a set extracted
+    from ``history`` with a window of at least 2, read off the set: a
+    sequence of two or more steps is a developing file's, one step a
+    newborn's, and a file absent from the set but present in an earlier
+    version is dead."""
+    lengths = {item.key: item.length for item in s.items}
+    states = {key: "developing" if T > 1 else "newborn" for key, T in lengths.items()}
+    for snap in history.versions[: history.index(s.anchor_version)]:
+        states.update((key, "dead") for key in snap.files if key not in lengths)
+    return states
+
+
 def hvsm_set(samples, anchor="v", window=None, schema=None) -> HvsmSet:
     """samples: iterable of (rows, label) pairs, each rows a (T, d) block;
     the schema defaults to m0, m1, ..., one name per column."""

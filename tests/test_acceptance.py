@@ -23,16 +23,10 @@ from defectseq.experiment import (
     emit_report,
     run_experiment,
 )
-from defectseq.history import (
-    Lifecycle,
-    apply_normalizer,
-    classify_file,
-    extract_hvsm_set,
-    fit_normalizer,
-)
+from defectseq.history import apply_normalizer, extract_hvsm_set, fit_normalizer, lifecycle_counts
 from defectseq.rnn import Hyperparams, gradient_check, predict_set, train
 
-from helpers import hvsm_set, toy_history, trend_samples, write_trend_project
+from helpers import hvsm_set, lifecycle_states, toy_history, trend_samples, write_trend_project
 from test_effort import Row, columns, instance_is_defined, oracle_ce, random_instance, THREE_FILES
 from test_stats import oracle_cliffs, oracle_wilcoxon_p
 
@@ -111,17 +105,18 @@ def test_criterion_4_sequence_extraction_fidelity():
     with criterion(4, "lifecycle states and sequence lengths on the toy project", 1.0):
         history = toy_history()
         anchor = "v4"
-        states = {key: classify_file(history, anchor, key) for key in
-                  ("fA", "fB", "fC", "fD", "fE", "fF", "fG")}
-        assert states["fA"] == Lifecycle.DEVELOPING
-        assert states["fB"] == Lifecycle.DEVELOPING
-        assert states["fC"] == Lifecycle.DEVELOPING
-        assert states["fD"] == Lifecycle.NEWBORN
-        assert states["fE"] == Lifecycle.DEAD
-        assert states["fF"] == Lifecycle.DEAD
-        assert states["fG"] == Lifecycle.DEAD
-
         s = extract_hvsm_set(history, anchor, window=4)
+        assert lifecycle_states(history, s) == {
+            "fA": "developing",
+            "fB": "developing",
+            "fC": "developing",
+            "fD": "newborn",
+            "fE": "dead",
+            "fF": "dead",
+            "fG": "dead",
+        }
+        assert lifecycle_counts(history, anchor) == {"developing": 3, "newborn": 1, "dead": 3}
+
         lengths = {item.key: item.length for item in s.items}
         assert lengths == {"fA": 4, "fB": 3, "fC": 2, "fD": 1}
         assert {item.key for item in s.items} == {"fA", "fB", "fC", "fD"}

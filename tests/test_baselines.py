@@ -85,6 +85,21 @@ class TestLogisticRegression:
         with np.errstate(over="ignore"), pytest.raises(TrainingError, match="iteration 0"):
             train_baseline(LOGISTIC_REGRESSION, separable, replace(h, eta=1e300))
 
+    def test_reproduces_reference_bitwise(self):
+        # weights and bias as trained by the (w, b)-tuple trainer this one
+        # replaced (numpy 2.4, OpenBLAS, x86-64); eta 40 takes three
+        # halvings, so the retry path is covered too
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(30, 3)) * [1.0, 10.0, 0.1]
+        y = (X[:, 0] + rng.normal(size=30) > 0).astype(float)
+        features = Features(values=X, schema=("a", "b", "c"), labels=y)
+        h = Hyperparams(eta=40.0, lam=1e-2, iterations=25)
+        p = train_baseline(LOGISTIC_REGRESSION, features, h).params
+        assert [x.hex() for x in p["weights"].tolist()] == [
+            "0x1.c647c168178d0p+0", "0x1.62e6b0df1c007p-2", "0x1.de6734a8f2d26p-2",
+        ]
+        assert p["bias"].hex() == "-0x1.d39316f1d2830p-1"
+
 
 class TestGaussianNb:
     def test_symmetric_classes_give_half_at_origin(self, h):

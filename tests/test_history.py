@@ -5,19 +5,16 @@ from hypothesis import given, settings, strategies as st
 from defectseq.history import (
     Hvsm,
     HvsmSet,
-    Lifecycle,
     apply_normalizer,
     average_length,
-    classify_file,
     developing_fraction,
     extract_hvsm_set,
     fit_normalizer,
     fit_normalizer_rows,
-    hvsm_set_to_csv,
     lifecycle_counts,
 )
 
-from helpers import blocks, hvsm_set, snapshot, toy_history
+from helpers import blocks, hvsm_set, lifecycle_states, snapshot, toy_history
 
 
 @pytest.fixture(scope="module")
@@ -30,31 +27,30 @@ class TestClassifyFile:
     @pytest.mark.parametrize(
         "key,expected",
         [
-            ("fA", Lifecycle.DEVELOPING),
-            ("fB", Lifecycle.DEVELOPING),
-            ("fC", Lifecycle.DEVELOPING),
-            ("fD", Lifecycle.NEWBORN),
-            ("fE", Lifecycle.DEAD),
-            ("fF", Lifecycle.DEAD),
-            ("fG", Lifecycle.DEAD),
+            pytest.param(key, state, id=f"{key}-Lifecycle.{state.upper()}")
+            for key, state in (
+                ("fA", "developing"),
+                ("fB", "developing"),
+                ("fC", "developing"),
+                ("fD", "newborn"),
+                ("fE", "dead"),
+                ("fF", "dead"),
+                ("fG", "dead"),
+            )
         ],
     )
     def test_states_at_anchor(self, history, key, expected):
-        assert classify_file(history, "v4", key) == expected
-
-    def test_unknown_file_rejected(self, history):
-        with pytest.raises(KeyError):
-            classify_file(history, "v1", "fD")  # fD first appears at v4
+        assert lifecycle_states(history, extract_hvsm_set(history, "v4"))[key] == expected
 
     def test_unknown_version_rejected(self, history):
         with pytest.raises(KeyError):
-            classify_file(history, "v9", "fA")
+            lifecycle_counts(history, "v9")
 
     def test_counts_cover_all_files(self, history):
         counts = lifecycle_counts(history, "v4")
         n_present = len(history.snapshot("v4").files)
-        assert counts[Lifecycle.DEVELOPING] + counts[Lifecycle.NEWBORN] == n_present
-        assert counts[Lifecycle.DEAD] == 3
+        assert counts["developing"] + counts["newborn"] == n_present
+        assert counts["dead"] == 3
 
     def test_developing_fraction(self, history):
         assert developing_fraction(history, "v4") == pytest.approx(3 / 4)
@@ -253,23 +249,3 @@ class TestNormalizer:
         expected = fit_normalizer_rows(np.vstack([rows for rows, _ in samples]), s.schema)
         for got, want in ((fit.mean, expected.mean), (fit.std, expected.std)):
             assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
-
-
-TOY_V4_CSV = """\
-name,version,T,step,loc,x,label
-fA,v1,4,1,10.0,1.0,1
-fA,v2,4,2,20.0,2.0,1
-fA,v3,4,3,30.0,3.0,1
-fA,v4,4,4,40.0,4.0,1
-fB,v2,3,1,20.0,2.0,0
-fB,v3,3,2,30.0,3.0,0
-fB,v4,3,3,40.0,4.0,0
-fC,v3,2,1,30.0,3.0,1
-fC,v4,2,2,40.0,4.0,1
-fD,v4,1,1,40.0,4.0,0
-"""
-
-
-def test_debug_csv_dump(history):
-    # one row per (file, step), files in item order: the exact text
-    assert hvsm_set_to_csv(extract_hvsm_set(history, "v4", window=4)) == TOY_V4_CSV

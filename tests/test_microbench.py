@@ -31,7 +31,14 @@ from defectseq.effort import (
 )
 from defectseq import experiment
 from defectseq.experiment import ProjectSpec, VersionEntry, _write_json
-from defectseq.rnn import Hyperparams, batch_gradient, group_by_length, init_params
+from defectseq.rnn import (
+    Hyperparams,
+    RnnParams,
+    batch_gradient,
+    group_by_length,
+    init_params,
+    train,
+)
 from defectseq.stats import chi2_ppf, scott_knott
 
 from helpers import hvsm_set, standin_sized_report
@@ -118,16 +125,29 @@ def test_nn_predict_1700_rows_after_idle(benchmark):
     assert probs.shape == (1700,)
 
 
-def test_batch_gradient_standin_sized(benchmark):
+def standin_sized_set():
     # about one stand-in training set: 870 samples of lengths 1..3, 20 metrics
     rng = np.random.default_rng(2)
     samples = [
         (rng.normal(size=(int(rng.integers(1, 4)), 20)), int(rng.integers(0, 2))) for _ in range(870)
     ]
-    batch = group_by_length(hvsm_set(samples))
+    return hvsm_set(samples)
+
+
+def test_batch_gradient_standin_sized(benchmark):
+    batch = group_by_length(standin_sized_set())
     params = init_params(Hyperparams(hidden_size=16, seed=0), input_dim=20)
     grad, loss = benchmark.pedantic(batch_gradient, args=(params, batch, 1e-4), rounds=20)
-    assert grad.dU.shape == (16, 20) and np.isfinite(loss)
+    assert grad.shape == params.theta.shape and np.isfinite(loss)
+
+
+def test_train_standin_sized_20_iterations(benchmark):
+    # 21 gradients and 20 steps: the per-step cost (the step's vector and
+    # the parameter views) beside the per-gradient cases
+    train_set = standin_sized_set()
+    h = Hyperparams(hidden_size=16, iterations=20, seed=0)
+    result = benchmark.pedantic(train, args=(train_set, h), rounds=5)
+    assert len(result.loss_history) == 21 and np.isfinite(result.loss_history[-1])
 
 
 def test_batch_gradient_long_history_sized(benchmark):
@@ -143,7 +163,7 @@ def test_batch_gradient_long_history_sized(benchmark):
     batch = group_by_length(hvsm_set(samples))
     params = init_params(Hyperparams(hidden_size=16, seed=0), input_dim=24)
     grad, loss = benchmark.pedantic(batch_gradient, args=(params, batch, 1e-4), rounds=20)
-    assert batch.depth == 11 and grad.dU.shape == (16, 24) and np.isfinite(loss)
+    assert batch.depth == 11 and grad.shape == params.theta.shape and np.isfinite(loss)
 
 
 def test_batch_gradient_one_step_sized(benchmark):
@@ -153,7 +173,7 @@ def test_batch_gradient_one_step_sized(benchmark):
     batch = group_by_length(hvsm_set(samples))
     params = init_params(Hyperparams(hidden_size=16, seed=0), input_dim=20)
     grad, loss = benchmark.pedantic(batch_gradient, args=(params, batch, 1e-4), rounds=20)
-    assert np.array_equal(grad.dW, 1e-4 * params.W) and np.isfinite(loss)
+    assert np.array_equal(RnnParams(grad, 16, 20).W, 1e-4 * params.W) and np.isfinite(loss)
 
 
 def test_parse_metrics_csv_1000_rows(benchmark):

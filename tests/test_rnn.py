@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from defectseq import rnn
 from defectseq.history import HvsmSet, Normalizer
 from defectseq.rnn import (
     Batch,
-    Gradients,
     Hyperparams,
     RnnParams,
     TrainingError,
@@ -25,14 +23,26 @@ from defectseq.rnn import (
 from helpers import hvsm_set, trend_samples
 
 
+def make_params(U, W, V, b, c) -> RnnParams:
+    """The parameters holding these arrays, packed into one ``theta``."""
+    U = np.asarray(U, dtype=float)
+    theta = np.concatenate([U.ravel(), np.ravel(V), np.ravel(W), np.ravel(b), [c]])
+    return RnnParams(theta, *U.shape)
+
+
 def random_params(rng, hidden, input_dim, scale=0.5):
-    return RnnParams(
+    return make_params(
         U=rng.uniform(-scale, scale, size=(hidden, input_dim)),
         W=rng.uniform(-scale, scale, size=(hidden, hidden)),
         V=rng.uniform(-scale, scale, size=(1, hidden)),
         b=rng.uniform(-scale, scale, size=hidden),
         c=float(rng.uniform(-scale, scale)),
     )
+
+
+def views(p: RnnParams, g: np.ndarray) -> RnnParams:
+    """A gradient in ``p``'s layout, as named views."""
+    return RnnParams(g, p.hidden_size, p.input_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +55,7 @@ def ref_forward(p: RnnParams, seq: np.ndarray) -> tuple[np.ndarray, float]:
     states = [np.tanh(p.U @ x[0] + p.b)]
     for t in range(1, x.shape[0]):
         states.append(np.tanh(p.U @ x[t] + p.W @ states[-1] + p.b))
-    prob = 1.0 / (1.0 + math.exp(-(float(p.V[0] @ states[-1]) + p.c)))
+    prob = 1.0 / (1.0 + math.exp(-(float(p.V[0] @ states[-1]) + p.c[0])))
     return np.array(states), prob
 
 
@@ -78,7 +88,7 @@ def ref_backward(p: RnnParams, seq: np.ndarray, y: int) -> dict:
 def finite_difference_gradients(p: RnnParams, seq: np.ndarray, y: int, lam: float, eps=1e-5):
     """Central differences of ``ref_loss`` for every parameter."""
     out = {}
-    for name in ("U", "W", "V", "b"):
+    for name in ("U", "W", "V", "b", "c"):
         arr = getattr(p, name)
         grad = np.zeros_like(arr)
         for i in np.ndindex(arr.shape):
@@ -90,13 +100,6 @@ def finite_difference_gradients(p: RnnParams, seq: np.ndarray, y: int, lam: floa
             arr[i] = orig
             grad[i] = (hi - lo) / (2 * eps)
         out[name] = grad
-    orig = p.c
-    p.c = orig + eps
-    hi = ref_loss(p, seq, y, lam)
-    p.c = orig - eps
-    lo = ref_loss(p, seq, y, lam)
-    p.c = orig
-    out["c"] = (hi - lo) / (2 * eps)
     return out
 
 
@@ -122,8 +125,9 @@ def loop_group_forward(p: RnnParams, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     return S, probs
 
 
-def loop_batch_gradient(p: RnnParams, groups, lam: float) -> tuple[Gradients, float]:
-    """``batch_gradient`` over ``(X, y)`` length groups in ascending T."""
+def loop_batch_gradient(p: RnnParams, groups, lam: float) -> tuple[np.ndarray, float]:
+    """``batch_gradient`` over ``(X, y)`` length groups in ascending T, the
+    gradient laid out as ``p.theta``."""
     m = sum(X.shape[1] for X, _ in groups)
     dU = np.zeros_like(p.U)
     dW = np.zeros_like(p.W)
@@ -146,13 +150,13 @@ def loop_batch_gradient(p: RnnParams, groups, lam: float) -> tuple[Gradients, fl
             if t > 0:
                 dW += delta.T @ S[t - 1]
                 delta = (delta @ p.W) * (1.0 - S[t - 1] ** 2)
-    grad = Gradients(
-        dU=dU / m + lam * p.U,
-        dW=dW / m + lam * p.W,
-        dV=dV / m + lam * p.V,
-        db=db / m,
-        dc=dc / m,
-    )
+    grad = make_params(
+        U=dU / m + lam * p.U,
+        W=dW / m + lam * p.W,
+        V=dV / m + lam * p.V,
+        b=db / m,
+        c=dc / m,
+    ).theta
     return grad, float(data_loss / m + 0.5 * lam * p.squared_weight_norm())
 
 
@@ -178,12 +182,12 @@ def loss_one(p: RnnParams, rows: np.ndarray, y: int, lam: float) -> float:
     return gradient_one(p, rows, y, lam)[1]
 
 
-def as_dict(g) -> dict:
-    return {"U": g.dU, "W": g.dW, "V": g.dV, "b": g.db, "c": g.dc}
+def as_dict(p: RnnParams, g: np.ndarray) -> dict:
+    return {name: getattr(views(p, g), name) for name in ("U", "W", "V", "b", "c")}
 
 
-def assert_gradients_close(g, expected: dict, rtol: float, atol: float = 1e-12):
-    for name, value in as_dict(g).items():
+def assert_gradients_close(p, g, expected: dict, rtol: float, atol: float = 1e-12):
+    for name, value in as_dict(p, g).items():
         np.testing.assert_allclose(value, expected[name], rtol=rtol, atol=atol, err_msg=name)
 
 
@@ -202,7 +206,7 @@ class TestInitParams:
 
     def test_biases_exactly_zero(self):
         p = init_params(Hyperparams(seed=3), 4)
-        assert not p.b.any() and p.c == 0.0
+        assert not p.b.any() and p.c[0] == 0.0
 
     def test_zero_scale_gives_zero_weights(self):
         p = init_params(Hyperparams(init_scale=0.0), 4)
@@ -234,7 +238,7 @@ class TestForward:
         np.testing.assert_allclose(forward_one(p, x)[1], prob, rtol=1e-12)
 
     def test_scalar_network_zeros_propagate(self):
-        p = RnnParams(
+        p = make_params(
             U=np.array([[1.0]]), W=np.array([[1.0]]), V=np.array([[1.0]]),
             b=np.zeros(1), c=0.0,
         )
@@ -252,7 +256,7 @@ class TestForward:
         s3 = np.tanh(p.U @ x[2] + p.W @ s2 + p.b)
         np.testing.assert_allclose(states, [s1, s2, s3], rtol=1e-12)
         np.testing.assert_allclose(
-            prob, 1 / (1 + math.exp(-(float(p.V[0] @ s3) + p.c))), rtol=1e-12
+            prob, 1 / (1 + math.exp(-(float(p.V[0] @ s3) + p.c[0]))), rtol=1e-12
         )
 
     def test_states_strictly_inside_unit_interval(self):
@@ -293,7 +297,7 @@ class TestLoss:
         assert loss_one(p, np.ones((1, 2)), 1, 1.0) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_penalty_excludes_biases(self):
-        p = RnnParams(
+        p = make_params(
             U=np.ones((2, 2)), W=np.ones((2, 2)), V=np.ones((1, 2)),
             b=np.full(2, 100.0), c=100.0,
         )
@@ -310,7 +314,7 @@ class TestLoss:
     def test_boundary_clamped(self):
         # a saturated output (probability exactly 1) on a negative sample
         p = init_params(Hyperparams(hidden_size=2, init_scale=0.0), 2)
-        p.c = 100.0
+        p.c[0] = 100.0
         assert forward_one(p, np.ones((1, 2)))[1] == 1.0
         assert loss_one(p, np.ones((1, 2)), 0, 0.0) == pytest.approx(-math.log(1e-12))
 
@@ -321,14 +325,15 @@ class TestBackward:
         p = random_params(rng, 3, 2)
         rows = rng.normal(size=(2, 2))
         g, _ = gradient_one(p, rows, 1, 0.0)
-        assert g.dc == pytest.approx(ref_forward(p, rows)[1] - 1, rel=1e-12)
-        assert g.dc < 0
+        dc = views(p, g).c[0]
+        assert dc == pytest.approx(ref_forward(p, rows)[1] - 1, rel=1e-12)
+        assert dc < 0
 
     def test_single_step_recurrent_gradient_is_zero(self):
         rng = np.random.default_rng(4)
         p = random_params(rng, 3, 2)
         g, _ = gradient_one(p, rng.normal(size=(1, 2)), 0, 0.0)
-        assert not g.dW.any()
+        assert not views(p, g).W.any()
 
     @pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("y", [0, 1])
@@ -339,7 +344,7 @@ class TestBackward:
         lam = 0.3
         analytic, _ = gradient_one(p, seq, y, lam)
         numeric = finite_difference_gradients(p, seq, y, lam)
-        for name, value in as_dict(analytic).items():
+        for name, value in as_dict(p, analytic).items():
             assert max_rel_error(value, numeric[name]) < 1e-5, name
 
 
@@ -359,7 +364,7 @@ class TestGradientCheck:
         def broken(p, batch, lam):
             grad, loss = original(p, batch, lam)
             if fault == "output-bias":
-                grad = replace(grad, dc=1.01 * grad.dc)
+                grad[-1] *= 1.01
             elif fault == "l2-term":  # left out of the gradient, kept in the loss
                 grad = original(p, batch, 0.0)[0]
             elif fault == "length-groups":  # only the shortest group reaches the gradient
@@ -380,7 +385,7 @@ class TestBatchGradient:
         rows = rng.normal(size=(3, 2))
         p = random_params(rng, 4, 2)
         grad, mean_loss = gradient_one(p, rows, 1, 0.0)
-        assert_gradients_close(grad, ref_backward(p, rows, 1), rtol=1e-10)
+        assert_gradients_close(p, grad, ref_backward(p, rows, 1), rtol=1e-10)
         assert mean_loss == pytest.approx(ref_loss(p, rows, 1, 0.0), rel=1e-10)
 
     def test_mixed_lengths_match_per_sample_average(self):
@@ -395,7 +400,7 @@ class TestBatchGradient:
                 expected[name] = expected[name] + value / len(samples)
         for name in ("U", "W", "V"):
             expected[name] = expected[name] + lam * getattr(p, name)
-        assert_gradients_close(grad, expected, rtol=1e-9)
+        assert_gradients_close(p, grad, expected, rtol=1e-9)
         mean_ref = np.mean([ref_loss(p, rows, y, lam) for rows, y in samples])
         assert mean_loss == pytest.approx(mean_ref, rel=1e-10)
 
@@ -405,8 +410,8 @@ class TestBatchGradient:
         p = random_params(rng, 3, 2)
         g1, l1 = batch_gradient(p, group_by_length(hvsm_set(samples)), 0.0)
         g2, l2 = batch_gradient(p, group_by_length(hvsm_set(samples + samples)), 0.0)
-        np.testing.assert_allclose(g1.dU, g2.dU, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(g1.db, g2.db, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(views(p, g1).U, views(p, g2).U, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(views(p, g1).b, views(p, g2).b, rtol=1e-9, atol=1e-12)
         assert l1 == pytest.approx(l2, rel=1e-9)
 
     def test_regularizer_only_when_data_gradient_vanishes(self):
@@ -418,7 +423,7 @@ class TestBatchGradient:
         lam = 0.7
         grad, _ = batch_gradient(p, batch, lam)
         data_grad_u = sum(ref_backward(p, rows, y)["U"] for y in (0, 1)) / 2
-        np.testing.assert_allclose(grad.dU - data_grad_u, lam * p.U, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(views(p, grad).U - data_grad_u, lam * p.U, rtol=1e-9, atol=1e-12)
 
     def test_bias_gradients_unregularized(self):
         rng = np.random.default_rng(9)
@@ -426,18 +431,16 @@ class TestBatchGradient:
         p = random_params(rng, 3, 2)
         g0, _ = gradient_one(p, rows, 1, 0.0)
         g1, _ = gradient_one(p, rows, 1, 10.0)
-        np.testing.assert_allclose(g0.db, g1.db, rtol=1e-12)
-        assert g0.dc == pytest.approx(g1.dc, rel=1e-12)
+        np.testing.assert_allclose(views(p, g0).b, views(p, g1).b, rtol=1e-12)
+        assert views(p, g0).c[0] == pytest.approx(views(p, g1).c[0], rel=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             group_by_length(HvsmSet("v", (), 1, ("m0",), by_length=()))
 
 
-def hex_gradients(g: Gradients, loss: float) -> dict:
-    out = {name: [float(x).hex() for x in np.ravel(value)] for name, value in as_dict(g).items()}
-    out["loss"] = float(loss).hex()
-    return out
+def hex_gradients(g: np.ndarray, loss: float) -> dict:
+    return {"theta": [x.hex() for x in g.tolist()], "loss": float(loss).hex()}
 
 
 def random_groups(rng, lengths, counts, input_dim):
