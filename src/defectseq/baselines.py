@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .history import Hvsm, HvsmSet, Normalizer, fit_normalizer_rows
-from .rnn import BLAS_THREAD_BOUND, Batch, Hyperparams, descend, forward, train
+from .rnn import BLAS_THREAD_BOUND, Batch, Hyperparams, descend, forward, sigmoid_in_place, train
 
 LOGISTIC_REGRESSION = "lr"
 GAUSSIAN_NB = "nb"
@@ -127,18 +127,41 @@ def train_baseline(
 
 def _train_logistic(Z: np.ndarray, y: np.ndarray, h: Hyperparams) -> dict:
     """Full-batch gradient descent on log loss; L2 on weights, not bias.
-    The parameter vector is the weights, then the bias."""
+    The parameter vector is the weights, then the bias.
+
+    Both of ``descend``'s points share one set of work arrays, written with
+    ``out=``.  The loss takes one log per sample, which with 0/1 labels
+    gives the bits of ``-y log(p) - (1 - y) log(1 - p)``, and each mean is
+    ``np.mean``'s own sum-then-divide."""
     m, d = Z.shape
+    ZT = Z.T
+    positive = y == 1
+    prob, resid, work = np.empty(m), np.empty(m), np.empty(d)
 
-    def objective(theta):
-        w, b = theta[:d], theta[d]
-        p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
-        grad = np.append(Z.T @ (p - y) / m + h.lam * w, np.mean(p - y))
-        p = np.clip(p, 1e-12, 1 - 1e-12)
-        loss = np.mean(-y * np.log(p) - (1 - y) * np.log(1 - p)) + 0.5 * h.lam * np.sum(w**2)
-        return grad, float(loss)
+    def bind(theta, grad):
+        w, b, gw = theta[:d], theta[d:], grad[:d]
 
-    theta, _ = descend(objective, np.zeros(d + 1), h)
+        def objective():
+            np.matmul(Z, w, out=prob)
+            np.add(prob, b, out=prob)
+            sigmoid_in_place(prob)
+            np.subtract(prob, y, out=resid)
+            np.matmul(ZT, resid, out=gw)
+            np.divide(gw, m, out=gw)
+            np.multiply(h.lam, w, out=work)
+            np.add(gw, work, out=gw)
+            grad[d] = np.add.reduce(resid) / m
+            np.maximum(prob, 1e-12, out=prob)
+            np.minimum(prob, 1 - 1e-12, out=prob)
+            np.subtract(1.0, prob, out=resid)
+            np.copyto(resid, prob, where=positive)
+            np.log(resid, out=resid)
+            np.square(w, out=work)
+            return float(-(np.add.reduce(resid) / m) + 0.5 * h.lam * np.add.reduce(work))
+
+        return objective
+
+    theta, _ = descend(bind, np.zeros(d + 1), h)
     return {"weights": theta[:d], "bias": float(theta[d])}
 
 

@@ -201,8 +201,13 @@ def fit_normalizer_rows(rows: np.ndarray, schema: tuple[str, ...]) -> Normalizer
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("need a non-empty 2-d array of feature rows")
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        std = rows.std(axis=0)
+    overflowed = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflowed.any():
+        column = schema[int(np.argmax(overflowed))]
+        raise ValueError(f"metric {column!r} overflows z-scoring: its mean or spread is not finite")
     std = np.where(std < 1e-12, 1.0, std)
     return Normalizer(mean=mean, std=std, schema=schema)
 

@@ -8,7 +8,10 @@ The parameters are one flat float64 vector ``theta``, laid out U, V, W, b,
 c; ``RnnParams`` names views into it, and ``batch_gradient`` returns its
 gradient in the same layout.  ``descend`` is the one optimizer, for this
 model and the nn and lr baselines alike: each step is ``theta - eta *
-gradient``, its learning rate halved while the loss would rise.
+gradient``, its learning rate halved while the loss would rise.  descend
+owns four vectors for the whole run, the current point and the candidate
+with a gradient each, and swaps the pairs when it accepts a step; ``train``
+builds the ``RnnParams`` views of all four once.
 
 There is one forward/backward implementation, and it is batched.  A set
 holds its samples stacked into one ``(T, n, input_dim)`` array per sequence
@@ -17,6 +20,9 @@ end-aligned on one time axis once per training run (a ``Batch``), so the
 samples active at each step are one suffix of rows; ``forward`` sweeps the
 axis once, with one recurrent product per step for every length, and
 ``batch_gradient`` runs exact backpropagation through time back along it.
+The batch owns its ``Sweep``: every work array and every view that one
+sweep reads or writes, built once per parameter shape, so a gradient is
+products and ufuncs writing with ``out=``.
 Every sum over samples keeps the order of a pass per length group, so the
 sweep's numbers equal that loop's bit for bit.  Prediction runs the same
 sweep over the test set's own stacks, so repeats on the same sets restack
@@ -27,6 +33,7 @@ verifies the code the trainer runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +110,12 @@ class RnnParams:
         return cls(np.zeros(h * (d + h + 2) + 1), h, d)
 
     def squared_weight_norm(self) -> float:
-        """Sum of squared entries of U, V and W; biases excluded."""
-        return float((self.U**2).sum() + (self.V**2).sum() + (self.W**2).sum())
+        """Sum of squared entries of U, V and W; biases excluded.  One sum
+        per matrix, in that order: a single sum over all three rounds
+        differently."""
+        sq = np.square(self.theta[: -self.hidden_size - 1])
+        v, w = self.U.size, self.U.size + self.V.size
+        return float(np.add.reduce(sq[:v]) + np.add.reduce(sq[v:w]) + np.add.reduce(sq[w:]))
 
 
 def init_params(h: Hyperparams, input_dim: int) -> RnnParams:
@@ -118,8 +129,13 @@ def init_params(h: Hyperparams, input_dim: int) -> RnnParams:
     return p
 
 
-def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    return 1.0 / (1.0 + np.exp(-z))
+def sigmoid_in_place(z: np.ndarray) -> None:
+    """Overwrite ``z`` with ``1 / (1 + exp(-z))``, the same bits as that
+    expression."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(1.0, z, out=z)
+    np.divide(1.0, z, out=z)
 
 
 class Batch:
@@ -133,9 +149,9 @@ class Batch:
     the suffix from ``first[τ - 1]``.  ``labels`` holds the 0/1 label of every
     row, or is None for a batch that is only predicted.
 
-    The sweep's work arrays (states and deltas, ``(depth, m, hidden)``
-    each, and the gradient's per-step terms) are allocated on first use and
-    kept for the batch's lifetime.
+    The sweep's work arrays and views (a ``Sweep``) are built on first use
+    and kept for the batch's lifetime, or until the parameters' shape
+    changes.
     """
 
     def __init__(self, stacks, labels: np.ndarray | None = None):
@@ -153,15 +169,14 @@ class Batch:
         ]
         # the rows of one-sample groups
         self.singles = [r for r, n in zip(self.rows, counts) if n == 1]
-        self._work: dict[str, np.ndarray] = {}
+        self._sweep: Sweep | None = None
 
-    def work(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The batch's zero-initialized work array ``name``, reallocated only
-        when its shape changes."""
-        arr = self._work.get(name)
-        if arr is None or arr.shape != shape:
-            arr = self._work[name] = np.zeros(shape)
-        return arr
+    def sweep(self, hidden_size: int, input_dim: int) -> Sweep:
+        """The batch's ``Sweep`` for parameters of this shape."""
+        sweep = self._sweep
+        if sweep is None or sweep.shape != (hidden_size, input_dim):
+            sweep = self._sweep = Sweep(self, hidden_size, input_dim)
+        return sweep
 
 
 def group_by_length(train_set: HvsmSet) -> Batch:
@@ -198,40 +213,14 @@ def row_blocks(n: int, row_cost: int) -> list[tuple[int, int]]:
     return list(zip([0, *stops], stops))
 
 
-def _matmul_rows(A: np.ndarray, M: np.ndarray, out: np.ndarray) -> None:
-    """``np.matmul(A, M, out=out)`` for a 2-d ``M``, one product per
-    ``row_blocks`` block of A's rows (its second-to-last axis)."""
-    n = A.shape[-2]
-    if n * M.size < BLAS_THREAD_BOUND:
-        np.matmul(A, M, out=out)
-        return
-    for i, j in row_blocks(n, M.size):
-        np.matmul(A[..., i:j, :], M, out=out[..., i:j, :])
-
-
-def _recurrent(A: np.ndarray, M: np.ndarray, singles: list[int], a: int) -> np.ndarray:
-    """``A[a:] @ M``, in row blocks.  gemv rounds a one-row product
-    differently from gemm, so where other rows share the product, each row
-    in ``singles`` (a one-sample group's) gets a product of its own."""
-    n = len(A) - a
-    if n * M.size < BLAS_THREAD_BOUND:
-        R = A[a:] @ M
-    else:
-        R = np.empty((n, M.shape[1]))
-        _matmul_rows(A[a:], M, R)
-    if n > 1:
-        for r in singles:
-            if r >= a:
-                R[r - a : r - a + 1] = A[r : r + 1] @ M
-    return R
-
-
-def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """``terms[0] + terms[1] + ...`` in that order.  A reduce over axis 0
-    adds row by row, except over one-element rows, which it sums pairwise."""
+def _sum_terms(terms: np.ndarray, out: np.ndarray) -> None:
+    """``terms[0] + terms[1] + ...`` in that order, into ``out``.  A reduce
+    over axis 0 adds row by row, except over one-element rows, which it
+    sums pairwise."""
     if terms[0].size == 1:
-        return np.add.accumulate(terms, axis=0)[-1]
-    return np.add.reduce(terms, axis=0)
+        out[...] = np.add.accumulate(terms, axis=0)[-1]
+    else:
+        np.add.reduce(terms, axis=0, out=out)
 
 
 def _sum_rows(D: np.ndarray, out: np.ndarray) -> None:
@@ -244,6 +233,87 @@ def _sum_rows(D: np.ndarray, out: np.ndarray) -> None:
         np.einsum("tnh->th", D, out=out)
 
 
+class Sweep:
+    """Every array one sweep over a batch writes, and every view of it and of
+    the stacks that one sweep reads, for parameters of one shape.
+
+    ``forward`` and ``batch_gradient`` run only products and ufuncs over
+    these views, writing with ``out=``.  Each row-independent product is
+    listed as ``(rows, out)`` pairs, one per ``row_blocks`` block, and a
+    recurrent product gives each one-sample group's row (``singles``) a
+    product of its own wherever other rows share it: gemv rounds a one-row
+    product differently from gemm.  The gradient's arrays are built only
+    for a labelled batch.
+    """
+
+    def __init__(self, batch: Batch, hidden_size: int, input_dim: int):
+        self.shape = h, d = hidden_size, input_dim
+        depth, rows, first, m = batch.depth, batch.rows, batch.first, batch.m
+        groups = [(X, X.shape[0], a, b) for X, a, b in zip(batch.stacks, rows, rows[1:])]
+        self.S = S = np.zeros((depth, m, h))  # states
+        self.R = R = np.empty((m, h))  # recurrent products
+
+        def recurrent(A: np.ndarray, c: int):
+            """``A[c:] @ M`` into ``R[:m - c]`` as ``(rows, out)`` pairs."""
+            n = m - c
+            pairs = [(A[c + i : c + j], R[i:j]) for i, j in row_blocks(n, h * h)]
+            if n > 1:
+                pairs += [(A[r : r + 1], R[r - c : r - c + 1]) for r in batch.singles if r >= c]
+            return pairs, R[:n]
+
+        # each group's input projection, then per step τ the rows continuing
+        # from τ - 1 (none at τ = 0) and the rows active at τ
+        self.projection = [
+            (X[:, i:j], S[depth - T :, a + i : a + j])
+            for X, T, a, b in groups
+            for i, j in row_blocks(b - a, h * d)
+        ]
+        self.steps = []
+        for tau in range(depth):
+            products, R_tau, continuing = (), None, None
+            if tau:
+                products, R_tau = recurrent(S[tau - 1], first[tau - 1])
+                continuing = S[tau, first[tau - 1] :]
+            self.steps.append((products, R_tau, continuing, S[tau, first[tau] :]))
+        self.probs = np.empty(m)
+        self.readout = [(S[-1, a:b], self.probs[a:b]) for _, _, a, b in groups]
+        if batch.labels is None:
+            return
+
+        self.positive = batch.labels == 1
+        self.clipped = np.empty(m)
+        self.likelihood = np.empty(m)  # of each row's own label, then its log
+        self.dz = np.empty(m)
+        self.dV, self.dV_term = np.empty((1, h)), np.empty((1, h))
+        self.by_group = [
+            (self.likelihood[a:b], self.dz[a:b], self.dz[None, a:b], S[-1, a:b])
+            for _, _, a, b in groups
+        ]
+        self.D = D = np.empty_like(S)  # deltas
+        self.back_steps = [
+            (*recurrent(D[tau], first[tau - 1]), D[tau - 1, first[tau - 1] :])
+            for tau in range(depth - 1, 0, -1)
+        ]
+        # one term per (group, step) in the order of a loop over groups and,
+        # within one, over steps in descending t, after a leading zero row
+        self.u_terms = np.zeros((1 + batch.steps, h, d))
+        self.w_terms = np.zeros((1 + batch.steps - len(groups), h, h))
+        self.b_terms = np.zeros((1 + batch.steps, h))
+        self.term_products, self.bias_terms = [], []
+        k = j = 1
+        for X, T, a, b in groups:
+            Dg = D[depth - T :, a:b][::-1]  # steps descending
+            DgT = Dg.transpose(0, 2, 1)
+            self.term_products.append((DgT, X[::-1], self.u_terms[k : k + T]))
+            self.bias_terms.append((Dg, self.b_terms[k : k + T]))
+            if T > 1:
+                Sg = S[depth - T : -1, a:b][::-1]
+                self.term_products.append((DgT[:-1], Sg, self.w_terms[j : j + T - 1]))
+            k += T
+            j += T - 1
+        self.u_sum, self.w_sum, self.b_sum = np.empty((h, d)), np.empty((h, h)), np.empty(h)
+
+
 def forward(p: RnnParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """States ``(depth, m, hidden)`` and output probabilities ``(m,)`` of
     every row, by one sweep over the batch's time axis.
@@ -251,83 +321,91 @@ def forward(p: RnnParams, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     Each group's input projection is one matmul over its own stack, in
     row blocks; at each step the continuing rows add ``S[τ - 1] @
     W.T`` to it, every active row adds b, and tanh runs in place, so a row
-    that starts at τ gets ``tanh(x U^T + b)``.  The states array belongs to
-    the batch.
+    that starts at τ gets ``tanh(x U^T + b)``.  Both arrays belong to the
+    batch's ``Sweep``.
     """
-    depth, rows, first = batch.depth, batch.rows, batch.first
-    S = batch.work("states", (depth, batch.m, p.hidden_size))
-    for X, a, b in zip(batch.stacks, rows, rows[1:]):
-        _matmul_rows(X, p.U.T, S[depth - X.shape[0] :, a:b])
-    WT = p.W.T
-    for tau in range(depth):
-        if tau:
-            c = first[tau - 1]
-            S[tau, c:] += _recurrent(S[tau - 1], WT, batch.singles, c)
-        active = S[tau, first[tau] :]
-        active += p.b
+    sweep = batch.sweep(p.hidden_size, p.input_dim)
+    UT, WT = p.U.T, p.W.T
+    for X, out in sweep.projection:
+        np.matmul(X, UT, out=out)
+    for products, R, continuing, active in sweep.steps:
+        for A, out in products:
+            np.matmul(A, WT, out=out)
+        if R is not None:
+            np.add(continuing, R, out=continuing)
+        np.add(active, p.b, out=active)
         np.tanh(active, out=active)
-    z = np.empty(batch.m)
-    for a, b in zip(rows, rows[1:]):
-        np.matmul(S[-1, a:b], p.V[0], out=z[a:b])
-    return S, _sigmoid(z + p.c)
+    for S_last, z in sweep.readout:
+        np.matmul(S_last, p.V[0], out=z)
+    np.add(sweep.probs, p.c, out=sweep.probs)
+    sigmoid_in_place(sweep.probs)
+    return sweep.S, sweep.probs
 
 
-def batch_gradient(p: RnnParams, batch: Batch, lam: float) -> tuple[np.ndarray, float]:
+def batch_gradient(
+    p: RnnParams, batch: Batch, lam: float, out: RnnParams | None = None
+) -> tuple[np.ndarray, float]:
     """Average per-sample gradient plus the L2 term on U, V, W, by
     backpropagation through time over the batch's sweep.
 
     Returns the gradient, laid out as ``p.theta``, and the mean loss
-    ``mean(L_a) + lam/2 * ||w||^2``.
+    ``mean(L_a) + lam/2 * ||w||^2``.  The gradient is written into
+    ``out.theta`` if given, else into a new vector.
     Every sum over samples runs in the order of a loop over the length
     groups in ascending T and, within one, over steps in descending t, each
     term the group's own product: the sweep changes no bit of the result.
     """
     S, probs = forward(p, batch)
-    y = batch.labels
-    depth, rows, first, m = batch.depth, batch.rows, batch.first, batch.m
-    clipped = probs.clip(PROB_EPS, 1.0 - PROB_EPS)
+    sweep = batch.sweep(p.hidden_size, p.input_dim)
+    m = batch.m
+    np.maximum(probs, PROB_EPS, out=sweep.clipped)
+    np.minimum(sweep.clipped, 1.0 - PROB_EPS, out=sweep.clipped)
     # one log per sample: with 0/1 labels, the same bits as
     # -y log(c) - (1 - y) log(1 - c), and a sum's negation is exact
-    log_likelihood = np.log(np.where(y == 1, clipped, 1 - clipped))
-    dz = probs - y
+    likelihood = sweep.likelihood
+    np.subtract(1.0, sweep.clipped, out=likelihood)
+    np.copyto(likelihood, sweep.clipped, where=sweep.positive)
+    np.log(likelihood, out=likelihood)
+    np.subtract(probs, batch.labels, out=sweep.dz)
     data_loss = 0.0
     dc = 0.0
-    dV = np.zeros_like(p.V)
-    for a, b in zip(rows, rows[1:]):
-        data_loss -= float(log_likelihood[a:b].sum())
-        dc += float(dz[a:b].sum())
-        dV += dz[None, a:b] @ S[-1, a:b]
+    dV = sweep.dV
+    dV.fill(0.0)
+    for log_likelihood, dz, dz_row, S_last in sweep.by_group:
+        data_loss -= float(np.add.reduce(log_likelihood))
+        dc += float(np.add.reduce(dz))
+        np.matmul(dz_row, S_last, out=sweep.dV_term)
+        np.add(dV, sweep.dV_term, out=dV)
 
     # deltas, written over the 1 - S² they consume
-    D = batch.work("deltas", S.shape)
+    D = sweep.D
     np.square(S, out=D)
     np.subtract(1.0, D, out=D)
-    np.multiply(dz[:, None] * p.V[0], D[-1], out=D[-1])
-    for tau in range(depth - 1, 0, -1):
-        continuing = D[tau - 1, first[tau - 1] :]
-        continuing *= _recurrent(D[tau], p.W, batch.singles, first[tau - 1])
+    np.multiply(sweep.dz[:, None], p.V[0], out=sweep.R)
+    np.multiply(sweep.R, D[-1], out=D[-1])
+    for products, R, continuing in sweep.back_steps:
+        for A, prod in products:
+            np.matmul(A, p.W, out=prod)
+        np.multiply(continuing, R, out=continuing)
 
-    # one term per (group, step) in the loop's order, after a leading zero
-    # row, summed in that order
-    u_terms = batch.work("u_terms", (1 + batch.steps, *p.U.shape))
-    w_terms = batch.work("w_terms", (1 + batch.steps - len(batch.stacks), *p.W.shape))
-    b_terms = batch.work("b_terms", (1 + batch.steps, *p.b.shape))
-    k = j = 1
-    for X, a, b in zip(batch.stacks, rows, rows[1:]):
-        T = X.shape[0]
-        Dg = D[depth - T :, a:b][::-1]  # steps descending
-        np.matmul(Dg.transpose(0, 2, 1), X[::-1], out=u_terms[k : k + T])
-        _sum_rows(Dg, b_terms[k : k + T])
-        if T > 1:
-            Sg = S[depth - T : -1, a:b][::-1]
-            np.matmul(Dg[:-1].transpose(0, 2, 1), Sg, out=w_terms[j : j + T - 1])
-        k += T
-        j += T - 1
-    g = RnnParams(np.empty_like(p.theta), p.hidden_size, p.input_dim)
-    np.add(_sum_terms(u_terms) / m, lam * p.U, out=g.U)
-    np.add(dV / m, lam * p.V, out=g.V)
-    np.add(_sum_terms(w_terms) / m, lam * p.W, out=g.W)
-    np.divide(_sum_terms(b_terms), m, out=g.b)
+    for A, B, term in sweep.term_products:
+        np.matmul(A, B, out=term)
+    for Dg, term in sweep.bias_terms:
+        _sum_rows(Dg, term)
+    g = out if out is not None else RnnParams(np.empty_like(p.theta), p.hidden_size, p.input_dim)
+    # lam * (U, V, W) first, then each data term added to it: a sum's bits
+    # do not depend on the order of its two operands
+    np.multiply(lam, p.theta[: -p.hidden_size - 1], out=g.theta[: -p.hidden_size - 1])
+    for terms, total, grad in (
+        (sweep.u_terms, sweep.u_sum, g.U), (sweep.w_terms, sweep.w_sum, g.W)
+    ):
+        _sum_terms(terms, total)
+        np.divide(total, m, out=total)
+        np.add(total, grad, out=grad)
+    np.divide(dV, m, out=dV)
+    np.add(dV, g.V, out=g.V)
+    _sum_terms(sweep.b_terms, sweep.b_sum)
+    np.divide(sweep.b_sum, m, out=g.b)
     g.c[0] = dc / m
     mean_loss = data_loss / m + 0.5 * lam * p.squared_weight_norm()
     return g.theta, float(mean_loss)
@@ -339,49 +417,65 @@ class TrainResult:
     loss_history: list[float]
 
 
-def descend(objective, theta: np.ndarray, h: Hyperparams):
+def descend(bind, theta: np.ndarray, h: Hyperparams):
     """Full-batch gradient descent for ``h.iterations`` steps from the
-    parameter vector ``theta``.
+    parameter vector ``theta``, which it takes over.
 
-    ``objective(theta)`` returns ``(gradient, loss)``, the gradient a
-    vector like ``theta``; a step moves to ``theta - eta * gradient``.  On
-    a loss increase the step is retried with a halved learning rate (the
-    reduction persists), up to ``h.halving_limit`` times per step.  Raises
+    ``bind(theta, grad)`` returns a function of no arguments that writes
+    the gradient at ``theta`` into ``grad`` (a vector like ``theta``) and
+    returns the loss.  descend binds two such pairs for the whole run, the
+    current point and the candidate, and swaps them when it accepts a step,
+    so a rejected candidate never overwrites the current gradient.  A step
+    writes ``theta - eta * gradient`` into the candidate.  On a loss
+    increase the step is retried with a halved learning rate (the reduction
+    persists), up to ``h.halving_limit`` times per step.  Raises
     TrainingError with the iteration index if the loss turns non-finite.
     Returns the final vector and the loss history, initial loss first.
     """
-    grad, current = objective(theta)
+    thetas = [theta, np.empty_like(theta)]
+    grads = [np.empty_like(theta), np.empty_like(theta)]
+    evaluate = [bind(t, g) for t, g in zip(thetas, grads)]
+    step = np.empty_like(theta)
+
+    def candidate_loss(eta: float) -> float:
+        np.multiply(eta, grads[0], out=step)
+        np.subtract(thetas[0], step, out=thetas[1])
+        return evaluate[1]()
+
+    current = evaluate[0]()
     history = [current]
     eta = h.eta
     for it in range(h.iterations):
-        candidate = theta - eta * grad
-        cand_grad, cand_loss = objective(candidate)
+        cand_loss = candidate_loss(eta)
         halvings = 0
         while (
-            np.isfinite(cand_loss)
+            math.isfinite(cand_loss)
             and cand_loss > current
             and halvings < h.halving_limit
         ):
             eta *= 0.5
-            candidate = theta - eta * grad
-            cand_grad, cand_loss = objective(candidate)
+            cand_loss = candidate_loss(eta)
             halvings += 1
-        if not np.isfinite(cand_loss):
+        if not math.isfinite(cand_loss):
             raise TrainingError(f"non-finite loss at iteration {it}")
-        theta, grad, current = candidate, cand_grad, cand_loss
+        for pair in thetas, grads, evaluate:
+            pair.reverse()
+        current = cand_loss
         history.append(current)
-    return theta, history
+    return thetas[0], history
 
 
 def train(train_set: HvsmSet, h: Hyperparams) -> TrainResult:
-    """Fit the classifier by ``descend`` on the set's batch, grouped once."""
+    """Fit the classifier by ``descend`` on the set's batch, grouped once;
+    each of descend's vectors gets its ``RnnParams`` views once."""
     batch = group_by_length(train_set)
     shape = h.hidden_size, len(train_set.schema)
-    theta, history = descend(
-        lambda theta: batch_gradient(RnnParams(theta, *shape), batch, h.lam),
-        init_params(h, shape[1]).theta,
-        h,
-    )
+
+    def bind(theta: np.ndarray, grad: np.ndarray):
+        p, g = RnnParams(theta, *shape), RnnParams(grad, *shape)
+        return lambda: batch_gradient(p, batch, h.lam, g)[1]
+
+    theta, history = descend(bind, init_params(h, shape[1]).theta, h)
     return TrainResult(params=RnnParams(theta, *shape), loss_history=history)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -55,6 +56,25 @@ class TestRun:
         message = report["projects"]["trend"]["techniques"]["knn"]["error"]
         assert message.startswith("k=1000 exceeds training size")
         assert capsys.readouterr().err == f"warning: trend/knn: {message}\n"
+
+    def test_overflowing_metric_ends_project_with_one_line(self, tmp_path, capsys):
+        # a 1e308 cell in the train anchor's table overflows z-scoring: the
+        # project fails naming the column, with no numpy warning on the way
+        config = write_config(tmp_path)
+        table = tmp_path / "trend-u3.csv"
+        lines = table.read_text(encoding="utf-8").splitlines()
+        name, loc, trend, n0, *rest = lines[1].split(",")
+        lines[1] = ",".join([name, loc, trend, "1e308", *rest])
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "warning: trend: metric 'n0' overflows z-scoring: its mean or spread is not finite\n"
+            "error: no project completed\n"
+        )
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
     def test_config_without_project_name_is_one_line(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +239,24 @@ class TestNormalizer:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             fit_normalizer(HvsmSet("v", (), 1, ("m0",), by_length=()))
+
+    @pytest.mark.parametrize("cells", [1, 2], ids=["spread-overflows", "mean-overflows"])
+    def test_overflowing_column_is_named(self, cells):
+        # one 1e308 cell overflows the squared deviations (std inf, so the
+        # column would z-score to zeros); two overflow the sum (mean inf)
+        rows = np.tile([1.0, 2.0, 3.0], (4, 1))
+        rows[:, 1] = [1.0, 2.0, 3.0, 4.0]
+        rows[:cells, 2] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                fit_normalizer_rows(rows, ("a", "b", "wmc"))
+        assert str(err.value) == "metric 'wmc' overflows z-scoring: its mean or spread is not finite"
+
+    def test_large_finite_column_still_fits(self):
+        rows = np.array([[1e150, 0.0], [-1e150, 1.0]])
+        n = fit_normalizer_rows(rows, ("a", "b"))
+        assert n.mean.tolist() == [0.0, 0.5] and n.std.tolist() == [1e150, 0.5]
 
     def test_fit_reads_rows_in_item_order(self):
         # a mean over rows adds them in sequence, so the rows must come in

@@ -17,6 +17,7 @@ from defectseq.baselines import (
     FEEDFORWARD_NN,
     KNN,
     Features,
+    _train_logistic,
     predict_baseline_many,
     train_baseline,
 )
@@ -174,6 +175,28 @@ def test_batch_gradient_one_step_sized(benchmark):
     params = init_params(Hyperparams(hidden_size=16, seed=0), input_dim=20)
     grad, loss = benchmark.pedantic(batch_gradient, args=(params, batch, 1e-4), rounds=20)
     assert np.array_equal(RnnParams(grad, 16, 20).W, 1e-4 * params.W) and np.isfinite(loss)
+
+
+def one_step_set():
+    # the nn baseline's training set: 872 one-step samples, 20 metrics
+    rng = np.random.default_rng(7)
+    return hvsm_set([(rng.normal(size=(1, 20)), int(rng.integers(0, 2))) for _ in range(872)])
+
+
+def test_train_one_step_20_iterations(benchmark):
+    # the nn baseline's training: 21 one-step gradients and 20 steps
+    h = Hyperparams(hidden_size=16, iterations=20, seed=0)
+    result = benchmark.pedantic(train, args=(one_step_set(), h), rounds=5)
+    assert len(result.loss_history) == 21 and np.isfinite(result.loss_history[-1])
+
+
+def test_train_logistic_standin_sized(benchmark):
+    # lr on a stand-in training release: 872 rows, 20 metrics, 300 iterations
+    rng = np.random.default_rng(9)
+    Z = rng.normal(size=(872, 20))
+    y = (Z[:, 0] + rng.normal(size=872) > 0).astype(float)
+    params = benchmark.pedantic(_train_logistic, args=(Z, y, Hyperparams(iterations=300)), rounds=5)
+    assert params["weights"].shape == (20,) and np.isfinite(params["bias"])
 
 
 def test_parse_metrics_csv_1000_rows(benchmark):
