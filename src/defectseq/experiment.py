@@ -6,7 +6,9 @@ trains the recurrent classifier on metric sequences and each baseline on
 the anchor version's rows of its value matrix, repeats seeded runs for the
 techniques with randomness, and aggregates cost-effectiveness,
 recall-at-effort and ROC area into ranking tables (means, average ranks,
-Scott-Knott groups, Win/Tie/Loss counts).
+Scott-Knott groups, Win/Tie/Loss counts).  Every technique fits and
+predicts through one loop; one that fails (its loss turns non-finite, say)
+is its project's technique error, left out of the aggregates.
 
 Within a project, everything that a repeat's seed does not change is built
 once: the stacked sequence sets, the baselines' feature matrices (gathered
@@ -378,7 +380,7 @@ def _project_outcome(job: tuple[ProjectSpec, ExperimentConfig]) -> tuple[bool, d
     spec, cfg = job
     try:
         return True, _run_project(spec, cfg)
-    except (ValueError, OSError, TrainingError) as exc:
+    except (ValueError, OSError) as exc:
         return False, str(exc)
 
 
@@ -541,24 +543,17 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
     )
     labels = [binarize_label(b) for b in bug_counts]
 
-    # sequence model: one seeded run per repeat.  Every repeat trains before
-    # any predicts, so the normalized training stacks are freed before
-    # prediction normalizes the test set's.
+    # every technique is a (fit, predict) pair, fit returning the model of
+    # each run's hyperparameters.  The rnn trains every run before any
+    # predicts, so its normalized training stacks are freed first.
     normalizer = fit_normalizer(train_set)
-    train_norm = apply_normalizer(normalizer, train_set)
-    rnn_hyperparams = cfg.hyperparams_for(RNN_TECHNIQUE)
-    fitted = [
-        train(train_norm, replace(rnn_hyperparams, seed=cfg.seed + r)).params
-        for r in range(cfg.repeats)
-    ]
-    del train_norm
-    project["techniques"][RNN_TECHNIQUE] = _technique_entry(
-        (predict_set(params, test_set, normalizer) for params in fitted), frame, labels, cfg.repeats
-    )
-    del test_set  # the baselines score the anchor rows, not the sequences
 
-    # single-version baselines on the anchor versions' rows; every kind and
-    # repeat shares the two feature matrices and what the training one derives
+    def fit_rnn(runs):
+        train_norm = apply_normalizer(normalizer, train_set)
+        return [train(train_norm, h).params for h in runs]
+
+    # the baselines score the anchor versions' rows; every kind and run
+    # shares the two feature matrices and what the training one derives
     train_snapshot = history.snapshot(spec.train_version)
     train_rows = [train_snapshot.files[key] for key in sorted(train_snapshot.files)]
     train_features = bl.Features(
@@ -567,22 +562,25 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
         labels=(train_snapshot.bugs[train_rows] > 0).astype(float),
     )
     test_features = bl.Features(values=test_snapshot.values[test_rows], schema=test_snapshot.schema)
+    pairs = {RNN_TECHNIQUE: (fit_rnn, lambda params: predict_set(params, test_set, normalizer))}
     for kind in cfg.baseline_kinds:
+        pairs[kind] = (
+            lambda runs, kind=kind: [
+                bl.train_baseline(kind, train_features, h, k=cfg.knn_k) for h in runs
+            ],
+            lambda model: bl.predict_baseline_many(model, test_features),
+        )
+    for technique, (fit, predict) in pairs.items():
+        # a technique with randomness runs once per repeat, any other once
+        seeds = range(cfg.repeats) if technique in (RNN_TECHNIQUE, bl.FEEDFORWARD_NN) else (0,)
+        h = cfg.hyperparams_for(technique)
         try:
-            entry = _run_baseline(kind, train_features, test_features, frame, labels, cfg)
+            models = fit([replace(h, seed=cfg.seed + r) for r in seeds])
+            entry = _technique_entry(map(predict, models), frame, labels, cfg.repeats)
         except (ValueError, TrainingError) as exc:
             entry = {"error": str(exc)}
-        project["techniques"][kind] = entry
+        project["techniques"][technique] = entry
     return project
-
-
-def _run_baseline(kind, train_rows, test_rows, frame, labels, cfg) -> dict:
-    seeds = range(cfg.repeats) if kind == bl.FEEDFORWARD_NN else (0,)
-    h = cfg.hyperparams_for(kind)
-    models = (bl.train_baseline(kind, train_rows, replace(h, seed=cfg.seed + r), k=cfg.knn_k)
-              for r in seeds)
-    probs_by_run = (bl.predict_baseline_many(model, test_rows) for model in models)
-    return _technique_entry(probs_by_run, frame, labels, cfg.repeats)
 
 
 def average_rank(table: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
@@ -673,10 +671,8 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
         sk[metric] = [list(rank) for rank in scott_knott(values).ranks]
     aggregates["scott_knott"] = sk
 
-    wtl: dict = {}
-    for t in usable:
-        if t == RNN_TECHNIQUE:
-            continue
+    wtl: dict = {}  # the rnn against each baseline; none without a usable rnn
+    for t in usable[1:] if usable[0] == RNN_TECHNIQUE else ():
         wtl[t] = {}
         for metric in METRIC_KEYS:
             counts, per_project = win_tie_loss_tally(runs(RNN_TECHNIQUE, metric), runs(t, metric))

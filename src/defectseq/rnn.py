@@ -417,6 +417,7 @@ class TrainResult:
     loss_history: list[float]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def descend(bind, theta: np.ndarray, h: Hyperparams):
     """Full-batch gradient descent for ``h.iterations`` steps from the
     parameter vector ``theta``, which it takes over.
@@ -429,7 +430,8 @@ def descend(bind, theta: np.ndarray, h: Hyperparams):
     writes ``theta - eta * gradient`` into the candidate.  On a loss
     increase the step is retried with a halved learning rate (the reduction
     persists), up to ``h.halving_limit`` times per step.  Raises
-    TrainingError with the iteration index if the loss turns non-finite.
+    TrainingError with the iteration index if the loss turns non-finite,
+    and that error is the one diagnostic: overflows warn of nothing.
     Returns the final vector and the loss history, initial loss first.
     """
     thetas = [theta, np.empty_like(theta)]

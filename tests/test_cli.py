@@ -8,7 +8,7 @@ from defectseq.cli import main
 from helpers import write_trend_project
 
 
-def write_config(tmp_path, repeats=1):
+def write_config(tmp_path, repeats=1, baselines="lr, knn"):
     version_ids, paths, schema = write_trend_project(tmp_path, n_files=40)
     config = "\n".join(
         [
@@ -16,7 +16,7 @@ def write_config(tmp_path, repeats=1):
             f"repeats: {repeats}",
             "len: 3",
             f"code_metrics: [{', '.join(schema)}]",
-            "baselines: [lr, knn]",
+            f"baselines: [{baselines}]",
             f"output: {tmp_path / 'out'}",
             "hyperparams: {hidden_size: 4, eta: 0.5, iterations: 40}",
             "projects:",
@@ -75,6 +75,32 @@ class TestRun:
             "error: no project completed\n"
         )
         assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("technique", ["rnn", "nn", "lr"])
+    def test_diverging_trainer_fails_its_technique_with_one_line(self, tmp_path, capsys, technique):
+        # an absurd step overflows the loss at once: every trainer fails the
+        # same way, as its own technique's error, with no numpy warning
+        config = write_config(tmp_path, baselines="lr, knn, nn")
+        assert main(["run", str(config), "--output", str(tmp_path / "plain")]) == 0
+        capsys.readouterr()
+        override = f"technique_hyperparams: {{{technique}: {{eta: 1e300}}}}"
+        config.write_text(config.read_text() + f"\n{override}\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(config)]) == 0
+        message = "non-finite loss at iteration 0"
+        assert capsys.readouterr().err == f"warning: trend/{technique}: {message}\n"
+        report, plain = (
+            json.loads((tmp_path / out / "report.json").read_text(encoding="utf-8"))
+            for out in ("out", "plain")
+        )
+        techniques = report["projects"]["trend"]["techniques"]
+        expected = plain["projects"]["trend"]["techniques"]
+        assert techniques.pop(technique) == {"error": message}
+        del expected[technique]
+        assert techniques == expected
+        if technique == "rnn":
+            assert report["aggregates"]["win_tie_loss"] == {}
 
     def test_config_without_project_name_is_one_line(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"

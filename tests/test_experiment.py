@@ -9,6 +9,7 @@ import signal
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -388,8 +389,11 @@ class TestDivergence:
         assert "lr" not in report["aggregates"]["techniques"]
 
     def test_diverging_sequence_model_recorded_per_project(self, tmp_path, monkeypatch):
-        # the diverging project is told apart by its own data (its file
-        # count), so the choice holds whichever process trains it
+        # the rnn is one technique among the baselines: diverging on one
+        # project's data, it is that project's technique error, and the
+        # project still completes.  The diverging project is told apart by
+        # its own data (its file count), so the choice holds whichever
+        # process trains it
         n_files = {"first": 60, "second": 80}
         specs = []
         for name in ("first", "second"):
@@ -404,6 +408,7 @@ class TestDivergence:
                 )
             )
         cfg = trend_config(tmp_path, repeats=1, projects=tuple(specs), baseline_kinds=("knn",))
+        untouched = run_experiment(cfg)
         original = experiment.train
 
         def diverge_first_project(train_set, h):
@@ -413,11 +418,17 @@ class TestDivergence:
             return original(train_set, h)
 
         monkeypatch.setattr(experiment, "train", diverge_first_project)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error is the one diagnostic
             report = run_experiment(cfg)
-        assert report["errors"] == {"first": "non-finite loss at iteration 0"}
-        assert list(report["projects"]) == ["second"]
-        assert report["aggregates"]["projects_evaluated"] == ["second"]
+        assert report["errors"] == {}
+        first = report["projects"]["first"]["techniques"]
+        assert first["rnn"] == {"error": "non-finite loss at iteration 0"}
+        assert first["knn"] == untouched["projects"]["first"]["techniques"]["knn"]
+        assert report["projects"]["second"] == untouched["projects"]["second"]
+        assert report["aggregates"]["projects_evaluated"] == ["first", "second"]
+        assert report["aggregates"]["techniques"] == ["knn"]
+        assert report["aggregates"]["win_tie_loss"] == {}
 
 
 class TestBuiltOncePerProject:

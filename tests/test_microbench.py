@@ -1,9 +1,15 @@
 """Micro-benchmarks of the training, parsing, evaluation and emit layers,
 and of the project workers' dispatch (pytest-benchmark).
 
-Each runs a handful of rounds so that the suite stays quick; compare runs
-with ``--benchmark-autosave`` / ``--benchmark-compare`` (kept in
-``.benchmarks/``), or skip them with ``--benchmark-skip``.
+Each runs a handful of rounds so that the suite stays quick; skip them
+with ``--benchmark-skip``.  They time one tree.  To compare a change with
+its parent, do not set a saved run of one interpreter against another's
+(``--benchmark-autosave`` / ``--benchmark-compare``): a host's CPU speed
+can drift between the two by more than the difference.  On a 2-vCPU VM,
+separate runs put one case at +23% where the same case, interleaved,
+read -10.6%.  Instead, load both trees' functions in one process and
+alternate between them round by round, each round timing the parent's
+call and the change's on the same inputs.
 """
 
 import json

@@ -157,7 +157,9 @@ def loop_batch_gradient(p: RnnParams, groups, lam: float) -> tuple[np.ndarray, f
         b=db / m,
         c=dc / m,
     ).theta
-    return grad, float(data_loss / m + 0.5 * lam * p.squared_weight_norm())
+    # one sum per matrix, as the model defines its L2 term
+    weight_norm = float((p.U**2).sum() + (p.V**2).sum() + (p.W**2).sum())
+    return grad, float(data_loss / m + 0.5 * lam * weight_norm)
 
 
 def as_batch(groups) -> Batch:
