@@ -43,7 +43,7 @@ def main() -> None:
 
     labels = (FILES.bugs > 0).astype(int).tolist()
     print(f"\nrecall at 20% effort: {acc_at_effort(FILES):.3f}")
-    print(f"ROC area:             {auc(zip(FILES.score.tolist(), labels)):.3f}")
+    print(f"ROC area:             {auc(FILES.score, labels):.3f}")
 
 
 if __name__ == "__main__":

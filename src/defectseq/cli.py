@@ -16,10 +16,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiment
 from .dataset import ParseError, _parse_count, _parse_number, _read_table
-from .effort import acc_at_effort, auc, ce_report_values, scored_files
-from .experiment import emit_report, load_config, run_experiment, win_tie_loss_tally
+from .effort import scored_files
+from .experiment import emit_report, load_config, run_experiment
 from .rnn import Hyperparams, gradient_check
 
 
@@ -80,9 +82,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if label > 1:
             raise ParseError(f"row {i}, column 'label': expected 0 or 1, got {label}")
     files, n_adjusted = scored_files([r["name"] for _, r in rows], scores, locs, bugs)
-    result = {f"ce_{k}": v for k, v in ce_report_values(files).items()}
-    result["acc"] = acc_at_effort(files)
-    result["auc"] = auc(list(zip(scores, labels)))
+    result = experiment.evaluate_scores(files, labels)
     result["zero_loc_files_adjusted"] = n_adjusted
     print(json.dumps(result, sort_keys=True, indent=2))
     return 0
@@ -102,20 +102,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     reference = args.reference or next(iter(by_tech))
     if reference not in by_tech:
-        print(f"error: unknown reference technique {reference!r}", file=sys.stderr)
-        return 1
-
-    grouping = experiment.scott_knott(experiment.project_means(by_tech, projects))
+        raise ValueError(f"unknown reference technique {reference!r}")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            _, _, grouping, wtl = experiment.compare_techniques(by_tech, projects, reference)
+    except FloatingPointError as exc:
+        raise ValueError(f"values too large to compare: {exc}") from None
     print("scott-knott ranks:")
     for rank, names in enumerate(grouping.ranks, start=1):
         labels = ", ".join(f"{n} (mean {grouping.means[n]:.3f})" for n in names)
         print(f"  rank {rank}: {labels}")
-
     print(f"win/tie/loss for {reference}:")
-    for tech in by_tech:
-        if tech == reference:
-            continue
-        counts, _ = win_tie_loss_tally(by_tech[reference], by_tech[tech])
+    for tech, counts in wtl.items():
         print(f"  vs {tech}: {counts['win']}/{counts['tie']}/{counts['loss']}")
     return 0
 

@@ -149,13 +149,23 @@ def _parse_key(cell: str, row: int) -> str:
         raise ParseError(f"row {row}: {exc}") from None
 
 
+def _decode(data: bytes | str) -> str:
+    """A table's text; bytes that are not UTF-8 raise ParseError naming the
+    row of the first bad byte (one more than the line feeds before it)."""
+    try:
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"row {row}: not UTF-8 text") from None
+
+
 def _read_table(
     data: bytes | str, required: Sequence[str]
 ) -> tuple[dict[str, int], Iterator[tuple[int, list[str]]]]:
     """The header positions of the ``required`` columns, and the non-blank
     rows as (row number, cells); a row whose cell count differs from the
     header's, or that csv cannot read, raises ParseError."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(data)
     # newline="" as csv asks of a file: a row ends at LF, CRLF or CR
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -278,7 +288,7 @@ def parse_metrics_csv(
     parser alone defines what is accepted and every ParseError's text.
     """
     schema = tuple(schema)
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(data)
     fast = _parse_metrics_fast(text, schema)
     if fast is not None:
         keys, values, bugs, loc = fast

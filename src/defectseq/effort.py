@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -225,11 +225,13 @@ def acc_at_effort(files: ScoredColumns, effort: float = 0.2) -> float:
     return int(np.count_nonzero(files.bugs[inspected])) / defective
 
 
-def auc(scores: Iterable[tuple[float, int]]) -> float:
-    """ROC area via the rank-sum formulation; tied scores count one half."""
-    pairs = list(scores)
-    values = np.asarray([s for s, _ in pairs], dtype=float)
-    labels = np.asarray([y for _, y in pairs], dtype=int)
+def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """ROC area of ``scores`` against the 0/1 ``labels`` of the same files,
+    via the rank-sum formulation; tied scores count one half."""
+    values = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if values.shape != labels.shape:
+        raise ValueError("scores and labels differ in length")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

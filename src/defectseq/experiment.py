@@ -10,6 +10,11 @@ Scott-Knott groups, Win/Tie/Loss counts).  Every technique fits and
 predicts through one loop; one that fails (its loss turns non-finite, say)
 is its project's technique error, left out of the aggregates.
 
+Each run is scored by one function, :func:`evaluate_scores`, and each
+metric's ranking tables come from one comparison,
+:func:`compare_techniques`; the ``eval`` and ``stats`` commands call the
+same two, so every reported number has one implementation.
+
 Within a project, everything that a repeat's seed does not change is built
 once: the stacked sequence sets, the baselines' feature matrices (gathered
 from the anchor versions' matrices) with their z-scoring, and the test
@@ -36,6 +41,7 @@ import json
 import math
 import multiprocessing as mp
 import os
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -47,6 +53,7 @@ import yaml
 from . import baselines as bl
 from .dataset import (
     PROMISE_CODE_METRICS,
+    ParseError,
     ProjectHistory,
     attach_process_metrics,
     binarize_label,
@@ -72,7 +79,7 @@ from .history import (
     fit_normalizer,
 )
 from .rnn import Hyperparams, TrainingError, predict_set, train
-from .stats import rankdata, scott_knott, win_tie_loss
+from .stats import SkGrouping, rankdata, scott_knott, win_tie_loss
 
 RNN_TECHNIQUE = "rnn"
 TECHNIQUES = (RNN_TECHNIQUE, *bl.BASELINE_KINDS)
@@ -301,19 +308,33 @@ def _echo(kind, value):
     return {key: _echo(sub, held[name]) for key, (name, sub) in kind.keys.items() if name in held}
 
 
+@contextmanager
+def _naming_table(version_id: str, kind: str):
+    """Prefix a ParseError raised in the block with the table it is about."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(f"version {version_id!r} {kind}: {exc}") from None
+
+
 def load_project_history(spec: ProjectSpec, cfg: ExperimentConfig) -> ProjectHistory:
-    """Parse every version table (and change tables when configured)."""
+    """Parse every version table (and change tables when configured).  A
+    malformed table is named by version and kind: ``version '2.0' metrics:
+    row 5, ...`` or ``version '2.0' changes: ...``."""
     snapshots = []
     for entry in spec.versions:
         data = Path(entry.metrics_path).read_bytes()
-        snapshots.append(parse_metrics_csv(data, cfg.code_metrics, entry.version_id))
+        with _naming_table(entry.version_id, "metrics"):
+            snapshots.append(parse_metrics_csv(data, cfg.code_metrics, entry.version_id))
     history = ProjectHistory(name=spec.name, versions=tuple(snapshots))
     if cfg.metric_set == "code+process":
         add_del: dict[tuple[str, str], tuple[int, int]] = {}
         for entry in spec.versions:
             if entry.process_path is None:
                 continue
-            for key, value in parse_process_csv(Path(entry.process_path).read_bytes()).items():
+            with _naming_table(entry.version_id, "changes"):
+                entries = parse_process_csv(Path(entry.process_path).read_bytes())
+            for key, value in entries.items():
                 if key in add_del and add_del[key] != value:
                     raise ConfigError(f"conflicting process entries for {key}")
                 add_del[key] = value
@@ -321,26 +342,26 @@ def load_project_history(spec: ProjectSpec, cfg: ExperimentConfig) -> ProjectHis
     return history
 
 
-def _evaluate_scores(frame: ScoredColumns, labels: Sequence[int], probs: np.ndarray) -> dict:
-    """One run's metrics: ``frame`` (the test files' columns, whose key rank
-    and optimal ordering every run shares) scored by ``probs``."""
-    files = frame.with_scores(probs)
+def evaluate_scores(files: ScoredColumns, labels: Sequence[int]) -> dict:
+    """CE at every cutoff, ACC and AUC of one scoring of the test files,
+    whose 0/1 defect labels are ``labels``: a run's metrics, or ``eval``'s."""
     run = {f"ce_{k}": float(v) for k, v in ce_report_values(files).items()}
     run["acc"] = float(acc_at_effort(files))
-    run["auc"] = float(auc(zip(files.score.tolist(), labels)))
+    run["auc"] = float(auc(files.score, labels))
     return run
 
 
 def _technique_entry(
     probs_by_run: Iterable[np.ndarray], frame: ScoredColumns, labels: Sequence[int], repeats: int
 ) -> dict:
-    """A technique's report entry from each run's test-file probabilities:
-    its runs' metrics, their means and the mean score per file.  A single
-    run is a deterministic technique's, and stands for all ``repeats``."""
+    """A technique's report entry from each run's test-file probabilities,
+    scoring ``frame``: its runs' metrics, their means and the mean score per
+    file.  A single run is a deterministic technique's, and stands for all
+    ``repeats``."""
     runs = []
     score_sum = np.zeros(len(frame))
     for probs in probs_by_run:
-        runs.append(_evaluate_scores(frame, labels, probs))
+        runs.append(evaluate_scores(frame.with_scores(probs), labels))
         score_sum += probs
     mean_scores = score_sum / len(runs)
     if len(runs) == 1:
@@ -583,49 +604,40 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
     return project
 
 
-def average_rank(table: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
-    """Mean rank per technique over projects; rank 1 is the highest value,
-    ties share their average rank."""
-    techniques = sorted({t for row in table.values() for t in row})
-    sums = {t: 0.0 for t in techniques}
-    for project in sorted(table):
-        row = table[project]
-        if set(row) != set(techniques):
-            raise ValueError(f"project {project!r} is missing techniques")
-        ranks = rankdata(-np.asarray([row[t] for t in techniques]))
-        for t, r in zip(techniques, ranks):
-            sums[t] += float(r)
-    n = len(table)
-    return {t: sums[t] / n for t in techniques}
-
-
-def project_means(
-    values: Mapping[str, Mapping[str, Sequence[float]]], projects: Sequence[str]
-) -> dict[str, list[float]]:
-    """Each technique's mean value in every project, in ``projects`` order,
-    from its values by project: Scott-Knott's input over per-project means.
-    A technique without values for some project is rejected by name."""
+def compare_techniques(
+    values: Mapping[str, Mapping[str, Sequence[float]]],
+    projects: Sequence[str],
+    reference: str | None = None,
+    pool_runs: bool = False,
+) -> tuple[dict[str, float], dict[str, float], SkGrouping, dict[str, dict]]:
+    """One metric's comparison of techniques, from each one's values by
+    project: the mean of its project means, its average rank over projects
+    (rank 1 is the highest mean), the Scott-Knott grouping of the project
+    means (of every value, with ``pool_runs``), and ``reference``'s
+    Win/Tie/Loss counts and outcome per project against each other one."""
     means = {}
     for technique, by_project in values.items():
         missing = [p for p in projects if p not in by_project]
         if missing:
             raise ValueError(f"{technique!r} lacks values for {missing}")
         means[technique] = [float(np.mean(by_project[p])) for p in projects]
-    return means
-
-
-def win_tie_loss_tally(
-    subject: Mapping[str, Sequence[float]], other: Mapping[str, Sequence[float]]
-) -> tuple[dict[str, int], dict[str, str]]:
-    """Win/tie/loss counts of ``subject`` against ``other``, both mapping
-    each project to its values, and the outcome per project in
-    ``subject``'s order."""
-    counts = {"win": 0, "tie": 0, "loss": 0}
-    per_project = {}
-    for project, values in subject.items():
-        per_project[project] = win_tie_loss(values, other[project]).value
-        counts[per_project[project]] += 1
-    return counts, per_project
+    rank_sums = sum(rankdata(-column) for column in np.array(list(means.values())).T)
+    grouping = scott_knott(
+        {t: [v for p in projects for v in by[p]] for t, by in values.items()} if pool_runs else means
+    )
+    wtl = {}
+    for technique in [t for t in values if reference not in (None, t)]:
+        entry = wtl[technique] = {"win": 0, "tie": 0, "loss": 0, "per_project": {}}
+        for p in projects:
+            try:
+                outcome = win_tie_loss(values[reference][p], values[technique][p]).value
+            except ValueError as exc:
+                raise ValueError(f"project {p!r}, {reference!r} vs {technique!r}: {exc}") from None
+            entry["per_project"][p] = outcome
+            entry[outcome] += 1
+    mean = {t: float(np.mean(m)) for t, m in means.items()}
+    rank = {t: float(r) / len(projects) for t, r in zip(means, rank_sums)}
+    return mean, rank, grouping, wtl
 
 
 def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
@@ -637,48 +649,27 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
         if all("runs" in report["projects"][p]["techniques"].get(t, {}) for p in ok_projects)
     ]
     aggregates: dict = {"projects_evaluated": ok_projects, "techniques": usable}
-    if not ok_projects or not usable:
-        report["aggregates"] = aggregates
-        return
-
-    def runs(t: str, metric: str) -> dict[str, list[float]]:
-        """Technique ``t``'s value of ``metric`` in every run, by project."""
-        return {
-            p: [run[metric] for run in report["projects"][p]["techniques"][t]["runs"]]
-            for p in ok_projects
-        }
-
-    means = {
-        metric: project_means({t: runs(t, metric) for t in usable}, ok_projects)
-        for metric in METRIC_KEYS
-    }
-    aggregates["mean_by_technique"] = {
-        metric: {t: float(np.mean(means[metric][t])) for t in usable} for metric in METRIC_KEYS
-    }
-    aggregates["average_rank"] = {
-        metric: average_rank(
-            {p: {t: means[metric][t][i] for t in usable} for i, p in enumerate(ok_projects)}
-        )
-        for metric in METRIC_KEYS
-    }
-
-    sk = {}
-    for metric in METRIC_KEYS:
-        if cfg.sk_pool_runs:
-            values = {t: sum(runs(t, metric).values(), []) for t in usable}
-        else:
-            values = means[metric]
-        sk[metric] = [list(rank) for rank in scott_knott(values).ranks]
-    aggregates["scott_knott"] = sk
-
-    wtl: dict = {}  # the rnn against each baseline; none without a usable rnn
-    for t in usable[1:] if usable[0] == RNN_TECHNIQUE else ():
-        wtl[t] = {}
-        for metric in METRIC_KEYS:
-            counts, per_project = win_tie_loss_tally(runs(RNN_TECHNIQUE, metric), runs(t, metric))
-            wtl[t][metric] = {**counts, "per_project": per_project}
-    aggregates["win_tie_loss"] = wtl
     report["aggregates"] = aggregates
+    if not ok_projects or not usable:
+        return
+    # the rnn against each baseline; none without a usable rnn
+    reference = RNN_TECHNIQUE if usable[0] == RNN_TECHNIQUE else None
+    tables = ("mean_by_technique", "average_rank", "scott_knott", "win_tie_loss")
+    aggregates.update({name: {} for name in tables})
+    for metric in METRIC_KEYS:
+        values = {
+            t: {p: [run[metric] for run in report["projects"][p]["techniques"][t]["runs"]]
+                for p in ok_projects}
+            for t in usable
+        }
+        mean, rank, grouping, wtl = compare_techniques(
+            values, ok_projects, reference, cfg.sk_pool_runs
+        )
+        aggregates["mean_by_technique"][metric] = mean
+        aggregates["average_rank"][metric] = rank
+        aggregates["scott_knott"][metric] = [list(names) for names in grouping.ranks]
+        for t, entry in wtl.items():
+            aggregates["win_tie_loss"].setdefault(t, {})[metric] = entry
 
 
 # ---------------------------------------------------------------------------

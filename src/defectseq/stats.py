@@ -9,9 +9,9 @@ statistically distinct ranks.
 The three distribution functions these procedures use are plain
 numpy/``math`` code, so importing the package loads no scipy:
 :func:`rankdata` (average ranks, also used by ``effort.auc`` and
-``experiment.average_rank``), :func:`norm_sf` (the normal upper tail of
-the large-sample Wilcoxon test) and :func:`chi2_ppf` (the Scott-Knott
-critical value).  The test suite checks each against ``scipy.stats``,
+``experiment.compare_techniques``), :func:`norm_sf` (the normal upper
+tail of the large-sample Wilcoxon test) and :func:`chi2_ppf` (the
+Scott-Knott critical value).  The test suite checks each against ``scipy.stats``,
 which serves there as the oracle.
 """
 

@@ -137,7 +137,7 @@ def test_criterion_5_sequence_information_learnability():
             h = Hyperparams(seed=100 + r)
             result = train(train_norm, h)
             probs = predict_set(result.params, test_set, normalizer)
-            aucs.append(auc(list(zip(probs, test_labels))))
+            aucs.append(auc(probs, test_labels))
         rnn_auc = float(np.mean(aucs))
 
         schema = train_set.schema
@@ -149,7 +149,7 @@ def test_criterion_5_sequence_information_learnability():
         lr = train_baseline(LOGISTIC_REGRESSION, features, Hyperparams(seed=0))
         test_rows = Features(values=np.array([rows[-1] for rows, _ in test_samples]), schema=schema)
         lr_scores = predict_baseline_many(lr, test_rows)
-        lr_auc = auc(list(zip(lr_scores, test_labels)))
+        lr_auc = auc(lr_scores, test_labels)
 
         print(f"    sequence-model mean AUC {rnn_auc:.3f}, single-version LR AUC {lr_auc:.3f}")
         assert rnn_auc > 0.85

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import re
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectseq.cli import main
+from defectseq.experiment import METRIC_KEYS
 
 from helpers import write_trend_project
 
@@ -189,7 +194,29 @@ class TestRun:
         config.write_text(text + "\nmetrics: code+process\n", encoding="utf-8")
         assert main(["run", str(config)]) == 1
         err = capsys.readouterr().err
-        assert err == f"warning: trend: {message}\nerror: no project completed\n"
+        assert err == (
+            f"warning: trend: version 'u2' changes: {message}\nerror: no project completed\n"
+        )
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [(1, b"abc", "row 3, column 'loc': non-numeric cell 'abc'"),
+         (0, b"f\xff", "row 3: not UTF-8 text")],
+        ids=["non-numeric", "not-utf-8"],
+    )
+    def test_bad_metrics_table_is_named_by_version(self, tmp_path, capsys, column, cell, message):
+        config = write_config(tmp_path)
+        table = tmp_path / "trend-u2.csv"
+        lines = table.read_bytes().split(b"\n")
+        cells = lines[2].split(b",")
+        cells[column] = cell
+        lines[2] = b",".join(cells)
+        table.write_bytes(b"\n".join(lines))
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"warning: trend: version 'u2' metrics: {message}\nerror: no project completed\n"
+        )
 
     @pytest.mark.parametrize(
         "text, message",
@@ -296,6 +323,12 @@ class TestEval:
         assert main(["eval", str(scores)]) == 1
         assert capsys.readouterr().err == "error: empty scores file\n"
 
+    def test_non_utf8_byte_names_row(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"name,score,loc,bugs,label\nf1,0.9,10,1,1\nf\xff2,0.5,10,0,0\n")
+        assert main(["eval", str(scores)]) == 1
+        assert capsys.readouterr().err == "error: row 3: not UTF-8 text\n"
+
     def test_all_clean_fails_with_diagnostic(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text(
@@ -373,3 +406,165 @@ class TestStats:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_unpairable_run_counts_print_nothing(self, tmp_path, capsys):
+        # three runs of a against two of b in p2 cannot be paired: nothing is
+        # printed before the one line that names the project and both sides
+        rows = ["a,p1,0.9", "b,p1,0.1", "a,p2,0.8", "a,p2,0.7", "a,p2,0.6", "b,p2,0.2", "b,p2,0.3"]
+        values = tmp_path / "values.csv"
+        values.write_text("technique,project,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["stats", str(values)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: project 'p2', 'a' vs 'b': run counts must match"
+            " (or one side must be a single value)\n"
+        )
+
+    def test_overflowing_values_are_one_line(self, tmp_path, capsys):
+        values = tmp_path / "values.csv"
+        values.write_text("technique,project,value\na,p1,1e308\nb,p1,-1e308\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stats", str(values)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: values too large to compare: ")
+        assert captured.err.count("\n") == 1
+
+    def test_matches_a_run_report(self, tmp_path, capsys):
+        # differential: each metric's runs from a report, fed back through
+        # stats, print that report's Scott-Knott groups and W/T/L counts
+        config = write_config(tmp_path, repeats=6)
+        (tmp_path / "drift").mkdir()
+        version_ids, paths, _ = write_trend_project(tmp_path / "drift", n_files=40, seed=11)
+        drift = "\n  - name: drift\n    versions:" + "".join(
+            f"\n      - {{id: {v}, metrics: drift/{paths[v].name}}}" for v in version_ids
+        )
+        config.write_text(config.read_text() + drift + "\n", encoding="utf-8")
+        assert main(["run", str(config)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        aggregates = report["aggregates"]
+        assert aggregates["projects_evaluated"] == ["drift", "trend"]
+        outcomes = set()
+        for metric in METRIC_KEYS:
+            rows = ["technique,project,value"]
+            for t in aggregates["techniques"]:
+                for p in aggregates["projects_evaluated"]:
+                    runs = report["projects"][p]["techniques"][t]["runs"]
+                    rows += [f"{t},{p},{run[metric]!r}" for run in runs]
+            values = tmp_path / f"{metric}.csv"
+            values.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            capsys.readouterr()
+            assert main(["stats", str(values), "--reference", "rnn"]) == 0
+            printed = re.sub(r" \(mean [^)]*\)", "", capsys.readouterr().out)
+            groups = aggregates["scott_knott"][metric]
+            wtl = {t: aggregates["win_tie_loss"][t][metric] for t in aggregates["techniques"][1:]}
+            expected = ["scott-knott ranks:"]
+            expected += [f"  rank {r}: " + ", ".join(names) for r, names in enumerate(groups, 1)]
+            expected += ["win/tie/loss for rnn:"]
+            expected += [f"  vs {t}: {c['win']}/{c['tie']}/{c['loss']}" for t, c in wtl.items()]
+            assert printed == "\n".join(expected) + "\n"
+            outcomes |= {o for c in wtl.values() for o in c["per_project"].values()}
+        assert len(outcomes) > 1  # the counts do not all read the same
+
+
+# ---------------------------------------------------------------------------
+# the eval and stats tables, each a valid table with one cell or row mutated
+# ---------------------------------------------------------------------------
+
+BAD_CELLS = st.sampled_from([
+    "abc", "inf", "-inf", "nan", "-1", "-0.5", "2.5", "1e400", "1e308", "-1e308", "9e18", "", " ",
+    "0x10",
+])
+
+
+def valid_eval_rows(draw):
+    """name,score,loc,bugs,label rows with a clean and a defective file,
+    and the number of key columns."""
+    n = draw(st.integers(2, 7))
+    rows = []
+    for i in range(n):
+        bugs = 1 if i == 0 else 0 if i == 1 else draw(st.integers(0, 3))
+        score = draw(st.floats(0, 1).map(lambda x: round(x, 3)))
+        loc = draw(st.integers(1, 200))
+        rows.append([f"f{i}", repr(score), str(loc), str(bugs), str(int(bugs > 0))])
+    return ["name", "score", "loc", "bugs", "label"], rows, 1
+
+
+def valid_stats_rows(draw):
+    """technique,project,value rows, in which every technique has the same
+    number of runs in every project, and the number of key columns."""
+    techniques = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    projects = ["p1", "p2", "p3"][: draw(st.integers(1, 3))]
+    runs = draw(st.integers(1, 6))
+    rows = [
+        [t, p, repr(draw(st.floats(0, 1).map(lambda x: round(x, 3))))]
+        for p in projects for t in techniques for _ in range(runs)
+    ]
+    return ["technique", "project", "value"], rows, 2
+
+
+@st.composite
+def mutated_tables(draw, valid_rows):
+    """The bytes of a valid table with one of: a bad number, a blank or
+    duplicate key, a missing or extra cell, a blank, duplicate or missing
+    row, or a byte that is not UTF-8."""
+    header, rows, keys = valid_rows(draw)
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(header) - 1))
+    key = draw(st.integers(0, keys - 1))
+    mutation = draw(st.sampled_from(
+        ["cell", "cell", "blank-key", "duplicate-key", "missing-cell", "extra-cell",
+         "blank-row", "duplicate-row", "missing-row", "not-utf-8", "none"]
+    ))
+    if mutation == "cell":
+        rows[i][draw(st.integers(keys, len(header) - 1))] = draw(BAD_CELLS)
+    elif mutation == "blank-key":
+        rows[i][key] = draw(st.sampled_from(["", " "]))
+    elif mutation == "duplicate-key":
+        rows[i][key] = rows[draw(st.integers(0, len(rows) - 1))][key]
+    elif mutation == "missing-cell":
+        del rows[i][j]
+    elif mutation == "extra-cell":
+        rows[i].insert(j, "9")
+    elif mutation == "blank-row":
+        rows.insert(i, [""] * draw(st.integers(1, len(header))))
+    elif mutation == "duplicate-row":
+        rows.insert(i, list(rows[i]))
+    elif mutation == "missing-row":
+        del rows[i]
+    data = "\n".join(",".join(row) for row in [header, *rows]).encode("utf-8") + b"\n"
+    if mutation == "not-utf-8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def run_cli(argv):
+    """``main(argv)``'s exit code, stdout and stderr, any warning raised as
+    an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "verb, valid_rows", [("eval", valid_eval_rows), ("stats", valid_stats_rows)]
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_table_exits_cleanly(tmp_path_factory, verb, valid_rows, data):
+    # a mutated table is either read and scored, or refused with exactly
+    # one error line and nothing on stdout: never a traceback or a warning
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{verb}.csv"
+    path.write_bytes(data.draw(mutated_tables(valid_rows)))
+    code, out, err = run_cli([verb, str(path)])
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err

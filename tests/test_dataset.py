@@ -122,6 +122,21 @@ class TestParseMetricsCsv:
         with pytest.raises(ParseError, match=r"^row 3: field larger than field limit"):
             parse_metrics_csv(make_csv(["a,1,10,0", f"{key},2,20,0"]), SCHEMA)
 
+    @pytest.mark.parametrize(
+        "parse, data",
+        [
+            (
+                lambda data: parse_metrics_csv(data, SCHEMA),
+                b"name,wmc,loc,bug\na,1,10,0\nb\xe9,2,20,0\n",
+            ),
+            (parse_process_csv, b"version,name,add,del\n1.0,a,3,1\n1.0,b\xff,3,1\n"),
+        ],
+        ids=["metrics", "changes"],
+    )
+    def test_non_utf8_byte_names_row(self, parse, data):
+        with pytest.raises(ParseError, match=r"^row 3: not UTF-8 text$"):
+            parse(data)
+
     def test_count_beyond_int64_rejected(self):
         with pytest.raises(ParseError, match="row 2, column 'loc'"):
             parse_metrics_csv(make_csv(["a,1,1e19,0"]), SCHEMA)

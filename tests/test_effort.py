@@ -277,18 +277,18 @@ class TestAccAtEffort:
 
 class TestAuc:
     def test_perfect_separation(self):
-        assert auc([(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]) == 1.0
+        assert auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
 
     def test_all_tied_is_half(self):
-        assert auc([(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)]) == 0.5
+        assert auc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
 
     def test_hand_counted_pairs(self):
         # (0.9>0.6), (0.9>0.1), (0.4<0.6), (0.4>0.1): 3 of 4 pairs
-        assert auc([(0.9, 1), (0.4, 1), (0.6, 0), (0.1, 0)]) == 0.75
+        assert auc([0.9, 0.4, 0.6, 0.1], [1, 1, 0, 0]) == 0.75
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            auc([(0.5, 1), (0.6, 1)])
+            auc([0.5, 0.6], [1, 1])
 
     def test_matches_pair_counting_oracle(self):
         rng = np.random.default_rng(7)
@@ -303,7 +303,7 @@ class TestAuc:
             wins = sum(1.0 for p in pos for q in neg if p > q)
             ties = sum(0.5 for p in pos for q in neg if p == q)
             expected = (wins + ties) / (len(pos) * len(neg))
-            assert auc(list(zip(scores, labels))) == pytest.approx(expected, abs=1e-12)
+            assert auc(scores, labels) == pytest.approx(expected, abs=1e-12)
 
 
 class TestScoredFiles:
@@ -491,8 +491,8 @@ class TestColumnCoreMatchesLoops:
             ce_report_values, frame, cutoffs
         )
         assert outcome(acc_at_effort, frame) == outcome(loop_acc_at_effort, files)
-        pairs = [(s, 1 if b > 0 else 0) for s, b in zip(scores, bugs)]
-        assert outcome(auc, pairs) == outcome(loop_auc, pairs)
+        labels = [1 if b > 0 else 0 for b in bugs]
+        assert outcome(auc, scores, labels) == outcome(loop_auc, list(zip(scores, labels)))
 
     def test_ranking_is_computed_once_per_column_set(self, monkeypatch):
         files = columns(THREE_FILES)

@@ -24,7 +24,7 @@ from defectseq.experiment import (
     ExperimentConfig,
     ProjectSpec,
     VersionEntry,
-    average_rank,
+    compare_techniques,
     emit_report,
     load_config,
     run_experiment,
@@ -261,6 +261,14 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.projects[0].train_version == "u3"
         assert cfg.projects[0].test_version == "u4"
+
+
+def average_rank(table):
+    """``compare_techniques``'s average ranks for one value per (project,
+    technique), given as {project: {technique: value}}."""
+    techniques = next(iter(table.values()))
+    values = {t: {p: [row[t]] for p, row in table.items()} for t in techniques}
+    return compare_techniques(values, list(table))[1]
 
 
 class TestAverageRank:
