@@ -102,16 +102,17 @@ def train_baseline(
     y = features.labels
     if y is None:
         raise ValueError("training rows need labels")
-    if set(np.unique(y)) - {0.0, 1.0}:
+    # comparisons, not np.unique, which imports numpy.ma into a forked worker
+    if ((y != 0) & (y != 1)).any():
         raise ValueError("labels must be 0 or 1")
     Z = features.normalized
 
     if kind == LOGISTIC_REGRESSION:
-        if len(np.unique(y)) < 2:
+        if y.min() == y.max():
             raise ValueError("logistic regression needs both classes in training data")
         params = _train_logistic(Z, y, h)
     elif kind == GAUSSIAN_NB:
-        if len(np.unique(y)) < 2:
+        if y.min() == y.max():
             raise ValueError("naive Bayes needs at least one sample per class")
         params = _train_gaussian_nb(Z, y)
     elif kind == KNN:

@@ -72,8 +72,22 @@ def _read_rows(path: Path, columns: tuple[str, ...], what: str) -> list[tuple[in
     return table
 
 
+def _key_cell(row: dict[str, str], i: int, column: str) -> str:
+    """A key cell as written; a blank one is rejected by row and column."""
+    cell = row[column]
+    if not cell.strip():
+        raise ParseError(f"row {i}, column {column!r}: blank cell {cell!r}")
+    return cell
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     rows = _read_rows(args.scores, ("name", "score", "loc", "bugs", "label"), "scores")
+    names: set[str] = set()
+    for i, r in rows:
+        name = _key_cell(r, i, "name")
+        if name in names:
+            raise ParseError(f"row {i}, column 'name': duplicate name {name!r}")
+        names.add(name)
     scores = [_parse_number(r["score"], i, "score") for i, r in rows]
     locs, bugs, labels = (
         [_parse_count(r[column], i, column) for i, r in rows] for column in ("loc", "bugs", "label")
@@ -93,7 +107,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     by_tech: dict[str, dict[str, list[float]]] = {}
     projects: list[str] = []
     for i, r in rows:
-        tech, project = r["technique"], r["project"]
+        tech, project = _key_cell(r, i, "technique"), _key_cell(r, i, "project")
         if project not in projects:
             projects.append(project)
         by_tech.setdefault(tech, {}).setdefault(project, []).append(

@@ -29,6 +29,7 @@ import numpy as np
 from .stats import rankdata
 
 CE_CUTOFFS = (0.1, 0.2, 0.5, 1.0)
+_INT64_MAX = 2**63 - 1
 
 
 class UndefinedCeError(ValueError):
@@ -51,13 +52,19 @@ class ScoredColumns:
         for message, bad in checks:
             if bad.any():
                 raise ValueError(f"{message} for {self.keys[np.argmax(bad)]!r}")
+        # the curves' running sums are int64: a total beyond it would wrap
+        for name, counts in (("LOC", self.loc), ("bug count", self.bugs)):
+            if len(self) and int(counts.max()) * len(self) > _INT64_MAX:
+                total = sum(counts.tolist())
+                if total > _INT64_MAX:
+                    raise ValueError(f"total {name} {total} exceeds the int64 range")
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def take(self, order: np.ndarray) -> ScoredColumns:
         return ScoredColumns(
-            keys=tuple(self.keys[i] for i in order),
+            keys=tuple(map(self.keys.__getitem__, order.tolist())),
             score=self.score[order],
             loc=self.loc[order],
             bugs=self.bugs[order],
@@ -242,7 +249,14 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 def curve_to_csv(curve: CeCurve) -> str:
     """Vertices as CSV for external plotting (a float's repr never needs
-    CSV quoting)."""
-    return "loc_fraction,bug_fraction\n" + "".join(
-        f"{x!r},{y!r}\n" for x, y in curve.points.tolist()
-    )
+    CSV quoting).
+
+    A curve's bug fractions take at most one value more than there are
+    defective files, so each distinct one (by its bits) is formatted once."""
+    x, y = curve.points[:, 0], curve.points[:, 1]
+    bits = y.view(np.int64).tolist()
+    y_text = {b: f",{v!r}\n" for b, v in dict(zip(bits, y.tolist())).items()}
+    parts = ["loc_fraction,bug_fraction\n"] + [None, None] * len(bits)
+    parts[1::2] = map(repr, x.tolist())
+    parts[2::2] = map(y_text.__getitem__, bits)
+    return "".join(parts)

@@ -28,10 +28,16 @@ a single project or a single CPU runs inline.  The outcomes are received on
 the caller's thread and merged in config order, so the report does not
 depend on the worker count.  A project that fails on its own data is
 recorded under ``errors``; any other exception reaches the caller, and no
-worker outlives ``run_experiment``.
+worker outlives ``run_experiment``.  A worker runs on the modules this
+process had imported when it forked and imports none itself: the initial
+weights come from the in-package PCG64 (``rnn.pcg64_uniform``), not
+``numpy.random``.
 
 The report is a plain JSON-ready dict so that a written ``report.json``
-re-reads to exactly the in-memory structure.
+re-reads to exactly the in-memory structure.  ``emit_report`` formats
+each value once: a table of rows sharing one key set goes through one
+C-encoder call per batch of rows, and a curve's bug fractions are each
+formatted once.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import multiprocessing as mp
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -140,7 +147,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
-        if self.seed < 0:  # numpy refuses a negative seed, but only once a run trains
+        if self.seed < 0:  # init_params refuses a negative seed, but only once a run trains
             raise ConfigError(f"seed cannot be negative, got {self.seed}")
         if self.window is not None and self.window < 1:
             raise ConfigError(f"len must be at least 1, got {self.window}")
@@ -676,6 +683,30 @@ def _aggregate(report: dict, cfg: ExperimentConfig) -> None:
 # report emission
 # ---------------------------------------------------------------------------
 
+# rows of a table formatted by one C-encoder call (see _write_json)
+_TABLE_BATCH = 256
+
+
+def _holds_container(values) -> bool:
+    return any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
+
+
+def _table_keys(children: list) -> list[str] | None:
+    """The sorted keys of ``children`` if they are a table: two or more
+    non-empty, str-keyed dicts of scalars sharing one key set; else None."""
+    first = children[0]
+    if len(children) < 2 or not isinstance(first, dict) or not first:
+        return None
+    keys = first.keys()
+    if not all(isinstance(k, str) for k in keys):
+        return None
+    if any(not isinstance(child, dict) or child.keys() != keys for child in children):
+        return None
+    if _holds_container(chain.from_iterable(map(dict.values, children))):
+        return None
+    return sorted(keys)
+
+
 def _write_json(fh, obj) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2)`` to ``fh``, the
     same bytes, chunk by chunk.
@@ -685,8 +716,16 @@ def _write_json(fh, obj) -> None:
     container whose values are all scalars goes to the C encoder in one
     call, its item separator carrying the newline and indent of its depth.
     Keys of a dict that holds a container must be str.
+
+    A table (see ``_table_keys``: a project's ``test_files``, a technique's
+    ``runs``) is written ``_TABLE_BATCH`` rows at a time.  The values of a
+    batch go to the C encoder in one call, as one list whose item
+    separator is a NUL.  JSON escapes a NUL inside any string, so that
+    text splits exactly into one token per value, and each row is laid out
+    from its tokens.
     """
     encoders = {}
+    encode_flat = json.JSONEncoder(separators=("\x00", ": ")).encode
 
     def encode(o, depth):
         if depth not in encoders:
@@ -694,6 +733,19 @@ def _write_json(fh, obj) -> None:
                 sort_keys=True, separators=(",\n" + "  " * depth, ": ")
             ).encode
         return encoders[depth](o)
+
+    def table_text(rows, leads, keys, depth):
+        # ``rows`` at ``depth``, each after its lead
+        inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth + "}"
+        first, *rest = [f"{inner}{encode_basestring_ascii(key)}: " for key in keys]
+        width = 2 * len(keys)
+        parts = [None] * (width * len(rows))
+        parts[0::width] = [f"{close}{lead}{{{first}" for lead in leads]
+        parts[0] = f"{leads[0]}{{{first}"
+        for j, label in enumerate(rest, start=1):
+            parts[2 * j :: width] = [f",{label}"] * len(rows)
+        parts[1::2] = encode_flat([row[key] for row in rows for key in keys])[1:-1].split("\x00")
+        return "".join(parts) + close
 
     def write(o, depth):
         if isinstance(o, dict):
@@ -704,24 +756,35 @@ def _write_json(fh, obj) -> None:
             fh.write(encode(o, depth))
             return
         inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-        if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        if not _holds_container(values):
             text = encode(o, depth + 1)
             if o:  # the C encoder puts no newline inside the brackets
                 text = f"{text[0]}{inner}{text[1:-1]}{close}{text[-1]}"
             fh.write(text)
             return
         if isinstance(o, dict):
-            brackets = "{}"
-            items = ((f"{encode_basestring_ascii(k)}: ", o[k]) for k in sorted(o))
+            brackets, names = "{}", sorted(o)
+            children = [o[k] for k in names]
         else:
-            brackets = "[]"
-            items = (("", v) for v in o)
+            brackets, names, children = "[]", None, list(o)
+        keys = _table_keys(children)
+        step = _TABLE_BATCH if keys else len(children)
         fh.write(brackets[0])
-        sep = inner
-        for prefix, value in items:
-            fh.write(sep + prefix)
-            sep = "," + inner
-            write(value, depth + 1)
+        for start in range(0, len(children), step):
+            batch = children[start : start + step]
+            if names is None:
+                leads = [f",{inner}"] * len(batch)
+            else:
+                labels = names[start : start + step]
+                leads = [f",{inner}{encode_basestring_ascii(k)}: " for k in labels]
+            if not start:
+                leads[0] = leads[0][1:]
+            if keys:
+                fh.write(table_text(batch, leads, keys, depth + 1))
+                continue
+            for lead, child in zip(leads, batch):
+                fh.write(lead)
+                write(child, depth + 1)
         fh.write(close + brackets[1])
 
     write(obj, 0)
@@ -771,16 +834,23 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
     for project in sorted(report["projects"]):
         payload = report["projects"][project]
         techniques = payload["techniques"]
+        test_files = payload["test_files"]
+        frame, _ = scored_files(
+            keys=list(test_files),
+            scores=np.zeros(len(test_files)),
+            locs=[f["loc"] for f in test_files.values()],
+            bugs=[f["bugs"] for f in test_files.values()],
+        )
         for technique in sorted(techniques):
-            entry = techniques[technique]
-            if "scores_mean" not in entry:
+            scores = techniques[technique].get("scores_mean")
+            if scores is None:
                 continue
-            files, _ = scored_files(
-                keys=list(entry["scores_mean"]),
-                scores=list(entry["scores_mean"].values()),
-                locs=[payload["test_files"][k]["loc"] for k in entry["scores_mean"]],
-                bugs=[payload["test_files"][k]["bugs"] for k in entry["scores_mean"]],
-            )
+            if scores.keys() != test_files.keys():
+                raise ValueError(
+                    f"project {project!r}, technique {technique!r}:"
+                    " scores_mean does not score exactly the test files"
+                )
+            files = frame.with_scores([scores[k] for k in frame.keys])
             curve = ce_curve(rank_by_density(files))
             path = curves_dir / f"{project}_{technique}.csv"
             path.write_text(curve_to_csv(curve), encoding="utf-8")

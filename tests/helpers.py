@@ -167,12 +167,19 @@ def standin_sized_report() -> dict:
     """A report shaped like ``run_experiment``'s on the nine stand-in
     projects: per project, 500 test files and, for each of five
     techniques, one run, its mean and a mean score for every test file."""
+    return sized_report([500] * 9)
+
+
+def sized_report(files_per_project, runs: int = 1) -> dict:
+    """A report shaped like ``run_experiment``'s: per project, as many test
+    files as given and, for each of five techniques, ``runs`` runs, their
+    mean and a mean score for every test file."""
     from defectseq.experiment import METRIC_KEYS
 
-    n_files, techniques = 500, ("rnn", "lr", "nb", "knn", "nn")
+    techniques = ("rnn", "lr", "nb", "knn", "nn")
     rng = np.random.default_rng(0)
     projects = {}
-    for p in range(9):
+    for p, n_files in enumerate(files_per_project):
         keys = [f"p{p}.pkg.C{i:04d}" for i in range(n_files)]
         test_files = {
             k: {"loc": int(loc), "bugs": int(bugs)}
@@ -180,10 +187,13 @@ def standin_sized_report() -> dict:
         }
         techniques_out = {}
         for t in techniques:
-            mean = {m: float(v) for m, v in zip(METRIC_KEYS, rng.uniform(size=len(METRIC_KEYS)))}
+            runs_out = [
+                {m: float(v) for m, v in zip(METRIC_KEYS, rng.uniform(size=len(METRIC_KEYS)))}
+                for _ in range(runs)
+            ]
             techniques_out[t] = {
-                "runs": [dict(mean)],
-                "mean": mean,
+                "runs": runs_out,
+                "mean": {m: float(np.mean([r[m] for r in runs_out])) for m in METRIC_KEYS},
                 "scores_mean": dict(zip(keys, rng.uniform(size=n_files).tolist())),
             }
         projects[f"p{p}"] = {
@@ -196,7 +206,7 @@ def standin_sized_report() -> dict:
             "zero_loc_files_adjusted": 0,
         }
     return {
-        "config": {"repeats": 1, "seed": 0, "baselines": list(techniques[1:]), "projects": []},
+        "config": {"repeats": runs, "seed": 0, "baselines": list(techniques[1:]), "projects": []},
         "projects": projects,
         "errors": {},
         "aggregates": {"projects_evaluated": sorted(projects)},

@@ -369,3 +369,19 @@ class TestCommon:
     def test_unknown_kind_rejected(self, h, separable):
         with pytest.raises(ValueError):
             train_baseline("forest", separable, h)
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    @pytest.mark.parametrize("bad", [2.0, np.nan, -1.0, 0.5])
+    def test_label_other_than_0_or_1_rejected(self, kind, bad, h):
+        features = labeled([[0.0], [1.0], [2.0]], [0, 1, bad], schema=("m",))
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            train_baseline(kind, features, h)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [(LOGISTIC_REGRESSION, "both classes"), (GAUSSIAN_NB, "one sample per class")],
+    )
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_rejected_by_name(self, kind, message, label, h):
+        with pytest.raises(ValueError, match=message):
+            train_baseline(kind, labeled([[0.0], [1.0]], [label, label], schema=("m",)), h)

@@ -218,6 +218,22 @@ class TestRun:
             f"warning: trend: version 'u2' metrics: {message}\nerror: no project completed\n"
         )
 
+    def test_loc_total_beyond_int64_is_a_project_error(self, tmp_path, capsys):
+        # each cell is a valid count; only the test release's total overflows
+        config = write_config(tmp_path)
+        table = tmp_path / "trend-u4.csv"
+        lines = table.read_text(encoding="utf-8").split("\n")
+        for at in (1, 2):
+            cells = lines[at].split(",")
+            cells[1] = "9e18"
+            lines[at] = ",".join(cells)
+        table.write_text("\n".join(lines), encoding="utf-8")
+        total = 2 * 9 * 10**18 + sum(int(line.split(",")[1]) for line in lines[3:] if line)
+        assert main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"warning: trend: total LOC {total} exceeds the int64 range\nerror: no project completed\n"
+        )
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -292,15 +308,39 @@ class TestEval:
             ("f2,nan,10,0,0", "row 3, column 'score': non-finite cell 'nan'"),
             ("b,0.2,20", "row 3: expected 5 cells, got 3"),
             ("f2,0.5,10,0,0,9", "row 3: expected 5 cells, got 6"),
+            (" ,0.5,10,0,0", "row 3, column 'name': blank cell ' '"),
+            (",0.5,10,0,0", "row 3, column 'name': blank cell ''"),
+            ("f1,0.5,10,0,0", "row 3, column 'name': duplicate name 'f1'"),
         ],
         ids=["fractional-loc", "non-numeric-loc", "fractional-bugs", "fractional-label",
-             "label-2", "nan-score", "short-row", "long-row"],
+             "label-2", "nan-score", "short-row", "long-row", "blank-name", "empty-name",
+             "duplicate-name"],
     )
     def test_bad_cell_names_row_and_column(self, tmp_path, capsys, row, message):
         scores = tmp_path / "scores.csv"
         scores.write_text(f"name,score,loc,bugs,label\nf1,0.9,10,1,1\n{row}\n", encoding="utf-8")
         assert main(["eval", str(scores)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["a,0.1,9e18,0,0", "b,0.2,9e18,0,0", "c,0.9,10,1,1"],
+             "total LOC 18000000000000000010 exceeds the int64 range"),
+            (["a,0.1,10,9e18,1", "b,0.2,10,9e18,1", "c,0.9,10,0,0"],
+             "total bug count 18000000000000000000 exceeds the int64 range"),
+        ],
+        ids=["loc", "bugs"],
+    )
+    def test_total_beyond_int64_is_one_line(self, tmp_path, capsys, rows, message):
+        # each cell is below 2^63; only the sum overflows, and is refused
+        # rather than scored from wrapped sums
+        scores = tmp_path / "scores.csv"
+        scores.write_text("name,score,loc,bugs,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["eval", str(scores)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_blank_rows_keep_row_numbers(self, tmp_path, capsys):
         # rows are numbered as lines of the file, blank ones included
@@ -396,8 +436,11 @@ class TestStats:
             ("lr,b,0.5,9", "row 3: expected 3 cells, got 4"),
             ("lr,b,abc", "row 3, column 'value': non-numeric cell 'abc'"),
             ("lr,b,nan", "row 3, column 'value': non-finite cell 'nan'"),
+            (" ,b,0.5", "row 3, column 'technique': blank cell ' '"),
+            ("lr,,0.5", "row 3, column 'project': blank cell ''"),
         ],
-        ids=["no-value", "no-project", "long-row", "non-numeric-value", "nan-value"],
+        ids=["no-value", "no-project", "long-row", "non-numeric-value", "nan-value",
+             "blank-technique", "blank-project"],
     )
     def test_bad_row_names_row_and_column(self, tmp_path, capsys, row, message):
         values = tmp_path / "values.csv"

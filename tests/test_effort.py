@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from defectseq.effort import (
     CE_CUTOFFS,
@@ -536,6 +536,8 @@ class TestCurveCsv:
             st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)), max_size=40
         )
     )
+    # equal bug fractions of different reprs: 0.0 and -0.0, and NaNs
+    @example([(0.0, 0.0), (0.5, -0.0), (0.7, 0.0), (0.9, float("nan")), (1.0, -float("nan"))])
     def test_equals_csv_writer_form(self, points):
         curve = CeCurve(points=np.asarray(points, dtype=float).reshape(-1, 2))
         assert curve_to_csv(curve) == csv_writer_curve(curve)

@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -732,6 +733,25 @@ class TestEmitReport:
             emit_report(broken, target)
         assert {p.name: p.read_bytes() for p in target.iterdir() if p.is_file()} == before
 
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_scores_not_of_the_test_files_are_refused(self, emitted, tmp_path, change):
+        # a curve is drawn over every test file, never over a subset
+        report, _, _ = emitted
+        scores = dict(report["projects"]["trend"]["techniques"]["lr"]["scores_mean"])
+        if change == "missing":
+            del scores[next(iter(scores))]
+        else:
+            scores["not-a-test-file"] = 0.5
+        project = report["projects"]["trend"]
+        techniques = {**project["techniques"]}
+        techniques["lr"] = {**techniques["lr"], "scores_mean": scores}
+        broken = {**report, "projects": {"trend": {**project, "techniques": techniques}}}
+        with pytest.raises(ValueError) as raised:
+            emit_report(broken, tmp_path)
+        assert str(raised.value) == (
+            "project 'trend', technique 'lr': scores_mean does not score exactly the test files"
+        )
+
     def test_encode_memory_bounded(self, tmp_path):
         # 9 projects x 5 techniques x 500 test files, as on the stand-in data
         report = standin_sized_report()
@@ -790,4 +810,32 @@ def json_trees(depth):
 def test_json_writer_matches_sorted_indented_dumps(obj):
     buf = io.StringIO()
     experiment._write_json(buf, obj)
+    assert buf.getvalue() == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@st.composite
+def json_tables(draw):
+    """A table: a list, or a dict by name, of dicts sharing one key set
+    (each with its own key order), whose values are mostly scalars."""
+    keys = draw(st.lists(JSON_KEYS, min_size=1, max_size=4, unique=True))
+    values = st.one_of(JSON_SCALARS, JSON_SCALARS, JSON_SCALARS, json_trees(1))
+    rows = draw(st.lists(
+        st.permutations(keys).flatmap(lambda order: st.fixed_dictionaries({k: values for k in order})),
+        min_size=0,
+        max_size=9,
+    ))
+    if draw(st.booleans()):
+        return rows
+    names = draw(st.lists(JSON_KEYS, min_size=len(rows), max_size=len(rows), unique=True))
+    return dict(zip(names, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=json_tables(), sibling=json_trees(1), batch=st.sampled_from([1, 2, 3, 256]))
+def test_json_writer_lays_out_tables_as_dumps(table, sibling, batch):
+    # tables of any batch size, beside other data and inside a list
+    obj = {"table": table, "sibling": sibling, "nested": [table, {"t": table}]}
+    buf = io.StringIO()
+    with mock.patch.object(experiment, "_TABLE_BATCH", batch):
+        experiment._write_json(buf, obj)
     assert buf.getvalue() == json.dumps(obj, sort_keys=True, indent=2)

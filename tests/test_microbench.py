@@ -48,7 +48,7 @@ from defectseq.rnn import (
 )
 from defectseq.stats import chi2_ppf, scott_knott
 
-from helpers import hvsm_set, standin_sized_report
+from helpers import hvsm_set, sized_report, standin_sized_report
 
 SCHEMA = tuple(f"m{i}" for i in range(20))
 
@@ -95,6 +95,17 @@ def test_report_json_standin_sized(benchmark, tmp_path):
 
     benchmark.pedantic(encode, rounds=5)
     assert path.read_text(encoding="utf-8") == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_emit_report_wide_eval_sized(benchmark, tmp_path):
+    # every output file of a wide-eval sized report: two projects of 1700
+    # and 1350 test files, five techniques of six runs each
+    report = sized_report([1700, 1350], runs=6)
+    written = benchmark.pedantic(experiment.emit_report, args=(report, tmp_path), rounds=5)
+    assert len(written) == 4 + 2 * 5
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == (
+        json.dumps(report, sort_keys=True, indent=2) + "\n"
+    )
 
 
 def test_knn_predict_1700_by_560(benchmark):

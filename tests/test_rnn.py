@@ -220,6 +220,32 @@ class TestInitParams:
         for arr in (p.U, p.V, p.W):
             assert np.all(np.abs(arr) <= 0.2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**130),
+        n=st.integers(0, 2000),
+        scale=st.sampled_from([0.0, 0.2]) | st.floats(0, 1e300, allow_nan=False),
+    )
+    @example(seed=0, n=592, scale=0.2)
+    @example(seed=2**32 - 1, n=7, scale=0.2)
+    @example(seed=2**32, n=1, scale=0.2)
+    @example(seed=2**64 + 3, n=1000, scale=1.0)
+    @example(seed=12345678901234567890123, n=592, scale=0.0)
+    def test_draws_equal_numpy_generator_bitwise(self, seed, n, scale):
+        # the in-package PCG64 stream against numpy's own
+        expected = np.random.default_rng(seed).uniform(-scale, scale, n).tolist()
+        drawn = rnn.pcg64_uniform(seed, -scale, scale, n)
+        assert list(map(float.hex, drawn)) == list(map(float.hex, expected))
+
+    @pytest.mark.parametrize("seed", [-1, 1.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises((ValueError, TypeError)):
+            init_params(Hyperparams(seed=seed), 3)
+
+    def test_scale_beyond_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            init_params(Hyperparams(init_scale=1e308), 3)
+
 
 class TestForward:
     def test_zero_params_yield_half(self):
