@@ -81,7 +81,7 @@ def main() -> None:
         )
     # the values live once, in one (T, files, metrics) stack per length
     for idx, X in s.by_length:
-        print(f"  stack {X.shape}: {', '.join(s.items[i].key for i in idx)}")
+        print(f"  stack {X.shape}: {', '.join(s.keys[i] for i in idx)}")
 
 
 if __name__ == "__main__":

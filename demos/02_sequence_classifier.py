@@ -9,7 +9,7 @@ shows the finite-difference gradient check and variable-length prediction.
 
 import numpy as np
 
-from defectseq.history import Hvsm, HvsmSet, apply_normalizer, fit_normalizer
+from defectseq.history import HvsmSet, apply_normalizer, fit_normalizer
 from defectseq.rnn import Hyperparams, gradient_check, predict_set, train
 
 SCHEMA = ("trend", "noise_a", "noise_b")
@@ -17,7 +17,7 @@ SCHEMA = ("trend", "noise_a", "noise_b")
 
 def make_samples(n: int, seed: int) -> HvsmSet:
     rng = np.random.default_rng(seed)
-    items, blocks = [], []
+    blocks = []
     for i in range(n):
         rising = i % 2 == 0
         final = rng.normal()
@@ -28,10 +28,15 @@ def make_samples(n: int, seed: int) -> HvsmSet:
             trend = (final + gaps.sum(), final + gaps[1], final)
         # one (T, d) block per file: row t holds the metrics of release t
         blocks.append(np.column_stack([trend, rng.normal(size=(3, 2))]))
-        items.append(Hvsm(key=f"f{i:03d}", version_ids=("r1", "r2", "r3"), label=int(rising)))
-    # every file has three releases, so the set's values are one (3, n, d) stack
-    stack = np.stack(blocks, axis=1)
-    return HvsmSet("r3", tuple(items), 3, SCHEMA, by_length=((np.arange(n), stack),))
+    # every file has three releases, so the set's values are one (3, n, d)
+    # stack; even-numbered files rise
+    return HvsmSet(
+        version_ids=("r1", "r2", "r3"),
+        keys=tuple(f"f{i:03d}" for i in range(n)),
+        labels=(np.arange(n) % 2 == 0).astype(int),
+        schema=SCHEMA,
+        by_length=((np.arange(n), np.stack(blocks, axis=1)),),
+    )
 
 
 def main() -> None:
@@ -50,19 +55,17 @@ def main() -> None:
     print(f"  loss: {losses[0]:.4f} -> {losses[len(losses) // 2]:.4f} -> {losses[-1]:.4f}")
 
     probs = predict_set(result.params, test_set, normalizer)
-    labels = np.array([item.label for item in test_set.items])
-    accuracy = float(np.mean((probs > 0.5) == labels))
+    accuracy = float(np.mean((probs > 0.5) == test_set.labels))
     print(f"  held-out accuracy at threshold 0.5: {accuracy:.1%}")
 
     print("\n=== variable-length prediction (shared weights across steps) ===")
-    long_item = test_set.items[0]
-    short_item = Hvsm(key="short", version_ids=long_item.version_ids[1:], label=None)
     (_, stack), = test_set.by_length
-    # stacks ascend in length: the short item's (2, 1, d) stack comes first
+    # the first test file, whole and without its first release; stacks
+    # ascend in length, so the short sample's (2, 1, d) stack comes first
     by_length = ((np.array([1]), stack[1:, :1]), (np.array([0]), stack[:, :1]))
-    pair = HvsmSet("r3", (long_item, short_item), 3, SCHEMA, by_length)
-    for item, prob in zip(pair.items, predict_set(result.params, pair, normalizer)):
-        print(f"  T={item.length}: p(defective) = {prob:.3f}")
+    pair = HvsmSet(test_set.version_ids, ("long", "short"), None, SCHEMA, by_length)
+    for T, prob in zip(pair.lengths, predict_set(result.params, pair, normalizer)):
+        print(f"  T={T}: p(defective) = {prob:.3f}")
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ every sequence cut to a single step.
 
 Every technique reads its rows from one :class:`Features` matrix, rows
 gathered from a version's value matrix.  A training matrix fits its
-z-scoring, z-scores itself and builds the network's one-step set on first
-use and keeps them, so all techniques and all repeats trained on it share
-one copy of each.  kNN finds its neighbours by an exact search that BLAS
+z-scoring, z-scores itself and builds the network's one-step set (its
+z-scored rows as one stack, with its labels) on first use and keeps them,
+so all techniques and all repeats trained on it share one copy of each.  kNN finds its neighbours by an exact search that BLAS
 prunes first (see ``_predict_knn``).
 """
 
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .history import Hvsm, HvsmSet, Normalizer, fit_normalizer_rows
+from .history import HvsmSet, Normalizer, fit_normalizer_rows
 from .rnn import BLAS_THREAD_BOUND, Batch, Hyperparams, descend, forward, sigmoid_in_place, train
 
 LOGISTIC_REGRESSION = "lr"
@@ -60,21 +60,12 @@ class Features:
 
     @cached_property
     def one_step(self) -> HvsmSet:
-        """The z-scored rows as one-step sequences: the feedforward net is
-        the recurrent one on these.  Features arrive pre-normalized, so the
-        net trains on them raw."""
-        stack = self.normalized[None]
-        items = tuple(
-            Hvsm(key=str(i), version_ids=("0",), label=int(label))
-            for i, label in enumerate(self.labels)
-        )
-        return HvsmSet(
-            anchor_version="0",
-            items=items,
-            window=1,
-            schema=self.schema,
-            by_length=((np.arange(len(items)), stack),),
-        )
+        """The z-scored rows as one-step sequences, keyed by row number: the
+        feedforward net is the recurrent one on these.  Features arrive
+        pre-normalized, so the net trains on them raw."""
+        n = len(self)
+        stacks = ((np.arange(n), self.normalized[None]),)
+        return HvsmSet(("0",), tuple(map(str, range(n))), self.labels, self.schema, stacks)
 
 
 @dataclass(eq=False)

@@ -99,10 +99,6 @@ class ProjectHistory:
         if len({v.schema for v in self.versions}) > 1:
             raise ValueError(f"versions of {self.name!r} differ in metric schema")
 
-    @property
-    def version_ids(self) -> list[str]:
-        return [v.version_id for v in self.versions]
-
     def index(self, version_id: str) -> int:
         for i, snap in enumerate(self.versions):
             if snap.version_id == version_id:
@@ -111,13 +107,6 @@ class ProjectHistory:
 
     def snapshot(self, version_id: str) -> VersionSnapshot:
         return self.versions[self.index(version_id)]
-
-
-def binarize_label(bug_count: int) -> int:
-    """1 iff the file has at least one reported bug."""
-    if bug_count < 0:
-        raise ValueError("bug count must be non-negative")
-    return 1 if bug_count > 0 else 0
 
 
 def _parse_number(cell: str, row: int, column: str) -> float:

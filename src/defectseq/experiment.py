@@ -63,7 +63,6 @@ from .dataset import (
     ParseError,
     ProjectHistory,
     attach_process_metrics,
-    binarize_label,
     parse_metrics_csv,
     parse_process_csv,
 )
@@ -527,20 +526,20 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
     history = load_project_history(spec, cfg)
     train_set = extract_hvsm_set(history, spec.train_version, cfg.window)
     test_set = extract_hvsm_set(history, spec.test_version, cfg.window)
-    if not train_set.items:
+    if not train_set.m:
         raise ValueError("empty training set")
-    if not test_set.items:
+    if not test_set.m:
         raise ValueError("empty test set")
 
     test_snapshot = history.snapshot(spec.test_version)
-    keys = [item.key for item in test_set.items]
+    keys, labels = test_set.keys, test_set.labels  # the labels score every run's AUC
     test_rows = [test_snapshot.files[key] for key in keys]
     locs = test_snapshot.loc[test_rows].tolist()
     bug_counts = test_snapshot.bugs[test_rows].tolist()
-    n_defective = sum(1 for b in bug_counts if b > 0)
+    n_defective = int(labels.sum())
     if n_defective == 0:
         raise ValueError("all-clean test set: CE undefined")
-    if n_defective == len(bug_counts):
+    if n_defective == test_set.m:
         raise ValueError("all-defective test set: AUC undefined")
 
     project: dict = {
@@ -564,12 +563,10 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
         "techniques": {},
     }
 
-    # evaluation inputs, built once and shared by every technique and repeat:
-    # the test files' columns (each run fills in its scores) and AUC labels
+    # the test files' columns, built once: each run fills in its scores
     frame, project["zero_loc_files_adjusted"] = scored_files(
         keys, np.zeros(len(keys)), locs, bug_counts
     )
-    labels = [binarize_label(b) for b in bug_counts]
 
     # every technique is a (fit, predict) pair, fit returning the model of
     # each run's hyperparameters.  The rnn trains every run before any

@@ -5,18 +5,19 @@ file's rows of the version matrices over its trailing run of consecutive
 versions ending at v, at most ``window`` versions long.  Files absent
 from v but seen earlier are dead and yield nothing.
 
-A sample (``Hvsm``) is a record of the file's key, version ids and label.
-Its set is immutable and carries the samples' metric schema and their
-values, stacked into one ``(T, n, d)`` array per sequence length
-(``HvsmSet.by_length``), the only place that holds them.  Extraction
+A set of samples (``HvsmSet``) is arrays: keys, 0/1 labels, and values
+stacked into one ``(T, n, d)`` array per sequence length
+(``HvsmSet.by_length``), the only record of a sample's length.  Extraction
 gathers each stack straight from the version matrices, one gather per
 length and step, and normalization transforms the stacks; training and
-prediction on a set, in every repeat, read those stacks.
+prediction on a set, in every repeat, read those stacks.  A sample's
+``Hvsm`` record is a view of these arrays, built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,44 +44,70 @@ class Hvsm:
 
 
 Stacks = tuple[tuple[np.ndarray, np.ndarray], ...]
-"""Item indices and stacked ``(T, n, d)`` values of each equal-length group
-of samples, in ascending T and item order within a group."""
+"""Sample indices and stacked ``(T, n, d)`` values of each equal-length
+group of samples, in ascending T and sample order within a group."""
 
 
 @dataclass(frozen=True, eq=False)
 class HvsmSet:
     """All samples extracted at one anchor version, on one metric schema.
 
-    ``by_length`` holds the samples' values stacked by length; a set whose
-    stacks do not hold every item once, at its length, is rejected.
+    Sample i is file ``keys[i]`` with label ``labels[i]`` (None for a set
+    only predicted); its values are a column of its length's stack in
+    ``by_length``.  ``version_ids`` end at the anchor and span the longest
+    sample.  Stacks that do not hold every sample once, in ascending length,
+    and labels that are not one 0 or 1 per sample are rejected.
     """
 
-    anchor_version: str
-    items: tuple[Hvsm, ...]
-    window: int
+    version_ids: tuple[str, ...]
+    keys: tuple[str, ...]
+    labels: np.ndarray | None
     schema: tuple[str, ...]
     by_length: Stacks
 
     def __post_init__(self):
-        covered = sorted(i for idx, _ in self.by_length for i in idx.tolist())
+        covered = np.sort(np.concatenate([np.empty(0, np.intp), *(i for i, _ in self.by_length)]))
         lengths = [len(X) for _, X in self.by_length]
-        if covered != list(range(self.m)) or lengths != sorted(set(lengths)) or 0 in lengths:
+        if lengths != sorted(set(lengths) - {0}) or not np.array_equal(covered, np.arange(self.m)):
             raise ValueError("by_length must hold every item once, in ascending length")
         for idx, X in self.by_length:
-            if X.shape != (len(X), len(idx), len(self.schema)) or any(
-                self.items[i].length != len(X) for i in idx.tolist()
-            ):
-                raise ValueError("each stack must be (T, items, schema size), items of length T")
+            if X.shape != (len(X), len(idx), len(self.schema)):
+                raise ValueError("each stack must be (T, items, schema size)")
+        y = self.labels
+        if y is not None and (y.shape != (self.m,) or ((y != 0) & (y != 1)).any()):
+            raise ValueError("labels must hold one 0/1 label per item")
+        if lengths and lengths[-1] > len(self.version_ids):
+            raise ValueError("version_ids must span the longest stack")
 
     @property
     def m(self) -> int:
-        return len(self.items)
+        return len(self.keys)
+
+    @property
+    def anchor_version(self) -> str:
+        return self.version_ids[-1]
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Each sample's length, read off its stack."""
+        lengths = np.empty(self.m, dtype=np.intp)
+        for idx, X in self.by_length:
+            lengths[idx] = len(X)
+        return lengths
+
+    @cached_property
+    def items(self) -> tuple[Hvsm, ...]:
+        """The samples as records, for demos, tests and tracing: no run reads them."""
+        labels = [None] * self.m if self.labels is None else self.labels.tolist()
+        n = len(self.version_ids)
+        ids = [self.version_ids[n - T :] for T in self.lengths.tolist()]
+        return tuple(map(Hvsm, self.keys, ids, labels))
 
 
 def _item_rows(s: HvsmSet) -> np.ndarray:
-    """Every step of every sample as one ``(steps, d)`` array, in item order
-    and step order within an item, scattered from the stacks."""
-    lengths = np.array([item.length for item in s.items], dtype=np.intp)
+    """Every step of every sample as one ``(steps, d)`` array, in sample
+    order and step order within a sample, scattered from the stacks."""
+    lengths = s.lengths
     starts = np.cumsum(lengths) - lengths
     rows = np.empty((int(lengths.sum()), len(s.schema)))
     for idx, X in s.by_length:
@@ -130,8 +157,7 @@ def extract_hvsm_set(
         raise ValueError("window must be at least 1")
     versions = history.versions
     anchor = versions[anchor_idx]
-    labels = (anchor.bugs > 0).astype(int).tolist()
-    keys = sorted(anchor.files)
+    keys = tuple(sorted(anchor.files))
     # each file's rows in the versions of its run, anchor first
     runs: dict[int, list[int]] = {}
     walks: list[list[int]] = []
@@ -144,23 +170,18 @@ def extract_hvsm_set(
         runs.setdefault(len(rows), []).append(i)
         walks.append(rows)
     by_length = []
-    version_ids = {}
     for T in sorted(runs):
         idx = runs[T]
         first = anchor_idx - T + 1
-        version_ids[T] = tuple(snap.version_id for snap in versions[first : anchor_idx + 1])
         stack = np.empty((T, len(idx), len(anchor.schema)))
         for t in range(T):
             stack[t] = versions[first + t].values[[walks[i][T - 1 - t] for i in idx]]
         by_length.append((np.asarray(idx, dtype=np.intp), stack))
-    items = tuple(
-        Hvsm(key=key, version_ids=version_ids[len(rows)], label=labels[rows[0]])
-        for key, rows in zip(keys, walks)
-    )
+    oldest = anchor_idx + 1 - max(runs, default=1)
     return HvsmSet(
-        anchor_version=v,
-        items=items,
-        window=window,
+        version_ids=tuple(snap.version_id for snap in versions[oldest : anchor_idx + 1]),
+        keys=keys,
+        labels=(anchor.bugs[[rows[0] for rows in walks]] > 0).astype(int),
         schema=anchor.schema,
         by_length=tuple(by_length),
     )
@@ -168,9 +189,9 @@ def extract_hvsm_set(
 
 def average_length(s: HvsmSet) -> float:
     """Mean sequence length over the set's samples."""
-    if not s.items:
+    if not s.m:
         return 0.0
-    return sum(item.length for item in s.items) / len(s.items)
+    return int(s.lengths.sum()) / s.m
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +212,9 @@ class Normalizer:
 
 def fit_normalizer(train: HvsmSet) -> Normalizer:
     """Population mean/std over every step of every training sequence."""
-    if not train.items:
+    if not train.m:
         raise ValueError("cannot fit a normalizer on an empty set")
-    # item order: a mean over rows adds them in sequence, so it sets the bits
+    # sample order: a mean over rows adds them in sequence, so it sets the bits
     return fit_normalizer_rows(_item_rows(train), train.schema)
 
 
@@ -217,4 +238,4 @@ def apply_normalizer(n: Normalizer, s: HvsmSet) -> HvsmSet:
     if s.schema != n.schema:
         raise ValueError("normalizer schema does not match the set's schema")
     by_length = tuple((idx, n.transform(X)) for idx, X in s.by_length)
-    return HvsmSet(s.anchor_version, s.items, s.window, s.schema, by_length)
+    return HvsmSet(s.version_ids, s.keys, s.labels, s.schema, by_length)

@@ -15,8 +15,9 @@ builds the ``RnnParams`` views of all four once.
 
 There is one forward/backward implementation, and it is batched.  A set
 holds its samples stacked into one ``(T, n, input_dim)`` array per sequence
-length (``HvsmSet.by_length``).  ``group_by_length`` lays those stacks
-end-aligned on one time axis once per training run (a ``Batch``), so the
+length (``HvsmSet.by_length``) and their labels in one array.
+``group_by_length`` lays those stacks end-aligned on one time axis once per
+training run (a ``Batch``), its labels one gather of the set's, so the
 samples active at each step are one suffix of rows; ``forward`` sweeps the
 axis once, with one recurrent product per step for every length, and
 ``batch_gradient`` runs exact backpropagation through time back along it.
@@ -252,17 +253,16 @@ def group_by_length(train_set: HvsmSet) -> Batch:
     """The training batch: every sample stacked with the others of its length,
     in ascending T for a fixed summation order.
 
-    Built once per training run from the set's own stack
-    (``HvsmSet.by_length``); rejects an empty set and any sample whose label
-    is not 0 or 1.
+    Built once per training run from the set's own stacks
+    (``HvsmSet.by_length``), each row labelled by one gather of the set's
+    labels; rejects an empty or unlabelled set.
     """
-    if not train_set.items:
+    if not train_set.m:
         raise ValueError("empty training set")
-    for item in train_set.items:
-        if item.label not in (0, 1):
-            raise ValueError(f"sample {item.key!r} has no 0/1 label: {item.label!r}")
-    labels = [train_set.items[i].label for idx, _ in train_set.by_length for i in idx]
-    return Batch([X for _, X in train_set.by_length], np.asarray(labels, dtype=float))
+    if train_set.labels is None:
+        raise ValueError("training samples need 0/1 labels")
+    order = np.concatenate([idx for idx, _ in train_set.by_length])
+    return Batch([X for _, X in train_set.by_length], train_set.labels[order].astype(float))
 
 
 def row_blocks(n: int, row_cost: int) -> list[tuple[int, int]]:
@@ -552,14 +552,14 @@ def train(train_set: HvsmSet, h: Hyperparams) -> TrainResult:
 
 def predict_set(p: RnnParams, s: HvsmSet, n: Normalizer) -> np.ndarray:
     """Probability that each sample's file is defective at its anchor,
-    aligned with ``s.items``."""
-    if not s.items:
+    in sample order (aligned with ``s.keys``)."""
+    if not s.m:
         return np.empty(0)
     if s.schema != n.schema:
         raise ValueError("set schema does not match the normalizer")
     if len(s.schema) != p.input_dim:
         raise ValueError(f"input dim {len(s.schema)} does not match U ({p.input_dim})")
-    probs = np.empty(len(s.items))
+    probs = np.empty(s.m)
     _, probs[np.concatenate([idx for idx, _ in s.by_length])] = forward(
         p, Batch([n.transform(X) for _, X in s.by_length])
     )

@@ -183,7 +183,6 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
         p = min(1.0, 2.0 * min(p_le, p_ge))
         return WilcoxonResult(statistic=w_plus, p_value=p, n=n, exact=True, degenerate=False)
     mean = n * (n + 1) / 4.0
-    tie_term = 0.0
     _, tie_counts = np.unique(np.abs(diff), return_counts=True)
     tie_term = float(np.sum(tie_counts**3 - tie_counts)) / 48.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term

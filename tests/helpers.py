@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from defectseq.dataset import ProjectHistory, VersionSnapshot
-from defectseq.history import Hvsm, HvsmSet
+from defectseq.history import HvsmSet
 
 TOY_SCHEMA = ("loc", "x")
 
@@ -67,10 +67,7 @@ def hvsm_set(samples, anchor="v", window=None, schema=None) -> HvsmSet:
     the schema defaults to m0, m1, ..., one name per column."""
     samples = list(samples)
     arrays = [np.atleast_2d(np.asarray(rows, dtype=float)) for rows, _ in samples]
-    items = tuple(
-        Hvsm(key=f"f{i:04d}", version_ids=tuple(f"v{t}" for t in range(len(rows))), label=label)
-        for i, (rows, (_, label)) in enumerate(zip(arrays, samples))
-    )
+    labels = [label for _, label in samples]
     lengths = [len(rows) for rows in arrays]
     by_length = tuple(
         (idx, np.stack([arrays[i] for i in idx], axis=1))
@@ -78,7 +75,13 @@ def hvsm_set(samples, anchor="v", window=None, schema=None) -> HvsmSet:
     )
     if schema is None:
         schema = tuple(f"m{i}" for i in range(arrays[0].shape[1]))
-    return HvsmSet(anchor, items, window or max(lengths), schema, by_length)
+    return HvsmSet(
+        version_ids=(*(f"v{t}" for t in range((window or max(lengths)) - 1)), anchor),
+        keys=tuple(f"f{i:04d}" for i in range(len(arrays))),
+        labels=None if all(label is None for label in labels) else np.array(labels),
+        schema=schema,
+        by_length=by_length,
+    )
 
 
 def blocks(s: HvsmSet) -> list[np.ndarray]:

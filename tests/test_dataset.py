@@ -11,7 +11,6 @@ from defectseq.dataset import (
     ParseError,
     VersionSnapshot,
     attach_process_metrics,
-    binarize_label,
     normalize_key,
     parse_metrics_csv,
     parse_process_csv,
@@ -336,21 +335,6 @@ class TestNormalizeKey:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             normalize_key("   ")
-
-
-class TestBinarizeLabel:
-    @pytest.mark.parametrize("count,expected", [(0, 0), (1, 1), (7, 1)])
-    def test_values(self, count, expected):
-        assert binarize_label(count) == expected
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_idempotent_through_binary(self, count):
-        once = binarize_label(count)
-        assert binarize_label(once) == once
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            binarize_label(-1)
 
 
 def version(values, schema=SCHEMA, loc=(0,), bugs=(0,), keys=("a",)):

@@ -30,6 +30,7 @@ from defectseq.experiment import (
     load_config,
     run_experiment,
 )
+from defectseq.history import Hvsm
 from defectseq.rnn import Hyperparams
 
 from helpers import standin_sized_report, write_trend_project
@@ -485,6 +486,16 @@ class TestBuiltOncePerProject:
         # the anchor rows to train on and to score, and one z-scoring for all
         assert feature_rows == [n_train, n_test]
         assert normalizers == [1]
+
+    def test_no_per_sample_record_is_built(self, tmp_path):
+        # a run reads its sets' arrays; their Hvsm records are a view that
+        # only demos, tests and tracing read
+        with mock.patch.object(Hvsm, "__init__", autospec=True, side_effect=Hvsm.__init__) as init:
+            report = run_experiment(trend_config(tmp_path, repeats=1))  # one project runs inline
+        assert report["errors"] == {} and set(report["projects"]["trend"]["techniques"]) == {
+            "rnn", *bl.BASELINE_KINDS
+        }
+        assert init.call_count == 0
 
 
 def projects_config(tmp_path, names, missing=(), **overrides):

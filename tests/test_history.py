@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestExtractHvsmSet:
 
     def test_default_window_spans_full_history(self, history):
         s = extract_hvsm_set(history, "v4")
-        assert s.window == 4
+        assert len(s.version_ids) == 4
         assert {i.key: i.length for i in s.items}["fA"] == 4
 
     def test_gap_truncates_to_consecutive_suffix(self):
@@ -170,24 +171,33 @@ class TestExtractHvsmSet:
             ("missing item", "every item once"),
             ("repeated item", "every item once"),
             ("descending T", "ascending length"),
-            ("T differs from an item's length", "items of length T"),
             ("wrong d", "schema size"),
+            ("labels of the wrong length", "one 0/1 label per item"),
+            ("a label of 2", "one 0/1 label per item"),
+            ("version ids shorter than the longest stack", "span the longest stack"),
         ],
-        ids=["missing-item", "repeated-item", "descending-T", "T-not-item-length", "wrong-d"],
+        ids=[
+            "missing-item", "repeated-item", "descending-T", "wrong-d",
+            "labels-not-one-per-item", "label-not-0-or-1", "version-ids-short",
+        ],
     )
     def test_rejects_stacks_that_do_not_match_the_items(self, history, case, message):
         s = extract_hvsm_set(history, "v4", window=4)  # four items of lengths 1..4
-        (idx1, X1), (idx2, X2), *rest = s.by_length
-        by_length = {
-            "missing item": s.by_length[1:],
-            "repeated item": ((idx1.repeat(2), X1.repeat(2, axis=1)), *s.by_length[1:]),
-            "descending T": s.by_length[::-1],
-            "T differs from an item's length": ((idx2, X1), (idx1, X2), *rest),
-            "wrong d": tuple((idx, X[..., :1]) for idx, X in s.by_length),
+        (idx1, X1), *_ = s.by_length
+        fields = {
+            "missing item": {"by_length": s.by_length[1:]},
+            "repeated item": {
+                "by_length": ((idx1.repeat(2), X1.repeat(2, axis=1)), *s.by_length[1:])
+            },
+            "descending T": {"by_length": s.by_length[::-1]},
+            "wrong d": {"by_length": tuple((idx, X[..., :1]) for idx, X in s.by_length)},
+            "labels of the wrong length": {"labels": s.labels[1:]},
+            "a label of 2": {"labels": 2 * s.labels},
+            "version ids shorter than the longest stack": {"version_ids": s.version_ids[1:]},
         }[case]
         with pytest.raises(ValueError, match=message):
-            HvsmSet(s.anchor_version, s.items, s.window, s.schema, by_length)
-        HvsmSet(s.anchor_version, s.items, s.window, s.schema, s.by_length)  # the intact set
+            replace(s, **fields)
+        HvsmSet(s.version_ids, s.keys, s.labels, s.schema, s.by_length)  # the intact set
 
 
 class TestNormalizer:
@@ -238,7 +248,7 @@ class TestNormalizer:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            fit_normalizer(HvsmSet("v", (), 1, ("m0",), by_length=()))
+            fit_normalizer(HvsmSet(("v",), (), None, ("m0",), by_length=()))
 
     @pytest.mark.parametrize("cells", [1, 2], ids=["spread-overflows", "mean-overflows"])
     def test_overflowing_column_is_named(self, cells):

@@ -27,7 +27,12 @@ from defectseq.baselines import (
     predict_baseline_many,
     train_baseline,
 )
-from defectseq.dataset import PROMISE_CODE_METRICS, parse_metrics_csv
+from defectseq.dataset import (
+    PROMISE_CODE_METRICS,
+    ProjectHistory,
+    VersionSnapshot,
+    parse_metrics_csv,
+)
 from defectseq.effort import (
     CE_CUTOFFS,
     ce_curve,
@@ -38,6 +43,7 @@ from defectseq.effort import (
 )
 from defectseq import experiment
 from defectseq.experiment import ProjectSpec, VersionEntry, _write_json
+from defectseq.history import extract_hvsm_set
 from defectseq.rnn import (
     Hyperparams,
     RnnParams,
@@ -214,6 +220,36 @@ def test_train_logistic_standin_sized(benchmark):
     y = (Z[:, 0] + rng.normal(size=872) > 0).astype(float)
     params = benchmark.pedantic(_train_logistic, args=(Z, y, Hyperparams(iterations=300)), rounds=5)
     assert params["weights"].shape == (20,) and np.isfinite(params["bias"])
+
+
+def wide_eval_sized_history():
+    # wide-eval's larger project: releases of 500, 560 and 1700 files, of
+    # which 20 and 30 files die, 20 metrics
+    rng = np.random.default_rng(10)
+    keys, versions = [], []
+    for vid, size, deaths in (("1", 500, 0), ("2", 560, 20), ("3", 1700, 30)):
+        keys = keys[deaths:]
+        keys += [f"src/r{vid}/F{i:04d}.java" for i in range(size - len(keys))]
+        versions.append(VersionSnapshot(
+            vid, SCHEMA, tuple(keys), rng.uniform(0, 100, size=(size, 20)),
+            rng.integers(0, 3, size=size), np.zeros(size, dtype=np.int64),
+        ))
+    return ProjectHistory("wide", tuple(versions))
+
+
+def test_extract_and_one_step_wide_eval_sized(benchmark):
+    # a run's set building outside training: the test anchor's 1700 samples,
+    # and the nn's one-step set of the anchor's rows
+    history = wide_eval_sized_history()
+    anchor = history.versions[-1]
+
+    def build():
+        features = Features(anchor.values, anchor.schema, (anchor.bugs > 0).astype(float))
+        return extract_hvsm_set(history, "3"), features.one_step
+
+    test_set, one_step = benchmark.pedantic(build, rounds=10)
+    assert test_set.m == one_step.m == 1700
+    assert [X.shape[0] for _, X in test_set.by_length] == [1, 2, 3]
 
 
 def test_parse_metrics_csv_1000_rows(benchmark):

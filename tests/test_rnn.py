@@ -464,7 +464,7 @@ class TestBatchGradient:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            group_by_length(HvsmSet("v", (), 1, ("m0",), by_length=()))
+            group_by_length(HvsmSet(("v",), (), None, ("m0",), by_length=()))
 
 
 def hex_gradients(g: np.ndarray, loss: float) -> dict:

@@ -9,6 +9,7 @@ times shows up and that its counts equal the project's sizes.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -92,3 +93,31 @@ def test_counts_equal_project_sizes(traced):
     steps = {s.name: s.counts["steps"] for s in recorded if s.name.startswith("rnn.train.")}
     # the nn trains on one step per training file
     assert steps == {"rnn.train.seq": 3 * N_FILES, "rnn.train.nn": N_FILES}
+
+
+def test_pooled_traced_run_writes_its_spans(tmp_path, monkeypatch):
+    # the benchmark traces runs of two forked project workers: the wrapped
+    # layers and their counts run in the workers, and the spans the parent
+    # keeps, with their metrics, must encode as JSON
+    projects = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        version_ids, paths, schema = write_trend_project(tmp_path / name, n_files=N_FILES)
+        entries = tuple(VersionEntry(vid, str(paths[vid])) for vid in version_ids)
+        projects.append(ProjectSpec(name, entries, "u3", "u4"))
+    cfg = ExperimentConfig(
+        projects=tuple(projects),
+        hyperparams=Hyperparams(hidden_size=3, iterations=3, seed=0),
+        repeats=1,
+        seed=1,
+        code_metrics=schema,
+        baseline_kinds=("lr", "nn"),
+    )
+    monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, 2))
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    with tracer.installed(experiment, baselines, rnn):
+        report = run_experiment(cfg)
+    assert report["errors"] == {}
+    json.dumps([s.__dict__ for s in tracer.spans])
+    json.dumps(spans.run_metrics(tracer.spans))
