@@ -197,6 +197,14 @@ def _predict_knn(params: dict, Z: np.ndarray) -> np.ndarray:
     the row's k-th smallest estimate; only those candidates (and any whose
     estimate is not finite) get the exact distance.  The queries go in
     blocks whose estimate product stays under ``BLAS_THREAD_BOUND``.
+
+    Each block's estimate is written into two arrays made once per call, in
+    the order above: the product, doubled in place, subtracted from the
+    outer sum of the squared norms.  When a block's squared norms are
+    finite and their largest sum is below 1e300, every estimate is finite
+    (|2 z·p| ≤ |z|² + |p|²), so the pass that keeps non-finite estimates is
+    skipped.  The candidates are read off the mask as flat indices, which
+    are few (about k per row), and counted per row from those.
     """
     points, labels, k = params["points"], params["labels"], params["k"]
     rows = max(1, (BLAS_THREAD_BOUND - 1) // points.size)
@@ -204,21 +212,30 @@ def _predict_knn(params: dict, Z: np.ndarray) -> np.ndarray:
     p_sq_max = p_sq.max()
     slack = 8 * (points.shape[1] + 4) * _UNIT
     out = np.empty(len(Z))
+    product = np.empty((min(rows, len(Z)), len(points)))
+    estimates = np.empty_like(product)
     for start in range(0, len(Z), rows):
         block = Z[start : start + rows]
+        twice_dot, estimate = product[: len(block)], estimates[: len(block)]
         with np.errstate(over="ignore", invalid="ignore"):
             z_sq = np.sum(block**2, axis=1)
-            estimate = z_sq[:, None] + p_sq - 2.0 * (block @ points.T)
+            np.matmul(block, points.T, out=twice_dot)
+            np.multiply(twice_dot, 2.0, out=twice_dot)
+            np.add(z_sq[:, None], p_sq, out=estimate)
+            np.subtract(estimate, twice_dot, out=estimate)
             err = slack * (z_sq + p_sq_max) + np.finfo(float).tiny
             bound = np.partition(estimate, k - 1, axis=1)[:, k - 1] + 2.0 * err
-            candidate = (estimate <= bound[:, None]) | ~np.isfinite(estimate)
+            candidate = estimate <= bound[:, None]
+            if not z_sq.max() + p_sq_max < 1e300:
+                candidate |= ~np.isfinite(estimate)
         # a bound that overflowed keeps every point of its row
         candidate[~np.isfinite(bound)] = True
-        r, c = np.nonzero(candidate)  # c ascends within each row
+        # row-major flat indices: c ascends within each row
+        r, c = np.divmod(np.flatnonzero(candidate), len(points))
         dist = np.sqrt(np.sum((points[c] - block[r]) ** 2, axis=-1))
         # stable: equal distances keep training order
         order = np.lexsort((dist, r))
-        counts = np.count_nonzero(candidate, axis=1)
+        counts = np.bincount(r, minlength=len(block))
         first = np.cumsum(counts) - counts
         neighbors = c[order[first[:, None] + np.arange(k)]]
         out[start : start + rows] = labels[neighbors].mean(axis=1)

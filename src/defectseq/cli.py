@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, experiment.WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
@@ -182,7 +181,8 @@ def _read_table(
     return {column: header.index(column) for column in required}, rows()
 
 
-_NOT_PLAIN = re.compile('["\r\0\x1c-\x1f]')
+# the characters that keep a table off numpy's reader (see _parse_metrics_fast)
+_NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'
 
 
 def _loc_column(schema: tuple[str, ...]) -> int | None:
@@ -205,7 +205,7 @@ def _parse_metrics_fast(
     and counts in int64 range; anything else, and any cell numpy cannot
     read, returns None.
     """
-    if _NOT_PLAIN.search(text):
+    if any(c in text for c in _NOT_PLAIN):  # one C scan per character
         return None
     lines = text.split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
@@ -341,11 +341,11 @@ def attach_process_metrics(
     no entry get 0/0 for that version.  The cumulative columns accumulate in
     ascending version order from each file's first appearance.
     """
-    known = {v.version_id for v in history.versions}
+    files = {v.version_id: v.files for v in history.versions}
     for version_id, key in add_del:
-        if version_id not in known:
+        if version_id not in files:
             raise ValueError(f"process entry references unknown version {version_id!r}")
-        if key not in history.snapshot(version_id).files:
+        if key not in files[version_id]:
             raise ValueError(
                 f"process entry references unknown file {key!r} in version {version_id!r}"
             )

@@ -8,14 +8,16 @@ the first pi fraction of total LOC.  ACC is the defective-file recall at a
 counting one half.
 
 Everything runs on columns (:class:`ScoredColumns`: key, score, LOC and bug
-arrays).  A column set is ranked once, by one ``np.lexsort``, and each
-ordering becomes one cumulative-sum curve; every CE cutoff is then read
-from the running sum of that curve's trapezoids with ``np.searchsorted``,
-and ACC from the cumulative LOC of the same ranking.  Every evaluation
-function takes columns, which :func:`scored_files` builds from parallel
-sequences.  ``ScoredColumns.with_scores`` rescores the same files and
-shares what does not depend on the scores (key rank, optimal ordering and
-its CE areas), so many evaluations of one test set build those once.
+arrays).  A column set's files are laid out once in tie order (the smaller
+file first, then the key), each ordering is one stable sort of the
+densities in that layout, and each ordering becomes one cumulative-sum
+curve; every CE cutoff is then read from the running sum of that curve's
+trapezoids with ``np.searchsorted``, and ACC from the cumulative LOC of the
+same ranking.  Every evaluation function takes columns, which
+:func:`scored_files` builds from parallel sequences.
+``ScoredColumns.with_scores`` rescores the same files and shares what does
+not depend on the scores (tie order, optimal ordering and its CE areas), so
+many evaluations of one test set build those once.
 """
 
 from __future__ import annotations
@@ -72,26 +74,27 @@ class ScoredColumns:
 
     def with_scores(self, score: np.ndarray) -> ScoredColumns:
         """The same files under new scores.  What does not depend on the
-        scores (key rank, optimal ordering and its CE areas) is shared with
+        scores (tie order, optimal ordering and its CE areas) is shared with
         this column set, built at most once for both."""
         scored = ScoredColumns(
             keys=self.keys, score=np.asarray(score, dtype=float), loc=self.loc, bugs=self.bugs
         )
-        for name in ("_key_rank", "optimal", "_optimal_areas"):
+        for name in ("_tie_order", "optimal", "_optimal_areas"):
             scored.__dict__[name] = getattr(self, name)
         return scored
 
     @cached_property
-    def _key_rank(self) -> np.ndarray:
-        # position of each key in sorted order, the last tie-break of both
-        # orderings; equal keys keep their input order
-        rank = np.empty(len(self), dtype=np.int64)
-        rank[sorted(range(len(self)), key=self.keys.__getitem__)] = np.arange(len(self))
-        return rank
+    def _tie_order(self) -> np.ndarray:
+        # how both orderings break density ties: the smaller file first,
+        # then the key; equal keys keep their input order
+        by_key = np.array(sorted(range(len(self)), key=self.keys.__getitem__), dtype=np.intp)
+        return by_key[np.argsort(self.loc[by_key], kind="stable")]
 
     def _by_density(self, numerator: np.ndarray) -> np.ndarray:
-        # numerator/loc descending, then the smaller file, then the key
-        return np.lexsort((self._key_rank, self.loc, -(numerator / self.loc)))
+        # numerator/loc descending, then the tie order: one stable sort of
+        # the densities laid out in tie order
+        tie = self._tie_order
+        return tie[np.lexsort((-(numerator[tie] / self.loc[tie]),))]
 
     @cached_property
     def ranking(self) -> np.ndarray:

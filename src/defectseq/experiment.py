@@ -96,6 +96,10 @@ class ConfigError(ValueError):
     """Unusable experiment configuration."""
 
 
+class WorkerDied(RuntimeError):
+    """A project's worker process ended without sending its outcome."""
+
+
 @dataclass(frozen=True)
 class VersionEntry:
     version_id: str
@@ -375,7 +379,7 @@ def _technique_entry(
     return {
         "runs": runs,
         "mean": {key: float(np.mean([run[key] for run in runs])) for key in METRIC_KEYS},
-        "scores_mean": {k: float(s) for k, s in zip(frame.keys, mean_scores)},
+        "scores_mean": dict(zip(frame.keys, mean_scores.tolist())),
     }
 
 
@@ -429,7 +433,7 @@ def _map_projects(jobs: list) -> list:
     its outcome, and is then sent the next index, or None to stop.  The
     outcomes are received here, on the caller's thread.  An exception that
     ``_project_outcome`` lets through is re-raised here, and a worker that
-    dies without a result ends the map in a ``RuntimeError`` that names its
+    dies without a result ends the map in a ``WorkerDied`` that names its
     project.  Every worker has exited and been reaped before this returns
     or raises; if the caller dies, each worker exits once its current job
     is done.  With one project, one usable CPU, or no ``fork``, the jobs
@@ -478,7 +482,7 @@ def _map_projects(jobs: list) -> list:
                     outcome = conn.recv()
                 except (EOFError, OSError):  # OSError: it died mid-message
                     procs[conn].join()
-                    raise RuntimeError(
+                    raise WorkerDied(
                         f"project {jobs[index][0].name!r}: its worker process ended without"
                         f" a result (exit code {procs[conn].exitcode})"
                     ) from None

@@ -8,16 +8,19 @@ from v but seen earlier are dead and yield nothing.
 A set of samples (``HvsmSet``) is arrays: keys, 0/1 labels, and values
 stacked into one ``(T, n, d)`` array per sequence length
 (``HvsmSet.by_length``), the only record of a sample's length.  Extraction
-gathers each stack straight from the version matrices, one gather per
-length and step, and normalization transforms the stacks; training and
-prediction on a set, in every repeat, read those stacks.  A sample's
-``Hvsm`` record is a view of these arrays, built only when read.
+finds every file's run with one membership gather per earlier version,
+over the files whose run is still open, then gathers each stack straight
+from the version matrices, one gather per length and step.  Normalization
+transforms the stacks; training and prediction on a set, in every repeat,
+read those stacks.  A sample's ``Hvsm`` record is a view of these arrays,
+built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -158,30 +161,37 @@ def extract_hvsm_set(
     versions = history.versions
     anchor = versions[anchor_idx]
     keys = tuple(sorted(anchor.files))
-    # each file's rows in the versions of its run, anchor first
-    runs: dict[int, list[int]] = {}
-    walks: list[list[int]] = []
-    for i, key in enumerate(keys):
-        rows = [anchor.files[key]]
-        start = anchor_idx
-        while start > 0 and len(rows) < window and key in versions[start - 1].files:
-            start -= 1
-            rows.append(versions[start].files[key])
-        runs.setdefault(len(rows), []).append(i)
-        walks.append(rows)
+    n, depth = len(keys), min(window, anchor_idx + 1)
+    # row_at[b, i]: file i's row in the version b steps before the anchor,
+    # -1 once its run has ended; one membership gather per version over
+    # the files whose run reaches it
+    row_at = np.full((depth, n), -1, dtype=np.intp)
+    row_at[0] = np.fromiter(map(anchor.files.__getitem__, keys), np.intp, n)
+    running, running_keys = np.arange(n), keys
+    for back in range(1, depth):
+        files = versions[anchor_idx - back].files
+        rows = np.fromiter(map(files.get, running_keys, repeat(-1)), np.intp, len(running_keys))
+        present = rows >= 0
+        running = running[present]
+        if not len(running):
+            break
+        running_keys = tuple(compress(running_keys, present.tolist()))
+        row_at[back, running] = rows[present]
+    lengths = np.count_nonzero(row_at >= 0, axis=0)
     by_length = []
-    for T in sorted(runs):
-        idx = runs[T]
-        first = anchor_idx - T + 1
+    for T in range(1, depth + 1):
+        idx = np.flatnonzero(lengths == T)
+        if not len(idx):
+            continue
         stack = np.empty((T, len(idx), len(anchor.schema)))
         for t in range(T):
-            stack[t] = versions[first + t].values[[walks[i][T - 1 - t] for i in idx]]
-        by_length.append((np.asarray(idx, dtype=np.intp), stack))
-    oldest = anchor_idx + 1 - max(runs, default=1)
+            stack[t] = versions[anchor_idx - T + 1 + t].values[row_at[T - 1 - t, idx]]
+        by_length.append((idx, stack))
+    oldest = anchor_idx + 1 - (len(by_length[-1][1]) if by_length else 1)
     return HvsmSet(
         version_ids=tuple(snap.version_id for snap in versions[oldest : anchor_idx + 1]),
         keys=keys,
-        labels=(anchor.bugs[[rows[0] for rows in walks]] > 0).astype(int),
+        labels=(anchor.bugs[row_at[0]] > 0).astype(int),
         schema=anchor.schema,
         by_length=tuple(by_length),
     )

@@ -33,7 +33,10 @@ verifies the code the trainer runs.
 
 The initial weights are the bits of ``np.random.default_rng(seed)``'s
 uniform draws, computed by ``pcg64_uniform`` in Python integers, so a
-forked project worker trains without importing ``numpy.random``.
+forked project worker trains without importing ``numpy.random``.  Each
+distinct draw (seed, range and count) is computed once per process and
+kept as a tuple (``_draw``): the rnn and the nn of a project, and the
+projects one worker runs, start from the same seeds.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,8 +135,17 @@ def init_params(h: Hyperparams, input_dim: int) -> RnnParams:
         raise ValueError("input_dim must be positive")
     p = RnnParams.zeros(h.hidden_size, input_dim)
     weights = p.theta[: -h.hidden_size - 1]
-    weights[:] = pcg64_uniform(h.seed, -h.init_scale, h.init_scale, weights.size)
+    weights[:] = _draw(operator.index(h.seed), -h.init_scale, h.init_scale, weights.size)
     return p
+
+
+@lru_cache(maxsize=64)
+def _draw(seed: int, low: float, high: float, n: int) -> tuple[float, ...]:
+    """``pcg64_uniform``'s draw, kept per process as a tuple that no caller
+    can change.  A project's rnn and nn start from the same seeds at the
+    same shape, so half of a worker's draws are repeats.  A draw that
+    raises is not kept."""
+    return tuple(pcg64_uniform(seed, low, high, n))
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

@@ -1,10 +1,11 @@
 """Nonparametric comparison machinery for technique rankings.
 
-Wilcoxon signed-rank (exact null by sign enumeration up to n=20, normal
-approximation with tie and continuity corrections beyond), Cliff's delta,
-the Win/Tie/Loss verdict gated at p < 0.05 and |delta| >= 0.147, and the
-Scott-Knott recursive partition of mean-ordered techniques into
-statistically distinct ranks.
+Wilcoxon signed-rank (exact null by sign enumeration up to n=20, kept per
+rank pattern for the life of the process, normal approximation with tie
+and continuity corrections beyond), Cliff's delta, the Win/Tie/Loss
+verdict gated at p < 0.05 and |delta| >= 0.147, and the Scott-Knott
+recursive partition of mean-ordered techniques into statistically
+distinct ranks.
 
 The three distribution functions these procedures use are plain
 numpy/``math`` code, so importing the package loads no scipy:
@@ -20,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,9 +45,14 @@ def rankdata(values) -> np.ndarray:
     inverse = np.empty(order.size, dtype=np.intp)
     inverse[order] = np.arange(order.size, dtype=np.intp)
     arr = arr[order]
-    starts = np.r_[True, arr[1:] != arr[:-1]]
+    starts = np.empty(arr.size, dtype=bool)  # where each run of equal values starts
+    starts[:1] = True
+    np.not_equal(arr[1:], arr[:-1], out=starts[1:])
     dense = starts.cumsum()[inverse]
-    count = np.r_[np.nonzero(starts)[0], starts.size]
+    firsts = np.flatnonzero(starts)
+    count = np.empty(firsts.size + 1, dtype=np.intp)
+    count[:-1] = firsts
+    count[-1] = arr.size
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
@@ -140,19 +147,23 @@ class WilcoxonResult:
     degenerate: bool  # all differences were zero
 
 
-def _exact_w_plus_counts(double_ranks: np.ndarray) -> np.ndarray:
-    """Counts of sign assignments per doubled W+ value.
+@lru_cache(maxsize=256)
+def _exact_w_plus_counts(double_ranks: tuple[int, ...]) -> np.ndarray:
+    """Counts of sign assignments per doubled W+ value, read-only.
 
     Ranks are doubled so tied average ranks become integers; the counts
-    array then indexes every reachable doubled rank sum.
+    array then indexes every reachable doubled rank sum.  The counts are
+    integers below 2**53, so they do not depend on the order of the ranks:
+    callers pass them sorted, and each pattern is counted once per process
+    (a report's tests over the same run count mostly share one).
     """
-    total = int(double_ranks.sum())
-    counts = np.zeros(total + 1)
+    counts = np.zeros(sum(double_ranks) + 1)
     counts[0] = 1.0
     for r in double_ranks:
         shifted = np.zeros_like(counts)
         shifted[r:] = counts[: counts.size - r]
         counts = counts + shifted
+    counts.flags.writeable = False
     return counts
 
 
@@ -174,8 +185,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
     ranks = rankdata(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
     if n <= 20:
-        double_ranks = np.rint(2 * ranks).astype(int)
-        counts = _exact_w_plus_counts(double_ranks)
+        counts = _exact_w_plus_counts(tuple(sorted(np.rint(2 * ranks).astype(int).tolist())))
         total = 2.0**n
         w2 = int(round(2 * w_plus))
         p_le = counts[: w2 + 1].sum() / total

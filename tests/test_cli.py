@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import multiprocessing
+import os
 import re
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defectseq import experiment
 from defectseq.cli import main
 from defectseq.experiment import METRIC_KEYS
 
@@ -264,6 +267,62 @@ class TestRun:
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+ORIGINAL_PROJECT_OUTCOME = experiment._project_outcome
+
+
+def b_worker_exits(job):
+    """A ``_project_outcome`` under which project b's worker exits at once
+    with code 9, sending nothing; any other project runs as usual."""
+    if job[0].name == "b":
+        os._exit(9)
+    return ORIGINAL_PROJECT_OUTCOME(job)
+
+
+def test_dead_worker_ends_the_run_in_one_line(tmp_path, monkeypatch):
+    """Project b's worker dies without a result: ``defectseq run`` exits 1
+    with one error line naming b, no traceback, and no worker left.  The run
+    goes in a forked child that is waited for with a timeout, so a hang
+    fails the test instead of stalling the suite."""
+    config = write_config(tmp_path)
+    text = config.read_text(encoding="utf-8")
+    block = text[text.index("  - name: trend") :]
+    config.write_text(
+        text.replace("name: trend", "name: a") + "\n" + block.replace("name: trend", "name: b"),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, 2))
+    monkeypatch.setattr(experiment, "_project_outcome", b_worker_exits)
+
+    def run(conn):
+        try:
+            result = run_cli(["run", str(config)])
+        except BaseException as exc:  # the failure this test looks for
+            result = ("raised", repr(exc), "")
+        conn.send((result, [p.pid for p in multiprocessing.active_children()]))
+
+    ctx = multiprocessing.get_context("fork")
+    conn, guard_conn = ctx.Pipe(duplex=False)
+    guard = ctx.Process(target=run, args=(guard_conn,))
+    guard.start()
+    guard_conn.close()
+    ended = False
+    try:
+        ended = conn.poll(30)
+        result = conn.recv() if ended else None
+    finally:
+        guard.kill()
+        guard.join()
+        conn.close()
+    assert ended, "the run did not end within 30 s of a worker's death"
+    (code, out, err), left = result
+    assert code == 1, err
+    assert err == (
+        "error: project 'b': its worker process ended without a result (exit code 9)\n"
+    )
+    assert out == "" and not (tmp_path / "out").exists()
+    assert left == []
 
 
 class TestGradcheck:

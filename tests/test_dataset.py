@@ -320,6 +320,16 @@ class TestFastPathMatchesPerCell:
         assert snap.values[3].tolist() == [3.25, 30.0]
         assert snap.bugs[:4].tolist() == [0, 1, 2, 0]
 
+    @pytest.mark.parametrize(
+        "char", list('"\r\0\x1c\x1d\x1e\x1f'),
+        ids=["quote", "CR", "NUL", "U+001C", "U+001D", "U+001E", "U+001F"],
+    )
+    def test_each_unplain_character_keeps_numpy_off(self, char):
+        # anywhere in the text, here inside a key, any of these sends the
+        # table to the per-cell parser
+        assert dataset._parse_metrics_fast("name,wmc,loc,bug\nab,1,2,0\n", SCHEMA) is not None
+        assert dataset._parse_metrics_fast(f"name,wmc,loc,bug\na{char}b,1,2,0\n", SCHEMA) is None
+
     @pytest.mark.parametrize("text", ["name,wmc,loc,bug", "name,wmc,loc,bug\n", "name,wmc,loc,bug\n\n , ,,\n"])
     def test_header_only_warns_nothing(self, text):
         with warnings.catch_warnings():

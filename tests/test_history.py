@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defectseq.dataset import ProjectHistory
 from defectseq.history import (
     Hvsm,
     HvsmSet,
@@ -198,6 +199,65 @@ class TestExtractHvsmSet:
         with pytest.raises(ValueError, match=message):
             replace(s, **fields)
         HvsmSet(s.version_ids, s.keys, s.labels, s.schema, s.by_length)  # the intact set
+
+
+def walked_set(history, v, window):
+    """``extract_hvsm_set`` by walking each file back through the earlier
+    versions one step at a time: the reference for the gathered runs."""
+    anchor_idx = history.index(v)
+    versions = history.versions
+    anchor = versions[anchor_idx]
+    keys = tuple(sorted(anchor.files))
+    runs, walks = {}, []
+    for i, key in enumerate(keys):
+        rows = [anchor.files[key]]
+        start = anchor_idx
+        while start > 0 and len(rows) < window and key in versions[start - 1].files:
+            start -= 1
+            rows.append(versions[start].files[key])
+        runs.setdefault(len(rows), []).append(i)
+        walks.append(rows)
+    by_length = []
+    for T in sorted(runs):
+        first = anchor_idx - T + 1
+        stack = np.empty((T, len(runs[T]), len(anchor.schema)))
+        for t in range(T):
+            stack[t] = versions[first + t].values[[walks[i][T - 1 - t] for i in runs[T]]]
+        by_length.append((np.asarray(runs[T], dtype=np.intp), stack))
+    oldest = anchor_idx + 1 - max(runs, default=1)
+    labels = (anchor.bugs[[rows[0] for rows in walks]] > 0).astype(int)
+    ids = tuple(snap.version_id for snap in versions[oldest : anchor_idx + 1])
+    return ids, keys, labels, by_length
+
+
+class TestExtractionMatchesWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        presence=st.lists(st.lists(st.booleans(), min_size=6, max_size=6), max_size=12),
+        anchor=st.integers(0, 5),
+        window=st.none() | st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_arrays_bit_for_bit(self, presence, anchor, window, seed):
+        # file f{j} is present in version v{i} where presence[j][i]; rows
+        # are shuffled per version, so a file's row differs across versions
+        rng = np.random.default_rng(seed)
+        versions = []
+        for i in range(6):
+            keys = [f"f{j:02d}" for j, row in enumerate(presence) if row[i]]
+            keys = [keys[k] for k in rng.permutation(len(keys))]
+            rows = {key: rng.uniform(0, 100, size=2).tolist() for key in keys}
+            bugs = {key: int(rng.integers(0, 3)) for key in keys}
+            versions.append(snapshot(f"v{i}", ("loc", "x"), rows, bugs))
+        history = ProjectHistory("drawn", tuple(versions))
+        s = extract_hvsm_set(history, f"v{anchor}", window)
+        ids, keys, labels, by_length = walked_set(history, f"v{anchor}", window or anchor + 1)
+        assert s.version_ids == ids and s.keys == keys
+        assert s.labels.dtype == labels.dtype and np.array_equal(s.labels, labels)
+        assert len(s.by_length) == len(by_length)
+        for (idx, X), (ref_idx, ref_X) in zip(s.by_length, by_length):
+            assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+            assert X.shape == ref_X.shape and X.tobytes() == ref_X.tobytes()
 
 
 class TestNormalizer:

@@ -41,8 +41,8 @@ from defectseq.effort import (
     rank_by_density,
     scored_files,
 )
-from defectseq import experiment
-from defectseq.experiment import ProjectSpec, VersionEntry, _write_json
+from defectseq import experiment, rnn
+from defectseq.experiment import ExperimentConfig, ProjectSpec, VersionEntry, _write_json
 from defectseq.history import extract_hvsm_set
 from defectseq.rnn import (
     Hyperparams,
@@ -112,6 +112,27 @@ def test_emit_report_wide_eval_sized(benchmark, tmp_path):
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == (
         json.dumps(report, sort_keys=True, indent=2) + "\n"
     )
+
+
+def test_aggregate_wide_eval_sized(benchmark):
+    # the parent's statistics after the pool on a wide-eval sized report:
+    # two projects, five techniques of six runs, 48 signed-rank tests
+    report = sized_report([1700, 1350], runs=6)
+    cfg = ExperimentConfig(projects=())
+    benchmark.pedantic(experiment._aggregate, args=(report, cfg), rounds=20)
+    assert set(report["aggregates"]["win_tie_loss"]) == {"lr", "nb", "knn", "nn"}
+
+
+def test_init_params_twice_per_seed(benchmark):
+    # a wide-eval project's initial weights: the rnn, then the nn, each draw
+    # seeds 0..5 at hidden 16 and 20 inputs, from an empty memo each round
+    seeds = [Hyperparams(hidden_size=16, seed=seed) for seed in range(6)]
+
+    def draw():
+        return [init_params(h, 20) for _ in range(2) for h in seeds]
+
+    params = benchmark.pedantic(draw, setup=rnn._draw.cache_clear, rounds=20)
+    assert len(params) == 12 and np.array_equal(params[0].theta, params[6].theta)
 
 
 def test_knn_predict_1700_by_560(benchmark):

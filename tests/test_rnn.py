@@ -247,6 +247,48 @@ class TestInitParams:
             init_params(Hyperparams(init_scale=1e308), 3)
 
 
+class TestInitialDrawMemo:
+    """``init_params`` draws each (seed, range, count) once per process and
+    keeps it; every later call must still get a fresh draw's bits."""
+
+    @staticmethod
+    def fresh(h, input_dim):
+        n = h.hidden_size * (input_dim + h.hidden_size + 1)
+        return rnn.pcg64_uniform(h.seed, -h.init_scale, h.init_scale, n)
+
+    def weights(self, p):
+        return list(map(float.hex, p.theta[: -p.hidden_size - 1].tolist()))
+
+    def test_miss_and_hit_equal_a_fresh_draw_bitwise(self):
+        h = Hyperparams(hidden_size=16, seed=912)
+        rnn._draw.cache_clear()
+        miss = init_params(h, 20)
+        hit = init_params(h, 20)
+        assert rnn._draw.cache_info().hits == 1 and rnn._draw.cache_info().misses == 1
+        expected = list(map(float.hex, self.fresh(h, 20)))
+        assert self.weights(miss) == expected and self.weights(hit) == expected
+        assert miss.theta is not hit.theta
+
+    def test_changing_a_theta_leaves_the_next_draw_unchanged(self):
+        h = Hyperparams(hidden_size=4, seed=913)
+        p = init_params(h, 3)
+        p.theta[:] = 7.0
+        p.U[0, 0] = -1.0
+        assert self.weights(init_params(h, 3)) == list(map(float.hex, self.fresh(h, 3)))
+
+    def test_refused_draws_still_raise_and_are_not_kept(self):
+        init_params(Hyperparams(seed=1), 3)  # seed 1 kept; 1.0 must not find it
+        size = rnn._draw.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-negative"):
+                init_params(Hyperparams(seed=-1), 3)
+            with pytest.raises(TypeError):
+                init_params(Hyperparams(seed=1.0), 3)
+            with pytest.raises(ValueError, match="exceeds the float range"):
+                init_params(Hyperparams(init_scale=1e308), 3)
+        assert rnn._draw.cache_info().currsize == size
+
+
 class TestForward:
     def test_zero_params_yield_half(self):
         p = init_params(Hyperparams(hidden_size=4, init_scale=0.0), 3)

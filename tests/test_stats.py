@@ -6,6 +6,7 @@ import pytest
 import scipy.stats as sps
 from hypothesis import given, settings, strategies as st
 
+from defectseq import stats
 from defectseq.stats import (
     NEGLIGIBLE_DELTA,
     Outcome,
@@ -160,6 +161,40 @@ class TestWilcoxon:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1, 2], [1, 2, 3])
+
+
+def unmemoized_w_plus_counts(double_ranks):
+    """The sign-assignment counts by the loop over the ranks in their given
+    order, computed afresh."""
+    counts = np.zeros(int(np.sum(double_ranks)) + 1)
+    counts[0] = 1.0
+    for r in double_ranks:
+        shifted = np.zeros_like(counts)
+        shifted[r:] = counts[: counts.size - r]
+        counts = counts + shifted
+    return counts
+
+
+class TestExactNullMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=20))
+    def test_memoized_counts_equal_the_loop(self, diffs):
+        # small integer differences: tied absolute values give half-integer ranks
+        ranks = rankdata(np.abs(diffs))
+        double_ranks = np.rint(2 * ranks).astype(int).tolist()
+        memoized = stats._exact_w_plus_counts(tuple(sorted(double_ranks)))
+        again = stats._exact_w_plus_counts(tuple(sorted(double_ranks)))
+        assert again is memoized
+        expected = unmemoized_w_plus_counts(double_ranks)
+        assert memoized.dtype == expected.dtype
+        assert memoized.tobytes() == expected.tobytes()
+
+    def test_counts_are_read_only(self):
+        counts = stats._exact_w_plus_counts((2, 4, 6, 8, 10, 12))
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[0] = 5.0
+        assert stats._exact_w_plus_counts((2, 4, 6, 8, 10, 12))[0] == 1.0
 
 
 class TestCliffsDelta:
