@@ -54,7 +54,7 @@ def main() -> None:
     losses = result.loss_history
     print(f"  loss: {losses[0]:.4f} -> {losses[len(losses) // 2]:.4f} -> {losses[-1]:.4f}")
 
-    probs = predict_set(result.params, test_set, normalizer)
+    probs = predict_set(result.params, apply_normalizer(normalizer, test_set))
     accuracy = float(np.mean((probs > 0.5) == test_set.labels))
     print(f"  held-out accuracy at threshold 0.5: {accuracy:.1%}")
 
@@ -64,7 +64,8 @@ def main() -> None:
     # ascend in length, so the short sample's (2, 1, d) stack comes first
     by_length = ((np.array([1]), stack[1:, :1]), (np.array([0]), stack[:, :1]))
     pair = HvsmSet(test_set.version_ids, ("long", "short"), None, SCHEMA, by_length)
-    for T, prob in zip(pair.lengths, predict_set(result.params, pair, normalizer)):
+    pair = apply_normalizer(normalizer, pair)
+    for T, prob in zip(pair.lengths, predict_set(result.params, pair)):
         print(f"  T={T}: p(defective) = {prob:.3f}")
 
 

@@ -5,23 +5,23 @@ Gaussian naive Bayes, k-nearest neighbors on z-scored features, and a
 one-hidden-layer feedforward network reusing the recurrent classifier with
 every sequence cut to a single step.
 
-Every technique reads its rows from one :class:`Features` matrix, rows
-gathered from a version's value matrix.  A training matrix fits its
-z-scoring, z-scores itself and builds the network's one-step set (its
-z-scored rows as one stack, with its labels) on first use and keeps them,
-so all techniques and all repeats trained on it share one copy of each.  kNN finds its neighbours by an exact search that BLAS
-prunes first (see ``_predict_knn``).
+Every technique reads a set of one-step samples: the anchor step of a
+sequence set (``history.anchor_step``), each file's row at the anchor
+version, with the sequences' keys, labels and order.  The caller z-scores
+each set once, so all techniques and all repeats share one copy of it.
+The network trains and predicts through the recurrent classifier's own
+``train`` and ``predict_set``.  kNN finds its neighbours by an exact
+search that BLAS prunes first (see ``_predict_knn``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .history import HvsmSet, Normalizer, fit_normalizer_rows
-from .rnn import BLAS_THREAD_BOUND, Batch, Hyperparams, descend, forward, sigmoid_in_place, train
+from .history import HvsmSet
+from .rnn import BLAS_THREAD_BOUND, Hyperparams, descend, predict_set, sigmoid_in_place, train
 
 LOGISTIC_REGRESSION = "lr"
 GAUSSIAN_NB = "nb"
@@ -33,70 +33,32 @@ VARIANCE_FLOOR = 1e-9
 DEFAULT_KNN_K = 5
 
 
-@dataclass(frozen=True, eq=False)
-class Features:
-    """Raw metric rows (files x metrics) with their schema and, to train
-    on, their 0/1 labels.
-
-    The z-scoring fit on the rows, the z-scored rows and the feedforward
-    net's one-step set are each built on first use and kept.
-    """
-
-    values: np.ndarray
-    schema: tuple[str, ...]
-    labels: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @cached_property
-    def normalizer(self) -> Normalizer:
-        """Z-scoring fit on these rows."""
-        return fit_normalizer_rows(self.values, self.schema)
-
-    @cached_property
-    def normalized(self) -> np.ndarray:
-        return self.normalizer.transform(self.values)
-
-    @cached_property
-    def one_step(self) -> HvsmSet:
-        """The z-scored rows as one-step sequences, keyed by row number: the
-        feedforward net is the recurrent one on these.  Features arrive
-        pre-normalized, so the net trains on them raw."""
-        n = len(self)
-        stacks = ((np.arange(n), self.normalized[None]),)
-        return HvsmSet(("0",), tuple(map(str, range(n))), self.labels, self.schema, stacks)
-
-
 @dataclass(eq=False)
 class BaselineModel:
     kind: str
-    normalizer: Normalizer
     params: dict
 
 
-def train_baseline(
-    kind: str,
-    features: Features,
-    h: Hyperparams,
-    k: int = DEFAULT_KNN_K,
-) -> BaselineModel:
-    """Fit one baseline on labelled feature rows.
+def _rows(s: HvsmSet) -> np.ndarray:
+    """The ``(samples, d)`` rows of a non-empty one-step set in sample
+    order, as ``anchor_step`` gives it."""
+    (idx, X), *rest = s.by_length
+    if rest or len(X) != 1 or not np.array_equal(idx, np.arange(s.m)):
+        raise ValueError("baselines read one-step samples, in sample order")
+    return X[0]
 
-    Features are z-scored by the matrix's own normalizer, which is stored
-    on the model, so prediction sees the same scaling.
-    """
+
+def train_baseline(kind: str, s: HvsmSet, h: Hyperparams, k: int = DEFAULT_KNN_K) -> BaselineModel:
+    """Fit one baseline on a labelled set of one-step samples, z-scored by
+    the caller: the anchor step of a training set."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    if not len(features):
+    if not s.m:
         raise ValueError("empty training data")
-    y = features.labels
+    y = s.labels
     if y is None:
         raise ValueError("training rows need labels")
-    # comparisons, not np.unique, which imports numpy.ma into a forked worker
-    if ((y != 0) & (y != 1)).any():
-        raise ValueError("labels must be 0 or 1")
-    Z = features.normalized
+    Z = _rows(s)
 
     if kind == LOGISTIC_REGRESSION:
         if y.min() == y.max():
@@ -113,8 +75,8 @@ def train_baseline(
             raise ValueError(f"k={k} exceeds training size {len(y)}")
         params = {"points": Z, "labels": y, "k": k}
     else:  # FEEDFORWARD_NN
-        params = {"rnn": train(features.one_step, h).params}
-    return BaselineModel(kind=kind, normalizer=features.normalizer, params=params)
+        params = {"rnn": train(s, h).params}
+    return BaselineModel(kind=kind, params=params)
 
 
 def _train_logistic(Z: np.ndarray, y: np.ndarray, h: Hyperparams) -> dict:
@@ -168,6 +130,10 @@ def _train_gaussian_nb(Z: np.ndarray, y: np.ndarray) -> dict:
 
 
 def _predict_gaussian_nb(params: dict, Z: np.ndarray) -> np.ndarray:
+    width = len(params["means"][0])
+    if Z.shape[1] != width:
+        # lr's and kNN's products reject rows of another width; these would broadcast
+        raise ValueError(f"rows of width {Z.shape[1]} do not match the model's {width}")
     log_joint = []
     for cls in (0, 1):
         mu, var = params["means"][cls], params["vars"][cls]
@@ -217,17 +183,16 @@ def _predict_knn(params: dict, Z: np.ndarray) -> np.ndarray:
     for start in range(0, len(Z), rows):
         block = Z[start : start + rows]
         twice_dot, estimate = product[: len(block)], estimates[: len(block)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            z_sq = np.sum(block**2, axis=1)
-            np.matmul(block, points.T, out=twice_dot)
-            np.multiply(twice_dot, 2.0, out=twice_dot)
-            np.add(z_sq[:, None], p_sq, out=estimate)
-            np.subtract(estimate, twice_dot, out=estimate)
-            err = slack * (z_sq + p_sq_max) + np.finfo(float).tiny
-            bound = np.partition(estimate, k - 1, axis=1)[:, k - 1] + 2.0 * err
-            candidate = estimate <= bound[:, None]
-            if not z_sq.max() + p_sq_max < 1e300:
-                candidate |= ~np.isfinite(estimate)
+        z_sq = np.sum(block**2, axis=1)
+        np.matmul(block, points.T, out=twice_dot)
+        np.multiply(twice_dot, 2.0, out=twice_dot)
+        np.add(z_sq[:, None], p_sq, out=estimate)
+        np.subtract(estimate, twice_dot, out=estimate)
+        err = slack * (z_sq + p_sq_max) + np.finfo(float).tiny
+        bound = np.partition(estimate, k - 1, axis=1)[:, k - 1] + 2.0 * err
+        candidate = estimate <= bound[:, None]
+        if not z_sq.max() + p_sq_max < 1e300:
+            candidate |= ~np.isfinite(estimate)
         # a bound that overflowed keeps every point of its row
         candidate[~np.isfinite(bound)] = True
         # row-major flat indices: c ascends within each row
@@ -242,19 +207,19 @@ def _predict_knn(params: dict, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_baseline_many(model: BaselineModel, rows: Features) -> np.ndarray:
-    """Probabilities of the positive class, aligned with ``rows``."""
-    if not len(rows):
+@np.errstate(over="ignore", invalid="ignore")
+def predict_baseline_many(model: BaselineModel, s: HvsmSet) -> np.ndarray:
+    """Probabilities of the positive class, aligned with ``s.keys``, for a
+    one-step set z-scored as the training set was.  An overflow warns of
+    nothing: a score it leaves non-finite is the caller's to reject."""
+    if not s.m:
         return np.empty(0)
-    if rows.schema != model.normalizer.schema:
-        raise ValueError("schema does not match the model's training schema")
-    Z = model.normalizer.transform(rows.values)
+    Z = _rows(s)
     p = model.params
     if model.kind == FEEDFORWARD_NN:
-        return forward(p["rnn"], Batch([Z[None]]))[1]
+        return predict_set(p["rnn"], s)
     if model.kind == LOGISTIC_REGRESSION:
         # row by row: ``Z @ w`` may round differently and move reported scores
         return np.asarray([1.0 / (1.0 + np.exp(-(p["weights"] @ z + p["bias"]))) for z in Z])
     predict = _predict_gaussian_nb if model.kind == GAUSSIAN_NB else _predict_knn
     return predict(p, Z)
-

@@ -2,8 +2,9 @@
 
 For every project the driver anchors the training set at its second-to-last
 configured version and the test set at the last one (both overridable),
-trains the recurrent classifier on metric sequences and each baseline on
-the anchor version's rows of its value matrix, repeats seeded runs for the
+trains the recurrent classifier on the sets' metric sequences and each
+baseline on their anchor steps (each file's last step, its row at the
+anchor version), repeats seeded runs for the
 techniques with randomness, and aggregates cost-effectiveness,
 recall-at-effort and ROC area into ranking tables (means, average ranks,
 Scott-Knott groups, Win/Tie/Loss counts).  Every technique fits and
@@ -16,11 +17,10 @@ metric's ranking tables come from one comparison,
 same two, so every reported number has one implementation.
 
 Within a project, everything that a repeat's seed does not change is built
-once: the stacked sequence sets, the baselines' feature matrices (gathered
-from the anchor versions' matrices) with their z-scoring, and the test
-files' evaluation columns (line and bug counts read off the test version's
-arrays) with their optimal ordering.  These live only as long as the
-project's run.
+once: the two stacked sequence sets and their anchor steps, each z-scored
+once by a fit on its training side, and the test files' evaluation columns
+(line and bug counts read off the test version's arrays) with their
+optimal ordering.  These live only as long as the project's run.
 
 Projects share nothing, so they run in forked worker processes, at most
 one per usable CPU, each taking the next project when it has finished one;
@@ -49,6 +49,7 @@ import multiprocessing as mp
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -78,6 +79,7 @@ from .effort import (
     scored_files,
 )
 from .history import (
+    anchor_step,
     apply_normalizer,
     average_length,
     developing_fraction,
@@ -367,10 +369,13 @@ def _technique_entry(
     """A technique's report entry from each run's test-file probabilities,
     scoring ``frame``: its runs' metrics, their means and the mean score per
     file.  A single run is a deterministic technique's, and stands for all
-    ``repeats``."""
+    ``repeats``.  A run with a non-finite score is rejected."""
     runs = []
     score_sum = np.zeros(len(frame))
     for probs in probs_by_run:
+        bad = len(probs) - np.count_nonzero(np.isfinite(probs))
+        if bad:
+            raise ValueError(f"{bad} of {len(probs)} test files got a non-finite score")
         runs.append(evaluate_scores(frame.with_scores(probs), labels))
         score_sum += probs
     mean_scores = score_sum / len(runs)
@@ -537,9 +542,9 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
 
     test_snapshot = history.snapshot(spec.test_version)
     keys, labels = test_set.keys, test_set.labels  # the labels score every run's AUC
-    test_rows = [test_snapshot.files[key] for key in keys]
-    locs = test_snapshot.loc[test_rows].tolist()
-    bug_counts = test_snapshot.bugs[test_rows].tolist()
+    file_rows = [test_snapshot.files[key] for key in keys]
+    locs = test_snapshot.loc[file_rows].tolist()
+    bug_counts = test_snapshot.bugs[file_rows].tolist()
     n_defective = int(labels.sum())
     if n_defective == 0:
         raise ValueError("all-clean test set: CE undefined")
@@ -573,31 +578,36 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
     )
 
     # every technique is a (fit, predict) pair, fit returning the model of
-    # each run's hyperparameters.  The rnn trains every run before any
-    # predicts, so its normalized training stacks are freed first.
+    # each run's hyperparameters.  The rnn reads each sample's sequence and a
+    # baseline its anchor step; each set is z-scored once, by a fit on its
+    # training side, for every kind and run.  The rnn trains every run
+    # before any predicts, and its z-scored test set and the anchor steps
+    # are built on first use, so none of them is held while the rnn trains,
+    # when a worker's memory peaks.
     normalizer = fit_normalizer(train_set)
 
     def fit_rnn(runs):
-        train_norm = apply_normalizer(normalizer, train_set)
-        return [train(train_norm, h).params for h in runs]
+        train_seqs = apply_normalizer(normalizer, train_set)
+        return [train(train_seqs, h).params for h in runs]
 
-    # the baselines score the anchor versions' rows; every kind and run
-    # shares the two feature matrices and what the training one derives
-    train_snapshot = history.snapshot(spec.train_version)
-    train_rows = [train_snapshot.files[key] for key in sorted(train_snapshot.files)]
-    train_features = bl.Features(
-        values=train_snapshot.values[train_rows],
-        schema=train_snapshot.schema,
-        labels=(train_snapshot.bugs[train_rows] > 0).astype(float),
-    )
-    test_features = bl.Features(values=test_snapshot.values[test_rows], schema=test_snapshot.schema)
-    pairs = {RNN_TECHNIQUE: (fit_rnn, lambda params: predict_set(params, test_set, normalizer))}
+    @cache
+    def test_seqs():
+        return apply_normalizer(normalizer, test_set)
+
+    @cache
+    def anchor_rows():
+        """The training and test anchor steps, z-scored by a fit on the first."""
+        train_anchor = anchor_step(train_set)
+        z = fit_normalizer(train_anchor)
+        return apply_normalizer(z, train_anchor), apply_normalizer(z, anchor_step(test_set))
+
+    pairs = {RNN_TECHNIQUE: (fit_rnn, lambda params: predict_set(params, test_seqs()))}
     for kind in cfg.baseline_kinds:
         pairs[kind] = (
             lambda runs, kind=kind: [
-                bl.train_baseline(kind, train_features, h, k=cfg.knn_k) for h in runs
+                bl.train_baseline(kind, anchor_rows()[0], h, k=cfg.knn_k) for h in runs
             ],
-            lambda model: bl.predict_baseline_many(model, test_features),
+            lambda model: bl.predict_baseline_many(model, anchor_rows()[1]),
         )
     for technique, (fit, predict) in pairs.items():
         # a technique with randomness runs once per repeat, any other once

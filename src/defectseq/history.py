@@ -10,8 +10,10 @@ stacked into one ``(T, n, d)`` array per sequence length
 (``HvsmSet.by_length``), the only record of a sample's length.  Extraction
 finds every file's run with one membership gather per earlier version,
 over the files whose run is still open, then gathers each stack straight
-from the version matrices, one gather per length and step.  Normalization
-transforms the stacks; training and prediction on a set, in every repeat,
+from the version matrices, one gather per length and step.  A set's anchor
+step (``anchor_step``) is each sample's last step as a one-step set, the
+rows the single-version baselines read.  Normalization transforms the
+stacks once per set; training and prediction on a set, in every repeat,
 read those stacks.  A sample's ``Hvsm`` record is a view of these arrays,
 built only when read.
 """
@@ -85,10 +87,6 @@ class HvsmSet:
     @property
     def m(self) -> int:
         return len(self.keys)
-
-    @property
-    def anchor_version(self) -> str:
-        return self.version_ids[-1]
 
     @cached_property
     def lengths(self) -> np.ndarray:
@@ -195,6 +193,17 @@ def extract_hvsm_set(
         schema=anchor.schema,
         by_length=tuple(by_length),
     )
+
+
+def anchor_step(s: HvsmSet) -> HvsmSet:
+    """Each sample's last step, its file's row at the anchor, as a set of
+    one-step samples with the same keys, labels and order: what extracting
+    with a window of 1 gives.  The single-version baselines read this."""
+    step = np.empty((1, s.m, len(s.schema)))
+    for idx, X in s.by_length:
+        step[0, idx] = X[-1]
+    by_length = ((np.arange(s.m), step),) if s.m else ()
+    return HvsmSet(s.version_ids[-1:], s.keys, s.labels, s.schema, by_length)
 
 
 def average_length(s: HvsmSet) -> float:

@@ -25,9 +25,10 @@ The batch owns its ``Sweep``: every work array and every view that one
 sweep reads or writes, built once per parameter shape, so a gradient is
 products and ufuncs writing with ``out=``.
 Every sum over samples keeps the order of a pass per length group, so the
-sweep's numbers equal that loop's bit for bit.  Prediction runs the same
-sweep over the test set's own stacks, so repeats on the same sets restack
-nothing.  The finite-difference checker differentiates ``batch_gradient``
+sweep's numbers equal that loop's bit for bit.  ``train`` and
+``predict_set`` take sets that the caller has z-scored once, and read
+their stacks as they are; each call still builds its own batch and
+``Sweep``.  The finite-difference checker differentiates ``batch_gradient``
 itself, on a batch of mixed lengths and labels with the L2 term on, so it
 verifies the code the trainer runs.
 
@@ -48,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .history import HvsmSet, Normalizer
+from .history import HvsmSet
 
 # log-loss clamp; keeps log() finite when sigmoid saturates to 0 or 1
 PROB_EPS = 1e-12
@@ -563,18 +564,17 @@ def train(train_set: HvsmSet, h: Hyperparams) -> TrainResult:
     return TrainResult(params=RnnParams(theta, *shape), loss_history=history)
 
 
-def predict_set(p: RnnParams, s: HvsmSet, n: Normalizer) -> np.ndarray:
-    """Probability that each sample's file is defective at its anchor,
-    in sample order (aligned with ``s.keys``)."""
+def predict_set(p: RnnParams, s: HvsmSet) -> np.ndarray:
+    """Probability that each sample's file is defective at its anchor, in
+    sample order (aligned with ``s.keys``), for a set z-scored as the
+    training set was."""
     if not s.m:
         return np.empty(0)
-    if s.schema != n.schema:
-        raise ValueError("set schema does not match the normalizer")
     if len(s.schema) != p.input_dim:
         raise ValueError(f"input dim {len(s.schema)} does not match U ({p.input_dim})")
     probs = np.empty(s.m)
     _, probs[np.concatenate([idx for idx, _ in s.by_length])] = forward(
-        p, Batch([n.transform(X) for _, X in s.by_length])
+        p, Batch([X for _, X in s.by_length])
     )
     return probs
 

@@ -57,7 +57,7 @@ def lifecycle_states(history: ProjectHistory, s: HvsmSet) -> dict[str, str]:
     version is dead."""
     lengths = {item.key: item.length for item in s.items}
     states = {key: "developing" if T > 1 else "newborn" for key, T in lengths.items()}
-    for snap in history.versions[: history.index(s.anchor_version)]:
+    for snap in history.versions[: history.index(s.version_ids[-1])]:
         states.update((key, "dead") for key in snap.files if key not in lengths)
     return states
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defectseq.baselines import LOGISTIC_REGRESSION, Features, predict_baseline_many, train_baseline
+from defectseq.baselines import LOGISTIC_REGRESSION, predict_baseline_many, train_baseline
 from defectseq.dataset import PROMISE_CODE_METRICS
 from defectseq.effort import CE_CUTOFFS, auc, ce_pi
 from defectseq.experiment import (
@@ -23,7 +23,13 @@ from defectseq.experiment import (
     emit_report,
     run_experiment,
 )
-from defectseq.history import apply_normalizer, extract_hvsm_set, fit_normalizer, lifecycle_counts
+from defectseq.history import (
+    anchor_step,
+    apply_normalizer,
+    extract_hvsm_set,
+    fit_normalizer,
+    lifecycle_counts,
+)
 from defectseq.rnn import Hyperparams, gradient_check, predict_set, train
 
 from helpers import hvsm_set, lifecycle_states, toy_history, trend_samples, write_trend_project
@@ -132,23 +138,22 @@ def test_criterion_5_sequence_information_learnability():
 
         normalizer = fit_normalizer(train_set)
         train_norm = apply_normalizer(normalizer, train_set)
+        test_norm = apply_normalizer(normalizer, test_set)
         aucs = []
         for r in range(10):
             h = Hyperparams(seed=100 + r)
             result = train(train_norm, h)
-            probs = predict_set(result.params, test_set, normalizer)
+            probs = predict_set(result.params, test_norm)
             aucs.append(auc(probs, test_labels))
         rnn_auc = float(np.mean(aucs))
 
-        schema = train_set.schema
-        features = Features(
-            values=np.array([rows[-1] for rows, _ in train_samples]),
-            schema=schema,
-            labels=np.array([label for _, label in train_samples], dtype=float),
+        # the single-version baseline reads each sequence's last step
+        train_rows, test_rows = anchor_step(train_set), anchor_step(test_set)
+        row_normalizer = fit_normalizer(train_rows)
+        lr = train_baseline(
+            LOGISTIC_REGRESSION, apply_normalizer(row_normalizer, train_rows), Hyperparams(seed=0)
         )
-        lr = train_baseline(LOGISTIC_REGRESSION, features, Hyperparams(seed=0))
-        test_rows = Features(values=np.array([rows[-1] for rows, _ in test_samples]), schema=schema)
-        lr_scores = predict_baseline_many(lr, test_rows)
+        lr_scores = predict_baseline_many(lr, apply_normalizer(row_normalizer, test_rows))
         lr_auc = auc(lr_scores, test_labels)
 
         print(f"    sequence-model mean AUC {rnn_auc:.3f}, single-version LR AUC {lr_auc:.3f}")

@@ -12,25 +12,31 @@ from defectseq.baselines import (
     GAUSSIAN_NB,
     KNN,
     LOGISTIC_REGRESSION,
-    Features,
     predict_baseline_many,
     train_baseline,
 )
+from defectseq.history import HvsmSet, apply_normalizer, fit_normalizer
 from defectseq.rnn import BLAS_THREAD_BOUND, Hyperparams, TrainingError
 
 SCHEMA = ("m0", "m1")
 
 
 def labeled(points, labels, schema=SCHEMA):
-    return Features(
-        values=np.asarray(points, dtype=float).reshape(-1, len(schema)),
-        schema=schema,
-        labels=np.asarray(labels, dtype=float),
-    )
+    """Labelled rows as a set of one-step samples, the form a baseline
+    trains on; the rows are used as given, without z-scoring."""
+    return rows(points, schema, np.asarray(labels, dtype=float))
 
 
-def rows(queries, schema=SCHEMA):
-    return Features(values=np.asarray(queries, dtype=float).reshape(-1, len(schema)), schema=schema)
+def rows(queries, schema=SCHEMA, labels=None):
+    X = np.asarray(queries, dtype=float).reshape(1, -1, len(schema))
+    n = X.shape[1]
+    stacks = ((np.arange(n), X),) if n else ()
+    return HvsmSet(("v",), tuple(f"f{i}" for i in range(n)), labels, schema, stacks)
+
+
+def z_scored(s, on=None):
+    """``s`` z-scored by a fit on ``on`` (default: ``s`` itself)."""
+    return apply_normalizer(fit_normalizer(s if on is None else on), s)
 
 
 def score(model, *values, schema=SCHEMA):
@@ -67,16 +73,17 @@ class TestLogisticRegression:
             train_baseline(LOGISTIC_REGRESSION, labeled([[0.0], [1.0]], [1, 1], schema=("m",)), h)
 
     def test_feature_rescaling_preserves_ranking(self, h, separable):
-        model = train_baseline(LOGISTIC_REGRESSION, separable, h)
+        model = train_baseline(LOGISTIC_REGRESSION, z_scored(separable), h)
         rng = np.random.default_rng(1)
         queries = rng.normal(size=(10, 2))
-        base = [score(model, *q) for q in queries]
+        base = predict_baseline_many(model, z_scored(rows(queries), on=separable)).tolist()
 
-        scaled = replace(separable, values=separable.values * [50, 0.02])
-        model_scaled = train_baseline(LOGISTIC_REGRESSION, scaled, h)
-        rescored = [
-            score(model_scaled, q[0] * 50, q[1] * 0.02) for q in queries
-        ]
+        ((idx, X),) = separable.by_length
+        scaled = replace(separable, by_length=((idx, X * [50, 0.02]),))
+        model_scaled = train_baseline(LOGISTIC_REGRESSION, z_scored(scaled), h)
+        rescored = predict_baseline_many(
+            model_scaled, z_scored(rows(queries * [50, 0.02]), on=scaled)
+        ).tolist()
         assert np.argsort(base).tolist() == np.argsort(rescored).tolist()
 
     def test_divergence_reports_iteration(self, h, separable):
@@ -92,7 +99,7 @@ class TestLogisticRegression:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 3)) * [1.0, 10.0, 0.1]
         y = (X[:, 0] + rng.normal(size=30) > 0).astype(float)
-        features = Features(values=X, schema=("a", "b", "c"), labels=y)
+        features = z_scored(labeled(X, y, schema=("a", "b", "c")))
         h = Hyperparams(eta=40.0, lam=1e-2, iterations=25)
         p = train_baseline(LOGISTIC_REGRESSION, features, h).params
         assert [x.hex() for x in p["weights"].tolist()] == [
@@ -178,7 +185,7 @@ class TestBatchedPrediction:
 
     @staticmethod
     def per_row(model, queries, row_formula):
-        Z = model.normalizer.transform(np.asarray(queries, dtype=float))
+        Z = np.asarray(queries, dtype=float)
         return np.asarray([row_formula(model.params, z) for z in Z])
 
     def test_nb_matches_row_formula(self, h):
@@ -327,9 +334,9 @@ class TestFeedforward:
 
     def test_matches_hidden_layer_formula(self, h, separable):
         model = train_baseline(FEEDFORWARD_NN, separable, h)
-        p, n = model.params["rnn"], model.normalizer
+        p = model.params["rnn"]
         for q in np.random.default_rng(6).normal(size=(5, 2)):
-            z = n.transform(q)
+            z = q
             expected = 1.0 / (1.0 + np.exp(-(float(p.V[0] @ np.tanh(p.U @ z + p.b)) + p.c)))
             assert score(model, *q) == pytest.approx(expected, rel=1e-12)
 
@@ -366,6 +373,21 @@ class TestCommon:
         np.testing.assert_allclose(probs, singles, rtol=1e-12, atol=0)
         assert predict_baseline_many(model, rows([])).shape == (0,)
 
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_only_one_step_sets_in_sample_order_accepted(self, kind, h, separable):
+        # two samples of two steps, then the one-step rows out of sample order
+        two_steps = HvsmSet(("u", "v"), ("a", "b"), np.array([0, 1]), SCHEMA, (
+            (np.arange(2), np.ones((2, 2, 2))),
+        ))
+        ((idx, X),) = separable.by_length
+        shuffled = replace(separable, by_length=((idx[::-1], X[:, ::-1]),))
+        for s in (two_steps, shuffled):
+            with pytest.raises(ValueError, match="one-step samples, in sample order"):
+                train_baseline(kind, s, h)
+        model = train_baseline(kind, separable, h)
+        with pytest.raises(ValueError, match="one-step samples, in sample order"):
+            predict_baseline_many(model, replace(two_steps, labels=None))
+
     def test_unknown_kind_rejected(self, h, separable):
         with pytest.raises(ValueError):
             train_baseline("forest", separable, h)
@@ -373,9 +395,8 @@ class TestCommon:
     @pytest.mark.parametrize("kind", BASELINE_KINDS)
     @pytest.mark.parametrize("bad", [2.0, np.nan, -1.0, 0.5])
     def test_label_other_than_0_or_1_rejected(self, kind, bad, h):
-        features = labeled([[0.0], [1.0], [2.0]], [0, 1, bad], schema=("m",))
-        with pytest.raises(ValueError, match="labels must be 0 or 1"):
-            train_baseline(kind, features, h)
+        with pytest.raises(ValueError, match="one 0/1 label per item"):
+            train_baseline(kind, labeled([[0.0], [1.0], [2.0]], [0, 1, bad], schema=("m",)), h)
 
     @pytest.mark.parametrize(
         "kind, message",

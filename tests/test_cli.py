@@ -643,6 +643,58 @@ def mutated_tables(draw, valid_rows):
     return data
 
 
+def write_projects(tmp_path, names, baselines="lr, nb, knn, nn"):
+    """A config with one trend project per name, each in its own directory
+    and with its own seed.  Returns the config path."""
+    lines = [
+        "seed: 3",
+        "repeats: 2",
+        "code_metrics: [loc, trend, n0, n1]",
+        f"baselines: [{baselines}]",
+        f"output: {tmp_path / 'out'}",
+        "hyperparams: {hidden_size: 4, eta: 0.5, iterations: 40}",
+        "projects:",
+    ]
+    for seed, name in enumerate(names, start=5):
+        (tmp_path / name).mkdir()
+        version_ids, paths, _ = write_trend_project(tmp_path / name, n_files=40, seed=seed)
+        lines += [f"  - name: {name}", "    versions:"]
+        lines += [f"      - {{id: {vid}, metrics: {name}/{paths[vid].name}}}" for vid in version_ids]
+    path = tmp_path / "config.yaml"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "two-workers"])
+def test_extreme_test_cell_fails_only_its_technique(tmp_path, monkeypatch, workers):
+    """A finite but extreme cell (1e200) in project a's test table makes
+    nb's score for that file NaN, as both classes' squared distances
+    overflow.  nb becomes a's technique error, printed as one warning line
+    with no numpy warning, and the run completes, with project b's entries
+    as in a run without the cell."""
+    monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, workers))
+    config = write_projects(tmp_path, ("a", "b"))
+    code, _, err = run_cli(["run", str(config), "--output", str(tmp_path / "plain")])
+    assert (code, err) == (0, "")
+    table = tmp_path / "a" / "trend-u4.csv"
+    lines = table.read_text(encoding="utf-8").splitlines()
+    name, loc, trend, n0, *rest = lines[1].split(",")
+    lines[1] = ",".join([name, loc, trend, "1e200", *rest])
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(["run", str(config)])
+    assert code == 0, err
+    message = "1 of 40 test files got a non-finite score"
+    assert err == f"warning: a/nb: {message}\n"
+    report, plain = (
+        json.loads((tmp_path / out / "report.json").read_text(encoding="utf-8"))
+        for out in ("out", "plain")
+    )
+    assert report["projects"]["b"] == plain["projects"]["b"]
+    techniques = report["projects"]["a"]["techniques"]
+    assert techniques.pop("nb") == {"error": message}
+    assert all("runs" in entry for entry in techniques.values())
+
+
 def run_cli(argv):
     """``main(argv)``'s exit code, stdout and stderr, any warning raised as
     an error."""

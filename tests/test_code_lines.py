@@ -1,0 +1,40 @@
+"""``tools/code_lines.py`` counts lines of code only."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+spec = importlib.util.spec_from_file_location("code_lines", TOOL)
+code_lines = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(code_lines)
+
+SOURCE = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+
+# a comment line
+class A:
+    """A class docstring."""
+
+    def f(self, x):
+        """A function docstring,
+        over two lines."""
+        text = """a string that is
+        not a docstring"""
+        return (x,
+                text)
+'''
+
+
+def test_counts_code_lines_only():
+    # import, class, def, the two lines of the string, the two of the return
+    assert code_lines.code_lines(SOURCE) == 7
+
+
+def test_docstring_or_comment_edits_move_nothing():
+    edited = SOURCE.replace("A class docstring.", "Longer.\n\n    Much longer.").replace(
+        "# a comment line", "# one\n# two\n"
+    )
+    assert code_lines.code_lines(edited) == code_lines.code_lines(SOURCE)

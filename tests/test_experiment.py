@@ -446,32 +446,22 @@ class TestBuiltOncePerProject:
 
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_sets_stacked_and_features_built_once(self, tmp_path, monkeypatch, repeats):
-        extracted, one_step, feature_rows, normalizers = [], [], [], []
-        real_extract = experiment.extract_hvsm_set
-        real_set = bl.HvsmSet
-        real_init = bl.Features.__init__
-        real_fit = bl.fit_normalizer_rows
+        names = ("extract_hvsm_set", "anchor_step", "fit_normalizer", "apply_normalizer")
+        calls = {name: [] for name in names}
 
-        def counting_init(self, *args, **kwargs):
-            real_init(self, *args, **kwargs)
-            feature_rows.append(len(self))
+        def counting(name):
+            real = getattr(experiment, name)
 
-        def extracting(*args):
-            s = real_extract(*args)
-            extracted.append(s.m)
-            return s
+            def call(*args):
+                s = real(*args)
+                # the set built, or for a fit the set it was fit on
+                calls[name].append(s.m if name != "fit_normalizer" else args[0].m)
+                return s
 
-        def one_step_set(*args, **kwargs):
-            s = real_set(*args, **kwargs)
-            one_step.append(s.m)
-            return s
+            return call
 
-        monkeypatch.setattr(experiment, "extract_hvsm_set", extracting)
-        monkeypatch.setattr(bl, "HvsmSet", one_step_set)
-        monkeypatch.setattr(bl.Features, "__init__", counting_init)
-        monkeypatch.setattr(
-            bl, "fit_normalizer_rows", lambda *a: normalizers.append(1) or real_fit(*a)
-        )
+        for name in calls:
+            monkeypatch.setattr(experiment, name, counting(name))
         cfg = trend_config(tmp_path, repeats=repeats)
         assert cfg.baseline_kinds == bl.BASELINE_KINDS
         report = run_experiment(cfg)  # one project runs inline
@@ -479,13 +469,14 @@ class TestBuiltOncePerProject:
         project = report["projects"]["trend"]
         assert all(len(t["runs"]) == repeats for t in project["techniques"].values())
         n_train, n_test = project["train"]["files"], project["test"]["files"]
-        # the rnn's training and test sets are gathered by length once, and
-        # the nn's one-step set is built once for all repeats
-        assert extracted == [n_train, n_test]
-        assert one_step == [n_train]
-        # the anchor rows to train on and to score, and one z-scoring for all
-        assert feature_rows == [n_train, n_test]
-        assert normalizers == [1]
+        # the training and test sets are gathered by length once, and their
+        # anchor steps taken once, for every technique and repeat
+        assert calls["extract_hvsm_set"] == [n_train, n_test]
+        assert calls["anchor_step"] == [n_train, n_test]
+        # one z-scoring fit for the sequences and one for the anchor rows,
+        # each applied once to its training and its test set
+        assert calls["fit_normalizer"] == [n_train, n_train]
+        assert sorted(calls["apply_normalizer"]) == sorted([n_train, n_train, n_test, n_test])
 
     def test_no_per_sample_record_is_built(self, tmp_path):
         # a run reads its sets' arrays; their Hvsm records are a view that

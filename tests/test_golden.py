@@ -1,13 +1,16 @@
 """Golden outputs: ``defectseq run`` through ``cli.main`` writes exactly the
 pinned bytes.
 
-Two small generated inputs, each run inline and with two forced workers:
+Three small generated inputs, each run inline and with two forced workers:
 
 - ``code``: two trend projects on the code metrics, two repeats, every
   baseline, Scott-Knott over pooled runs, and lr set to diverge, so its
   entries are errors and stderr carries one warning line per project;
 - ``code+process``: the same kind of projects with change tables attached
-  and a two-version ``len`` window.
+  and a two-version ``len`` window;
+- ``diverging-rnn``: the same kind of projects with the rnn set to diverge, so
+  no technique is compared against it: the Win/Tie/Loss table is empty and
+  ``win_tie_loss.csv`` holds only its header.
 
 The sha256 of every written file, the written paths and the exact stderr
 lines are pinned.  Training bits depend on numpy and its BLAS, so the
@@ -19,6 +22,7 @@ say why.
 import contextlib
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -56,9 +60,18 @@ def write_change_table(path, version_id, n_files, seed):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_input(root, metric_set):
-    """A two-project config under ``root``; ``metric_set`` is the config's
-    ``metrics``.  Returns the config path."""
+# each case's config lines beyond the shared ones
+CASES = {
+    "code": ["sk_pool_runs: true", "technique_hyperparams: {lr: {eta: 1e300}}"],
+    "code+process": ["metrics: code+process", "len: 2"],
+    "diverging-rnn": ["technique_hyperparams: {rnn: {eta: 1e300}}"],
+}
+
+
+def write_input(root, case):
+    """A two-project config under ``root`` for one of ``CASES``; a
+    ``code+process`` case gets a change table for every version but the
+    first.  Returns the config path."""
     n_files = 60
     lines = [
         "seed: 4",
@@ -68,10 +81,8 @@ def write_input(root, metric_set):
         "hyperparams: {hidden_size: 4, eta: 0.5, iterations: 30}",
         f"output: {root / 'out'}",
     ]
-    if metric_set == "code":
-        lines += ["sk_pool_runs: true", "technique_hyperparams: {lr: {eta: 1e300}}"]
-    else:
-        lines += ["metrics: code+process", "len: 2"]
+    lines += CASES[case]
+    with_process = "metrics: code+process" in CASES[case]
     lines.append("projects:")
     for p, name in enumerate(("alpha", "beta")):
         project = root / name
@@ -80,7 +91,7 @@ def write_input(root, metric_set):
         lines += [f"  - name: {name}", "    versions:"]
         for v, vid in enumerate(version_ids):
             entry = f"      - {{id: {vid}, metrics: {name}/{paths[vid].name}"
-            if metric_set == "code+process" and v:
+            if with_process and v:
                 write_change_table(project / f"changes-{vid}.csv", vid, n_files, 10 * p + v)
                 entry += f", process: {name}/changes-{vid}.csv"
             lines.append(entry + "}")
@@ -90,6 +101,7 @@ def write_input(root, metric_set):
 
 
 LR_ERROR = "warning: {}/lr: non-finite loss at iteration 0"
+RNN_ERROR = "warning: {}/rnn: non-finite loss at iteration 0"
 
 GOLDEN = {
     "code": {
@@ -154,19 +166,48 @@ GOLDEN = {
                 "977b38c989aadc039d8f7ee9d8a0c1dbfae450ee1e5cbb01211cb6ae60903522",
         },
     },
+    "diverging-rnn": {
+        "stderr": [RNN_ERROR.format("alpha"), RNN_ERROR.format("beta")],
+        "sha256": {
+            "ce_curves/alpha_knn.csv":
+                "7fa1119a89bfb02bdb3eb4bf875300611d20154630ae5460f8034496adcc6bc4",
+            "ce_curves/alpha_lr.csv":
+                "cae20bcb09b02d06939240fe9ca9dbb11d7ea062ec54543dd8d9bc0a0486fae1",
+            "ce_curves/alpha_nb.csv":
+                "1e5d01322bc38e0a0dc61bff779a17a1126aba00d85556fdb225c4966e27ada8",
+            "ce_curves/alpha_nn.csv":
+                "8929e68aa1ce46306932a9620ef3a32b6efcdb9cdf7ed4218c0323d34ea18742",
+            "ce_curves/beta_knn.csv":
+                "2681f4ad5308bb4fddccc0cf92bc6c7d1ab1e1443565e3b9496b92fcf4d8aae8",
+            "ce_curves/beta_lr.csv":
+                "3e521c0e9710bbd186d58f1abfae21db2d97603089b11bd6b4f7f00906ae9fa2",
+            "ce_curves/beta_nb.csv":
+                "c0cfd879fe43fae34e1946e4555ec874085ddbfb13cd20b0a0b6228cd3a64939",
+            "ce_curves/beta_nn.csv":
+                "1c13ce7818889b5a9252317d714b8480ab635a9f5b6ab5afb806e975c944fa2d",
+            "report.json":
+                "fa749ed0fce68ab2286bfef6cc30fce5c715834ccb2601ec63664b8a32607d0b",
+            "sk_groups.txt":
+                "437150a8ce84d0fd6ecc37b19267aa5b32eaa1556a0b125ee88b75e581468334",
+            "summary.csv":
+                "203ff548e242b43dae55805a2efd1abb7171c1f90b291459ca4d3b715e6f9a0f",
+            "win_tie_loss.csv":
+                "4290f31f4add60f05b7072d869e1751ea302efe127903d3b6bf4e481973a1816",
+        },
+    },
 }
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "two-workers"])
-@pytest.mark.parametrize("metric_set", list(GOLDEN))
-def test_run_writes_the_golden_outputs(tmp_path, monkeypatch, metric_set, workers):
-    config = write_input(tmp_path, metric_set)
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_run_writes_the_golden_outputs(tmp_path, monkeypatch, case, workers):
+    config = write_input(tmp_path, case)
     monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, workers))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["run", str(config)])
     assert code == 0
-    assert err.getvalue().splitlines() == GOLDEN[metric_set]["stderr"]
+    assert err.getvalue().splitlines() == GOLDEN[case]["stderr"]
     root = tmp_path / "out"
     hashes = {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -177,4 +218,11 @@ def test_run_writes_the_golden_outputs(tmp_path, monkeypatch, metric_set, worker
         path[len(str(root)) + 1 :] for path in out.getvalue().splitlines() if path.startswith(str(root))
     ]
     assert sorted(printed) == sorted(hashes) and len(printed) == len(out.getvalue().splitlines())
-    assert hashes == GOLDEN[metric_set]["sha256"]
+    assert hashes == GOLDEN[case]["sha256"]
+    if case == "diverging-rnn":
+        report = json.loads((root / "report.json").read_text(encoding="utf-8"))
+        assert all("error" in p["techniques"]["rnn"] for p in report["projects"].values())
+        assert report["aggregates"]["win_tie_loss"] == {}
+        assert (root / "win_tie_loss.csv").read_text(encoding="utf-8").splitlines() == [
+            "baseline,metric,win,tie,loss"
+        ]

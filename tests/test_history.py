@@ -9,6 +9,7 @@ from defectseq.dataset import ProjectHistory
 from defectseq.history import (
     Hvsm,
     HvsmSet,
+    anchor_step,
     apply_normalizer,
     average_length,
     developing_fraction,
@@ -230,26 +231,33 @@ def walked_set(history, v, window):
     return ids, keys, labels, by_length
 
 
+def drawn_history(presence, seed) -> ProjectHistory:
+    """File f{j} is present in version v{i} where presence[j][i]; rows are
+    shuffled per version, so a file's row differs across versions."""
+    rng = np.random.default_rng(seed)
+    versions = []
+    for i in range(6):
+        keys = [f"f{j:02d}" for j, row in enumerate(presence) if row[i]]
+        keys = [keys[k] for k in rng.permutation(len(keys))]
+        rows = {key: rng.uniform(0, 100, size=2).tolist() for key in keys}
+        bugs = {key: int(rng.integers(0, 3)) for key in keys}
+        versions.append(snapshot(f"v{i}", ("loc", "x"), rows, bugs))
+    return ProjectHistory("drawn", tuple(versions))
+
+
+drawn = given(
+    presence=st.lists(st.lists(st.booleans(), min_size=6, max_size=6), max_size=12),
+    anchor=st.integers(0, 5),
+    window=st.none() | st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+
+
 class TestExtractionMatchesWalk:
     @settings(max_examples=60, deadline=None)
-    @given(
-        presence=st.lists(st.lists(st.booleans(), min_size=6, max_size=6), max_size=12),
-        anchor=st.integers(0, 5),
-        window=st.none() | st.integers(1, 7),
-        seed=st.integers(0, 2**16),
-    )
+    @drawn
     def test_same_arrays_bit_for_bit(self, presence, anchor, window, seed):
-        # file f{j} is present in version v{i} where presence[j][i]; rows
-        # are shuffled per version, so a file's row differs across versions
-        rng = np.random.default_rng(seed)
-        versions = []
-        for i in range(6):
-            keys = [f"f{j:02d}" for j, row in enumerate(presence) if row[i]]
-            keys = [keys[k] for k in rng.permutation(len(keys))]
-            rows = {key: rng.uniform(0, 100, size=2).tolist() for key in keys}
-            bugs = {key: int(rng.integers(0, 3)) for key in keys}
-            versions.append(snapshot(f"v{i}", ("loc", "x"), rows, bugs))
-        history = ProjectHistory("drawn", tuple(versions))
+        history = drawn_history(presence, seed)
         s = extract_hvsm_set(history, f"v{anchor}", window)
         ids, keys, labels, by_length = walked_set(history, f"v{anchor}", window or anchor + 1)
         assert s.version_ids == ids and s.keys == keys
@@ -258,6 +266,21 @@ class TestExtractionMatchesWalk:
         for (idx, X), (ref_idx, ref_X) in zip(s.by_length, by_length):
             assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
             assert X.shape == ref_X.shape and X.tobytes() == ref_X.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @drawn
+    def test_anchor_step_is_a_window_of_one(self, presence, anchor, window, seed):
+        # the baselines' rows: each sample's last step, as extracting only
+        # the anchor version gives them
+        history = drawn_history(presence, seed)
+        got = anchor_step(extract_hvsm_set(history, f"v{anchor}", window))
+        want = extract_hvsm_set(history, f"v{anchor}", 1)
+        assert got.version_ids == want.version_ids and got.keys == want.keys
+        assert got.labels.dtype == want.labels.dtype and np.array_equal(got.labels, want.labels)
+        assert len(got.by_length) == len(want.by_length)
+        for (idx, X), (want_idx, want_X) in zip(got.by_length, want.by_length):
+            assert np.array_equal(idx, want_idx)
+            assert X.shape == want_X.shape and X.tobytes() == want_X.tobytes()
 
 
 class TestNormalizer:

@@ -22,7 +22,6 @@ import pytest
 from defectseq.baselines import (
     FEEDFORWARD_NN,
     KNN,
-    Features,
     _train_logistic,
     predict_baseline_many,
     train_baseline,
@@ -43,7 +42,7 @@ from defectseq.effort import (
 )
 from defectseq import experiment, rnn
 from defectseq.experiment import ExperimentConfig, ProjectSpec, VersionEntry, _write_json
-from defectseq.history import extract_hvsm_set
+from defectseq.history import HvsmSet, anchor_step, extract_hvsm_set
 from defectseq.rnn import (
     Hyperparams,
     RnnParams,
@@ -57,6 +56,13 @@ from defectseq.stats import chi2_ppf, scott_knott
 from helpers import hvsm_set, sized_report, standin_sized_report
 
 SCHEMA = tuple(f"m{i}" for i in range(20))
+
+
+def one_step(values, labels=None):
+    """Rows as a set of one-step samples, the form a baseline reads."""
+    n = len(values)
+    stacks = ((np.arange(n), values[None]),)
+    return HvsmSet(("v",), tuple(map(str, range(n))), labels, SCHEMA, stacks)
 
 
 def test_ce_report_values_2000_files(benchmark):
@@ -137,13 +143,9 @@ def test_init_params_twice_per_seed(benchmark):
 
 def test_knn_predict_1700_by_560(benchmark):
     rng = np.random.default_rng(1)
-    train = Features(
-        values=rng.normal(size=(560, 20)),
-        schema=SCHEMA,
-        labels=rng.integers(0, 2, size=560).astype(float),
-    )
+    train = one_step(rng.normal(size=(560, 20)), rng.integers(0, 2, size=560).astype(float))
     model = train_baseline(KNN, train, Hyperparams())
-    queries = Features(values=rng.normal(size=(1700, 20)), schema=SCHEMA)
+    queries = one_step(rng.normal(size=(1700, 20)))
     probs = benchmark.pedantic(predict_baseline_many, args=(model, queries), rounds=3)
     assert probs.shape == (1700,)
 
@@ -153,13 +155,9 @@ def test_nn_predict_1700_rows_after_idle(benchmark):
     # projection once crossed OpenBLAS's threading bound, and waking the
     # second thread after an idle spell stalled the call for milliseconds
     rng = np.random.default_rng(8)
-    train = Features(
-        values=rng.normal(size=(560, 20)),
-        schema=SCHEMA,
-        labels=rng.integers(0, 2, size=560).astype(float),
-    )
+    train = one_step(rng.normal(size=(560, 20)), rng.integers(0, 2, size=560).astype(float))
     model = train_baseline(FEEDFORWARD_NN, train, Hyperparams(iterations=5))
-    queries = Features(values=rng.normal(size=(1700, 20)), schema=SCHEMA)
+    queries = one_step(rng.normal(size=(1700, 20)))
 
     def idle():
         time.sleep(0.002)
@@ -260,13 +258,12 @@ def wide_eval_sized_history():
 
 def test_extract_and_one_step_wide_eval_sized(benchmark):
     # a run's set building outside training: the test anchor's 1700 samples,
-    # and the nn's one-step set of the anchor's rows
+    # and the baselines' one-step set of their anchor steps
     history = wide_eval_sized_history()
-    anchor = history.versions[-1]
 
     def build():
-        features = Features(anchor.values, anchor.schema, (anchor.bugs > 0).astype(float))
-        return extract_hvsm_set(history, "3"), features.one_step
+        s = extract_hvsm_set(history, "3")
+        return s, anchor_step(s)
 
     test_set, one_step = benchmark.pedantic(build, rounds=10)
     assert test_set.m == one_step.m == 1700

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from defectseq import rnn
-from defectseq.history import HvsmSet, Normalizer
+from defectseq.history import HvsmSet, Normalizer, apply_normalizer
 from defectseq.rnn import (
     Batch,
     Hyperparams,
@@ -350,9 +350,8 @@ class TestForward:
 
     def test_dimension_mismatch_rejected(self):
         p = init_params(Hyperparams(hidden_size=2), 3)
-        n = Normalizer(mean=np.zeros(4), std=np.ones(4), schema=tuple(f"m{i}" for i in range(4)))
         with pytest.raises(ValueError):
-            predict_set(p, hvsm_set([(np.ones((2, 4)), None)]), n)
+            predict_set(p, hvsm_set([(np.ones((2, 4)), None)]))
 
 
 class TestLoss:
@@ -547,10 +546,8 @@ class TestSweepMatchesLoop:
         # a second call reuses the batch's work arrays
         assert hex_gradients(*batch_gradient(p, batch, lam)) == expected
 
-        schema = tuple(f"m{i}" for i in range(input_dim))
         samples = [(X[:, i, :], None) for X, _ in groups for i in range(X.shape[1])]
-        n = Normalizer(mean=np.zeros(input_dim), std=np.ones(input_dim), schema=schema)
-        got = predict_set(p, hvsm_set(samples), n)
+        got = predict_set(p, hvsm_set(samples))
         want = np.concatenate([loop_group_forward(p, X)[1] for X, _ in groups])
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -612,10 +609,8 @@ class TestBlockedProducts:
         want = [x.hex() for X, _ in groups for x in loop_group_forward(p, X)[1]]
         assert [x.hex() for x in forward(p, batch)[1]] == want
 
-        schema = tuple(f"m{i}" for i in range(20))
         samples = [(X[:, i, :], None) for X, _ in groups for i in range(X.shape[1])]
-        n = Normalizer(mean=np.zeros(20), std=np.ones(20), schema=schema)
-        assert [x.hex() for x in predict_set(p, hvsm_set(samples), n)] == want
+        assert [x.hex() for x in predict_set(p, hvsm_set(samples))] == want
 
         expected = hex_gradients(*loop_batch_gradient(p, groups, 1e-4))
         assert hex_gradients(*batch_gradient(p, batch, 1e-4)) == expected
@@ -766,7 +761,8 @@ class TestPredict:
 
     @staticmethod
     def predict_one(p, rows, n, schema=None) -> float:
-        return float(predict_set(p, hvsm_set([(rows, None)], schema=schema), n)[0])
+        s = apply_normalizer(n, hvsm_set([(rows, None)], schema=schema))
+        return float(predict_set(p, s)[0])
 
     def test_zero_weights_give_half(self):
         p = init_params(Hyperparams(hidden_size=3, init_scale=0.0), 2)
@@ -788,7 +784,7 @@ class TestPredict:
         rows = rng.normal(size=(2, 2))
         alone = self.predict_one(p, rows, n)
         together = predict_set(
-            p, hvsm_set([(rows, 1), (rng.normal(size=(4, 2)), 0)]), n
+            p, apply_normalizer(n, hvsm_set([(rows, 1), (rng.normal(size=(4, 2)), 0)]))
         )
         assert together[0] == pytest.approx(alone, rel=1e-12)
         assert alone == pytest.approx(ref_forward(p, rows)[1], rel=1e-12)
@@ -799,7 +795,7 @@ class TestPredict:
         n = self.identity_normalizer(3)
         samples = [(rng.normal(size=(T, 3)), 0) for T in (1, 3, 2, 3, 1)]
         s = hvsm_set(samples)
-        batch = predict_set(p, s, n)
+        batch = predict_set(p, apply_normalizer(n, s))
         for prob, (rows, _) in zip(batch, samples):
             assert prob == pytest.approx(self.predict_one(p, rows, n), rel=1e-12)
             assert prob == pytest.approx(ref_forward(p, rows)[1], rel=1e-12)
