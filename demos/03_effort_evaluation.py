@@ -12,38 +12,40 @@ from defectseq.effort import (
     acc_at_effort,
     auc,
     ce_curve,
-    ce_pi,
+    ce_report_values,
     rank_by_density,
     scored_files,
 )
 
-# one column per field, one entry per file
+# one column per field, one entry per file; the model's scores are kept
+# apart, since one test set may be scored many times
 FILES, _ = scored_files(
     keys=["app/Main.java", "app/View.java", "app/Model.java"],
-    scores=[0.9, 0.5, 0.9],
     locs=[10, 10, 80],
     bugs=[1, 0, 1],
 )
+SCORES = [0.9, 0.5, 0.9]
 
 
 def main() -> None:
-    ranking = rank_by_density(FILES)
+    order = rank_by_density(FILES, SCORES)
     print("=== density ranking (score per line, descending) ===")
-    for key, score, loc in zip(ranking.keys, ranking.score, ranking.loc):
+    for i in order:
+        key, score, loc = FILES.keys[i], SCORES[i], FILES.loc[i]
         print(f"  {key:16s} score={score:.2f} loc={loc:3d} density={score / loc:.4f}")
 
     print("\n=== cumulative inspection curve ===")
-    curve = ce_curve(ranking)
-    for x, y in curve.points:
+    for x, y in ce_curve(FILES, order):
         print(f"  {x:5.2f} of lines inspected -> {y:5.2f} of bugs found")
 
     print("\n=== cost-effectiveness at the usual budgets ===")
+    ce = ce_report_values(FILES, order)
     for pi in CE_CUTOFFS:
-        print(f"  CE at {pi:>4}: {ce_pi(FILES, pi):.4f}")
+        print(f"  CE at {pi:>4}: {ce[format(pi, 'g')]:.4f}")
 
     labels = (FILES.bugs > 0).astype(int).tolist()
-    print(f"\nrecall at 20% effort: {acc_at_effort(FILES):.3f}")
-    print(f"ROC area:             {auc(FILES.score, labels):.3f}")
+    print(f"\nrecall at 20% effort: {acc_at_effort(FILES, order):.3f}")
+    print(f"ROC area:             {auc(SCORES, labels):.3f}")
 
 
 if __name__ == "__main__":

@@ -95,8 +95,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for (i, _), label in zip(rows, labels):
         if label > 1:
             raise ParseError(f"row {i}, column 'label': expected 0 or 1, got {label}")
-    files, n_adjusted = scored_files([r["name"] for _, r in rows], scores, locs, bugs)
-    result = experiment.evaluate_scores(files, labels)
+    files, n_adjusted = scored_files([r["name"] for _, r in rows], locs, bugs)
+    result = experiment.evaluate_scores(files, scores, labels)
     result["zero_loc_files_adjusted"] = n_adjusted
     print(json.dumps(result, sort_keys=True, indent=2))
     return 0

@@ -7,17 +7,16 @@ the first pi fraction of total LOC.  ACC is the defective-file recall at a
 20% inspection budget and AUC the usual rank-sum ROC area with ties
 counting one half.
 
-Everything runs on columns (:class:`ScoredColumns`: key, score, LOC and bug
-arrays).  A column set's files are laid out once in tie order (the smaller
-file first, then the key), each ordering is one stable sort of the
-densities in that layout, and each ordering becomes one cumulative-sum
-curve; every CE cutoff is then read from the running sum of that curve's
-trapezoids with ``np.searchsorted``, and ACC from the cumulative LOC of the
-same ranking.  Every evaluation function takes columns, which
-:func:`scored_files` builds from parallel sequences.
-``ScoredColumns.with_scores`` rescores the same files and shares what does
-not depend on the scores (tie order, optimal ordering and its CE areas), so
-many evaluations of one test set build those once.
+A test set is one column set (:class:`ScoredColumns`: key, LOC and bug
+arrays, built by :func:`scored_files`), shared by every scoring of it.
+Its files are laid out once in tie order (the smaller file first, then the
+key).  :func:`rank_by_density` turns one scoring into an inspection order,
+an index array: one stable sort of the densities in that layout.  Each
+ordering becomes one cumulative-sum curve (:func:`ce_curve`); every CE
+cutoff is then read from the running sum of that curve's trapezoids with
+``np.searchsorted``, and ACC from the cumulative LOC of the same order.
+The optimal ordering and its CE areas depend only on the columns, so many
+scorings of one test set build them once.
 """
 
 from __future__ import annotations
@@ -40,15 +39,17 @@ class UndefinedCeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ScoredColumns:
-    """Parallel per-file columns: keys, scores, LOC (>= 1) and bug counts."""
+    """Parallel per-file columns of one test set: keys, LOC (>= 1) and bug
+    counts.  Every scoring of the set reads them, and what does not depend
+    on a scoring (tie order, optimal ordering and its CE areas) is built at
+    most once per column set."""
 
     keys: tuple[str, ...]
-    score: np.ndarray
     loc: np.ndarray
     bugs: np.ndarray
 
     def __post_init__(self):
-        if not len(self.keys) == len(self.score) == len(self.loc) == len(self.bugs):
+        if not len(self.keys) == len(self.loc) == len(self.bugs):
             raise ValueError("columns differ in length")
         checks = (("loc must be >= 1", self.loc < 1), ("negative bug count", self.bugs < 0))
         for message, bad in checks:
@@ -64,47 +65,17 @@ class ScoredColumns:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def take(self, order: np.ndarray) -> ScoredColumns:
-        return ScoredColumns(
-            keys=tuple(map(self.keys.__getitem__, order.tolist())),
-            score=self.score[order],
-            loc=self.loc[order],
-            bugs=self.bugs[order],
-        )
-
-    def with_scores(self, score: np.ndarray) -> ScoredColumns:
-        """The same files under new scores.  What does not depend on the
-        scores (tie order, optimal ordering and its CE areas) is shared with
-        this column set, built at most once for both."""
-        scored = ScoredColumns(
-            keys=self.keys, score=np.asarray(score, dtype=float), loc=self.loc, bugs=self.bugs
-        )
-        for name in ("_tie_order", "optimal", "_optimal_areas"):
-            scored.__dict__[name] = getattr(self, name)
-        return scored
-
     @cached_property
     def _tie_order(self) -> np.ndarray:
-        # how both orderings break density ties: the smaller file first,
+        # how every ordering breaks density ties: the smaller file first,
         # then the key; equal keys keep their input order
         by_key = np.array(sorted(range(len(self)), key=self.keys.__getitem__), dtype=np.intp)
         return by_key[np.argsort(self.loc[by_key], kind="stable")]
 
-    def _by_density(self, numerator: np.ndarray) -> np.ndarray:
-        # numerator/loc descending, then the tie order: one stable sort of
-        # the densities laid out in tie order
-        tie = self._tie_order
-        return tie[np.lexsort((-(numerator[tie] / self.loc[tie]),))]
-
-    @cached_property
-    def ranking(self) -> np.ndarray:
-        """Inspection order: predicted density (score per line) descending."""
-        return self._by_density(self.score)
-
     @cached_property
     def optimal(self) -> np.ndarray:
         """Best achievable inspection order: actual bug density descending."""
-        return self._by_density(self.bugs)
+        return rank_by_density(self, self.bugs)
 
     @cached_property
     def _optimal_areas(self) -> dict[tuple[float, ...], list[float]]:
@@ -113,10 +84,7 @@ class ScoredColumns:
 
 
 def scored_files(
-    keys: Sequence[str],
-    scores: Sequence[float],
-    locs: Sequence[int],
-    bugs: Sequence[int],
+    keys: Sequence[str], locs: Sequence[int], bugs: Sequence[int]
 ) -> tuple[ScoredColumns, int]:
     """Bundle parallel columns; zero-LOC files are counted as one line.
 
@@ -126,25 +94,21 @@ def scored_files(
     loc = np.asarray(locs)
     columns = ScoredColumns(
         keys=tuple(keys),
-        score=np.asarray(scores, dtype=float),
         loc=np.maximum(loc, 1).astype(np.int64),
         bugs=np.asarray(bugs).astype(np.int64),
     )
     return columns, int(np.count_nonzero(loc < 1))
 
 
-def rank_by_density(files: ScoredColumns) -> ScoredColumns:
-    """Sort by score/LOC descending; ties go to the smaller file, then key."""
-    if not len(files):
-        raise ValueError("no files to rank")
-    return files.take(files.ranking)
-
-
-@dataclass(frozen=True, eq=False)
-class CeCurve:
-    """Cumulative (LOC fraction, bug fraction) vertices of one ordering."""
-
-    points: np.ndarray  # (k+1) x 2, starts at (0, 0)
+def rank_by_density(files: ScoredColumns, score: Sequence[float]) -> np.ndarray:
+    """Inspection order of one score per file, as indices into ``files``:
+    score per line descending; ties go to the smaller file, then the key.
+    It is one stable sort of the densities laid out in tie order."""
+    score = np.asarray(score, dtype=float)
+    if score.shape != (len(files),):
+        raise ValueError("scores and files differ in length")
+    tie = files._tie_order
+    return tie[np.lexsort((-(score[tie] / files.loc[tie]),))]
 
 
 def _points(loc: np.ndarray, bugs: np.ndarray) -> np.ndarray:
@@ -158,11 +122,12 @@ def _points(loc: np.ndarray, bugs: np.ndarray) -> np.ndarray:
     return points
 
 
-def ce_curve(ordering: ScoredColumns) -> CeCurve:
-    """Piecewise-linear curve through the cumulative totals after each file."""
-    if not len(ordering):
+def ce_curve(files: ScoredColumns, order: np.ndarray) -> np.ndarray:
+    """Vertices of the piecewise-linear curve through the cumulative totals
+    after each file of ``order``: a (k+1, 2) array from (0, 0)."""
+    if not len(order):
         raise ValueError("empty ordering")
-    return CeCurve(points=_points(ordering.loc, ordering.bugs))
+    return _points(files.loc[order], files.bugs[order])
 
 
 def _areas(points: np.ndarray, cutoffs: Sequence[float]) -> list[float]:
@@ -185,9 +150,10 @@ def _areas(points: np.ndarray, cutoffs: Sequence[float]) -> list[float]:
 
 
 def ce_report_values(
-    files: ScoredColumns, cutoffs: Sequence[float] = CE_CUTOFFS
+    files: ScoredColumns, order: np.ndarray, cutoffs: Sequence[float] = CE_CUTOFFS
 ) -> dict[str, float]:
-    """CE at every cutoff, keyed by the cutoff's string form.
+    """CE of the inspection order ``order`` at every cutoff, keyed by the
+    cutoff's string form.
 
     CE at pi is the normalized area gain over random inspection within the
     first pi of total LOC: 1 means the ranking matches the best achievable
@@ -201,13 +167,11 @@ def ce_report_values(
     if not files.bugs.any():
         raise UndefinedCeError("no defective files: CE is undefined")
 
-    def areas(order: np.ndarray) -> list[float]:
-        return _areas(_points(files.loc[order], files.bugs[order]), cutoffs)
-
-    model = areas(files.ranking)
+    model = _areas(ce_curve(files, order), cutoffs)
     optimal = files._optimal_areas.get(tuple(cutoffs))
     if optimal is None:
-        optimal = files._optimal_areas[tuple(cutoffs)] = areas(files.optimal)
+        optimal = _areas(ce_curve(files, files.optimal), cutoffs)
+        files._optimal_areas[tuple(cutoffs)] = optimal
     values = {}
     for pi, area_model, area_optimal in zip(cutoffs, model, optimal):
         area_random = pi * pi / 2.0
@@ -218,20 +182,15 @@ def ce_report_values(
     return values
 
 
-def ce_pi(files: ScoredColumns, pi: float) -> float:
-    """CE at one cutoff (see :func:`ce_report_values`)."""
-    return ce_report_values(files, (pi,))[format(pi, "g")]
-
-
-def acc_at_effort(files: ScoredColumns, effort: float = 0.2) -> float:
-    """Recall of defective files once the top of the ranking uses
+def acc_at_effort(files: ScoredColumns, order: np.ndarray, effort: float = 0.2) -> float:
+    """Recall of defective files once the top of the inspection order uses
     ``effort`` of the total LOC; partially inspected files do not count."""
     defective = int(np.count_nonzero(files.bugs))
     if defective == 0:
         raise ValueError("no defective files: recall undefined")
-    cum_loc = np.cumsum(files.loc[files.ranking])
+    cum_loc = np.cumsum(files.loc[order])
     budget = effort * int(cum_loc[-1]) * (1 + 1e-12)
-    inspected = files.ranking[: np.searchsorted(cum_loc, budget, side="right")]
+    inspected = order[: np.searchsorted(cum_loc, budget, side="right")]
     return int(np.count_nonzero(files.bugs[inspected])) / defective
 
 
@@ -250,13 +209,13 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def curve_to_csv(curve: CeCurve) -> str:
-    """Vertices as CSV for external plotting (a float's repr never needs
-    CSV quoting).
+def curve_to_csv(points: np.ndarray) -> str:
+    """A curve's (k+1, 2) vertices as CSV for external plotting (a float's
+    repr never needs CSV quoting).
 
     A curve's bug fractions take at most one value more than there are
     defective files, so each distinct one (by its bits) is formatted once."""
-    x, y = curve.points[:, 0], curve.points[:, 1]
+    x, y = points[:, 0], points[:, 1]
     bits = y.view(np.int64).tolist()
     y_text = {b: f",{v!r}\n" for b, v in dict(zip(bits, y.tolist())).items()}
     parts = ["loc_fraction,bug_fraction\n"] + [None, None] * len(bits)

@@ -11,8 +11,9 @@ Scott-Knott groups, Win/Tie/Loss counts).  Every technique fits and
 predicts through one loop; one that fails (its loss turns non-finite, say)
 is its project's technique error, left out of the aggregates.
 
-Each run is scored by one function, :func:`evaluate_scores`, and each
-metric's ranking tables come from one comparison,
+Each run is scored by one function, :func:`evaluate_scores`, which takes
+the test files' columns and the run's scores and ranks the scores once,
+and each metric's ranking tables come from one comparison,
 :func:`compare_techniques`; the ``eval`` and ``stats`` commands call the
 same two, so every reported number has one implementation.
 
@@ -20,7 +21,9 @@ Within a project, everything that a repeat's seed does not change is built
 once: the two stacked sequence sets and their anchor steps, each z-scored
 once by a fit on its training side, and the test files' evaluation columns
 (line and bug counts read off the test version's arrays) with their
-optimal ordering.  These live only as long as the project's run.
+optimal ordering.  These live only as long as the project's run;
+``emit_report`` builds each project's columns once from the report and
+ranks each technique's mean scores over them for its CE curve.
 
 Projects share nothing, so they run in forked worker processes, at most
 one per usable CPU, each taking the next project when it has finished one;
@@ -354,12 +357,14 @@ def load_project_history(spec: ProjectSpec, cfg: ExperimentConfig) -> ProjectHis
     return history
 
 
-def evaluate_scores(files: ScoredColumns, labels: Sequence[int]) -> dict:
-    """CE at every cutoff, ACC and AUC of one scoring of the test files,
-    whose 0/1 defect labels are ``labels``: a run's metrics, or ``eval``'s."""
-    run = {f"ce_{k}": float(v) for k, v in ce_report_values(files).items()}
-    run["acc"] = float(acc_at_effort(files))
-    run["auc"] = float(auc(files.score, labels))
+def evaluate_scores(files: ScoredColumns, scores: Sequence[float], labels: Sequence[int]) -> dict:
+    """CE at every cutoff, ACC and AUC of ``scores``, one per test file of
+    ``files``, whose 0/1 defect labels are ``labels``: a run's metrics, or
+    ``eval``'s.  The scores are ranked once, for CE and ACC alike."""
+    order = rank_by_density(files, scores)
+    run = {f"ce_{k}": float(v) for k, v in ce_report_values(files, order).items()}
+    run["acc"] = float(acc_at_effort(files, order))
+    run["auc"] = float(auc(scores, labels))
     return run
 
 
@@ -376,7 +381,7 @@ def _technique_entry(
         bad = len(probs) - np.count_nonzero(np.isfinite(probs))
         if bad:
             raise ValueError(f"{bad} of {len(probs)} test files got a non-finite score")
-        runs.append(evaluate_scores(frame.with_scores(probs), labels))
+        runs.append(evaluate_scores(frame, probs, labels))
         score_sum += probs
     mean_scores = score_sum / len(runs)
     if len(runs) == 1:
@@ -572,10 +577,8 @@ def _run_project(spec: ProjectSpec, cfg: ExperimentConfig) -> dict:
         "techniques": {},
     }
 
-    # the test files' columns, built once: each run fills in its scores
-    frame, project["zero_loc_files_adjusted"] = scored_files(
-        keys, np.zeros(len(keys)), locs, bug_counts
-    )
+    # the test files' columns, built once and scored by every run
+    frame, project["zero_loc_files_adjusted"] = scored_files(keys, locs, bug_counts)
 
     # every technique is a (fit, predict) pair, fit returning the model of
     # each run's hyperparameters.  The rnn reads each sample's sequence and a
@@ -846,9 +849,8 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
         payload = report["projects"][project]
         techniques = payload["techniques"]
         test_files = payload["test_files"]
-        frame, _ = scored_files(
+        files, _ = scored_files(
             keys=list(test_files),
-            scores=np.zeros(len(test_files)),
             locs=[f["loc"] for f in test_files.values()],
             bugs=[f["bugs"] for f in test_files.values()],
         )
@@ -861,10 +863,9 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
                     f"project {project!r}, technique {technique!r}:"
                     " scores_mean does not score exactly the test files"
                 )
-            files = frame.with_scores([scores[k] for k in frame.keys])
-            curve = ce_curve(rank_by_density(files))
+            order = rank_by_density(files, [scores[k] for k in files.keys])
             path = curves_dir / f"{project}_{technique}.csv"
-            path.write_text(curve_to_csv(curve), encoding="utf-8")
+            path.write_text(curve_to_csv(ce_curve(files, order)), encoding="utf-8")
             written.append(path)
 
     sk_path = out / "sk_groups.txt"

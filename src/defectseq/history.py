@@ -226,7 +226,10 @@ class Normalizer:
     schema: tuple[str, ...]
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=float) - self.mean) / self.std
+        # a test cell far outside the training spread may overflow to inf:
+        # the technique whose scores end up non-finite reports it in one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (np.asarray(values, dtype=float) - self.mean) / self.std
 
 
 def fit_normalizer(train: HvsmSet) -> Normalizer:

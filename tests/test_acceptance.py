@@ -15,7 +15,7 @@ import pytest
 
 from defectseq.baselines import LOGISTIC_REGRESSION, predict_baseline_many, train_baseline
 from defectseq.dataset import PROMISE_CODE_METRICS
-from defectseq.effort import CE_CUTOFFS, auc, ce_pi
+from defectseq.effort import CE_CUTOFFS, auc, ce_report_values
 from defectseq.experiment import (
     ExperimentConfig,
     ProjectSpec,
@@ -33,7 +33,7 @@ from defectseq.history import (
 from defectseq.rnn import Hyperparams, gradient_check, predict_set, train
 
 from helpers import hvsm_set, lifecycle_states, toy_history, trend_samples, write_trend_project
-from test_effort import Row, columns, instance_is_defined, oracle_ce, random_instance, THREE_FILES
+from test_effort import Row, instance_is_defined, oracle_ce, random_instance, ranked, THREE_FILES
 from test_stats import oracle_cliffs, oracle_wilcoxon_p
 
 from defectseq.stats import cliffs_delta, scott_knott, wilcoxon_signed_rank
@@ -76,15 +76,17 @@ def test_criterion_2_ce_oracle_equivalence():
             if not instance_is_defined(files):
                 continue
             for pi in CE_CUTOFFS:
-                assert ce_pi(columns(files), pi) == pytest.approx(oracle_ce(files, pi), abs=1e-12)
+                ce = ce_report_values(*ranked(files), (pi,))[format(pi, "g")]
+                assert ce == pytest.approx(oracle_ce(files, pi), abs=1e-12)
             checked += 1
 
         # an ordering already sorted by true density scores CE = 1 exactly
         files = [Row(f"f{i}", score=(4 - i) / 4, loc=10 + i, bugs=3 - i) for i in range(4)]
         for pi in CE_CUTOFFS:
-            assert ce_pi(columns(files), pi) == 1.0
+            assert ce_report_values(*ranked(files), (pi,))[format(pi, "g")] == 1.0
 
-        assert ce_pi(columns(THREE_FILES), 1.0) == pytest.approx(0.7778, abs=1e-4)
+        ce = ce_report_values(*ranked(THREE_FILES), (1.0,))["1"]
+        assert ce == pytest.approx(0.7778, abs=1e-4)
 
 
 def test_criterion_3_statistics_oracles():

@@ -14,6 +14,7 @@ from defectseq.cli import main
 from defectseq.experiment import METRIC_KEYS
 
 from helpers import write_trend_project
+from test_golden import write_change_table
 
 
 def write_config(tmp_path, repeats=1, baselines="lr, knn"):
@@ -643,9 +644,11 @@ def mutated_tables(draw, valid_rows):
     return data
 
 
-def write_projects(tmp_path, names, baselines="lr, nb, knn, nn"):
+def write_projects(tmp_path, names, baselines="lr, nb, knn, nn", process=False):
     """A config with one trend project per name, each in its own directory
-    and with its own seed.  Returns the config path."""
+    and with its own seed; with ``process``, a ``code+process`` config with
+    a change table for every version but the first.  Returns the config
+    path."""
     lines = [
         "seed: 3",
         "repeats: 2",
@@ -653,25 +656,36 @@ def write_projects(tmp_path, names, baselines="lr, nb, knn, nn"):
         f"baselines: [{baselines}]",
         f"output: {tmp_path / 'out'}",
         "hyperparams: {hidden_size: 4, eta: 0.5, iterations: 40}",
+        *(["metrics: code+process"] if process else []),
         "projects:",
     ]
     for seed, name in enumerate(names, start=5):
         (tmp_path / name).mkdir()
         version_ids, paths, _ = write_trend_project(tmp_path / name, n_files=40, seed=seed)
         lines += [f"  - name: {name}", "    versions:"]
-        lines += [f"      - {{id: {vid}, metrics: {name}/{paths[vid].name}}}" for vid in version_ids]
+        for v, vid in enumerate(version_ids):
+            entry = f"      - {{id: {vid}, metrics: {name}/{paths[vid].name}"
+            if process and v:
+                write_change_table(tmp_path / name / f"changes-{vid}.csv", vid, 40, seed + v)
+                entry += f", process: {name}/changes-{vid}.csv"
+            lines.append(entry + "}")
     path = tmp_path / "config.yaml"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "two-workers"])
-def test_extreme_test_cell_fails_only_its_technique(tmp_path, monkeypatch, workers):
-    """A finite but extreme cell (1e200) in project a's test table makes
-    nb's score for that file NaN, as both classes' squared distances
-    overflow.  nb becomes a's technique error, printed as one warning line
-    with no numpy warning, and the run completes, with project b's entries
-    as in a run without the cell."""
+@pytest.mark.parametrize(
+    "cell, workers",
+    [("1e200", 1), ("1e200", 2), ("1.7e308", 1), ("1.7e308", 2)],
+    ids=["inline", "two-workers", "1.7e308-inline", "1.7e308-two-workers"],
+)
+def test_extreme_test_cell_fails_only_its_technique(tmp_path, monkeypatch, cell, workers):
+    """A finite but extreme cell in project a's test table makes nb's score
+    for that file NaN: at 1e200 both classes' squared distances overflow,
+    and at 1.7e308 the cell's z-score itself overflows to inf.  nb becomes
+    a's technique error, printed as one warning line with no numpy warning,
+    and the run completes, with project b's entries as in a run without
+    the cell."""
     monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, workers))
     config = write_projects(tmp_path, ("a", "b"))
     code, _, err = run_cli(["run", str(config), "--output", str(tmp_path / "plain")])
@@ -679,7 +693,7 @@ def test_extreme_test_cell_fails_only_its_technique(tmp_path, monkeypatch, worke
     table = tmp_path / "a" / "trend-u4.csv"
     lines = table.read_text(encoding="utf-8").splitlines()
     name, loc, trend, n0, *rest = lines[1].split(",")
-    lines[1] = ",".join([name, loc, trend, "1e200", *rest])
+    lines[1] = ",".join([name, loc, trend, cell, *rest])
     table.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run_cli(["run", str(config)])
     assert code == 0, err
@@ -722,3 +736,61 @@ def test_fuzzed_table_exits_cleanly(tmp_path_factory, verb, valid_rows, data):
     else:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# project a's own tables through ``defectseq run``, one table mutated
+# ---------------------------------------------------------------------------
+
+# per config; each example is one two-project run
+FUZZ_RUN_EXAMPLES = 25
+
+
+def table_rows(data, keys):
+    """A ``valid_rows`` source for :func:`mutated_tables`: the rows of the
+    table ``data``, whose first ``keys`` columns name a row."""
+
+    def valid_rows(draw):
+        header, *rows = (line.split(",") for line in data.decode("utf-8").splitlines())
+        return header, rows, keys
+
+    return valid_rows
+
+
+@pytest.fixture(scope="module", params=["code", "code+process"])
+def fuzz_input(request, tmp_path_factory):
+    """Projects a and b, with a clean run's report entry of b.  The code
+    case mutates a's metric tables, the code+process case its change
+    tables."""
+    root = tmp_path_factory.mktemp(request.param.replace("+", "-"))
+    process = request.param == "code+process"
+    config = write_projects(root, ("a", "b"), process=process)
+    code, _, err = run_cli(["run", str(config)])
+    assert (code, err) == (0, "")
+    clean_b = json.loads((root / "out" / "report.json").read_text(encoding="utf-8"))["projects"]["b"]
+    tables = sorted((root / "a").glob("changes-*.csv" if process else "trend-*.csv"))
+    return config, tables, 2 if process else 1, clean_b
+
+
+@settings(max_examples=FUZZ_RUN_EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_fuzzed_project_table_fails_only_its_project(fuzz_input, data):
+    # a mutated table of project a is read, or ends a in one project line,
+    # or fails some of a's techniques in one line each: never a traceback
+    # or a warning, and project b is untouched
+    config, tables, keys, clean_b = fuzz_input
+    path = data.draw(st.sampled_from(tables))
+    original = path.read_bytes()
+    try:
+        path.write_bytes(data.draw(mutated_tables(table_rows(original, keys))))
+        code, _, err = run_cli(["run", str(config)])
+    finally:
+        path.write_bytes(original)
+    assert code == 0, err
+    lines = err.splitlines(keepends=True)
+    project = [line for line in lines if line.startswith("warning: a: ")]
+    assert len(project) <= 1, err
+    for line in lines:
+        assert line in project or re.fullmatch(r"warning: a/[a-z]+: [^\n]+\n", line), err
+    report = json.loads((config.parent / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["projects"]["b"] == clean_b

@@ -9,18 +9,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from defectseq.effort import (
     CE_CUTOFFS,
-    CeCurve,
     ScoredColumns,
     UndefinedCeError,
     acc_at_effort,
     auc,
     ce_curve,
-    ce_pi,
     ce_report_values,
     curve_to_csv,
     rank_by_density,
     scored_files,
 )
+from defectseq.experiment import evaluate_scores
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +36,25 @@ class Row(NamedTuple):
 
 
 def columns(rows):
-    """The rows as the columns that every evaluation function takes."""
-    return scored_files(*(list(c) for c in zip(*rows)))[0]
+    """The rows' key, LOC and bug columns, which every evaluation function
+    takes."""
+    return scored_files([f.key for f in rows], [f.loc for f in rows], [f.bugs for f in rows])[0]
+
+
+def ranked(rows):
+    """The rows' columns and the inspection order of their scores."""
+    files = columns(rows)
+    return files, rank_by_density(files, [f.score for f in rows])
+
+
+def listed(rows):
+    """The rows' columns and the order they are listed in."""
+    return columns(rows), np.arange(len(rows))
 
 
 def ranked_keys(rows):
-    return list(rank_by_density(columns(rows)).keys)
+    files, order = ranked(rows)
+    return [files.keys[i] for i in order]
 
 
 def oracle_vertices(ordering):
@@ -104,6 +116,8 @@ THREE_FILES = [
     Row("f2", score=0.5, loc=10, bugs=0),
     Row("f3", score=0.9, loc=80, bugs=1),
 ]
+THREE_SCORES = [f.score for f in THREE_FILES]
+THREE_LABELS = [int(f.bugs > 0) for f in THREE_FILES]
 
 
 class TestRankByDensity:
@@ -140,10 +154,13 @@ class TestRankByDensity:
         ]
         assert ranked_keys(files) == ranked_keys(transformed)
         if instance_is_defined(files):
-            files, transformed = columns(files), columns(transformed)
+            files, transformed = ranked(files), ranked(transformed)
             for pi in CE_CUTOFFS:
-                assert ce_pi(files, pi) == pytest.approx(ce_pi(transformed, pi), abs=1e-12)
-            assert acc_at_effort(files) == acc_at_effort(transformed)
+                key = format(pi, "g")
+                assert ce_report_values(*files, (pi,))[key] == pytest.approx(
+                    ce_report_values(*transformed, (pi,))[key], abs=1e-12
+                )
+            assert acc_at_effort(*files) == acc_at_effort(*transformed)
 
 
 class TestCeCurve:
@@ -153,19 +170,19 @@ class TestCeCurve:
             Row("b", 0.9, 10, 0),
             Row("c", 0.8, 80, 1),
         ]
-        curve = ce_curve(columns(files))
+        curve = ce_curve(*listed(files))
         np.testing.assert_allclose(
-            curve.points, [(0, 0), (0.1, 0.5), (0.2, 0.5), (1, 1)], atol=1e-12
+            curve, [(0, 0), (0.1, 0.5), (0.2, 0.5), (1, 1)], atol=1e-12
         )
 
     def test_single_file(self):
-        curve = ce_curve(columns([Row("a", 0.2, 7, 2)]))
-        np.testing.assert_allclose(curve.points, [(0, 0), (1, 1)], atol=1e-12)
+        curve = ce_curve(*listed([Row("a", 0.2, 7, 2)]))
+        np.testing.assert_allclose(curve, [(0, 0), (1, 1)], atol=1e-12)
 
     def test_all_bugs_up_front(self):
         files = [Row("a", 1.0, 25, 3), Row("b", 0.1, 75, 0)]
-        curve = ce_curve(columns(files))
-        np.testing.assert_allclose(curve.points[1], (0.25, 1.0), atol=1e-12)
+        curve = ce_curve(*listed(files))
+        np.testing.assert_allclose(curve[1], (0.25, 1.0), atol=1e-12)
 
     def test_coordinates_non_decreasing_and_terminal(self):
         rng = np.random.default_rng(0)
@@ -173,30 +190,29 @@ class TestCeCurve:
             files = random_instance(rng)
             if sum(f.bugs for f in files) == 0:
                 continue
-            pts = ce_curve(rank_by_density(columns(files))).points
+            pts = ce_curve(*ranked(files))
             assert np.all(np.diff(pts[:, 0]) >= 0)
             assert np.all(np.diff(pts[:, 1]) >= 0)
             np.testing.assert_allclose(pts[-1], (1.0, 1.0), atol=1e-12)
 
     def test_zero_bugs_curve_still_valid(self):
-        curve = ce_curve(columns([Row("a", 0.5, 10, 0)]))
-        np.testing.assert_allclose(curve.points, [(0, 0), (1, 0)], atol=1e-12)
+        curve = ce_curve(*listed([Row("a", 0.5, 10, 0)]))
+        np.testing.assert_allclose(curve, [(0, 0), (1, 0)], atol=1e-12)
 
     def test_csv_export_round_trips(self):
-        curve = ce_curve(columns(THREE_FILES))
+        curve = ce_curve(*listed(THREE_FILES))
         text = curve_to_csv(curve)
         rows = [line.split(",") for line in text.strip().splitlines()[1:]]
         values = np.asarray([[float(a), float(b)] for a, b in rows])
-        np.testing.assert_array_equal(values, curve.points)
+        np.testing.assert_array_equal(values, curve)
 
 
 class TestCePi:
     def test_worked_example(self):
         # areas 0.675 (model), 0.725 (optimal), 0.5 (random)
-        assert ce_pi(columns(THREE_FILES), 1.0) == pytest.approx(0.7778, abs=1e-4)
-        assert ce_pi(columns(THREE_FILES), 1.0) == pytest.approx(
-            oracle_ce(THREE_FILES, 1.0), abs=1e-15
-        )
+        ce = ce_report_values(*ranked(THREE_FILES), (1.0,))["1"]
+        assert ce == pytest.approx(0.7778, abs=1e-4)
+        assert ce == pytest.approx(oracle_ce(THREE_FILES, 1.0), abs=1e-15)
 
     def test_optimal_scores_give_one(self):
         files = [Row(f"f{i}", score=(i + 1) * 0.1, loc=10, bugs=i) for i in range(4)]
@@ -206,7 +222,9 @@ class TestCePi:
             f.key for f in sorted(files, key=lambda f: (-(f.bugs / f.loc), f.loc, f.key))
         ]
         for pi in CE_CUTOFFS:
-            assert ce_pi(columns(files), pi) == pytest.approx(1.0, abs=1e-12)
+            assert ce_report_values(*ranked(files), (pi,))[format(pi, "g")] == pytest.approx(
+                1.0, abs=1e-12
+            )
 
     def test_reverse_optimal_no_better_than_random(self):
         files = [
@@ -214,7 +232,7 @@ class TestCePi:
             Row("b", 0.5, 10, 1),
             Row("c", 0.9, 10, 0),
         ]
-        assert ce_pi(columns(files), 1.0) <= 0.0
+        assert ce_report_values(*ranked(files), (1.0,))["1"] <= 0.0
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(1234)
@@ -224,7 +242,9 @@ class TestCePi:
             if not instance_is_defined(files):
                 continue
             for pi in CE_CUTOFFS:
-                assert ce_pi(columns(files), pi) == pytest.approx(oracle_ce(files, pi), abs=1e-12)
+                assert ce_report_values(*ranked(files), (pi,))[format(pi, "g")] == pytest.approx(
+                    oracle_ce(files, pi), abs=1e-12
+                )
             checked += 1
 
     def test_optimal_matches_best_permutation(self):
@@ -244,35 +264,35 @@ class TestCePi:
 
     def test_zero_bugs_undefined(self):
         with pytest.raises(UndefinedCeError):
-            ce_pi(columns([Row("a", 0.5, 10, 0)]), 1.0)
+            ce_report_values(*ranked([Row("a", 0.5, 10, 0)]), (1.0,))
 
     def test_degenerate_optimal_undefined(self):
         # one file: optimal curve is the diagonal's chord, denominator 0
         with pytest.raises(UndefinedCeError):
-            ce_pi(columns([Row("a", 0.5, 10, 2)]), 1.0)
+            ce_report_values(*ranked([Row("a", 0.5, 10, 2)]), (1.0,))
 
     def test_invalid_pi_rejected(self):
         with pytest.raises(ValueError):
-            ce_pi(columns(THREE_FILES), 0.0)
+            ce_report_values(*ranked(THREE_FILES), (0.0,))
 
 
 class TestAccAtEffort:
     def test_all_defects_in_budget(self):
         files = [Row("a", 0.9, 10, 1), Row("b", 0.1, 90, 0)]
-        assert acc_at_effort(columns(files)) == 1.0
+        assert acc_at_effort(*ranked(files)) == 1.0
 
     def test_no_defects_in_budget(self):
         files = [Row("a", 0.9, 10, 0), Row("b", 0.1, 90, 1)]
-        assert acc_at_effort(columns(files)) == 0.0
+        assert acc_at_effort(*ranked(files)) == 0.0
 
     def test_partial_file_not_counted(self):
         files = [Row(f"f{i}", 1.0 - i / 10, 10, 1 if i in (0, 9) else 0) for i in range(10)]
         # 20% of 100 LOC inspects exactly two files; one of the two defects
-        assert acc_at_effort(columns(files)) == 0.5
+        assert acc_at_effort(*ranked(files)) == 0.5
 
     def test_no_defective_rejected(self):
         with pytest.raises(ValueError):
-            acc_at_effort(columns([Row("a", 0.5, 10, 0)]))
+            acc_at_effort(*ranked([Row("a", 0.5, 10, 0)]))
 
 
 class TestAuc:
@@ -308,39 +328,39 @@ class TestAuc:
 
 class TestScoredFiles:
     def test_zero_loc_adjusted_and_counted(self):
-        files, adjusted = scored_files(["a", "b"], [0.5, 0.2], [0, 10], [1, 0])
+        files, adjusted = scored_files(["a", "b"], [0, 10], [1, 0])
         assert adjusted == 1
         assert files.loc.tolist() == [1, 10]
 
     def test_columns(self):
-        files, adjusted = scored_files(["a", "b", "c"], [0.5, 0.2, 0.7], [3, 10, -2], [1, 0, 2])
+        files, adjusted = scored_files(["a", "b", "c"], [3, 10, -2], [1, 0, 2])
         assert len(files) == 3 and adjusted == 1
         assert files.keys == ("a", "b", "c")
-        assert files.score.tolist() == [0.5, 0.2, 0.7]
         assert files.loc.tolist() == [3, 10, 1]
         assert files.bugs.tolist() == [1, 0, 2]
 
     def test_negative_bugs_rejected(self):
         with pytest.raises(ValueError, match="negative bug count for 'a'"):
-            ScoredColumns(keys=("a",), score=np.array([0.5]), loc=np.array([10]), bugs=np.array([-1]))
+            ScoredColumns(keys=("a",), loc=np.array([10]), bugs=np.array([-1]))
 
     def test_negative_bugs_in_columns_named(self):
         with pytest.raises(ValueError, match="negative bug count for 'b'"):
-            scored_files(["a", "b"], [0.5, 0.2], [10, 10], [1, -1])
+            scored_files(["a", "b"], [10, 10], [1, -1])
 
     def test_column_lengths_must_match(self):
+        # one score per file
+        files, _ = scored_files(["a", "b"], [10, 10], [1, 0])
         with pytest.raises(ValueError, match="differ in length"):
-            scored_files(["a", "b"], [0.5], [10, 10], [1, 0])
+            rank_by_density(files, [0.5])
 
     def test_zero_loc_direct_construction_rejected(self):
         with pytest.raises(ValueError, match="loc must be >= 1 for 'a'"):
-            ScoredColumns(keys=("a",), score=np.array([0.5]), loc=np.array([0]), bugs=np.array([1]))
+            ScoredColumns(keys=("a",), loc=np.array([0]), bugs=np.array([1]))
 
     def test_zero_loc_direct_column_construction_rejected(self):
         with pytest.raises(ValueError, match="loc must be >= 1 for 'b'"):
             ScoredColumns(
                 keys=("a", "b"),
-                score=np.array([0.5, 0.2]),
                 loc=np.array([10, 0]),
                 bugs=np.array([1, 0]),
             )
@@ -463,34 +483,40 @@ class TestColumnCoreMatchesLoops:
     @given(tied_files, st.sampled_from([0.05, 0.25, 0.3, 0.75]))
     def test_bitwise_equal(self, rows, extra_pi):
         keys, scores, locs, bugs = (list(c) for c in zip(*rows))
-        frame, adjusted = scored_files(keys, scores, locs, bugs)
+        frame, adjusted = scored_files(keys, locs, bugs)
         assert adjusted == sum(1 for loc in locs if loc < 1)
         files = [Row(k, float(s), max(loc, 1), b) for k, s, loc, b in rows]
 
         reference = loop_rank_by_density(files)
-        ranked = rank_by_density(frame)
-        assert ranked.keys == tuple(f.key for f in reference)
-        curve = ce_curve(ranked)
-        assert np.array_equal(curve.points, loop_ce_curve(reference))
+        order = rank_by_density(frame, scores)
+        assert tuple(frame.keys[i] for i in order) == tuple(f.key for f in reference)
+        curve = ce_curve(frame, order)
+        assert np.array_equal(curve, loop_ce_curve(reference))
 
         # cutoffs at curve vertices hit the whole-segment boundary exactly
-        vertex_pis = [float(x) for x in curve.points[1:, 0][:3]]
+        vertex_pis = [float(x) for x in curve[1:, 0][:3]]
         cutoffs = (*CE_CUTOFFS, extra_pi, *vertex_pis)
         expected = {format(pi, "g"): outcome(loop_ce_pi, files, pi) for pi in cutoffs}
         if all(isinstance(v, float) for v in expected.values()):
-            assert ce_report_values(frame, cutoffs) == expected
+            assert ce_report_values(frame, order, cutoffs) == expected
         else:
             with pytest.raises(UndefinedCeError):
-                ce_report_values(frame, cutoffs)
-        for pi in cutoffs:
-            assert outcome(ce_pi, frame, pi) == expected[format(pi, "g")]
+                ce_report_values(frame, order, cutoffs)
 
-        # the same files rescored from another column set give the same values
-        rescored = scored_files(keys, [0.0] * len(keys), locs, bugs)[0].with_scores(scores)
-        assert outcome(ce_report_values, rescored, cutoffs) == outcome(
-            ce_report_values, frame, cutoffs
+        def ce_at(pi):
+            return ce_report_values(frame, order, (pi,))[format(pi, "g")]
+
+        for pi in cutoffs:
+            assert outcome(ce_at, pi) == expected[format(pi, "g")]
+
+        # the same scores on another column set of the same files give the
+        # same values
+        again = scored_files(keys, locs, bugs)[0]
+        again_order = rank_by_density(again, scores)
+        assert outcome(ce_report_values, again, again_order, cutoffs) == outcome(
+            ce_report_values, frame, order, cutoffs
         )
-        assert outcome(acc_at_effort, frame) == outcome(loop_acc_at_effort, files)
+        assert outcome(acc_at_effort, frame, order) == outcome(loop_acc_at_effort, files)
         labels = [1 if b > 0 else 0 for b in bugs]
         assert outcome(auc, scores, labels) == outcome(loop_auc, list(zip(scores, labels)))
 
@@ -499,32 +525,30 @@ class TestColumnCoreMatchesLoops:
         calls = []
         real = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
-        ce_report_values(files)
-        acc_at_effort(files)
+        evaluate_scores(files, THREE_SCORES, THREE_LABELS)
         # one model ranking and one optimal ordering, shared by CE and ACC
         assert len(calls) == 2
 
     def test_rescoring_shares_the_optimal_ordering(self, monkeypatch):
-        frame, _ = scored_files([f.key for f in THREE_FILES], [0.0] * len(THREE_FILES),
-                                [f.loc for f in THREE_FILES], [f.bugs for f in THREE_FILES])
+        frame = columns(THREE_FILES)
         calls = []
         real = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
-        first = ce_report_values(frame.with_scores([f.score for f in THREE_FILES]))
-        again = ce_report_values(frame.with_scores([f.score for f in THREE_FILES]))
-        flipped = ce_report_values(frame.with_scores([-f.score for f in THREE_FILES]))
-        # the optimal ordering once, then one model ranking per rescoring
+        first = evaluate_scores(frame, THREE_SCORES, THREE_LABELS)
+        again = evaluate_scores(frame, THREE_SCORES, THREE_LABELS)
+        flipped = evaluate_scores(frame, [-s for s in THREE_SCORES], THREE_LABELS)
+        # the optimal ordering once, then one model ranking per scoring
         assert len(calls) == 4
-        assert first == again == ce_report_values(columns(THREE_FILES))
+        assert first == again == evaluate_scores(columns(THREE_FILES), THREE_SCORES, THREE_LABELS)
         assert flipped != first
 
 
-def csv_writer_curve(curve):
+def csv_writer_curve(points):
     """The CSV form written with ``csv.writer`` and ``repr``."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["loc_fraction", "bug_fraction"])
-    for x, y in curve.points:
+    for x, y in points:
         writer.writerow([repr(float(x)), repr(float(y))])
     return out.getvalue()
 
@@ -539,5 +563,5 @@ class TestCurveCsv:
     # equal bug fractions of different reprs: 0.0 and -0.0, and NaNs
     @example([(0.0, 0.0), (0.5, -0.0), (0.7, 0.0), (0.9, float("nan")), (1.0, -float("nan"))])
     def test_equals_csv_writer_form(self, points):
-        curve = CeCurve(points=np.asarray(points, dtype=float).reshape(-1, 2))
-        assert curve_to_csv(curve) == csv_writer_curve(curve)
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        assert curve_to_csv(points) == csv_writer_curve(points)

@@ -74,10 +74,13 @@ def test_ce_report_values_2000_files(benchmark):
     bugs = rng.integers(0, 3, size=n) * (rng.uniform(size=n) < 0.3)
 
     def fresh():
-        # new columns each round, so the ranking is not served from cache
-        return (scored_files(keys, scores, locs, bugs)[0],), {}
+        # new columns each round, so the optimal ordering is not served from cache
+        return (scored_files(keys, locs, bugs)[0],), {}
 
-    values = benchmark.pedantic(ce_report_values, setup=fresh, rounds=20)
+    def evaluate(files):
+        return ce_report_values(files, rank_by_density(files, scores))
+
+    values = benchmark.pedantic(evaluate, setup=fresh, rounds=20)
     assert set(values) == {format(pi, "g") for pi in CE_CUTOFFS}
 
 
@@ -85,13 +88,10 @@ def test_curve_to_csv_1700_rows(benchmark):
     # one CE curve of a wide-eval sized test release
     rng = np.random.default_rng(5)
     n = 1700
-    files, _ = scored_files(
-        [f"src/f{i}.java" for i in range(n)],
-        rng.uniform(size=n),
-        rng.integers(1, 400, size=n),
-        rng.integers(0, 3, size=n),
-    )
-    curve = ce_curve(rank_by_density(files))
+    keys = [f"src/f{i}.java" for i in range(n)]
+    scores = rng.uniform(size=n)
+    files, _ = scored_files(keys, rng.integers(1, 400, size=n), rng.integers(0, 3, size=n))
+    curve = ce_curve(files, rank_by_density(files, scores))
     text = benchmark.pedantic(curve_to_csv, args=(curve,), rounds=20)
     assert text.count("\n") == n + 2
 

@@ -3,9 +3,11 @@
 ``perfbench/spans.py`` wraps module-level functions of ``experiment``,
 ``baselines`` and ``rnn`` and counts from what they take and return
 (``len(snap.files)``, ``s.m``, ``item.length``, the set handed to
-``train``).  This runs one small project under that tracer, imported
-read-only from the benchmark's directory, and checks that every layer it
-times shows up and that its counts equal the project's sizes.
+``train``, the ranking ``rank_by_density`` returns).  This runs one small
+project and writes its outputs under that tracer, imported read-only from
+the benchmark's directory, as the benchmark's worker does, and checks that
+every layer it times shows up, the emit path's included, and that its
+counts equal the project's sizes.
 """
 
 import importlib.util
@@ -36,8 +38,8 @@ def load_spans(monkeypatch):
 
 @pytest.fixture
 def traced(tmp_path, monkeypatch):
-    """Spans of one traced code+process run of a four-version project,
-    and the number of change-table rows it read."""
+    """Spans of one traced code+process run of a four-version project and
+    of writing its outputs, and the number of change-table rows it read."""
     version_ids, paths, schema = write_trend_project(tmp_path, n_files=N_FILES)
     # the first version has no change table; each later one lists every
     # other file
@@ -59,8 +61,11 @@ def traced(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "_worker_count", lambda n: 1)
     spans = load_spans(monkeypatch)
     tracer = spans.Tracer()
+    # the worker times the writing of the outputs under its own root span
+    emit_report = tracer.span("experiment.emit", experiment.emit_report)
     with tracer.installed(experiment, baselines, rnn):
         report = run_experiment(cfg)
+        emit_report(report, tmp_path / "out")
     assert report["errors"] == {}
     return spans, tracer.spans, 3 * len(range(0, N_FILES, 2))
 
@@ -79,6 +84,25 @@ def test_every_layer_is_traced(traced):
         "rnn.train.nn",
     ):
         assert name in names
+
+
+def test_emit_path_is_traced(traced):
+    spans, recorded, _ = traced
+    by_id = {s.id: s for s in recorded}
+    (root,) = [s.id for s in recorded if s.name == "experiment.emit"]
+
+    def under_emit(s):
+        while s.parent is not None:
+            if s.parent == root:
+                return True
+            s = by_id[s.parent]
+        return False
+
+    names = {s.name for s in recorded if under_emit(s)}
+    for name in ("effort.scored_files", "effort.rank_by_density", "effort.ce_curve",
+                 "effort.curve_to_csv"):
+        assert name in names
+    assert spans.run_metrics(recorded)["effort.curve_s"] > 0
 
 
 def test_counts_equal_project_sizes(traced):
