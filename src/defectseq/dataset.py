@@ -6,7 +6,8 @@ name, or a fully qualified class name in PROMISE-style data) in table
 order, an ``(n, d)`` matrix of their metric values, and per-file bug counts
 and line counts; ``files`` maps each key to its row.  Process metrics (lines
 added/deleted plus their running totals) can be appended to every version's
-matrix as four columns from a companion table.
+matrix as four columns, from one change table per version that lists only
+that version's own files.
 """
 
 from __future__ import annotations
@@ -316,46 +317,48 @@ def parse_metrics_csv(
     )
 
 
-def parse_process_csv(data: bytes | str) -> dict[tuple[str, str], tuple[int, int]]:
-    """Parse a companion change table with columns version,name,add,del."""
+def parse_process_csv(data: bytes | str, snap: VersionSnapshot) -> dict[str, tuple[int, int]]:
+    """Parse the change table of version ``snap``: columns
+    version,name,add,del, one row per changed file.  Returns ``{file key:
+    (added, deleted)}``, one entry per row.  A row must name ``snap``'s
+    version and one of its files, each file once; any other row raises
+    ParseError naming it."""
     positions, rows = _read_table(data, ("version", "name", "add", "del"))
-    entries: dict[tuple[str, str], tuple[int, int]] = {}
+    entries: dict[str, tuple[int, int]] = {}
     for row_no, row in rows:
         version = row[positions["version"]].strip()
         key = _parse_key(row[positions["name"]], row_no)
         added = _parse_count(row[positions["add"]], row_no, "add")
         deleted = _parse_count(row[positions["del"]], row_no, "del")
-        if (version, key) in entries:
+        if version != snap.version_id:
+            raise ParseError(f"row {row_no}: version {version!r} is not this table's version")
+        if key not in snap.files:
+            raise ParseError(f"row {row_no}: no file {key!r} in version {version!r}")
+        if key in entries:
             raise ParseError(f"row {row_no}: duplicate entry for {version!r}/{key!r}")
-        entries[(version, key)] = (added, deleted)
+        entries[key] = (added, deleted)
     return entries
 
 
 def attach_process_metrics(
     history: ProjectHistory,
-    add_del: Mapping[tuple[str, str], tuple[int, int]],
+    changes: Mapping[str, Mapping[str, tuple[int, int]]],
 ) -> ProjectHistory:
     """Append the columns [add, del, cadd, cdel] to every version's matrix.
 
-    Per-version added/deleted line counts come from ``add_del``; files with
-    no entry get 0/0 for that version.  The cumulative columns accumulate in
-    ascending version order from each file's first appearance.
+    ``changes`` maps a version id to its parsed change table (see
+    ``parse_process_csv``); a version without one, and a file its table
+    does not list, get 0/0 for that version.  The cumulative columns
+    accumulate in ascending version order from each file's first
+    appearance.
     """
-    files = {v.version_id: v.files for v in history.versions}
-    for version_id, key in add_del:
-        if version_id not in files:
-            raise ValueError(f"process entry references unknown version {version_id!r}")
-        if key not in files[version_id]:
-            raise ValueError(
-                f"process entry references unknown file {key!r} in version {version_id!r}"
-            )
-
     cumulative: dict[str, tuple[int, int]] = {}
     versions = []
     for snap in history.versions:
+        add_del = changes.get(snap.version_id, {})
         block = []
         for key in snap.keys:
-            added, deleted = add_del.get((snap.version_id, key), (0, 0))
+            added, deleted = add_del.get(key, (0, 0))
             prev_add, prev_del = cumulative.get(key, (0, 0))
             cumulative[key] = (prev_add + added, prev_del + deleted)
             block.append((added, deleted, *cumulative[key]))

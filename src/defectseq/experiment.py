@@ -161,11 +161,13 @@ class ExperimentConfig:
             raise ConfigError(f"len must be at least 1, got {self.window}")
         if self.metric_set not in ("code", "code+process"):
             raise ConfigError(f"metrics must be code or code+process, got {self.metric_set!r}")
+        if self.metric_set == "code" and not self.code_metrics:
+            raise ConfigError("code_metrics must name at least one metric when metrics is code")
         for kind in self.baseline_kinds:
             if kind not in bl.BASELINE_KINDS:
                 raise ConfigError(f"baselines: unknown baseline {kind!r}")
-        names = [p.name for p in self.projects]
-        for key, items in (("projects", names), ("baselines", self.baseline_kinds)):
+        for key, items in (("projects", [p.name for p in self.projects]),
+                           ("baselines", self.baseline_kinds), ("code_metrics", self.code_metrics)):
             for item in items:
                 if list(items).count(item) > 1:
                     raise ConfigError(f"{key}: {item!r} is listed twice")
@@ -333,9 +335,10 @@ def _naming_table(version_id: str, kind: str):
 
 
 def load_project_history(spec: ProjectSpec, cfg: ExperimentConfig) -> ProjectHistory:
-    """Parse every version table (and change tables when configured).  A
-    malformed table is named by version and kind: ``version '2.0' metrics:
-    row 5, ...`` or ``version '2.0' changes: ...``."""
+    """Parse every version table, and under ``code+process`` each version's
+    change table against that version's files.  A malformed table is named
+    by version and kind: ``version '2.0' metrics: row 5, ...`` or ``version
+    '2.0' changes: row 3, ...``."""
     snapshots = []
     for entry in spec.versions:
         data = Path(entry.metrics_path).read_bytes()
@@ -343,17 +346,13 @@ def load_project_history(spec: ProjectSpec, cfg: ExperimentConfig) -> ProjectHis
             snapshots.append(parse_metrics_csv(data, cfg.code_metrics, entry.version_id))
     history = ProjectHistory(name=spec.name, versions=tuple(snapshots))
     if cfg.metric_set == "code+process":
-        add_del: dict[tuple[str, str], tuple[int, int]] = {}
-        for entry in spec.versions:
-            if entry.process_path is None:
-                continue
-            with _naming_table(entry.version_id, "changes"):
-                entries = parse_process_csv(Path(entry.process_path).read_bytes())
-            for key, value in entries.items():
-                if key in add_del and add_del[key] != value:
-                    raise ConfigError(f"conflicting process entries for {key}")
-                add_del[key] = value
-        history = attach_process_metrics(history, add_del)
+        changes = {}
+        for entry, snap in zip(spec.versions, history.versions):
+            if entry.process_path is not None:
+                data = Path(entry.process_path).read_bytes()
+                with _naming_table(entry.version_id, "changes"):
+                    changes[entry.version_id] = parse_process_csv(data, snap)
+        history = attach_process_metrics(history, changes)
     return history
 
 

@@ -167,10 +167,13 @@ class TestRun:
             (lambda t: t + "\nbaselines: [lr, forest]", "baselines: unknown baseline 'forest'"),
             (lambda t: t + "\nmetrics: code+churn",
              "metrics must be code or code+process, got 'code+churn'"),
+            (lambda t: t + "\ncode_metrics: []",
+             "code_metrics must name at least one metric when metrics is code"),
         ],
         ids=["output-list", "metrics-list", "name-list", "id-mapping", "id-float", "train-int",
              "unknown-key", "shared-seed", "override-seed", "unknown-technique",
-             "duplicate-project", "duplicate-baseline", "unknown-baseline", "unknown-metric-set"],
+             "duplicate-project", "duplicate-baseline", "unknown-baseline", "unknown-metric-set",
+             "no-code-metric"],
     )
     def test_malformed_value_ends_run_with_one_line(
         self, tmp_path, capsys, monkeypatch, edit, message
@@ -186,8 +189,16 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "row, message",
-        [("u2,f0000", "row 2: expected 4 cells, got 2"), ("u2, ,3,1", "row 2: empty file key")],
-        ids=["short-row", "blank-key"],
+        [
+            ("u2,f0000", "row 2: expected 4 cells, got 2"),
+            ("u2, ,3,1", "row 2: empty file key"),
+            (",f0000,3,1", "row 2: version '' is not this table's version"),
+            ("u3,f0000,3,1", "row 2: version 'u3' is not this table's version"),
+            ("u2,nosuch,3,1", "row 2: no file 'nosuch' in version 'u2'"),
+            ("u2,f0000,3,1\nu2,f0000,3,1", "row 3: duplicate entry for 'u2'/'f0000'"),
+        ],
+        ids=["short-row", "blank-key", "blank-version", "other-version", "unknown-file",
+             "repeated-file"],
     )
     def test_bad_change_table_row_is_one_line(self, tmp_path, capsys, row, message):
         config = write_config(tmp_path)
@@ -201,6 +212,20 @@ class TestRun:
         assert err == (
             f"warning: trend: version 'u2' changes: {message}\nerror: no project completed\n"
         )
+
+    def test_process_columns_alone_run(self, tmp_path, capsys):
+        # under code+process an empty code_metrics list still leaves the four
+        # process columns to learn from
+        config = write_config(tmp_path)
+        write_change_table(tmp_path / "change.csv", "u2", 40, seed=0)
+        text = config.read_text().replace(
+            "metrics: trend-u2.csv}", "metrics: trend-u2.csv, process: change.csv}"
+        )
+        config.write_text(text + "\nmetrics: code+process\ncode_metrics: []\n", encoding="utf-8")
+        assert main(["run", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["config"]["code_metrics"] == []
 
     @pytest.mark.parametrize(
         "column, cell, message",
@@ -790,6 +815,11 @@ def test_fuzzed_project_table_fails_only_its_project(fuzz_input, data):
     lines = err.splitlines(keepends=True)
     project = [line for line in lines if line.startswith("warning: a: ")]
     assert len(project) <= 1, err
+    # a change table's every refusal names its table; a metric table can
+    # also end the project after parsing, as a LOC total beyond int64 does
+    if path.name.startswith("changes-"):
+        named = f"warning: a: version '{path.stem.removeprefix('changes-')}' changes: "
+        assert all(line.startswith(named) for line in project), err
     for line in lines:
         assert line in project or re.fullmatch(r"warning: a/[a-z]+: [^\n]+\n", line), err
     report = json.loads((config.parent / "out" / "report.json").read_text(encoding="utf-8"))

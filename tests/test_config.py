@@ -202,7 +202,9 @@ def valid_configs(draw):
         "seed": st.integers(0, 99),
         "len": st.one_of(st.none(), st.integers(1, 6)),
         "metrics": st.sampled_from(["code", "code+process"]),
-        "code_metrics": st.lists(st.sampled_from(["loc", "wmc", "cbo"]), unique=True, max_size=3),
+        "code_metrics": st.lists(
+            st.sampled_from(["loc", "wmc", "cbo"]), unique=True, min_size=1, max_size=3
+        ),
         "baselines": st.lists(st.sampled_from(bl.BASELINE_KINDS), unique=True),
         "knn_k": st.integers(1, 9),
         "sk_pool_runs": st.booleans(),

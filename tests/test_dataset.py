@@ -16,9 +16,12 @@ from defectseq.dataset import (
     parse_process_csv,
 )
 
-from helpers import toy_history
+from helpers import snapshot, toy_history
 
 SCHEMA = ("wmc", "loc")
+
+# the version whose change tables TestParseProcessCsv reads
+CHANGED = snapshot("1.0", SCHEMA, {"a": [1, 10], "b": [2, 20]})
 
 
 def make_csv(rows, header="name,wmc,loc,bug"):
@@ -128,7 +131,10 @@ class TestParseMetricsCsv:
                 lambda data: parse_metrics_csv(data, SCHEMA),
                 b"name,wmc,loc,bug\na,1,10,0\nb\xe9,2,20,0\n",
             ),
-            (parse_process_csv, b"version,name,add,del\n1.0,a,3,1\n1.0,b\xff,3,1\n"),
+            (
+                lambda data: parse_process_csv(data, CHANGED),
+                b"version,name,add,del\n1.0,a,3,1\n1.0,b\xff,3,1\n",
+            ),
         ],
         ids=["metrics", "changes"],
     )
@@ -386,12 +392,12 @@ class TestSnapshotRows:
 class TestAttachProcessMetrics:
     def test_running_sums(self):
         history = toy_history()
-        add_del = {
-            ("v1", "fA"): (10, 2),
-            ("v2", "fA"): (5, 0),
-            ("v3", "fA"): (0, 1),
+        changes = {
+            "v1": {"fA": (10, 2)},
+            "v2": {"fA": (5, 0)},
+            "v3": {"fA": (0, 1)},
         }
-        out = attach_process_metrics(history, add_del)
+        out = attach_process_metrics(history, changes)
         rows = [row_of(out.snapshot(v), "fA")[-4:] for v in ("v1", "v2", "v3")]
         assert rows == [
             [10, 2, 10, 2],
@@ -400,20 +406,12 @@ class TestAttachProcessMetrics:
         ]
 
     def test_newborn_base_case(self):
-        out = attach_process_metrics(toy_history(), {("v4", "fD"): (100, 0)})
+        out = attach_process_metrics(toy_history(), {"v4": {"fD": (100, 0)}})
         assert row_of(out.snapshot("v4"), "fD")[-4:] == [100, 0, 100, 0]
 
     def test_missing_entries_default_zero(self):
         out = attach_process_metrics(toy_history(), {})
         assert row_of(out.snapshot("v1"), "fA")[-4:] == [0, 0, 0, 0]
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            attach_process_metrics(toy_history(), {("v9", "fA"): (1, 1)})
-
-    def test_unknown_file_rejected(self):
-        with pytest.raises(ValueError, match="file"):
-            attach_process_metrics(toy_history(), {("v4", "fG"): (1, 1)})
 
     def test_schema_extended(self):
         out = attach_process_metrics(toy_history(), {})
@@ -429,14 +427,14 @@ class TestAttachProcessMetrics:
     def test_cumulative_monotone(self):
         rng = np.random.default_rng(0)
         history = toy_history()
-        add_del = {}
+        changes = {}
         for snap in history.versions:
             for key in snap.files:
-                add_del[(snap.version_id, key)] = (
+                changes.setdefault(snap.version_id, {})[key] = (
                     int(rng.integers(0, 50)),
                     int(rng.integers(0, 50)),
                 )
-        out = attach_process_metrics(history, add_del)
+        out = attach_process_metrics(history, changes)
         for key in ("fA", "fB", "fE"):
             cadds, cdels = [], []
             for snap in out.versions:
@@ -449,27 +447,42 @@ class TestAttachProcessMetrics:
 
 class TestParseProcessCsv:
     def test_basic(self):
-        entries = parse_process_csv("version,name,add,del\n1.0,a,3,1\n1.1,a,0,2\n")
-        assert entries == {("1.0", "a"): (3, 1), ("1.1", "a"): (0, 2)}
+        entries = parse_process_csv("version,name,add,del\n1.0,a,3,1\n1.0,b,0,2\n", CHANGED)
+        assert entries == {"a": (3, 1), "b": (0, 2)}
+
+    def test_unknown_version_rejected(self):
+        # a row of another version, though that version's table could hold it
+        expected = r"^row 3: version '1.1' is not this table's version$"
+        with pytest.raises(ParseError, match=expected):
+            parse_process_csv("version,name,add,del\n1.0,a,3,1\n1.1,a,0,2\n", CHANGED)
+
+    def test_unknown_file_rejected(self):
+        with pytest.raises(ParseError, match=r"^row 3: no file 'c' in version '1.0'$"):
+            parse_process_csv("version,name,add,del\n1.0,a,3,1\n1.0,c,0,2\n", CHANGED)
+
+    def test_counts_checked_before_the_version(self):
+        expected = r"^row 2, column 'add': expected non-negative integer"
+        with pytest.raises(ParseError, match=expected):
+            parse_process_csv("version,name,add,del\n1.1,a,-3,1\n", CHANGED)
 
     def test_negative_rejected(self):
         with pytest.raises(ParseError):
-            parse_process_csv("version,name,add,del\n1.0,a,-3,1\n")
+            parse_process_csv("version,name,add,del\n1.0,a,-3,1\n", CHANGED)
 
     @pytest.mark.parametrize("row, column", [("1.0,a,3.7,1", "add"), ("1.0,a,3,0.5", "del")])
     def test_fractional_count_rejected(self, row, column):
         expected = f"row 2, column '{column}': expected non-negative integer"
         with pytest.raises(ParseError, match=expected):
-            parse_process_csv("version,name,add,del\n" + row + "\n")
+            parse_process_csv("version,name,add,del\n" + row + "\n", CHANGED)
 
     def test_integral_float_accepted(self):
-        assert parse_process_csv("version,name,add,del\n1.0,a,3.0,1\n") == {("1.0", "a"): (3, 1)}
+        assert parse_process_csv("version,name,add,del\n1.0,a,3.0,1\n", CHANGED) == {"a": (3, 1)}
 
     @pytest.mark.parametrize("row, got", [("1.0,a", 2), ("1.0,a,3,1,9", 5)])
     def test_short_or_long_row_rejected(self, row, got):
         with pytest.raises(ParseError, match=rf"^row 2: expected 4 cells, got {got}$"):
-            parse_process_csv("version,name,add,del\n" + row + "\n")
+            parse_process_csv("version,name,add,del\n" + row + "\n", CHANGED)
 
     def test_blank_key_names_row(self):
         with pytest.raises(ParseError, match=r"^row 3: empty file key$"):
-            parse_process_csv("version,name,add,del\n1.0,a,3,1\n1.0, ,3,1\n")
+            parse_process_csv("version,name,add,del\n1.0,a,3,1\n1.0, ,3,1\n", CHANGED)

@@ -75,6 +75,8 @@ BAD_VALUES = [
     ("hyperparams: {init_scale: .inf}", "hyperparams.init_scale must be a finite number, got inf"),
     ("hyperparams: {halving_limit: null}", "hyperparams.halving_limit must be an integer, got None"),
     ("code_metrics: wmc", "code_metrics must be a list, got 'wmc'"),
+    ("code_metrics: []", "code_metrics must name at least one metric when metrics is code"),
+    ("code_metrics: [wmc, loc, wmc]", "code_metrics: 'wmc' is listed twice"),
     ("baselines: lr", "baselines must be a list, got 'lr'"),
     ("hyperparams: [1]", "hyperparams must be a mapping"),
     ("technique_hyperparams: [nn]", "technique_hyperparams must be a mapping"),
@@ -230,7 +232,7 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "line, message", BAD_VALUES, ids=[m.split(" must")[0] for _, m in BAD_VALUES]
+        "line, message", BAD_VALUES, ids=[m.split(" must be")[0] for _, m in BAD_VALUES]
     )
     def test_malformed_value_names_key(self, tmp_path, line, message):
         path = tmp_path / "config.yaml"
