@@ -7,6 +7,11 @@ Verbs:
                      (columns: name,score,loc,bugs,label)
   stats <values.csv> Scott-Knott groups and Win/Tie/Loss from raw values
                      (columns: technique,project,value)
+
+``eval`` and ``stats`` declare their columns and read them through
+``dataset.read_rows``, as the metrics and change tables are read; each
+verb adds only its own row checks.  Any refusal is one ``error:`` line and
+exit status 1.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .dataset import ParseError, _parse_count, _parse_number, _read_table
+from .dataset import ParseError, parse_count, parse_name, parse_number, read_rows
 from .effort import scored_files
 from .experiment import emit_report, load_config, run_experiment
 from .rnn import Hyperparams, gradient_check
@@ -45,57 +50,38 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    worst = 0.0
-    for hidden in (1, 3, 8):
-        for input_dim in (1, 4, 24):
-            for T in (1, 2, 5):
-                for y in (0, 1):
-                    h = Hyperparams(hidden_size=hidden, seed=args.seed)
-                    err = gradient_check(h, input_dim=input_dim, T=T, y=y)
-                    worst = max(worst, err)
+    if not 0 < args.tolerance < np.inf:
+        raise ValueError(f"--tolerance must be a positive finite number, got {args.tolerance:g}")
+    worst = np.max([  # a NaN error propagates, and fails
+        gradient_check(Hyperparams(hidden_size=hidden, seed=args.seed), input_dim, T, y)
+        for hidden in (1, 3, 8) for input_dim in (1, 4, 24) for T in (1, 2, 5) for y in (0, 1)
+    ])
     print(f"max relative error: {worst:.3e}")
-    if worst >= args.tolerance:
+    if not worst < args.tolerance:
         print(f"error: exceeds tolerance {args.tolerance:g}", file=sys.stderr)
         return 1
     return 0
 
 
-def _read_rows(path: Path, columns: tuple[str, ...], what: str) -> list[tuple[int, dict[str, str]]]:
-    """The non-blank rows of a CSV file that has ``columns``, as (row
-    number, {column: cell}), read as the metrics tables are: a missing
-    column, or a row with fewer or more cells than the header (row 1), is
-    rejected by name or row number."""
-    positions, rows = _read_table(path.read_bytes(), columns)
-    table = [(i, {column: row[at] for column, at in positions.items()}) for i, row in rows]
-    if not table:
-        raise ValueError(f"empty {what} file")
-    return table
-
-
-def _key_cell(row: dict[str, str], i: int, column: str) -> str:
-    """A key cell as written; a blank one is rejected by row and column."""
-    cell = row[column]
-    if not cell.strip():
-        raise ParseError(f"row {i}, column {column!r}: blank cell {cell!r}")
-    return cell
+_SCORES_COLUMNS = (
+    ("name", parse_name), ("score", parse_number), ("loc", parse_count), ("bugs", parse_count),
+    ("label", parse_count),
+)
+_VALUES_COLUMNS = (("technique", parse_name), ("project", parse_name), ("value", parse_number))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    rows = _read_rows(args.scores, ("name", "score", "loc", "bugs", "label"), "scores")
-    names: set[str] = set()
-    for i, r in rows:
-        name = _key_cell(r, i, "name")
-        if name in names:
+    table: dict[str, tuple] = {}
+    for i, (name, score, loc, bugs, label) in read_rows(args.scores.read_bytes(), _SCORES_COLUMNS):
+        if name in table:
             raise ParseError(f"row {i}, column 'name': duplicate name {name!r}")
-        names.add(name)
-    scores = [_parse_number(r["score"], i, "score") for i, r in rows]
-    locs, bugs, labels = (
-        [_parse_count(r[column], i, column) for i, r in rows] for column in ("loc", "bugs", "label")
-    )
-    for (i, _), label in zip(rows, labels):
         if label > 1:
             raise ParseError(f"row {i}, column 'label': expected 0 or 1, got {label}")
-    files, n_adjusted = scored_files([r["name"] for _, r in rows], locs, bugs)
+        table[name] = (score, loc, bugs, label)
+    if not table:
+        raise ValueError("empty scores file")
+    scores, locs, bugs, labels = zip(*table.values())
+    files, n_adjusted = scored_files(list(table), locs, bugs)
     result = experiment.evaluate_scores(files, scores, labels)
     result["zero_loc_files_adjusted"] = n_adjusted
     print(json.dumps(result, sort_keys=True, indent=2))
@@ -103,16 +89,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    rows = _read_rows(args.values, ("technique", "project", "value"), "values")
     by_tech: dict[str, dict[str, list[float]]] = {}
     projects: list[str] = []
-    for i, r in rows:
-        tech, project = _key_cell(r, i, "technique"), _key_cell(r, i, "project")
+    for _, (tech, project, value) in read_rows(args.values.read_bytes(), _VALUES_COLUMNS):
         if project not in projects:
             projects.append(project)
-        by_tech.setdefault(tech, {}).setdefault(project, []).append(
-            _parse_number(r["value"], i, "value")
-        )
+        by_tech.setdefault(tech, {}).setdefault(project, []).append(value)
+    if not by_tech:
+        raise ValueError("empty values file")
 
     reference = args.reference or next(iter(by_tech))
     if reference not in by_tech:

@@ -8,6 +8,13 @@ and line counts; ``files`` maps each key to its row.  Process metrics (lines
 added/deleted plus their running totals) can be appended to every version's
 matrix as four columns, from one change table per version that lists only
 that version's own files.
+
+Every table read cell by cell, here and in ``cli``, goes through one row
+reader, ``read_rows``: a table declares its columns, each with a parser
+of the shared signature ``parser(cell, row, column)`` (``parse_key``,
+``parse_name``, ``parse_number``, ``parse_count``), and adds its own row
+checks after the parse.  The first fault in row order, then in declared
+column order, is the one named.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -109,7 +116,8 @@ class ProjectHistory:
         return self.versions[self.index(version_id)]
 
 
-def _parse_number(cell: str, row: int, column: str) -> float:
+def parse_number(cell: str, row: int, column: str) -> float:
+    """A finite number."""
     try:
         value = float(cell)
     except ValueError:
@@ -121,8 +129,9 @@ def _parse_number(cell: str, row: int, column: str) -> float:
     return value
 
 
-def _parse_count(cell: str, row: int, column: str) -> int:
-    value = _parse_number(cell, row, column)
+def parse_count(cell: str, row: int, column: str) -> int:
+    """A non-negative integer within int64, written whole or to within 1e-9."""
+    value = parse_number(cell, row, column)
     count = int(round(value))
     if abs(value - count) > 1e-9 or not 0 <= count < _COUNT_LIMIT:
         raise ParseError(
@@ -131,55 +140,71 @@ def _parse_count(cell: str, row: int, column: str) -> int:
     return count
 
 
-def _parse_key(cell: str, row: int) -> str:
+def parse_key(cell: str, row: int, column: str) -> str:
+    """A file key, by ``normalize_key``."""
     try:
         return normalize_key(cell)
     except ParseError as exc:
         raise ParseError(f"row {row}: {exc}") from None
 
 
+def parse_name(cell: str, row: int, column: str) -> str:
+    """A name cell as written, which must not be blank."""
+    if not cell.strip():
+        raise ParseError(f"row {row}, column {column!r}: blank cell {cell!r}")
+    return cell
+
+
 def _decode(data: bytes | str) -> str:
     """A table's text; bytes that are not UTF-8 raise ParseError naming the
-    row of the first bad byte (one more than the line feeds before it)."""
+    csv record of the first bad byte."""
     try:
         return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
-        row = data.count(b"\n", 0, exc.start) + 1
+        # the records of the text before the byte, and of one placeholder
+        # in its place; an earlier record csv cannot read is named instead
+        before = io.StringIO(data[: exc.start].decode("utf-8") + "?", newline="")
+        row = 0
+        try:
+            for row, _ in enumerate(csv.reader(before), start=1):
+                pass
+        except csv.Error as error:
+            raise ParseError(f"row {row + 1}: {error}") from None
         raise ParseError(f"row {row}: not UTF-8 text") from None
 
 
-def _read_table(
-    data: bytes | str, required: Sequence[str]
-) -> tuple[dict[str, int], Iterator[tuple[int, list[str]]]]:
-    """The header positions of the ``required`` columns, and the non-blank
-    rows as (row number, cells); a row whose cell count differs from the
-    header's, or that csv cannot read, raises ParseError."""
-    text = _decode(data)
-    # newline="" as csv asks of a file: a row ends at LF, CRLF or CR
-    reader = csv.reader(io.StringIO(text, newline=""))
+def read_rows(
+    data: bytes | str, columns: Sequence[tuple[str, Callable[[str, int, str], Any]]]
+) -> Iterator[tuple[int, list]]:
+    """The non-blank rows of a CSV table as (row number, cells), each cell
+    of ``columns`` read by its parser as ``parser(cell, row number,
+    column)``, in row order and then in ``columns`` order.
+
+    The header must name every column of ``columns`` (others are ignored);
+    a missing column, a row whose cell count differs from the header's, a
+    row csv cannot read and each parser's own refusal raise ParseError
+    naming the column or row.  A row whose every cell is blank is skipped
+    and keeps its number.
+    """
+    # newline="" as csv asks of a file: a record ends at LF, CRLF or CR
+    reader = csv.reader(io.StringIO(_decode(data), newline=""))
+    row_no = 0
     try:
         header = [h.strip() for h in next(reader)]
+        for column, _ in columns:
+            if column not in header:
+                raise ParseError(f"missing column {column!r}")
+        parsers = [(header.index(column), parse, column) for column, parse in columns]
+        for row_no, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
+            yield row_no, [parse(row[at], row_no, column) for at, parse, column in parsers]
     except StopIteration:
         raise ParseError("empty input: missing header row") from None
     except csv.Error as exc:
-        raise ParseError(f"row 1: {exc}") from None
-    for column in required:
-        if column not in header:
-            raise ParseError(f"missing column {column!r}")
-
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        row_no = 1
-        try:
-            for row_no, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-                yield row_no, row
-        except csv.Error as exc:
-            raise ParseError(f"row {row_no + 1}: {exc}") from None
-
-    return {column: header.index(column) for column in required}, rows()
+        raise ParseError(f"row {row_no + 1}: {exc}") from None
 
 
 # the characters that keep a table off numpy's reader (see _parse_metrics_fast)
@@ -246,7 +271,7 @@ def _parse_metrics_fast(
     bugs = table[:, -1]
     counts = np.rint(bugs)
     loc_at = _loc_column(schema)
-    lines_of_code = np.rint(values[:, loc_at]) if loc_at is not None else np.zeros(len(rows))
+    lines_of_code = _line_counts(values, loc_at)
     if not (
         (np.abs(bugs - counts) <= 1e-9).all()
         and _in_count_range(counts)
@@ -254,6 +279,11 @@ def _parse_metrics_fast(
     ):
         return None
     return tuple(keys), values, counts.astype(np.int64), lines_of_code.astype(np.int64)
+
+
+def _line_counts(values: np.ndarray, loc_at: int | None) -> np.ndarray:
+    """Each row's line count as a float: its rounded "loc" metric, or 0."""
+    return np.rint(values[:, loc_at]) if loc_at is not None else np.zeros(len(values))
 
 
 def _in_count_range(counts: np.ndarray) -> bool:
@@ -285,36 +315,41 @@ def parse_metrics_csv(
         return VersionSnapshot(
             version_id=version_id, schema=schema, keys=keys, values=values, bugs=bugs, loc=loc
         )
-    positions, rows = _read_table(text, (NAME_COLUMN, BUG_COLUMN, *schema))
-    cells = [(positions[m], m) for m in schema]
+    columns = [(NAME_COLUMN, parse_key), (BUG_COLUMN, parse_count)]
+    columns += [(m, parse_number) for m in schema]
     loc_at = _loc_column(schema)
-    seen: set[str] = set()
-    keys, values, bugs, locs = [], [], [], []
-    for row_no, row in rows:
-        key = _parse_key(row[positions[NAME_COLUMN]], row_no)
-        if key in seen:
+    keys: dict[str, None] = {}
+    bugs, values = [], []
+    for row_no, (key, bug, *metrics) in read_rows(text, columns):
+        if key in keys:
             raise ParseError(f"row {row_no}: duplicate file key {key!r}")
-        seen.add(key)
-        keys.append(key)
-        metrics = [_parse_number(row[i], row_no, m) for i, m in cells]
+        # the cells that np.rint takes into [0, 2**63)
+        if loc_at is not None and not -0.5 <= metrics[loc_at] < _COUNT_LIMIT:
+            raise ParseError(
+                f"row {row_no}, column {schema[loc_at]!r}: "
+                f"expected a non-negative line count, got {metrics[loc_at]!r}"
+            )
+        keys[key] = None
+        bugs.append(bug)
         values.append(metrics)
-        bugs.append(_parse_count(row[positions[BUG_COLUMN]], row_no, BUG_COLUMN))
-        if loc_at is not None:
-            loc = int(round(metrics[loc_at]))
-            if not 0 <= loc < _COUNT_LIMIT:
-                raise ParseError(
-                    f"row {row_no}, column {schema[loc_at]!r}: "
-                    f"expected a non-negative line count, got {metrics[loc_at]!r}"
-                )
-            locs.append(loc)
+    table = np.array(values, dtype=float).reshape(len(keys), len(schema))
     return VersionSnapshot(
         version_id=version_id,
         schema=schema,
         keys=tuple(keys),
-        values=np.array(values, dtype=float).reshape(len(keys), len(schema)),
+        values=table,
         bugs=np.array(bugs, dtype=np.int64),
-        loc=np.array(locs, dtype=np.int64) if loc_at is not None else np.zeros(len(keys), np.int64),
+        loc=_line_counts(table, loc_at).astype(np.int64),
     )
+
+
+# the change table's columns; its version cell is checked against the table's
+_CHANGE_COLUMNS = (
+    ("version", lambda cell, row, column: cell.strip()),
+    ("name", parse_key),
+    ("add", parse_count),
+    ("del", parse_count),
+)
 
 
 def parse_process_csv(data: bytes | str, snap: VersionSnapshot) -> dict[str, tuple[int, int]]:
@@ -323,13 +358,8 @@ def parse_process_csv(data: bytes | str, snap: VersionSnapshot) -> dict[str, tup
     (added, deleted)}``, one entry per row.  A row must name ``snap``'s
     version and one of its files, each file once; any other row raises
     ParseError naming it."""
-    positions, rows = _read_table(data, ("version", "name", "add", "del"))
     entries: dict[str, tuple[int, int]] = {}
-    for row_no, row in rows:
-        version = row[positions["version"]].strip()
-        key = _parse_key(row[positions["name"]], row_no)
-        added = _parse_count(row[positions["add"]], row_no, "add")
-        deleted = _parse_count(row[positions["del"]], row_no, "del")
+    for row_no, (version, key, added, deleted) in read_rows(data, _CHANGE_COLUMNS):
         if version != snap.version_id:
             raise ParseError(f"row {row_no}: version {version!r} is not this table's version")
         if key not in snap.files:

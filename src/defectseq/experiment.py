@@ -63,6 +63,9 @@ import yaml
 
 from . import baselines as bl
 from .dataset import (
+    BUG_COLUMN,
+    NAME_COLUMN,
+    PROCESS_METRICS,
     PROMISE_CODE_METRICS,
     ParseError,
     ProjectHistory,
@@ -163,6 +166,13 @@ class ExperimentConfig:
             raise ConfigError(f"metrics must be code or code+process, got {self.metric_set!r}")
         if self.metric_set == "code" and not self.code_metrics:
             raise ConfigError("code_metrics must name at least one metric when metrics is code")
+        if self.knn_k < 1:
+            raise ConfigError(f"knn_k must be at least 1, got {self.knn_k}")
+        # the tables' own columns, and under code+process the appended ones
+        taken = (NAME_COLUMN, BUG_COLUMN) + (PROCESS_METRICS if self.metric_set != "code" else ())
+        for metric in self.code_metrics:
+            if metric in taken:
+                raise ConfigError(f"code_metrics: {metric!r} is a reserved column name")
         for kind in self.baseline_kinds:
             if kind not in bl.BASELINE_KINDS:
                 raise ConfigError(f"baselines: unknown baseline {kind!r}")

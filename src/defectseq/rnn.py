@@ -615,7 +615,7 @@ def gradient_check(
         np.array([label for n in counts for label in (y, 1 - y)[:n]], dtype=float),
     )
     g, _ = batch_gradient(p, batch, h.lam)
-    max_err = 0.0
+    errors = []
     for i, analytic in enumerate(g.tolist()):
         orig = theta[i]
         theta[i] = orig + eps
@@ -624,5 +624,5 @@ def gradient_check(
         lo = batch_gradient(p, batch, h.lam)[1]
         theta[i] = orig
         numeric = (hi - lo) / (2 * eps)
-        max_err = max(max_err, abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-5))
-    return float(max_err)
+        errors.append(abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-5))
+    return float(np.max(errors))  # NaN if any entry is NaN

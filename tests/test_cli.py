@@ -9,7 +9,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defectseq import experiment
+from defectseq import cli, experiment
 from defectseq.cli import main
 from defectseq.experiment import METRIC_KEYS
 
@@ -359,6 +359,22 @@ class TestGradcheck:
     def test_fails_at_impossible_tolerance(self, capsys):
         assert main(["gradcheck", "--tolerance", "1e-300"]) == 1
 
+    def test_nan_error_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "gradient_check", lambda *args, **kwargs: float("nan"))
+        assert main(["gradcheck"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "max relative error: nan\n"
+        assert captured.err == "error: exceeds tolerance 1e-05\n"
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-5"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tolerance):
+        assert main(["gradcheck", f"--tolerance={tolerance}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --tolerance must be a positive finite number, got {float(tolerance):g}\n"
+        )
+
 
 class TestEval:
     def test_scores_csv(self, tmp_path, capsys):
@@ -426,6 +442,23 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["f1,x,10,1,1", "f1,0.5,10,0,0"], "row 2, column 'score': non-numeric cell 'x'"),
+            (["f1,0.9,10,1,2", "f2,0.5,10,0.5,0"], "row 2, column 'label': expected 0 or 1, got 2"),
+            (["f1,0.9,x,1,1", "f2,0.5"], "row 2, column 'loc': non-numeric cell 'x'"),
+            (["f1,0.9,10,0,2", "f2,x,10,0,0"], "row 2, column 'label': expected 0 or 1, got 2"),
+        ],
+        ids=["before-duplicate-name", "before-bad-count", "before-short-row", "before-bad-score"],
+    )
+    def test_first_bad_row_is_named(self, tmp_path, capsys, rows, message):
+        # of two faults, the one in the earlier row
+        scores = tmp_path / "scores.csv"
+        scores.write_text("name,score,loc,bugs,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["eval", str(scores)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_blank_rows_keep_row_numbers(self, tmp_path, capsys):
         # rows are numbered as lines of the file, blank ones included
@@ -534,6 +567,21 @@ class TestStats:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["a,p1,x", "b,p1"], "row 2, column 'value': non-numeric cell 'x'"),
+            (["a,,0.5", "b,p1,0.5,9"], "row 2, column 'project': blank cell ''"),
+        ],
+        ids=["before-short-row", "before-long-row"],
+    )
+    def test_first_bad_row_is_named(self, tmp_path, capsys, rows, message):
+        # of two faults, the one in the earlier row
+        values = tmp_path / "values.csv"
+        values.write_text("technique,project,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["stats", str(values)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unpairable_run_counts_print_nothing(self, tmp_path, capsys):
         # three runs of a against two of b in p2 cannot be paired: nothing is

@@ -1,6 +1,7 @@
 """``tools/code_lines.py`` counts lines of code only."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
@@ -38,3 +39,15 @@ def test_docstring_or_comment_edits_move_nothing():
         "# a comment line", "# one\n# two\n"
     )
     assert code_lines.code_lines(edited) == code_lines.code_lines(SOURCE)
+
+
+def test_git_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # an unknown revision, then a directory outside any checkout
+    assert code_lines.main(["no-such-revision"]) == 2
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", os.fspath(tmp_path.parent))
+    assert code_lines.main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: git ") for line in lines), lines

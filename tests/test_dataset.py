@@ -135,12 +135,31 @@ class TestParseMetricsCsv:
                 lambda data: parse_process_csv(data, CHANGED),
                 b"version,name,add,del\n1.0,a,3,1\n1.0,b\xff,3,1\n",
             ),
+            (
+                lambda data: parse_metrics_csv(data, SCHEMA),
+                b"name,wmc,loc,bug\ra,1,10,0\rb\xe9,2,20,0\r",
+            ),
+            (
+                lambda data: parse_metrics_csv(data, SCHEMA),
+                b'name,wmc,loc,bug\n"a\nb",1,10,0\nc\xe9,2,20,0\n',
+            ),
         ],
-        ids=["metrics", "changes"],
+        ids=["metrics", "changes", "carriage-returns", "quoted-line-break"],
     )
     def test_non_utf8_byte_names_row(self, parse, data):
         with pytest.raises(ParseError, match=r"^row 3: not UTF-8 text$"):
             parse(data)
+
+    def test_unreadable_record_before_a_bad_byte_is_named(self):
+        key = "k" * (csv.field_size_limit() + 1)
+        data = make_csv([f"{key},1,10,0", "b,2,20,0"]).encode("utf-8") + b"\xff"
+        with pytest.raises(ParseError, match=r"^row 2: field larger than field limit"):
+            parse_metrics_csv(data, SCHEMA)
+
+    def test_cells_read_before_the_duplicate_key(self):
+        # the row's cells first, then its key against the rows before it
+        with pytest.raises(ParseError, match=r"^row 3, column 'wmc': non-numeric cell 'x'$"):
+            parse_metrics_csv(make_csv(["a,1,10,0", "a,x,20,0"]), SCHEMA)
 
     def test_count_beyond_int64_rejected(self):
         with pytest.raises(ParseError, match="row 2, column 'loc'"):
@@ -319,8 +338,8 @@ class TestFastPathMatchesPerCell:
         def per_cell(*args):
             raise AssertionError("a clean table reached the per-cell parser")
 
-        monkeypatch.setattr(dataset, "_parse_number", per_cell)
-        monkeypatch.setattr(dataset, "_read_table", per_cell)
+        monkeypatch.setattr(dataset, "parse_number", per_cell)
+        monkeypatch.setattr(dataset, "read_rows", per_cell)
         snap = parse_metrics_csv(data, SCHEMA)
         assert snap.keys[:2] == ("org.C0", "org.C1") and len(snap.keys) == 300
         assert snap.values[3].tolist() == [3.25, 30.0]

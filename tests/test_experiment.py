@@ -77,6 +77,10 @@ BAD_VALUES = [
     ("code_metrics: wmc", "code_metrics must be a list, got 'wmc'"),
     ("code_metrics: []", "code_metrics must name at least one metric when metrics is code"),
     ("code_metrics: [wmc, loc, wmc]", "code_metrics: 'wmc' is listed twice"),
+    ("code_metrics: [wmc, bug]", "code_metrics: 'bug' is a reserved column name"),
+    ("code_metrics: [name, wmc]", "code_metrics: 'name' is a reserved column name"),
+    ("metrics: code+process\ncode_metrics: [wmc, cadd]", "code_metrics: 'cadd' is a reserved column name"),
+    ("knn_k: 0", "knn_k must be at least 1, got 0"),
     ("baselines: lr", "baselines must be a list, got 'lr'"),
     ("hyperparams: [1]", "hyperparams must be a mapping"),
     ("technique_hyperparams: [nn]", "technique_hyperparams must be a mapping"),
@@ -232,7 +236,10 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
-        "line, message", BAD_VALUES, ids=[m.split(" must be")[0] for _, m in BAD_VALUES]
+        "line, message",
+        BAD_VALUES,
+        # a range error keeps its whole message, apart from its key's type error
+        ids=[m if " at least " in m else m.split(" must be")[0] for _, m in BAD_VALUES],
     )
     def test_malformed_value_names_key(self, tmp_path, line, message):
         path = tmp_path / "config.yaml"

@@ -447,6 +447,19 @@ class TestGradientCheck:
         monkeypatch.setattr(rnn, "batch_gradient", broken)
         assert gradient_check(Hyperparams(hidden_size=3, seed=0), 4, 3) > 1e-3
 
+    def test_nan_entry_fails(self, monkeypatch):
+        # one NaN entry of the analytic gradient makes the error NaN, which
+        # no tolerance accepts
+        original = rnn.batch_gradient
+
+        def poisoned(p, batch, lam):
+            grad, loss = original(p, batch, lam)
+            grad[3] = np.nan
+            return grad, loss
+
+        monkeypatch.setattr(rnn, "batch_gradient", poisoned)
+        assert not gradient_check(Hyperparams(hidden_size=3, seed=0), 4, 3) < 1e-5
+
 
 class TestBatchGradient:
     def test_single_sample_matches_backward(self):

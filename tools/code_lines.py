@@ -9,6 +9,8 @@ opens a module, class or function body) do not count.  So a change that
 only rewords or removes comments and docstrings moves no count.  Prints one
 row per module present on either side (REV, working tree, difference) and
 a total row.  Standard library only; run from anywhere inside the checkout.
+An unknown REV, or a directory outside a checkout, prints one ``error:``
+line and exits with status 2.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def code_lines(source: str) -> int:
 
 def git(*args: str, cwd: Path) -> str:
     return subprocess.run(
-        ["git", *args], cwd=cwd, check=True, stdout=subprocess.PIPE, text=True
+        ["git", *args], cwd=cwd, check=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
     ).stdout
 
 
@@ -78,8 +81,12 @@ def counts_in_tree(root: Path) -> dict[str, int]:
 
 def main(argv: list[str]) -> int:
     rev = argv[0] if argv else "HEAD"
-    root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).strip())
-    before, after = counts_at(rev, root), counts_in_tree(root)
+    try:
+        root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).strip())
+        before, after = counts_at(rev, root), counts_in_tree(root)
+    except subprocess.CalledProcessError as exc:  # git's own message, on one line
+        print(f"error: {' '.join(exc.cmd)}: {' '.join(exc.stderr.split())}", file=sys.stderr)
+        return 2
     width = max(map(len, [*before, *after, "total"]))
     print(f"{'module':<{width}}  {rev[:12]:>12}  {'tree':>6}  {'change':>6}")
     for name in sorted(set(before) | set(after)):
