@@ -160,17 +160,18 @@ def _predict_knn(params: dict, Z: np.ndarray) -> np.ndarray:
     roundoff), so they differ by less than ``err`` = 8(d + 4)·u·(|z|² +
     max |p|²) plus one smallest normal for underflow.  Every point that the
     exact distances rank in the top k then has an estimate within 2·err of
-    the row's k-th smallest estimate; only those candidates (and any whose
-    estimate is not finite) get the exact distance.  The queries go in
-    blocks whose estimate product stays under ``BLAS_THREAD_BOUND``.
+    the row's k-th smallest estimate; only those candidates get the exact
+    distance.  A non-finite estimate needs no pass of its own: where it could
+    hide a top-k point, |z|² + max |p|² or the k-th distance overflows (or
+    an input is NaN), so the row's bound is not finite and the row keeps
+    every point.  The queries go in blocks whose estimate product stays
+    under ``BLAS_THREAD_BOUND``.
 
     Each block's estimate is written into two arrays made once per call, in
     the order above: the product, doubled in place, subtracted from the
-    outer sum of the squared norms.  When a block's squared norms are
-    finite and their largest sum is below 1e300, every estimate is finite
-    (|2 z·p| ≤ |z|² + |p|²), so the pass that keeps non-finite estimates is
-    skipped.  The candidates are read off the mask as flat indices, which
-    are few (about k per row), and counted per row from those.
+    outer sum of the squared norms.  The candidates are read off the mask
+    as flat indices, which are few (about k per row), and counted per row
+    from those.
     """
     points, labels, k = params["points"], params["labels"], params["k"]
     rows = max(1, (BLAS_THREAD_BOUND - 1) // points.size)
@@ -191,8 +192,6 @@ def _predict_knn(params: dict, Z: np.ndarray) -> np.ndarray:
         err = slack * (z_sq + p_sq_max) + np.finfo(float).tiny
         bound = np.partition(estimate, k - 1, axis=1)[:, k - 1] + 2.0 * err
         candidate = estimate <= bound[:, None]
-        if not z_sq.max() + p_sq_max < 1e300:
-            candidate |= ~np.isfinite(estimate)
         # a bound that overflowed keeps every point of its row
         candidate[~np.isfinite(bound)] = True
         # row-major flat indices: c ascends within each row

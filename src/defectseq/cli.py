@@ -11,7 +11,7 @@ Verbs:
 ``eval`` and ``stats`` declare their columns and read them through
 ``dataset.read_rows``, as the metrics and change tables are read; each
 verb adds only its own row checks.  Any refusal is one ``error:`` line and
-exit status 1.
+exit status 1; a Ctrl-C is ``error: interrupted`` and exit status 130.
 """
 
 from __future__ import annotations
@@ -152,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, experiment.WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -32,9 +32,9 @@ the caller's thread and merged in config order, so the report does not
 depend on the worker count.  A project that fails on its own data is
 recorded under ``errors``; any other exception reaches the caller, and no
 worker outlives ``run_experiment``.  A worker runs on the modules this
-process had imported when it forked and imports none itself: the initial
-weights come from the in-package PCG64 (``rnn.pcg64_uniform``), not
-``numpy.random``.
+process had imported when it forked, and imports only ``numpy.random``,
+for its first initial weights; this process, which trains nothing in a
+pooled run, never loads it.
 
 The report is a plain JSON-ready dict so that a written ``report.json``
 re-reads to exactly the in-memory structure.  ``emit_report`` formats
@@ -50,6 +50,7 @@ import json
 import math
 import multiprocessing as mp
 import os
+import signal
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache
@@ -261,10 +262,33 @@ _KIND_NAMES = {
 }
 
 
+class _ManifestLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that refuses a key written twice in one mapping,
+    where ``safe_load`` keeps the last value.  A key that a ``<<`` merge
+    brings in may still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            written = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            self.flatten_mapping(node)
+            seen = set()
+            for key_node in written:
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"duplicate key {key!r}", key_node.start_mark
+                        )
+                    seen.add(key)
+                except TypeError:
+                    pass  # unhashable: the base class raises its own error
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a YAML (or JSON) experiment description through ``_SETTINGS``."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_ManifestLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -526,10 +550,14 @@ def _serve_jobs(jobs: list, conn, callers_ends: list) -> None:
     ``_project_outcome`` let through, which unpickles with this worker's
     traceback as its cause, as a ``multiprocessing.Pool`` would send it.
 
+    A worker ignores SIGINT: a Ctrl-C reaches the whole process group, and
+    the caller alone acts on it, by terminating every worker.
+
     ``callers_ends`` are the caller's ends of this worker's pipe and of the
     pipes of the workers forked before it, inherited through the fork.  They
     are closed first, so that if the caller dies the pipe breaks and this
     worker exits once its current job is done."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in callers_ends:
         end.close()
     try:

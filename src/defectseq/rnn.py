@@ -31,21 +31,12 @@ their stacks as they are; each call still builds its own batch and
 ``Sweep``.  The finite-difference checker differentiates ``batch_gradient``
 itself, on a batch of mixed lengths and labels with the L2 term on, so it
 verifies the code the trainer runs.
-
-The initial weights are the bits of ``np.random.default_rng(seed)``'s
-uniform draws, computed by ``pcg64_uniform`` in Python integers, so a
-forked project worker trains without importing ``numpy.random``.  Each
-distinct draw (seed, range and count) is computed once per process and
-kept as a tuple (``_draw``): the rnn and the nn of a project, and the
-projects one worker runs, start from the same seeds.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -130,87 +121,20 @@ class RnnParams:
 
 
 def init_params(h: Hyperparams, input_dim: int) -> RnnParams:
-    """Uniform random U, V, W in [-init_scale, init_scale], drawn in their
-    ``theta`` order; zero biases."""
+    """Uniform random U, V, W in [-init_scale, init_scale], one draw of
+    ``np.random.default_rng(seed)`` in their ``theta`` order; zero biases."""
     if input_dim < 1:
         raise ValueError("input_dim must be positive")
+    low, high = -h.init_scale, h.init_scale
+    if not math.isfinite(high - low):  # numpy would raise OverflowError
+        raise ValueError(f"uniform range [{low!r}, {high!r}] exceeds the float range")
     p = RnnParams.zeros(h.hidden_size, input_dim)
     weights = p.theta[: -h.hidden_size - 1]
-    weights[:] = _draw(operator.index(h.seed), -h.init_scale, h.init_scale, weights.size)
+    # numpy 2 loads numpy.random on the first use of ``np.random``, so only a
+    # process that trains pays for its import; importing it at the top of
+    # this module would put it in the pooled run's caller too (1.9 MB)
+    weights[:] = np.random.default_rng(h.seed).uniform(low, high, weights.size)
     return p
-
-
-@lru_cache(maxsize=64)
-def _draw(seed: int, low: float, high: float, n: int) -> tuple[float, ...]:
-    """``pcg64_uniform``'s draw, kept per process as a tuple that no caller
-    can change.  A project's rnn and nn start from the same seeds at the
-    same shape, so half of a worker's draws are repeats.  A draw that
-    raises is not kept."""
-    return tuple(pcg64_uniform(seed, low, high, n))
-
-
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT, _ROTATE = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) + 1
-
-
-def pcg64_uniform(seed: int, low: float, high: float, n: int) -> list[float]:
-    """The bits of ``np.random.default_rng(seed).uniform(low, high, n)``:
-    numpy's SeedSequence seeding of a PCG64 stream, its XSL-RR output and
-    its 53-bit doubles, in Python integers.  A forked project worker thus
-    draws its initial weights without importing ``numpy.random`` (and,
-    through it, ``secrets`` and OpenSSL)."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    span = high - low
-    if not math.isfinite(span):
-        raise ValueError(f"uniform range [{low!r}, {high!r}] exceeds the float range")
-    # SeedSequence: the seed's 32-bit words, low first, hashed into a pool
-    # of four words, which are hashed again into the stream's 256 seed bits
-    words = [seed >> i & _M32 for i in range(0, max(seed.bit_length(), 1), 32)]
-    const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * 0x931E8875 & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # eight words pair, low word first, into uint64s u0..u3; PCG64 seeds from
-    # initstate = u0 << 64 | u1 and initseq = u2 << 64 | u3, so word i is
-    # bits 32 * (i ^ 2) on of initseq << 128 | initstate
-    const, state = 0x8B51F9DD, 0
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * 0x58F38DED & _M32
-        value = value * const & _M32
-        state |= (value ^ value >> 16) << 32 * (i ^ 2)
-    initstate, initseq = state & _M128, state >> 128
-    inc = (initseq << 1 | 1) & _M128
-    s = ((inc + initstate) * _PCG_MULT + inc) & _M128  # from 0: step, add initstate, step
-    states = []
-    for _ in range(n):
-        s = (s * _PCG_MULT + inc) & _M128
-        states.append(s)
-    # XSL-RR: the halves xor-ed, rotated right by the top 6 bits; x * (2^64
-    # + 1) holds x twice, so a shift of it is the rotation
-    return [
-        low + span * (((((s >> 64 ^ s) & _M64) * _ROTATE >> (s >> 122) & _M64) >> 11) * 2.0**-53)
-        for s in states
-    ]
 
 
 def sigmoid_in_place(z: np.ndarray) -> None:

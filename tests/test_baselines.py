@@ -242,9 +242,10 @@ def brute_force_knn(points, labels, k, Z):
 # coarse values repeat, so points duplicate and distances tie at the k-th place
 coarse = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5, 3.0, 0.1, 0.3])
 values = coarse | st.floats(min_value=-10, max_value=10, allow_nan=False)
-# 1e200 overflows both the squared distances and their BLAS estimate; 1e-160
-# makes them subnormal and 1e-200 underflows them to zero
-scales = st.sampled_from([1.0, 1e-3, 1e150, 1e200, 1e-160, 1e-200])
+# 1e200 overflows both the squared distances and their BLAS estimate, and
+# 1e154 puts the squared norms near the float max; 1e-160 makes them
+# subnormal and 1e-200 underflows them to zero
+scales = st.sampled_from([1.0, 1e-3, 1e150, 1e154, 1e200, 1e-160, 1e-200])
 
 
 class TestKnnPruning:

@@ -4,7 +4,12 @@ import json
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +20,8 @@ from defectseq.experiment import METRIC_KEYS
 
 from helpers import write_trend_project
 from test_golden import write_change_table
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, repeats=1, baselines="lr, knn"):
@@ -143,7 +150,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda t: t + "\noutput: [x]", "output must be a string, got ['x']"),
+            (lambda t: re.sub("(?m)^output: .*", "output: [x]", t),
+             "output must be a string, got ['x']"),
             (lambda t: t + "\nmetrics: [x]", "metrics must be a string, got ['x']"),
             (lambda t: t.replace("name: trend", "name: [a]"),
              "projects[0].name must be a string, got ['a']"),
@@ -154,7 +162,7 @@ class TestRun:
             (lambda t: t.replace("train_version: u3", "train_version: 3"),
              "projects[0].train_version must be a string, got 3"),
             (lambda t: t.replace("repeats: 1", "repeets: 3"), "unknown key 'repeets'"),
-            (lambda t: t + "\nhyperparams: {seed: 5}",
+            (lambda t: t.replace("hyperparams: {", "hyperparams: {seed: 5, "),
              "hyperparams: unknown hyperparameter 'seed'"),
             (lambda t: t + "\ntechnique_hyperparams: {rnn: {seed: 9}}",
              "technique_hyperparams.rnn: unknown hyperparameter 'seed'"),
@@ -164,10 +172,11 @@ class TestRun:
              "projects: 'trend' is listed twice"),
             (lambda t: t.replace("baselines: [lr, knn]", "baselines: [lr, lr]"),
              "baselines: 'lr' is listed twice"),
-            (lambda t: t + "\nbaselines: [lr, forest]", "baselines: unknown baseline 'forest'"),
+            (lambda t: t.replace("baselines: [lr, knn]", "baselines: [lr, forest]"),
+             "baselines: unknown baseline 'forest'"),
             (lambda t: t + "\nmetrics: code+churn",
              "metrics must be code or code+process, got 'code+churn'"),
-            (lambda t: t + "\ncode_metrics: []",
+            (lambda t: re.sub("(?m)^code_metrics: .*", "code_metrics: []", t),
              "code_metrics must name at least one metric when metrics is code"),
         ],
         ids=["output-list", "metrics-list", "name-list", "id-mapping", "id-float", "train-int",
@@ -221,7 +230,8 @@ class TestRun:
         text = config.read_text().replace(
             "metrics: trend-u2.csv}", "metrics: trend-u2.csv, process: change.csv}"
         )
-        config.write_text(text + "\nmetrics: code+process\ncode_metrics: []\n", encoding="utf-8")
+        text = re.sub("(?m)^code_metrics: .*", "code_metrics: []", text)
+        config.write_text(text + "\nmetrics: code+process\n", encoding="utf-8")
         assert main(["run", str(config)]) == 0
         assert capsys.readouterr().err == ""
         report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
@@ -295,6 +305,20 @@ class TestRun:
         assert "error" in capsys.readouterr().err
 
 
+def write_two_project_config(tmp_path, iterations=40):
+    """``write_config``'s project twice, as a and b, trained ``iterations``
+    steps."""
+    config = write_config(tmp_path)
+    text = config.read_text(encoding="utf-8")
+    text = text.replace("iterations: 40", f"iterations: {iterations}")
+    block = text[text.index("  - name: trend") :]
+    config.write_text(
+        text.replace("name: trend", "name: a") + "\n" + block.replace("name: trend", "name: b"),
+        encoding="utf-8",
+    )
+    return config
+
+
 ORIGINAL_PROJECT_OUTCOME = experiment._project_outcome
 
 
@@ -311,13 +335,7 @@ def test_dead_worker_ends_the_run_in_one_line(tmp_path, monkeypatch):
     with one error line naming b, no traceback, and no worker left.  The run
     goes in a forked child that is waited for with a timeout, so a hang
     fails the test instead of stalling the suite."""
-    config = write_config(tmp_path)
-    text = config.read_text(encoding="utf-8")
-    block = text[text.index("  - name: trend") :]
-    config.write_text(
-        text.replace("name: trend", "name: a") + "\n" + block.replace("name: trend", "name: b"),
-        encoding="utf-8",
-    )
+    config = write_two_project_config(tmp_path)
     monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, 2))
     monkeypatch.setattr(experiment, "_project_outcome", b_worker_exits)
 
@@ -349,6 +367,31 @@ def test_dead_worker_ends_the_run_in_one_line(tmp_path, monkeypatch):
     )
     assert out == "" and not (tmp_path / "out").exists()
     assert left == []
+
+
+def test_ctrl_c_ends_the_run_in_one_line(tmp_path):
+    """A SIGINT to the process group of a training ``defectseq run``: exit
+    130 with one error line, no process left in the group and no output
+    directory.  With two CPUs the projects train in forked workers."""
+    config = write_two_project_config(tmp_path, iterations=1_000_000)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "defectseq", "run", str(config)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        time.sleep(1.5)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # nothing is left in the group
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+    assert not (tmp_path / "out").exists()
 
 
 class TestGradcheck:

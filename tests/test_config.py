@@ -99,6 +99,58 @@ class TestDuplicatesUpFront:
         assert [p.train_version for p in cfg.projects] == ["a", "a"]
 
 
+class TestKeyWrittenTwice:
+    """A key written twice in one mapping is refused, naming the second
+    occurrence; ``yaml.safe_load`` would keep the last value."""
+
+    MANIFEST = """seed: 1
+projects:
+  - name: p
+    versions:
+      - id: a
+        metrics: a.csv
+      - id: b
+        metrics: b.csv
+hyperparams:
+  iterations: 10
+"""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("seed: 1\n", "seed: 1\nseed: 7\n"), "line 2, column 1: duplicate key 'seed'"),
+            (
+                ("  iterations: 10\n", "  iterations: 10\n  iterations: 3\n"),
+                "line 11, column 3: duplicate key 'iterations'",
+            ),
+            (
+                ("metrics: b.csv\n", "metrics: b.csv\n        id: c\n"),
+                "line 9, column 9: duplicate key 'id'",
+            ),
+        ],
+        ids=["top-level", "hyperparams", "version-entry"],
+    )
+    def test_refused(self, tmp_path, edit, message):
+        path = write_yaml(tmp_path, self.MANIFEST.replace(*edit))
+        with pytest.raises(ConfigError, match=f"^invalid YAML at {re.escape(message)}$"):
+            load_config(path)
+
+    def test_json_manifest_refused_alike(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1, "seed": 7, "projects": []}', encoding="utf-8")
+        message = "invalid YAML at line 1, column 13: duplicate key 'seed'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        text = self.MANIFEST.replace("hyperparams:\n", "hyperparams: &shared\n  eta: 0.5\n")
+        text += "technique_hyperparams:\n  nn:\n    <<: *shared\n    iterations: 3\n"
+        cfg = load_config(write_yaml(tmp_path, text))
+        assert (cfg.hyperparams.iterations, cfg.hyperparams.eta) == (10, 0.5)
+        nn = cfg.hyperparams_for("nn")
+        assert (nn.iterations, nn.eta) == (3, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # fuzzed front door: one key of a valid config set to any YAML kind
 # ---------------------------------------------------------------------------

@@ -621,6 +621,16 @@ class TestProjectPool:
         assert list(report["projects"]) == ["a", "b"]
         assert started == []
 
+    def test_workers_ignore_sigint(self, monkeypatch):
+        # a Ctrl-C reaches the whole process group; only the caller acts on it
+        def sigint_ignored(job):
+            return signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+
+        monkeypatch.setattr(experiment, "_project_outcome", sigint_ignored)
+        monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, 2))
+        assert experiment._map_projects([None, None]) == [True, True]
+        assert signal.getsignal(signal.SIGINT) == signal.default_int_handler
+
     def test_killed_worker_fails_fast(self, tmp_path, monkeypatch):
         """Project a's worker, the first forked, is killed while b's is
         still busy: the run ends in one line naming a, and b's worker is

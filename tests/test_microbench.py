@@ -10,6 +10,13 @@ separate runs put one case at +23% where the same case, interleaved,
 read -10.6%.  Instead, load both trees' functions in one process and
 alternate between them round by round, each round timing the parent's
 call and the change's on the same inputs.
+
+That does not hold for a change to the worker pool or to scheduling: in
+one process, runs that left their workers to the scheduler read 0.174 to
+0.181 s (medians, wide-eval), with less CPU than wall time, because both
+workers had landed on one CPU; the same code run alone read 0.126 to
+0.133 s.  Compare such changes only through ``perfbench/run.py`` pairs,
+each run a fresh process.
 """
 
 import json
@@ -40,7 +47,7 @@ from defectseq.effort import (
     rank_by_density,
     scored_files,
 )
-from defectseq import experiment, rnn
+from defectseq import experiment
 from defectseq.experiment import ExperimentConfig, ProjectSpec, VersionEntry, _write_json
 from defectseq.history import HvsmSet, anchor_step, extract_hvsm_set
 from defectseq.rnn import (
@@ -131,13 +138,13 @@ def test_aggregate_wide_eval_sized(benchmark):
 
 def test_init_params_twice_per_seed(benchmark):
     # a wide-eval project's initial weights: the rnn, then the nn, each draw
-    # seeds 0..5 at hidden 16 and 20 inputs, from an empty memo each round
+    # seeds 0..5 at hidden 16 and 20 inputs
     seeds = [Hyperparams(hidden_size=16, seed=seed) for seed in range(6)]
 
     def draw():
         return [init_params(h, 20) for _ in range(2) for h in seeds]
 
-    params = benchmark.pedantic(draw, setup=rnn._draw.cache_clear, rounds=20)
+    params = benchmark.pedantic(draw, rounds=20)
     assert len(params) == 12 and np.array_equal(params[0].theta, params[6].theta)
 
 
