@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .history import HvsmSet
-from .rnn import BLAS_THREAD_BOUND, Hyperparams, descend, predict_set, sigmoid_in_place, train
+from .rnn import (
+    BLAS_THREAD_BOUND, PROB_EPS, Hyperparams, descend, predict_set, sigmoid_in_place, train,
+)
 
 LOGISTIC_REGRESSION = "lr"
 GAUSSIAN_NB = "nb"
@@ -105,8 +107,8 @@ def _train_logistic(Z: np.ndarray, y: np.ndarray, h: Hyperparams) -> dict:
             np.multiply(h.lam, w, out=work)
             np.add(gw, work, out=gw)
             grad[d] = np.add.reduce(resid) / m
-            np.maximum(prob, 1e-12, out=prob)
-            np.minimum(prob, 1 - 1e-12, out=prob)
+            np.maximum(prob, PROB_EPS, out=prob)
+            np.minimum(prob, 1.0 - PROB_EPS, out=prob)
             np.subtract(1.0, prob, out=resid)
             np.copyto(resid, prob, where=positive)
             np.log(resid, out=resid)

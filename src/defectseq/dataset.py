@@ -180,11 +180,11 @@ def read_rows(
     of ``columns`` read by its parser as ``parser(cell, row number,
     column)``, in row order and then in ``columns`` order.
 
-    The header must name every column of ``columns`` (others are ignored);
-    a missing column, a row whose cell count differs from the header's, a
-    row csv cannot read and each parser's own refusal raise ParseError
-    naming the column or row.  A row whose every cell is blank is skipped
-    and keeps its number.
+    The header must name every column of ``columns`` once (others are
+    ignored, and may repeat); a missing or repeated column, a row whose
+    cell count differs from the header's, a row csv cannot read and each
+    parser's own refusal raise ParseError naming the column or row.  A row
+    whose every cell is blank is skipped and keeps its number.
     """
     # newline="" as csv asks of a file: a record ends at LF, CRLF or CR
     reader = csv.reader(io.StringIO(_decode(data), newline=""))
@@ -194,6 +194,8 @@ def read_rows(
         for column, _ in columns:
             if column not in header:
                 raise ParseError(f"missing column {column!r}")
+            if header.count(column) > 1:
+                raise ParseError(f"column {column!r} is named twice in the header")
         parsers = [(header.index(column), parse, column) for column, parse in columns]
         for row_no, row in enumerate(reader, start=2):
             if not "".join(row).strip():
@@ -226,10 +228,10 @@ def _parse_metrics_fast(
     one line split on commas, as csv reads it; no line longer than csv's
     field limit; and none of the separators U+001C..U+001F, which numpy
     strips from a number as whitespace and float() does not.  The table
-    must have data rows, the required columns, rows of the header's width,
-    non-blank unique keys, finite values, integral bug counts within 1e-9
-    and counts in int64 range; anything else, and any cell numpy cannot
-    read, returns None.
+    must have data rows, the required columns each named once, rows of the
+    header's width, non-blank unique keys, finite values, integral bug
+    counts within 1e-9 and counts in int64 range; anything else, and any
+    cell numpy cannot read, returns None.
     """
     if any(c in text for c in _NOT_PLAIN):  # one C scan per character
         return None
@@ -237,7 +239,7 @@ def _parse_metrics_fast(
     if max(map(len, lines)) > csv.field_size_limit():
         return None
     header = [h.strip() for h in lines[0].split(",")]
-    if any(column not in header for column in (NAME_COLUMN, BUG_COLUMN, *schema)):
+    if any(header.count(column) != 1 for column in (NAME_COLUMN, BUG_COLUMN, *schema)):
         return None
     name_at, commas = header.index(NAME_COLUMN), len(header) - 1
     key_cells, rows = [], []

@@ -127,6 +127,9 @@ class ProjectSpec:
         ids = [v.version_id for v in self.versions]
         if len(self.versions) < 2:
             raise ConfigError(f"project {self.name!r} needs at least 2 versions")
+        for version_id in ids:
+            if ids.count(version_id) > 1:
+                raise ConfigError(f"project {self.name!r}: version {version_id!r} is listed twice")
         if self.train_version is None:
             object.__setattr__(self, "train_version", ids[-2])
         if self.test_version is None:

@@ -11,9 +11,9 @@ The three distribution functions these procedures use are plain
 numpy/``math`` code, so importing the package loads no scipy:
 :func:`rankdata` (average ranks, also used by ``effort.auc`` and
 ``experiment.compare_techniques``), :func:`norm_sf` (the normal upper
-tail of the large-sample Wilcoxon test) and :func:`chi2_ppf` (the
-Scott-Knott critical value).  The test suite checks each against ``scipy.stats``,
-which serves there as the oracle.
+tail of the large-sample Wilcoxon test) and :func:`chi2_sf` (the
+chi-square upper tail that decides a Scott-Knott split).  The test suite
+checks each against ``scipy.stats``, which serves there as the oracle.
 """
 
 from __future__ import annotations
@@ -61,29 +61,32 @@ def norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _gamma_tails(a: float, x: float) -> tuple[float, float, float]:
-    """Regularized incomplete gamma tails P(a, x) and Q(a, x) = 1 - P, and
-    the density dP/dx.
+def chi2_sf(x: float, nu: float) -> float:
+    """Upper tail Q(nu/2, x/2) of the chi-square distribution with ``nu`` > 0
+    degrees of freedom.
 
-    Below x = a + 1 the power series gives P; above it the continued
-    fraction gives Q, so the smaller tail keeps its relative precision.
+    Below x/2 = a + 1 (a = nu/2) the power series gives the lower tail P,
+    and Q = 1 - P; above it the continued fraction gives Q itself, so a
+    small upper tail keeps its relative precision.
     """
     if x <= 0.0:
-        return 0.0, 1.0, 0.0
-    prefix = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if x < a + 1.0:
+        return 1.0
+    if x == math.inf:  # the prefix below would be exp(inf - inf), nan
+        return 0.0
+    a, y = 0.5 * nu, 0.5 * x
+    prefix = math.exp(a * math.log(y) - y - math.lgamma(a))
+    if y < a + 1.0:
         term = total = 1.0 / a
         n = a
         while term > total * 1e-17:
             n += 1.0
-            term *= x / n
+            term *= y / n
             total += term
-        p = total * prefix
-        return p, 1.0 - p, prefix / x
-    # modified Lentz; for x >= a + 1 every partial denominator stays above
+        return 1.0 - total * prefix
+    # modified Lentz; for y >= a + 1 every partial denominator stays above
     # b/2 (checked on a grid of a up to 500), so the usual guard against a
     # zero divisor is left out
-    b = x + 1.0 - a
+    b = y + 1.0 - a
     c = math.inf
     d = h = 1.0 / b
     for i in range(1, 1000):
@@ -95,47 +98,7 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float, float]:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    q = prefix * h
-    return 1.0 - q, q, prefix / x
-
-
-def chi2_ppf(q: float, nu: float) -> float:
-    """Quantile of the chi-square distribution with ``nu`` > 0 degrees of
-    freedom: the x with P(nu/2, x/2) = q.
-
-    Newton's method on y = x/2, applied to the log of the smaller tail
-    (log Q against y above the median, log P against log y below it),
-    where both are close to linear.  Every evaluation narrows a bracket
-    around the root; a step that leaves it is replaced by bisection, or
-    by doubling while no upper end is known.
-    """
-    if q <= 0.0:
-        return 0.0
-    if q >= 1.0:
-        return math.inf
-    a = 0.5 * nu
-    upper = q > 0.5
-    tail = 1.0 - q if upper else q
-    lo, hi = 0.0, math.inf
-    y = max(a, 1.0)
-    for _ in range(200):
-        p_low, q_up, density = _gamma_tails(a, y)
-        try:
-            if upper:
-                new = y + q_up * math.log(q_up / tail) / density
-            else:
-                new = y * math.exp(-p_low * math.log(p_low / tail) / (y * density))
-        except (ArithmeticError, ValueError):  # a tail or the slope underflowed
-            new = math.inf
-        if abs(new - y) <= 1e-8 * y:
-            # Newton converges quadratically: the error left is of order step**2
-            return 2.0 * new
-        if (q_up > tail) if upper else (p_low < tail):
-            lo = y
-        else:
-            hi = y
-        y = new if lo < new < hi else (2.0 * y if hi == math.inf else 0.5 * (lo + hi))
-    return 2.0 * y
+    return prefix * h
 
 
 @dataclass(frozen=True)
@@ -292,11 +255,12 @@ def scott_knott(
 
     Techniques are ordered by mean (higher is better).  Each candidate rank
     is split at the point maximizing the between-group sum of squares B0 of
-    the treatment means; the split stands when the likelihood statistic
-    pi/(2(pi-2)) * B0 / sigma^2 exceeds the chi-square critical value with
-    k/(pi-2) degrees of freedom, where sigma^2 pools the between-treatment
-    scatter with the within-treatment variance of a treatment mean.  The
-    procedure recurses into both sides until no split is significant.
+    the treatment means; the split stands when the chi-square upper tail of
+    the likelihood statistic pi/(2(pi-2)) * B0 / sigma^2, with k/(pi-2)
+    degrees of freedom, is below ``alpha``, where sigma^2 pools the
+    between-treatment scatter with the within-treatment variance of a
+    treatment mean.  The procedure recurses into both sides until no split
+    is significant, and a run of equal means is one rank.
     """
     if not values:
         raise ValueError("no techniques given")
@@ -323,19 +287,19 @@ def scott_knott(
     ranks: list[tuple[str, ...]] = []
 
     def partition(names: list[str]) -> None:
-        k = len(names)
-        if k == 1:
+        group_means = np.asarray([means[n] for n in names])
+        # sorted, so equal ends mean one technique or equal means, which B0
+        # would read as its rounding error over a sigma^2 of zero
+        if group_means[0] == group_means[-1]:
             ranks.append(tuple(names))
             return
-        group_means = np.asarray([means[n] for n in names])
+        k = len(names)
         grand = group_means.mean()
         sigma2 = (float(np.sum((group_means - grand) ** 2)) + dof_within * s2_mean) / (
             k + dof_within
         )
         lam, split = _sk_lambda(group_means, sigma2)
-        nu = k / (math.pi - 2.0)
-        critical = chi2_ppf(1.0 - alpha, nu)
-        if lam > critical:
+        if chi2_sf(lam, k / (math.pi - 2.0)) < alpha:
             partition(names[:split])
             partition(names[split:])
         else:

@@ -555,6 +555,16 @@ class TestStats:
         assert "rank 1: seq" in out
         assert "vs base: 3/0/0" in out
 
+    @pytest.mark.parametrize("projects", [("p1",), ("p1", "p2")])
+    def test_equal_means_one_rank(self, tmp_path, capsys, projects):
+        values = tmp_path / "values.csv"
+        rows = [f"{tech},{project},0.3" for tech in "abc" for project in projects]
+        values.write_text("technique,project,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["stats", str(values)]) == 0
+        out = capsys.readouterr().out
+        assert "rank 1: a (mean 0.300), b (mean 0.300), c (mean 0.300)\n" in out
+        assert "rank 2" not in out
+
     def test_reference_override(self, tmp_path, capsys):
         values = tmp_path / "values.csv"
         values.write_text(
@@ -564,6 +574,14 @@ class TestStats:
         )
         assert main(["stats", str(values), "--reference", "b"]) == 0
         assert "win/tie/loss for b" in capsys.readouterr().out
+
+    def test_column_named_twice_is_one_line(self, tmp_path, capsys):
+        values = tmp_path / "values.csv"
+        values.write_text("technique,project,value,value\na,p1,0.9,0.1\n", encoding="utf-8")
+        assert main(["stats", str(values)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: column 'value' is named twice in the header\n"
+        assert captured.out == ""
 
     def test_missing_column_is_one_line(self, tmp_path, capsys):
         values = tmp_path / "values.csv"

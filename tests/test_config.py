@@ -94,6 +94,14 @@ class TestDuplicatesUpFront:
         with pytest.raises(ConfigError, match=r"^baselines: 'nb' is listed twice$"):
             ExperimentConfig(projects=(self.spec("p"),), baseline_kinds=("nb", "lr", "nb"))
 
+    @pytest.mark.parametrize("ids", [("1", "1", "2"), ("1", "2", "1")])
+    def test_version_listed_twice(self, tmp_path, ids):
+        versions = ", ".join(f"{{id: '{v}', metrics: {v}.csv}}" for v in ids)
+        project = f"projects:\n  - {{name: p, versions: [{versions}]}}\n"
+        path = write_yaml(tmp_path, f"output: {tmp_path / 'out'}\n{project}")
+        run_fails_with(path, "projects[0]: project 'p': version '1' is listed twice")
+        assert not (tmp_path / "out").exists()
+
     def test_distinct_names_pass(self):
         cfg = ExperimentConfig(projects=(self.spec("p"), self.spec("q")), baseline_kinds=("nb",))
         assert [p.train_version for p in cfg.projects] == ["a", "a"]

@@ -73,6 +73,20 @@ class TestParseMetricsCsv:
         snap = parse_metrics_csv(text, SCHEMA)
         assert row_of(snap, "a") == [1.0, 10.0]
 
+    @pytest.mark.parametrize(
+        "text",
+        ["name,wmc,loc,bug,wmc\na,1,10,0,2\n", 'name,wmc,loc,bug,wmc\n"a",1,10,0,2\n'],
+        ids=["plain", "quoted"],  # numpy's reader hands the plain one on; a quote skips it
+    )
+    def test_column_named_twice_rejected(self, text):
+        assert dataset._parse_metrics_fast(text, SCHEMA) is None
+        with pytest.raises(ParseError, match=r"^column 'wmc' is named twice in the header$"):
+            parse_metrics_csv(text, SCHEMA)
+
+    def test_undeclared_column_may_repeat(self):
+        snap = parse_metrics_csv("name,x,wmc,loc,bug,x\na,7,1,10,0,8\n", SCHEMA)
+        assert row_of(snap, "a") == [1.0, 10.0]
+
     def test_negative_bug_rejected(self):
         with pytest.raises(ParseError, match="bug"):
             parse_metrics_csv(make_csv(["a,1,10,-1"]), SCHEMA)
@@ -326,6 +340,7 @@ class TestFastPathMatchesPerCell:
     @example(table=("name,wmc,loc,bug\na,\u0663,2,0\n", SCHEMA), as_bytes=False)
     @example(table=("name,wmc,loc,bug\na,1,2,0\x00\n", SCHEMA), as_bytes=True)
     @example(table=("name,wmc,loc,bug\na,1,2,0\n,,,\nb,1,2,3", SCHEMA), as_bytes=True)
+    @example(table=("name,wmc,loc,bug,loc\na,1,2,0,3\n", SCHEMA), as_bytes=False)
     def test_same_outcome(self, table, as_bytes):
         text, schema = table
         data = text.encode("utf-8") if as_bytes else text

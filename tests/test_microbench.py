@@ -20,7 +20,6 @@ each run a fresh process.
 """
 
 import json
-import math
 import time
 
 import numpy as np
@@ -58,7 +57,7 @@ from defectseq.rnn import (
     init_params,
     train,
 )
-from defectseq.stats import chi2_ppf, scott_knott
+from defectseq.stats import scott_knott
 
 from helpers import hvsm_set, sized_report, standin_sized_report
 
@@ -308,17 +307,6 @@ def test_scott_knott_5_techniques_by_9_projects(benchmark):
     values = {t: list(rng.normal(loc=c, scale=0.03, size=9)) for t, c in centres.items()}
     grouping = benchmark.pedantic(scott_knott, args=(values,), rounds=20)
     assert len(grouping.ranks) >= 2  # at least one split, so the partition recursed
-
-
-def test_chi2_ppf_two_technique_critical_value(benchmark):
-    # the Scott-Knott critical value for a pair of techniques; scipy.stats.chi2.ppf
-    # takes about 100 us per call on a 2-core VM, and Scott-Knott calls this once
-    # per candidate partition
-    nu = 2 / (math.pi - 2)
-    critical = benchmark.pedantic(chi2_ppf, args=(0.95, nu), rounds=200)
-    assert critical == pytest.approx(5.501357838893093, rel=1e-12)
-    if not benchmark.disabled:  # --benchmark-disable makes one untimed call
-        assert benchmark.stats.stats.mean < 100e-6
 
 
 def finished_at_once(job):

@@ -10,7 +10,7 @@ from defectseq import stats
 from defectseq.stats import (
     NEGLIGIBLE_DELTA,
     Outcome,
-    chi2_ppf,
+    chi2_sf,
     cliffs_delta,
     norm_sf,
     rankdata,
@@ -82,11 +82,35 @@ class TestDistributionFunctions:
             rankdata(values), sps.rankdata(values, method="average"), equal_nan=True
         )
 
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.99])
-    def test_chi2_ppf_matches_scipy(self, q):
-        for k in range(1, 31):
+    def test_chi2_sf_matches_scipy(self):
+        # both branches (the series below x/2 = nu/2 + 1, the continued
+        # fraction above) at every Scott-Knott nu up to 60 techniques, out to
+        # tails near 1e-216
+        xs = np.concatenate([np.geomspace(1e-6, 1.2e3, 300), np.linspace(1.0, 1.2e3, 300)])
+        for k in range(1, 61):
             nu = k / (math.pi - 2)
-            assert chi2_ppf(q, nu) == pytest.approx(sps.chi2.ppf(q, nu), rel=1e-12, abs=0)
+            for x in xs:
+                assert chi2_sf(x, nu) == pytest.approx(sps.chi2.sf(x, nu), rel=1e-12, abs=0)
+
+    def test_chi2_sf_ends(self):
+        assert chi2_sf(0.0, 1.0) == 1.0
+        assert chi2_sf(math.inf, 1.0) == 0.0
+
+    def test_split_rule_matches_scipy_critical_value(self):
+        # the Scott-Knott rule chi2_sf(lam, nu) < alpha against lam > ppf(1 - alpha):
+        # a grid, and points 1e-9 (relative) and more either side of the critical value
+        steps = np.array([1e-9, 3e-9, 1e-7, 1e-4, 1e-2])
+        for k in range(2, 31):
+            nu = k / (math.pi - 2)
+            critical = sps.chi2.ppf(0.95, nu)
+            lams = np.concatenate(
+                [[0.0, math.inf], np.linspace(0.0, 4 * critical, 201),
+                 critical * (1 + steps), critical * (1 - steps)]
+            )
+            for lam in lams:
+                if abs(lam - critical) <= 1e-9 * critical:
+                    continue
+                assert (chi2_sf(lam, nu) < 0.05) == (lam > critical), (k, lam)
 
     def test_norm_sf_matches_scipy(self):
         for z in np.linspace(0.0, 8.0, 801):
@@ -270,6 +294,12 @@ class TestScottKnott:
     def test_identical_vectors_one_rank(self):
         g = scott_knott({"a": [0.5, 0.6], "b": [0.5, 0.6]})
         assert g.ranks == (("a", "b"),)
+        # equal means with no scatter: B0 is only rounding error, over a
+        # sigma^2 of zero or an ulp squared
+        g = scott_knott({"a": [0.3], "b": [0.3], "c": [0.3]})
+        assert g.ranks == (("a", "b", "c"),)
+        g = scott_knott({name: [0.1, 0.1] for name in "abcde"})
+        assert g.ranks == (tuple("abcde"),)
 
     def test_lambda_statistic_hand_computed(self):
         # two techniques, three runs each: B0 = 0.32, pooled variance terms
