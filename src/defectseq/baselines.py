@@ -9,8 +9,11 @@ Every technique reads a set of one-step samples: the anchor step of a
 sequence set (``history.anchor_step``), each file's row at the anchor
 version, with the sequences' keys, labels and order.  The caller z-scores
 each set once, so all techniques and all repeats share one copy of it.
-The network trains and predicts through the recurrent classifier's own
-``train`` and ``predict_set``.  kNN finds its neighbours by an exact
+Logistic regression scores test rows with the forward it trains on,
+``sigmoid(Z @ w + b)`` over the whole matrix, and takes its loss's
+log-likelihood from the recurrent classifier.  The network trains and
+predicts through the recurrent classifier's own ``train`` and
+``predict_set``.  kNN finds its neighbours by an exact
 search that BLAS prunes first (see ``_predict_knn``).
 """
 
@@ -22,7 +25,8 @@ import numpy as np
 
 from .history import HvsmSet
 from .rnn import (
-    BLAS_THREAD_BOUND, PROB_EPS, Hyperparams, descend, predict_set, sigmoid_in_place, train,
+    BLAS_THREAD_BOUND, Hyperparams, descend, label_log_likelihood, predict_set, sigmoid_in_place,
+    train,
 )
 
 LOGISTIC_REGRESSION = "lr"
@@ -81,14 +85,23 @@ def train_baseline(kind: str, s: HvsmSet, h: Hyperparams, k: int = DEFAULT_KNN_K
     return BaselineModel(kind=kind, params=params)
 
 
+def _logistic(Z: np.ndarray, w: np.ndarray, b, out: np.ndarray) -> np.ndarray:
+    """lr's one forward, ``sigmoid(Z @ w + b)`` of every row, written into
+    and returned as ``out``: training and scoring both call it."""
+    np.matmul(Z, w, out=out)
+    np.add(out, b, out=out)
+    sigmoid_in_place(out)
+    return out
+
+
 def _train_logistic(Z: np.ndarray, y: np.ndarray, h: Hyperparams) -> dict:
     """Full-batch gradient descent on log loss; L2 on weights, not bias.
     The parameter vector is the weights, then the bias.
 
     Both of ``descend``'s points share one set of work arrays, written with
-    ``out=``.  The loss takes one log per sample, which with 0/1 labels
-    gives the bits of ``-y log(p) - (1 - y) log(1 - p)``, and each mean is
-    ``np.mean``'s own sum-then-divide."""
+    ``out=``.  The forward is ``_logistic``, the one that scores test rows
+    too, the log-likelihood is the rnn's own ``label_log_likelihood``, and
+    each mean is ``np.mean``'s own sum-then-divide."""
     m, d = Z.shape
     ZT = Z.T
     positive = y == 1
@@ -98,20 +111,14 @@ def _train_logistic(Z: np.ndarray, y: np.ndarray, h: Hyperparams) -> dict:
         w, b, gw = theta[:d], theta[d:], grad[:d]
 
         def objective():
-            np.matmul(Z, w, out=prob)
-            np.add(prob, b, out=prob)
-            sigmoid_in_place(prob)
+            _logistic(Z, w, b, out=prob)
             np.subtract(prob, y, out=resid)
             np.matmul(ZT, resid, out=gw)
             np.divide(gw, m, out=gw)
             np.multiply(h.lam, w, out=work)
             np.add(gw, work, out=gw)
             grad[d] = np.add.reduce(resid) / m
-            np.maximum(prob, PROB_EPS, out=prob)
-            np.minimum(prob, 1.0 - PROB_EPS, out=prob)
-            np.subtract(1.0, prob, out=resid)
-            np.copyto(resid, prob, where=positive)
-            np.log(resid, out=resid)
+            label_log_likelihood(prob, positive, out=resid)
             np.square(w, out=work)
             return float(-(np.add.reduce(resid) / m) + 0.5 * h.lam * np.add.reduce(work))
 
@@ -220,7 +227,6 @@ def predict_baseline_many(model: BaselineModel, s: HvsmSet) -> np.ndarray:
     if model.kind == FEEDFORWARD_NN:
         return predict_set(p["rnn"], s)
     if model.kind == LOGISTIC_REGRESSION:
-        # row by row: ``Z @ w`` may round differently and move reported scores
-        return np.asarray([1.0 / (1.0 + np.exp(-(p["weights"] @ z + p["bias"]))) for z in Z])
+        return _logistic(Z, p["weights"], p["bias"], out=np.empty(len(Z)))
     predict = _predict_gaussian_nb if model.kind == GAUSSIAN_NB else _predict_knn
     return predict(p, Z)

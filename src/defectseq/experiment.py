@@ -50,7 +50,9 @@ import json
 import math
 import multiprocessing as mp
 import os
+import shutil
 import signal
+import tempfile
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache
@@ -846,29 +848,43 @@ def _write_json(fh, obj) -> None:
 
 def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
     """Write report.json, summary.csv, per-technique CE curves, Scott-Knott
-    groups and the Win/Tie/Loss table.  Returns the written paths.
+    groups and the Win/Tie/Loss table into ``out_dir``.  Returns the written
+    paths.
 
     report.json is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
-    newline, streamed into a file beside it that replaces it only once
-    complete, so a failed encode leaves no partial report.json.
+    newline.  One run leaves one output set: the whole set is written into
+    a fresh directory beside ``out_dir``, each file is moved into place,
+    report.json last, and then each ``ce_curves/<project>_<technique>.csv``
+    of a known technique that this emit did not write is removed; no other
+    file in ``out_dir`` is touched.  An emit that fails while writing (a
+    failed encode, a refused ``scores_mean``, an ``OSError``) leaves the
+    earlier set as it was.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    report_path = out / "report.json"
-    partial = out / "report.json.partial"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:
-        with partial.open("w", encoding="utf-8") as fh:
-            _write_json(fh, report)
-            fh.write("\n")
-        os.replace(partial, report_path)
+        names = _write_outputs(report, stage)
+        (out / "ce_curves").mkdir(parents=True, exist_ok=True)
+        for name in reversed(names):
+            os.replace(stage / name, out / name)
     finally:
-        partial.unlink(missing_ok=True)
-    written.append(report_path)
+        shutil.rmtree(stage, ignore_errors=True)
+    for path in (out / "ce_curves").glob("*_*.csv"):
+        if path.stem.rpartition("_")[2] in TECHNIQUES and f"ce_curves/{path.name}" not in names:
+            path.unlink()
+    return [out / name for name in names]
 
-    summary_path = out / "summary.csv"
-    with summary_path.open("w", encoding="utf-8", newline="") as fh:
+
+def _write_outputs(report: dict, out: Path) -> list[str]:
+    """Write ``emit_report``'s files into the empty directory ``out``, and
+    return their paths relative to it, report.json first."""
+    with (out / "report.json").open("w", encoding="utf-8") as fh:
+        _write_json(fh, report)
+        fh.write("\n")
+    written = ["report.json"]
+
+    with (out / "summary.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["project", "technique", *METRIC_KEYS])
         for project in sorted(report["projects"]):
@@ -881,10 +897,9 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
                     [project, technique]
                     + [format(entry["mean"][m], ".3f") for m in METRIC_KEYS]
                 )
-    written.append(summary_path)
+    written.append("summary.csv")
 
-    curves_dir = out / "ce_curves"
-    curves_dir.mkdir(exist_ok=True)
+    (out / "ce_curves").mkdir()
     for project in sorted(report["projects"]):
         payload = report["projects"][project]
         techniques = payload["techniques"]
@@ -904,22 +919,20 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
                     " scores_mean does not score exactly the test files"
                 )
             order = rank_by_density(files, [scores[k] for k in files.keys])
-            path = curves_dir / f"{project}_{technique}.csv"
-            path.write_text(curve_to_csv(ce_curve(files, order)), encoding="utf-8")
-            written.append(path)
+            name = f"ce_curves/{project}_{technique}.csv"
+            (out / name).write_text(curve_to_csv(ce_curve(files, order)), encoding="utf-8")
+            written.append(name)
 
-    sk_path = out / "sk_groups.txt"
     lines = []
     for metric in METRIC_KEYS:
         groups = report.get("aggregates", {}).get("scott_knott", {}).get(metric, [])
         lines.append(f"{metric}:")
         for rank, names in enumerate(groups, start=1):
             lines.append(f"  rank {rank}: " + ", ".join(names))
-    sk_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(sk_path)
+    (out / "sk_groups.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    written.append("sk_groups.txt")
 
-    wtl_path = out / "win_tie_loss.csv"
-    with wtl_path.open("w", encoding="utf-8", newline="") as fh:
+    with (out / "win_tie_loss.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["baseline", "metric", "win", "tie", "loss"])
         wtl = report.get("aggregates", {}).get("win_tie_loss", {})
@@ -929,5 +942,5 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
                     continue
                 row = wtl[baseline][metric]
                 writer.writerow([baseline, metric, row["win"], row["tie"], row["loss"]])
-    written.append(wtl_path)
+    written.append("win_tie_loss.csv")
     return written

@@ -146,6 +146,20 @@ def sigmoid_in_place(z: np.ndarray) -> None:
     np.divide(1.0, z, out=z)
 
 
+def label_log_likelihood(probs: np.ndarray, positive: np.ndarray, out: np.ndarray) -> None:
+    """Write each row's log-likelihood of its own 0/1 label into ``out``:
+    ``log(c)`` where ``positive``, else ``log(1 - c)``, with c the
+    probability clamped into ``[PROB_EPS, 1 - PROB_EPS]``, in place in
+    ``probs``.  One log per row gives the bits of ``y log(c) + (1 - y)
+    log(1 - c)``.  The rnn's and lr's losses both take their log-likelihood
+    here."""
+    np.maximum(probs, PROB_EPS, out=probs)
+    np.minimum(probs, 1.0 - PROB_EPS, out=probs)
+    np.subtract(1.0, probs, out=out)
+    np.copyto(out, probs, where=positive)
+    np.log(out, out=out)
+
+
 class Batch:
     """Samples stacked by length and laid end-aligned on one time axis.
 
@@ -288,8 +302,7 @@ class Sweep:
             return
 
         self.positive = batch.labels == 1
-        self.clipped = np.empty(m)
-        self.likelihood = np.empty(m)  # of each row's own label, then its log
+        self.likelihood = np.empty(m)  # log-likelihood of each row's own label
         self.dz = np.empty(m)
         self.dV, self.dV_term = np.empty((1, h)), np.empty((1, h))
         self.by_group = [
@@ -365,15 +378,10 @@ def batch_gradient(
     S, probs = forward(p, batch)
     sweep = batch.sweep(p.hidden_size, p.input_dim)
     m = batch.m
-    np.maximum(probs, PROB_EPS, out=sweep.clipped)
-    np.minimum(sweep.clipped, 1.0 - PROB_EPS, out=sweep.clipped)
-    # one log per sample: with 0/1 labels, the same bits as
-    # -y log(c) - (1 - y) log(1 - c), and a sum's negation is exact
-    likelihood = sweep.likelihood
-    np.subtract(1.0, sweep.clipped, out=likelihood)
-    np.copyto(likelihood, sweep.clipped, where=sweep.positive)
-    np.log(likelihood, out=likelihood)
     np.subtract(probs, batch.labels, out=sweep.dz)
+    # clamps probs in place, after dz has read them; a sum's negation is
+    # exact, so the loss keeps the bits of the two-term log loss
+    label_log_likelihood(probs, sweep.positive, out=sweep.likelihood)
     data_loss = 0.0
     dc = 0.0
     dV = sweep.dV

@@ -86,6 +86,20 @@ class TestLogisticRegression:
         ).tolist()
         assert np.argsort(base).tolist() == np.argsort(rescored).tolist()
 
+    def test_scores_are_the_training_forward_over_the_whole_matrix(self, h):
+        # one product over every test row, as in training: a per-row dot
+        # product can round differently
+        schema = tuple(f"m{i}" for i in range(20))
+        rng = np.random.default_rng(3)
+        train = labeled(rng.normal(size=(60, 20)), rng.integers(0, 2, size=60), schema)
+        model = train_baseline(LOGISTIC_REGRESSION, z_scored(train), h)
+        test = z_scored(rows(rng.normal(size=(200, 20)) * 3, schema), on=train)
+        ((_, (Z,)),) = test.by_length
+        w, b = model.params["weights"], model.params["bias"]
+        want = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
+        got = predict_baseline_many(model, test)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
     def test_divergence_reports_iteration(self, h, separable):
         # the same rule as the sequence model: a non-finite loss stops
         # training with the iteration named, instead of returning NaN weights

@@ -843,6 +843,27 @@ def test_extreme_test_cell_fails_only_its_technique(tmp_path, monkeypatch, cell,
     assert all("runs" in entry for entry in techniques.values())
 
 
+def test_rerun_into_one_directory_leaves_only_its_own_files(tmp_path):
+    """A second run into the first run's directory, with project b gone and
+    the rnn diverging, leaves exactly the files it printed: no curve of b's,
+    no rnn curve of a's, and no staging directory beside it."""
+    config = write_projects(tmp_path, ("a", "b"), baselines="lr, knn")
+    code, _, err = run_cli(["run", str(config)])
+    assert (code, err) == (0, "")
+    text = config.read_text(encoding="utf-8")
+    config.write_text(
+        text[: text.index("  - name: b")] + "technique_hyperparams: {rnn: {eta: 1e300}}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(["run", str(config)])
+    assert (code, err) == (0, "warning: a/rnn: non-finite loss at iteration 0\n")
+    root = tmp_path / "out"
+    printed = {Path(line) for line in out.splitlines()}
+    assert {p for p in root.rglob("*") if p.is_file()} == printed
+    assert sorted(p.name for p in (root / "ce_curves").iterdir()) == ["a_knn.csv", "a_lr.csv"]
+    assert not list(tmp_path.glob(".out*"))
+
+
 def run_cli(argv):
     """``main(argv)``'s exit code, stdout and stderr, any warning raised as
     an error."""

@@ -773,6 +773,52 @@ class TestEmitReport:
             "project 'trend', technique 'lr': scores_mean does not score exactly the test files"
         )
 
+    @pytest.mark.parametrize("failure", ["os-error", "scores-mean"])
+    def test_failed_emit_leaves_the_earlier_set(self, emitted, tmp_path, monkeypatch, failure):
+        # both failures come after report.json and summary.csv are written
+        report, _, _ = emitted
+        target = tmp_path / "out"
+        emit_report(report, target)
+        before = {p: p.read_bytes() for p in target.rglob("*") if p.is_file()}
+        project = report["projects"]["trend"]
+        lr = project["techniques"]["lr"]
+        if failure == "os-error":
+            def full_disk(curve):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(experiment, "curve_to_csv", full_disk)
+            scores = lr["scores_mean"]
+        else:
+            scores = dict(lr["scores_mean"])
+            scores.popitem()
+        techniques = {**project["techniques"], "lr": {**lr, "scores_mean": scores}}
+        changed = {
+            **report,
+            "errors": {"gone": "this emit must not show"},
+            "projects": {"trend": {**project, "techniques": techniques}},
+        }
+        with pytest.raises(OSError if failure == "os-error" else ValueError):
+            emit_report(changed, target)
+        assert {p: p.read_bytes() for p in target.rglob("*") if p.is_file()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_emit_removes_only_stale_curves(self, emitted, tmp_path):
+        # a curve file of a known technique that this emit did not write
+        # goes; a file whose name emit_report never writes stays
+        report, _, written = emitted
+        target = tmp_path / "out"
+        (target / "ce_curves").mkdir(parents=True)
+        own = {"notes.txt": "x", "ce_curves/trend_rnn_plot.csv": "y", "ce_curves/style.css": "z"}
+        for name, text in own.items():
+            (target / name).write_text(text)
+        (target / "ce_curves" / "gone_rnn.csv").write_text("stale")
+        (target / "ce_curves" / "a_b_lr.csv").write_text("stale")
+        again = emit_report(report, target)
+        assert [p.relative_to(target) for p in again] == [p.relative_to(written[0].parent) for p in written]
+        on_disk = {p.relative_to(target).as_posix() for p in target.rglob("*") if p.is_file()}
+        assert on_disk == {p.relative_to(target).as_posix() for p in again} | set(own)
+        assert all((target / name).read_text() == text for name, text in own.items())
+
     def test_encode_memory_bounded(self, tmp_path):
         # 9 projects x 5 techniques x 500 test files, as on the stand-in data
         report = standin_sized_report()

@@ -157,7 +157,7 @@ GOLDEN = {
             "ce_curves/beta_rnn.csv":
                 "9d7692915f24a2d72df603eb9030e90e3397de226563d356a9eceaf2787c8970",
             "report.json":
-                "9d76a8bb14be6a392db0aa7ae32cb0941299c12f44b0185cc0c0488b2c4d817d",
+                "a68a424543846c0e9e114a2605e9a9ba4f53a29872cb1ef568b94e2e6d48bc12",
             "sk_groups.txt":
                 "b7a8e0c412f62edf78aea1c17d54293b4d0a9f1fc2c72e4bcbd68c0b38dd4d93",
             "summary.csv":
@@ -186,7 +186,7 @@ GOLDEN = {
             "ce_curves/beta_nn.csv":
                 "1c13ce7818889b5a9252317d714b8480ab635a9f5b6ab5afb806e975c944fa2d",
             "report.json":
-                "fa749ed0fce68ab2286bfef6cc30fce5c715834ccb2601ec63664b8a32607d0b",
+                "7ba92b9c0e3e17ee34d9bbbbd76dda1d69b75f928fe32fad06b7c4dcee8e0019",
             "sk_groups.txt":
                 "437150a8ce84d0fd6ecc37b19267aa5b32eaa1556a0b125ee88b75e581468334",
             "summary.csv":
