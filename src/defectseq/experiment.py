@@ -853,23 +853,28 @@ def emit_report(report: dict, out_dir: str | Path) -> list[Path]:
 
     report.json is ``json.dumps(report, sort_keys=True, indent=2)`` plus a
     newline.  One run leaves one output set: the whole set is written into
-    a fresh directory beside ``out_dir``, each file is moved into place,
+    a fresh hidden directory ``.emit.<random>`` inside ``out_dir`` (so each
+    move stays on one filesystem), each file is moved into place,
     report.json last, and then each ``ce_curves/<project>_<technique>.csv``
     of a known technique that this emit did not write is removed; no other
     file in ``out_dir`` is touched.  An emit that fails while writing (a
     failed encode, a refused ``scores_mean``, an ``OSError``) leaves the
-    earlier set as it was.
+    earlier set as it was and removes the hidden directory.  One that fails
+    during the moves keeps the hidden directory, which then holds this
+    emit's files not yet moved, report.json among them.
     """
     out = Path(out_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".emit.", dir=out))
     try:
         names = _write_outputs(report, stage)
-        (out / "ce_curves").mkdir(parents=True, exist_ok=True)
-        for name in reversed(names):
-            os.replace(stage / name, out / name)
-    finally:
+    except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
+        raise
+    (out / "ce_curves").mkdir(exist_ok=True)
+    for name in reversed(names):
+        os.replace(stage / name, out / name)
+    shutil.rmtree(stage)
     for path in (out / "ce_curves").glob("*_*.csv"):
         if path.stem.rpartition("_")[2] in TECHNIQUES and f"ce_curves/{path.name}" not in names:
             path.unlink()

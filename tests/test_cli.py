@@ -846,7 +846,7 @@ def test_extreme_test_cell_fails_only_its_technique(tmp_path, monkeypatch, cell,
 def test_rerun_into_one_directory_leaves_only_its_own_files(tmp_path):
     """A second run into the first run's directory, with project b gone and
     the rnn diverging, leaves exactly the files it printed: no curve of b's,
-    no rnn curve of a's, and no staging directory beside it."""
+    no rnn curve of a's, and no staging directory left inside it."""
     config = write_projects(tmp_path, ("a", "b"), baselines="lr, knn")
     code, _, err = run_cli(["run", str(config)])
     assert (code, err) == (0, "")
@@ -861,7 +861,7 @@ def test_rerun_into_one_directory_leaves_only_its_own_files(tmp_path):
     printed = {Path(line) for line in out.splitlines()}
     assert {p for p in root.rglob("*") if p.is_file()} == printed
     assert sorted(p.name for p in (root / "ce_curves").iterdir()) == ["a_knn.csv", "a_lr.csv"]
-    assert not list(tmp_path.glob(".out*"))
+    assert not list(root.glob(".emit.*"))
 
 
 def run_cli(argv):

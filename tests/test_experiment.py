@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import select
 import signal
+import stat
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -801,6 +803,57 @@ class TestEmitReport:
             emit_report(changed, target)
         assert {p: p.read_bytes() for p in target.rglob("*") if p.is_file()} == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert not list(target.glob(".emit.*"))
+
+    def test_failed_move_keeps_the_unmoved_files(self, emitted, tmp_path, monkeypatch):
+        # the second move fails: report.json, moved last, is still the
+        # earlier one, and the hidden directory keeps this emit's own
+        report, _, _ = emitted
+        target = tmp_path / "out"
+        emit_report(report, target)
+        earlier = (target / "report.json").read_bytes()
+        changed = {**report, "errors": {"gone": "this emit must not show"}}
+        moves = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            moves.append(dst)
+            if len(moves) == 2:
+                raise OSError(28, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError):
+            emit_report(changed, target)
+        assert (target / "report.json").read_bytes() == earlier
+        [stage] = target.glob(".emit.*")
+        expected = json.dumps(changed, sort_keys=True, indent=2) + "\n"
+        assert (stage / "report.json").read_text(encoding="utf-8") == expected
+
+    def test_only_the_output_directory_need_be_writable(self, emitted, tmp_path, monkeypatch):
+        # the output directory's parent is read-only; root ignores mode
+        # bits, so the stand-in mkdtemp refuses a directory whose mode
+        # forbids writing, as the kernel does for any other user
+        report, _, _ = emitted
+        parent = tmp_path / "ro"
+        target = parent / "out"
+        target.mkdir(parents=True)
+        real_mkdtemp = tempfile.mkdtemp
+
+        def mkdtemp(*args, dir=None, **kwargs):
+            if dir is not None and not os.stat(dir).st_mode & stat.S_IWUSR:
+                raise PermissionError(13, "Permission denied", os.fspath(dir))
+            return real_mkdtemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        parent.chmod(0o555)
+        try:
+            written = emit_report(report, target)
+        finally:
+            parent.chmod(0o755)
+        assert {p for p in target.rglob("*") if p.is_file()} == set(written)
+        assert not list(target.glob(".emit.*"))
+        assert [p.name for p in parent.iterdir()] == ["out"]
 
     def test_emit_removes_only_stale_curves(self, emitted, tmp_path):
         # a curve file of a known technique that this emit did not write
