@@ -30,6 +30,7 @@ import numpy as np
 from .stats import rankdata
 
 CE_CUTOFFS = (0.1, 0.2, 0.5, 1.0)
+ACC_EFFORT = 0.2  # the share of the total LOC that ACC inspects
 _INT64_MAX = 2**63 - 1
 
 
@@ -182,14 +183,14 @@ def ce_report_values(
     return values
 
 
-def acc_at_effort(files: ScoredColumns, order: np.ndarray, effort: float = 0.2) -> float:
+def acc_at_effort(files: ScoredColumns, order: np.ndarray) -> float:
     """Recall of defective files once the top of the inspection order uses
-    ``effort`` of the total LOC; partially inspected files do not count."""
+    ``ACC_EFFORT`` of the total LOC; partially inspected files do not count."""
     defective = int(np.count_nonzero(files.bugs))
     if defective == 0:
         raise ValueError("no defective files: recall undefined")
     cum_loc = np.cumsum(files.loc[order])
-    budget = effort * int(cum_loc[-1]) * (1 + 1e-12)
+    budget = ACC_EFFORT * int(cum_loc[-1]) * (1 + 1e-12)
     inspected = order[: np.searchsorted(cum_loc, budget, side="right")]
     return int(np.count_nonzero(files.bugs[inspected])) / defective
 

@@ -126,6 +126,12 @@ class ProjectSpec:
     test_version: str | None = None  # None: the last version
 
     def __post_init__(self):
+        # the name becomes part of the file name ce_curves/<name>_<technique>.csv
+        name = self.name
+        if not name.strip() or name in (".", "..") or any(
+            sep and sep in name for sep in ("/", "\0", os.sep, os.altsep)
+        ):
+            raise ConfigError(f"project name {name!r} is not a safe file name")
         ids = [v.version_id for v in self.versions]
         if len(self.versions) < 2:
             raise ConfigError(f"project {self.name!r} needs at least 2 versions")
@@ -512,17 +518,24 @@ def _map_projects(jobs: list) -> list:
             pass  # the worker is gone; its pipe reads as EOF below
 
     try:
-        for _ in range(workers):
-            conn, worker_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_serve_jobs, args=(jobs, worker_conn, [conn, *procs]), daemon=True
-            )
-            proc.start()
-            # closed before the next fork, so that no other worker holds
-            # this worker's end and its death reads as EOF on ``conn``
-            worker_conn.close()
-            procs[conn] = proc
-            hand_out(conn)
+        # a Ctrl-C waits until every worker is in ``procs``, where the
+        # handler below terminates it; the workers inherit the mask, so none
+        # acts on SIGINT before ``_serve_jobs`` ignores it
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(workers):
+                conn, worker_conn = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_serve_jobs, args=(jobs, worker_conn, [conn, *procs]), daemon=True
+                )
+                proc.start()
+                # closed before the next fork, so that no other worker holds
+                # this worker's end and its death reads as EOF on ``conn``
+                worker_conn.close()
+                procs[conn] = proc
+                hand_out(conn)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         while running:
             for conn in wait(list(running)):
                 index = running.pop(conn)

@@ -225,39 +225,30 @@ class Normalizer:
     std: np.ndarray
     schema: tuple[str, ...]
 
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        # a test cell far outside the training spread may overflow to inf:
-        # the technique whose scores end up non-finite reports it in one line
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (np.asarray(values, dtype=float) - self.mean) / self.std
-
 
 def fit_normalizer(train: HvsmSet) -> Normalizer:
     """Population mean/std over every step of every training sequence."""
     if not train.m:
         raise ValueError("cannot fit a normalizer on an empty set")
     # sample order: a mean over rows adds them in sequence, so it sets the bits
-    return fit_normalizer_rows(_item_rows(train), train.schema)
-
-
-def fit_normalizer_rows(rows: np.ndarray, schema: tuple[str, ...]) -> Normalizer:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValueError("need a non-empty 2-d array of feature rows")
+    rows = _item_rows(train)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = rows.mean(axis=0)
         std = rows.std(axis=0)
     overflowed = ~(np.isfinite(mean) & np.isfinite(std))
     if overflowed.any():
-        column = schema[int(np.argmax(overflowed))]
+        column = train.schema[int(np.argmax(overflowed))]
         raise ValueError(f"metric {column!r} overflows z-scoring: its mean or spread is not finite")
     std = np.where(std < 1e-12, 1.0, std)
-    return Normalizer(mean=mean, std=std, schema=schema)
+    return Normalizer(mean=mean, std=std, schema=train.schema)
 
 
 def apply_normalizer(n: Normalizer, s: HvsmSet) -> HvsmSet:
     """Z-score every step of every sample; order, labels, lengths unchanged."""
     if s.schema != n.schema:
         raise ValueError("normalizer schema does not match the set's schema")
-    by_length = tuple((idx, n.transform(X)) for idx, X in s.by_length)
+    # a test cell far outside the training spread may overflow to inf: the
+    # technique whose scores end up non-finite reports it in one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        by_length = tuple((idx, (X - n.mean) / n.std) for idx, X in s.by_length)
     return HvsmSet(s.version_ids, s.keys, s.labels, s.schema, by_length)

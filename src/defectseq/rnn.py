@@ -50,6 +50,9 @@ PROB_EPS = 1e-12
 # milliseconds, so row-independent products are cut into smaller row blocks
 BLAS_THREAD_BOUND = 1 << 19
 
+# the step of gradient_check's central differences
+GRADCHECK_EPS = 1e-5
+
 
 class TrainingError(RuntimeError):
     """Raised when training produces a non-finite loss."""
@@ -515,15 +518,9 @@ def predict_set(p: RnnParams, s: HvsmSet) -> np.ndarray:
 # gradient checking
 # ---------------------------------------------------------------------------
 
-def gradient_check(
-    h: Hyperparams,
-    input_dim: int,
-    T: int,
-    y: int = 1,
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between ``batch_gradient`` and central differences
-    of the loss it returns.
+def gradient_check(h: Hyperparams, input_dim: int, T: int, y: int = 1) -> float:
+    """Max relative error between ``batch_gradient`` and central differences,
+    of step ``GRADCHECK_EPS``, of the loss it returns.
 
     The batch holds two samples, labelled ``y`` and ``1 - y``, of every
     length 1..T except T - 1 for T > 2, so some step of the sweep starts no
@@ -550,11 +547,11 @@ def gradient_check(
     errors = []
     for i, analytic in enumerate(g.tolist()):
         orig = theta[i]
-        theta[i] = orig + eps
+        theta[i] = orig + GRADCHECK_EPS
         hi = batch_gradient(p, batch, h.lam)[1]
-        theta[i] = orig - eps
+        theta[i] = orig - GRADCHECK_EPS
         lo = batch_gradient(p, batch, h.lam)[1]
         theta[i] = orig
-        numeric = (hi - lo) / (2 * eps)
+        numeric = (hi - lo) / (2 * GRADCHECK_EPS)
         errors.append(abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-5))
     return float(np.max(errors))  # NaN if any entry is NaN

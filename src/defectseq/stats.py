@@ -28,7 +28,7 @@ import numpy as np
 
 # boundary below which an effect size is negligible (Romano et al. scale)
 NEGLIGIBLE_DELTA = 0.147
-DEFAULT_ALPHA = 0.05
+ALPHA = 0.05  # significance level of every test
 
 
 def rankdata(values) -> np.ndarray:
@@ -41,19 +41,10 @@ def rankdata(values) -> np.ndarray:
     arr = np.ravel(np.asarray(values))
     if np.isnan(arr).any():
         return np.full(arr.size, np.nan)
-    order = np.argsort(arr, kind="mergesort")
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.arange(order.size, dtype=np.intp)
-    arr = arr[order]
-    starts = np.empty(arr.size, dtype=bool)  # where each run of equal values starts
-    starts[:1] = True
-    np.not_equal(arr[1:], arr[:-1], out=starts[1:])
-    dense = starts.cumsum()[inverse]
-    firsts = np.flatnonzero(starts)
-    count = np.empty(firsts.size + 1, dtype=np.intp)
-    count[:-1] = firsts
-    count[-1] = arr.size
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    _, inverse, counts = np.unique(arr, return_inverse=True, return_counts=True)
+    # a run of c ties ending at rank e spans ranks e - c + 1 .. e
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[inverse]
 
 
 def norm_sf(z: float) -> float:
@@ -123,9 +114,7 @@ def _exact_w_plus_counts(double_ranks: tuple[int, ...]) -> np.ndarray:
     counts = np.zeros(sum(double_ranks) + 1)
     counts[0] = 1.0
     for r in double_ranks:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: counts.size - r]
-        counts = counts + shifted
+        counts[r:] += counts[: counts.size - r]  # numpy buffers the overlap
     counts.flags.writeable = False
     return counts
 
@@ -182,14 +171,10 @@ class Outcome(enum.Enum):
     LOSS = "loss"
 
 
-def win_tie_loss(
-    subject_runs: Sequence[float],
-    other_runs: Sequence[float],
-    alpha: float = DEFAULT_ALPHA,
-) -> Outcome:
+def win_tie_loss(subject_runs: Sequence[float], other_runs: Sequence[float]) -> Outcome:
     """Verdict for the subject technique against another on one dataset.
 
-    Win needs Wilcoxon p < alpha and a non-negligible Cliff's delta in the
+    Win needs Wilcoxon p < ``ALPHA`` and a non-negligible Cliff's delta in the
     subject's favor (delta >= 0.147); Loss is the mirror image; everything
     else ties.  A single deterministic score on either side is replicated
     to match the other side's run count.
@@ -203,7 +188,7 @@ def win_tie_loss(
     if len(subject) != len(other):
         raise ValueError("run counts must match (or one side must be a single value)")
     result = wilcoxon_signed_rank(subject, other)
-    if result.degenerate or result.p_value >= alpha:
+    if result.p_value >= ALPHA:  # a degenerate test has p = 1
         return Outcome.TIE
     delta = cliffs_delta(subject, other)
     if delta >= NEGLIGIBLE_DELTA:
@@ -247,17 +232,14 @@ def _sk_lambda(group_means: np.ndarray, sigma2: float) -> tuple[float, int]:
     return lam, best_split
 
 
-def scott_knott(
-    values: Mapping[str, Sequence[float]],
-    alpha: float = DEFAULT_ALPHA,
-) -> SkGrouping:
+def scott_knott(values: Mapping[str, Sequence[float]]) -> SkGrouping:
     """Partition techniques into statistically distinct ranks.
 
     Techniques are ordered by mean (higher is better).  Each candidate rank
     is split at the point maximizing the between-group sum of squares B0 of
     the treatment means; the split stands when the chi-square upper tail of
     the likelihood statistic pi/(2(pi-2)) * B0 / sigma^2, with k/(pi-2)
-    degrees of freedom, is below ``alpha``, where sigma^2 pools the
+    degrees of freedom, is below ``ALPHA``, where sigma^2 pools the
     between-treatment scatter with the within-treatment variance of a
     treatment mean.  The procedure recurses into both sides until no split
     is significant, and a run of equal means is one rank.
@@ -299,7 +281,7 @@ def scott_knott(
             k + dof_within
         )
         lam, split = _sk_lambda(group_means, sigma2)
-        if chi2_sf(lam, k / (math.pi - 2.0)) < alpha:
+        if chi2_sf(lam, k / (math.pi - 2.0)) < ALPHA:
             partition(names[:split])
             partition(names[split:])
         else:

@@ -61,7 +61,7 @@ def test_criterion_1_gradient_correctness():
                     for y in (0, 1):
                         h = Hyperparams(hidden_size=hidden, seed=hidden * 100 + input_dim)
                         assert h.lam > 0  # the L2 term is part of the check
-                        err = gradient_check(h, input_dim=input_dim, T=T, y=y, eps=1e-5)
+                        err = gradient_check(h, input_dim=input_dim, T=T, y=y)
                         assert err < 1e-5, (hidden, input_dim, T, y, err)
                         worst = max(worst, err)
         assert worst < 1e-5

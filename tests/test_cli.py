@@ -125,6 +125,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "error: projects[0]: missing key 'name'\n"
 
+    def test_escaping_project_name_writes_nothing(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        config.write_text(
+            config.read_text().replace("name: trend", "name: ../../escape"), encoding="utf-8"
+        )
+        before = sorted(tmp_path.iterdir())
+        assert main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: projects[0]: project name '../../escape' is not a safe file name\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_zero_len_is_one_line(self, tmp_path, capsys):
         config = write_config(tmp_path)
         config.write_text(config.read_text().replace("len: 3", "len: 0"), encoding="utf-8")
@@ -376,14 +388,28 @@ def test_ctrl_c_ends_the_run_in_one_line(tmp_path):
     config = write_two_project_config(tmp_path, iterations=1_000_000)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "defectseq", "run", str(config)],
+        [sys.executable, "-X", "faulthandler", "-m", "defectseq", "run", str(config)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
     )
     try:
         time.sleep(1.5)
         os.killpg(proc.pid, signal.SIGINT)
-        out, err = proc.communicate(timeout=30)
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            # under faulthandler, SIGABRT makes a process write its Python
+            # stacks to stderr before it dies: the caller first, then the
+            # rest of the group, so that the caller's lines stay whole
+            for kill in (os.kill, os.killpg):
+                with contextlib.suppress(ProcessLookupError):
+                    kill(proc.pid, signal.SIGABRT)
+                with contextlib.suppress(subprocess.TimeoutExpired):
+                    proc.communicate(timeout=5)
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            _, err = proc.communicate()
+            pytest.fail(f"no exit within 30 s of the SIGINT; stderr, with every stack:\n{err}")
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # nothing is left in the group
     finally:

@@ -222,6 +222,31 @@ class TestConfig:
             load_config(path)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("''", "''"),
+            ("'  '", "'  '"),
+            (".", "'.'"),
+            ("..", "'..'"),
+            ("a/b", "'a/b'"),
+            ("../../escape", "'../../escape'"),
+            ('"a\\0b"', "'a\\x00b'"),
+        ],
+        ids=["empty", "blank", "dot", "dot-dot", "slash", "escape", "nul"],
+    )
+    def test_unsafe_project_name_rejected(self, tmp_path, name, message):
+        # a project name is part of the path ce_curves/<name>_<technique>.csv
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            f"projects:\n  - name: {name}\n"
+            "    versions: [{id: a, metrics: a.csv}, {id: b, metrics: b.csv}]\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"projects[0]: project name {message} is not a safe file name"
+
     @pytest.mark.parametrize("window", [0, -2])
     def test_non_positive_len_rejected_up_front(self, tmp_path, window):
         version_ids, paths, schema = write_trend_project(tmp_path)
@@ -632,6 +657,26 @@ class TestProjectPool:
         monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, 2))
         assert experiment._map_projects([None, None]) == [True, True]
         assert signal.getsignal(signal.SIGINT) == signal.default_int_handler
+
+    def test_ctrl_c_while_forking_leaves_no_worker(self, monkeypatch):
+        # a SIGINT right after each fork, before the caller has recorded
+        # the worker: the KeyboardInterrupt must still stop every worker
+        start = multiprocessing.context.ForkProcess.start
+
+        def start_then_interrupt(proc):
+            start(proc)
+            os.kill(os.getpid(), signal.SIGINT)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_then_interrupt)
+        monkeypatch.setattr(experiment, "_project_outcome", lambda job: job)
+        monkeypatch.setattr(experiment, "_worker_count", lambda n: min(n, 2))
+        with pytest.raises(KeyboardInterrupt):
+            experiment._map_projects([None, None])
+        left = multiprocessing.active_children()
+        for proc in left:  # so that a failure leaves no stray worker
+            proc.kill()
+            proc.join()
+        assert left == []
 
     def test_killed_worker_fails_fast(self, tmp_path, monkeypatch):
         """Project a's worker, the first forked, is killed while b's is

@@ -15,7 +15,6 @@ from defectseq.history import (
     developing_fraction,
     extract_hvsm_set,
     fit_normalizer,
-    fit_normalizer_rows,
     lifecycle_counts,
 )
 
@@ -343,12 +342,12 @@ class TestNormalizer:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as err:
-                fit_normalizer_rows(rows, ("a", "b", "wmc"))
+                fit_normalizer(hvsm_set([(rows, 0)], schema=("a", "b", "wmc")))
         assert str(err.value) == "metric 'wmc' overflows z-scoring: its mean or spread is not finite"
 
     def test_large_finite_column_still_fits(self):
         rows = np.array([[1e150, 0.0], [-1e150, 1.0]])
-        n = fit_normalizer_rows(rows, ("a", "b"))
+        n = fit_normalizer(hvsm_set([(rows, 0)], schema=("a", "b")))
         assert n.mean.tolist() == [0.0, 0.5] and n.std.tolist() == [1e150, 0.5]
 
     def test_fit_reads_rows_in_item_order(self):
@@ -359,6 +358,6 @@ class TestNormalizer:
                    for T in (3, 1, 2, 3, 1, 1, 2, 3, 2, 1)]
         s = hvsm_set(samples)
         fit = fit_normalizer(s)
-        expected = fit_normalizer_rows(np.vstack([rows for rows, _ in samples]), s.schema)
+        expected = fit_normalizer(hvsm_set([(np.vstack([rows for rows, _ in samples]), 0)]))
         for got, want in ((fit.mean, expected.mean), (fit.std, expected.std)):
             assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]

@@ -76,6 +76,22 @@ class TestDistributionFunctions:
         assert ours.dtype == theirs.dtype
         assert np.array_equal(ours, theirs)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [np.inf, -np.inf, 1.0, np.inf, -np.inf, -np.inf, 0.0],
+            np.array([3, -1, 3, 7, 3, -1], dtype=np.int64),
+            np.array([[2.0, 1.0, 2.0], [0.5, 2.0, 1.0]]),
+            np.empty(0),
+        ],
+        ids=["infinities", "integers", "2-d", "empty"],
+    )
+    def test_rankdata_bitwise_equal_to_scipy_on_edge_inputs(self, values):
+        ours = rankdata(values)
+        theirs = sps.rankdata(values, method="average", axis=None)
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+
     def test_rankdata_nan_propagates_like_scipy(self):
         values = [2.0, np.nan, 1.0, 2.0]
         assert np.array_equal(
